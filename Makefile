@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif test race check bench bench-json trace serve mon
+.PHONY: all build vet lint test race check bench bench-json trace serve mon
 
 all: check
 
@@ -10,18 +10,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# tlvet: the project-specific static-analysis suite (cmd/tlvet), gated
-# through the committed baseline ledger (.tlvet-baseline.json). Use
-# `go run ./cmd/tlvet -list` to see the analyzers.
+# tlvet: the project-specific static-analysis suite (cmd/tlvet); fails
+# on any finding. Use `go run ./cmd/tlvet -list` to see the analyzers.
 lint:
-	$(GO) run ./cmd/tlvet -baseline .tlvet-baseline.json .
-
-# Same findings as `make lint`, rendered as a SARIF 2.1.0 log and
-# validated by scripts/sarifcheck — the artifact code-review tooling
-# ingests. Writes /tmp/tlvet.sarif.
-lint-sarif:
-	$(GO) run ./cmd/tlvet -format sarif . > /tmp/tlvet.sarif
-	$(GO) run ./scripts/sarifcheck /tmp/tlvet.sarif
+	$(GO) run ./cmd/tlvet .
 
 # Short test run (skips the CLI integration tests).
 test:

@@ -7,6 +7,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/floats"
+	"repro/internal/model"
+	"repro/internal/workloads"
 )
 
 // buildCmds compiles the repository's command-line tools once per test
@@ -262,6 +268,43 @@ func TestCLIRunRecords(t *testing.T) {
 	wout := run(0, "tlreport", "show", manC, manA)
 	if !strings.Contains(wout, "warning: ignoring") {
 		t.Fatalf("corrupt manifest not warned about:\n%s", wout)
+	}
+
+	// Without -n the CLI must use the library's integerization default
+	// (3 divisors for delay), so its delay design matches core.Optimize
+	// called with NDiv left zero.
+	manD := filepath.Join(dir, "delay.manifest.json")
+	run(0, "thistle", "-layer", "resnet18_L11", "-criterion", "delay",
+		"-specs=false", "-manifest", manD)
+	rawD, err := os.ReadFile(manD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manDelay struct {
+		Layers []struct {
+			Cycles float64 `json:"cycles"`
+		} `json:"layers"`
+	}
+	if err := json.Unmarshal(rawD, &manDelay); err != nil {
+		t.Fatal(err)
+	}
+	if len(manDelay.Layers) != 1 {
+		t.Fatalf("delay manifest has %d layers, want 1", len(manDelay.Layers))
+	}
+	l, _ := workloads.ByName("resnet18_L11")
+	p, err := l.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.Eyeriss()
+	res, err := core.Optimize(p, core.Options{
+		Criterion: model.MinDelay, Mode: core.FixedArch, Arch: &a, NDiv: 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := manDelay.Layers[0].Cycles, res.Best.Report.Cycles; !floats.EqTol(got, want, 1e-12) {
+		t.Fatalf("thistle -criterion delay: %v cycles, core.Optimize with NDiv 0: %v", got, want)
 	}
 }
 

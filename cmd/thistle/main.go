@@ -63,7 +63,7 @@ func run() error {
 		criterion = flag.String("criterion", "energy", "optimization criterion: energy | delay | edp")
 		mode      = flag.String("mode", "fixed", "optimization mode: fixed | codesign")
 		area      = flag.Float64("area", 0, "co-design area budget in um^2 (default: Eyeriss-equal)")
-		nDiv      = flag.Int("n", 2, "divisor candidates per tile variable (integerization)")
+		nDiv      = flag.Int("n", 0, "divisor candidates per tile variable (integerization; 0 = library default: 2 for energy, 3 for delay/EDP)")
 		emitSpecs = flag.Bool("specs", true, "print the Timeloop-style spec bundle")
 		emitCode  = flag.Bool("code", false, "print the tiled loop nest as pseudocode (paper Fig. 1(d) style)")
 		kFlag     = flag.Int64("K", 0, "output channels (explicit conv)")

@@ -19,25 +19,20 @@
 //
 // Usage:
 //
-//	tlvet [-only names] [-skip names] [-format text|json|sarif] [-json]
-//	      [-baseline file] [-write-baseline file] [-list] [dir]
+//	tlvet [-only names] [-skip names] [-json] [-list] [dir]
 //
 // dir (default ".") may be any directory inside the module; the whole
 // module is always analyzed. Exit status is 1 if any findings survive
-// suppression and the baseline, 2 on usage or load errors, 0
-// otherwise. The text format prints findings as
+// suppression, 2 on usage or load errors, 0 otherwise. Findings print
+// as
 //
 //	file:line: [analyzer] message
 //
-// -format json emits a JSON array (-json is an alias); -format sarif
-// emits a SARIF 2.1.0 log with module-root-relative URIs, suitable for
-// code-review ingestion and validated by scripts/sarifcheck.
+// or, with -json, as a JSON array.
 //
 // Findings are suppressed per line with
 // `//tlvet:ignore <analyzer>[, <analyzer>] -- <reason>` (per file with
-// //tlvet:ignore-file), or tolerated as committed debt via the
-// baseline: -baseline applies the ledger (stale entries are themselves
-// findings), -write-baseline regenerates it from the current run.
+// //tlvet:ignore-file).
 package main
 
 import (
@@ -54,10 +49,7 @@ import (
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	skip := flag.String("skip", "", "comma-separated analyzer names to disable")
-	format := flag.String("format", "", "output format: text (default), json, or sarif")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array (alias for -format json)")
-	baselinePath := flag.String("baseline", "", "apply the baseline ledger at this path; stale entries are findings")
-	writeBaseline := flag.String("write-baseline", "", "write the current findings as a baseline to this path and exit")
+	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Parse()
 
@@ -67,16 +59,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-
-	switch {
-	case *format == "" && *jsonOut:
-		*format = "json"
-	case *format == "":
-		*format = "text"
-	case *format != "text" && *format != "json" && *format != "sarif":
-		fmt.Fprintf(os.Stderr, "tlvet: unknown -format %q (want text, json, or sarif)\n", *format)
-		os.Exit(2)
 	}
 
 	enabled, err := selectAnalyzers(analyzers, *only, *skip)
@@ -89,11 +71,6 @@ func main() {
 	if flag.NArg() > 0 {
 		dir = flag.Arg(0)
 	}
-	root, err := analysis.FindModuleRoot(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlvet: %v\n", err)
-		os.Exit(2)
-	}
 	pkgs, err := analysis.LoadModule(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlvet: %v\n", err)
@@ -102,31 +79,7 @@ func main() {
 
 	findings := analysis.Run(pkgs, enabled, checks.Names())
 
-	if *writeBaseline != "" {
-		if err := analysis.NewBaseline(findings, root).Write(*writeBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "tlvet: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "tlvet: wrote %d baseline entr%s to %s\n",
-			len(findings), plural(len(findings), "y", "ies"), *writeBaseline)
-		return
-	}
-
-	if *baselinePath != "" {
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tlvet: %v\n", err)
-			os.Exit(2)
-		}
-		kept, suppressed, stale := base.Apply(findings, root)
-		findings = append(kept, analysis.StaleFindings(stale, *baselinePath)...)
-		if suppressed > 0 && *format == "text" {
-			fmt.Fprintf(os.Stderr, "tlvet: %d finding(s) tolerated by %s\n", suppressed, *baselinePath)
-		}
-	}
-
-	switch *format {
-	case "json":
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
@@ -136,29 +89,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tlvet: %v\n", err)
 			os.Exit(2)
 		}
-	case "sarif":
-		if err := analysis.WriteSARIF(os.Stdout, findings, analyzers, root); err != nil {
-			fmt.Fprintf(os.Stderr, "tlvet: %v\n", err)
-			os.Exit(2)
-		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Println(f)
 		}
 	}
 	if len(findings) > 0 {
-		if *format == "text" {
+		if !*jsonOut {
 			fmt.Fprintf(os.Stderr, "tlvet: %d finding(s)\n", len(findings))
 		}
 		os.Exit(1)
 	}
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 func selectAnalyzers(all []*analysis.Analyzer, only, skip string) ([]*analysis.Analyzer, error) {

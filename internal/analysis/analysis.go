@@ -27,11 +27,8 @@
 // on the offending line or the line directly above it, or for a whole
 // file with //tlvet:ignore-file at any comment position in it. The
 // reason is mandatory and the analyzer names must exist; a bare or
-// misspelled suppression is itself a finding. The driver additionally
-// applies the committed baseline ledger (.tlvet-baseline.json, see
-// Baseline): entries absorb known findings for burn-down, and entries
-// that no longer match anything are reported as stale. Findings render
-// as text, JSON, or SARIF 2.1.0 (BuildSARIF).
+// misspelled suppression is itself a finding. The driver renders the
+// surviving findings as text or JSON.
 package analysis
 
 import (
