@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race check bench bench-json trace serve mon
+.PHONY: all build vet lint test race check bench trace serve mon
 
 all: check
 
@@ -20,10 +20,14 @@ test:
 	$(GO) test -short ./...
 
 # Race-detector run over the concurrent packages: the mapper's worker
-# pool, core's parallel GP solve loop, the solver telemetry hooks, the
-# obs registry itself, and the thistled admission path.
+# pool, the pipeline scheduler and its workspace pool, the solver
+# telemetry hooks, the obs registry itself, cache singleflight, the
+# thistled admission path, and the experiments layer fan-out (just
+# TestOptimizeLayers: the figure sweeps are too slow under -race).
+# Same package list as scripts/check.sh's race leg.
 race:
-	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/core/... ./internal/mapper/... ./internal/solver/... ./internal/serve/...
+	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
+	$(GO) test -race -timeout 30m -run 'TestOptimizeLayers' ./internal/experiments/
 
 check: build vet lint test race
 	@echo "check: ok"
@@ -49,7 +53,3 @@ mon:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ ./...
-
-# Tier-1 benchmarks recorded as a BENCH_<date>.json trajectory point.
-bench-json:
-	scripts/bench.sh

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/floats"
 	"repro/internal/model"
+	"repro/internal/obs/tracefile"
 	"repro/internal/workloads"
 )
 
@@ -91,7 +92,7 @@ func TestCLIEndToEnd(t *testing.T) {
 }
 
 // TestCLIObservability runs thistle with the full observability flag
-// set and checks the trace tree, metrics snapshots, and profiles it
+// set and checks the Chrome trace, metrics snapshots, and profiles it
 // leaves behind.
 func TestCLIObservability(t *testing.T) {
 	if testing.Short() {
@@ -106,7 +107,7 @@ func TestCLIObservability(t *testing.T) {
 
 	cmd := exec.Command(filepath.Join(bin, "thistle"),
 		"-layer", "resnet18_L12", "-specs=false",
-		"-v", "debug", "-trace", tracePath, "-metrics",
+		"-v", "debug", "-trace-out", tracePath, "-metrics",
 		"-metrics-json", metricsPath,
 		"-cpuprofile", cpuPath, "-memprofile", memPath)
 	out, err := cmd.CombinedOutput()
@@ -121,17 +122,26 @@ func TestCLIObservability(t *testing.T) {
 		t.Fatalf("-v debug produced no DEBUG log lines:\n%s", sout)
 	}
 
-	trace, err := os.ReadFile(tracePath)
+	tf, err := os.Open(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace, err := tracefile.Read(tf)
+	tf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, s := range trace.Spans {
+		names[s.Name] = true
+	}
 	for _, span := range []string{
-		`"optimize"`, `"rs-placement"`, `"enumerate-classes"`,
-		`"gp-solve-pass"`, `"gp-pair"`, `"formulate"`, `"solve"`,
-		`"phase-ii"`, `"integerize"`, `"model-eval"`,
+		"optimize", "rs-placement", "enumerate-classes",
+		"gp-solve-pass", "gp-pair", "formulate", "solve",
+		"phase-ii", "integerize", "model-eval",
 	} {
-		if !strings.Contains(string(trace), `"name": `+span) {
-			t.Errorf("trace missing span %s", span)
+		if !names[span] {
+			t.Errorf("trace missing span %q", span)
 		}
 	}
 

@@ -14,7 +14,6 @@
 //	tlreport validate run.events.jsonl
 //	tlreport validate -manifest run.manifest.json run.events.jsonl
 //	tlreport trace run.trace.json
-//	tlreport bench BENCH_20260805.json BENCH_20260808.json
 //
 // Exit codes: 0 success, 1 usage or unreadable input, 2 regressions
 // found (diff) or schema validation failed (validate, trace).
@@ -42,8 +41,6 @@ commands:
   validate  schema-check an event stream (and optionally a manifest)
   trace     analyze a -trace-out Chrome trace: critical path, self-time,
             scheduler queue-wait attribution (exit 2 on invalid trace)
-  bench     compare BENCH_<date>.json trajectory points and flag
-            benchmark regressions (exit 2)
 
 run 'tlreport <command> -h' for command flags`)
 }
@@ -62,8 +59,6 @@ func run(args []string) int {
 		return runValidate(args[1:])
 	case "trace":
 		return runTrace(args[1:])
-	case "bench":
-		return runBench(args[1:])
 	case "-version", "--version", "version":
 		fmt.Println(cliutil.VersionString("tlreport"))
 		return 0

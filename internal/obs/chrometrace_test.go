@@ -231,7 +231,7 @@ func TestChromeTraceUnfinishedSpans(t *testing.T) {
 	tr := NewTracer()
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	tr.now = func() time.Time { return now }
-	parent := tr.StartSpan(nil, "parent")
+	parent := tr.StartSpan(nil, "parent", Float("obj", 1.5))
 	now = now.Add(time.Millisecond)
 	tr.StartSpan(parent, "dangling") // never ended
 	now = now.Add(time.Millisecond)
@@ -245,19 +245,23 @@ func TestChromeTraceUnfinishedSpans(t *testing.T) {
 	if clamped != 0 {
 		t.Fatalf("unfinished spans must not count as clamped, got %d", clamped)
 	}
+	byName := map[string]ChromeEvent{}
 	for _, ev := range spanEvents(decodeChrome(t, buf.Bytes())) {
-		if ev.Name != "dangling" {
-			continue
-		}
-		if ev.Args["unfinished"] != true {
-			t.Fatalf("dangling span not marked unfinished: %+v", ev.Args)
-		}
-		if ev.TS+ev.Dur != 2000 {
-			t.Fatalf("dangling span should extend to parent end (2000us), got end %d", ev.TS+ev.Dur)
-		}
-		return
+		byName[ev.Name] = ev
 	}
-	t.Fatal("dangling span missing from output")
+	if got := byName["parent"].Args["obj"]; got != 1.5 {
+		t.Fatalf("span attribute obj = %v in args %+v, want 1.5", got, byName["parent"].Args)
+	}
+	ev, ok := byName["dangling"]
+	if !ok {
+		t.Fatal("dangling span missing from output")
+	}
+	if ev.Args["unfinished"] != true {
+		t.Fatalf("dangling span not marked unfinished: %+v", ev.Args)
+	}
+	if ev.TS+ev.Dur != 2000 {
+		t.Fatalf("dangling span should extend to parent end (2000us), got end %d", ev.TS+ev.Dur)
+	}
 }
 
 // TestChromeTraceLanes checks the tid assignment: concurrent siblings

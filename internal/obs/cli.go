@@ -10,7 +10,7 @@ import (
 )
 
 // Flags bundles the standard observability command-line flags shared by
-// every CLI of the reproduction (-v, -trace, -trace-out, -metrics,
+// every CLI of the reproduction (-v, -trace-out, -metrics,
 // -metrics-json, -cpuprofile, -memprofile). Typical use:
 //
 //	var of obs.Flags
@@ -22,7 +22,6 @@ import (
 //	return of.Finish(os.Stdout)     // writes trace/metrics/profiles
 type Flags struct {
 	Verbosity   string
-	TraceFile   string
 	TraceOut    string
 	Metrics     bool
 	MetricsJSON string
@@ -39,7 +38,6 @@ type Flags struct {
 	// Output files are created eagerly in Setup so a bad path fails
 	// before the run instead of after it; Finish fills them in.
 	memFile     *os.File
-	traceOut    *os.File
 	chromeOut   *os.File
 	metricsFile *os.File
 }
@@ -47,7 +45,6 @@ type Flags struct {
 // Register installs the flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Verbosity, "v", "off", "log verbosity: off | warn | info | debug | trace")
-	fs.StringVar(&f.TraceFile, "trace", "", "write the span trace tree as JSON to this file")
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write the span forest as Chrome trace-event JSON (Perfetto-loadable) to this file")
 	fs.BoolVar(&f.Metrics, "metrics", false, "print a metrics snapshot table on exit")
 	fs.StringVar(&f.MetricsJSON, "metrics-json", "", "write the metrics snapshot as JSON to this file")
@@ -67,7 +64,7 @@ func (f *Flags) Setup(logw io.Writer) (*Obs, error) {
 	if lvl != Off {
 		o.Log = NewLogger(logw, lvl)
 	}
-	if f.TraceFile != "" || f.TraceOut != "" {
+	if f.TraceOut != "" {
 		o.Tracer = NewTracer()
 	}
 	if f.Metrics || f.MetricsJSON != "" {
@@ -91,7 +88,6 @@ func (f *Flags) Setup(logw io.Writer) (*Obs, error) {
 		dst  **os.File
 	}{
 		{f.MemProfile, &f.memFile},
-		{f.TraceFile, &f.traceOut},
 		{f.TraceOut, &f.chromeOut},
 		{f.MetricsJSON, &f.metricsFile},
 	} {
@@ -121,7 +117,7 @@ func (f *Flags) Close() {
 		_ = f.cpuFile.Close()
 		f.cpuFile = nil
 	}
-	for _, file := range []**os.File{&f.memFile, &f.traceOut, &f.chromeOut, &f.metricsFile} {
+	for _, file := range []**os.File{&f.memFile, &f.chromeOut, &f.metricsFile} {
 		if *file != nil {
 			_ = (*file).Close()
 			*file = nil
@@ -130,7 +126,7 @@ func (f *Flags) Close() {
 }
 
 // Finish writes every requested artifact: stops the CPU profile, dumps
-// the heap profile, writes the trace JSON, prints the metrics table to
+// the heap profile, writes the Chrome trace, prints the metrics table to
 // metricsOut, and writes the metrics JSON.
 func (f *Flags) Finish(metricsOut io.Writer) error {
 	if f.cpuFile != nil {
@@ -146,16 +142,6 @@ func (f *Flags) Finish(metricsOut io.Writer) error {
 		runtime.GC() // materialize up-to-date allocation stats
 		err := pprof.WriteHeapProfile(mf)
 		if cerr := mf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if tf := f.traceOut; tf != nil && f.obs != nil && f.obs.Tracer != nil {
-		f.traceOut = nil
-		err := f.obs.Tracer.WriteJSON(tf)
-		if cerr := tf.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {

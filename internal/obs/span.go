@@ -3,10 +3,6 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,16 +169,16 @@ func (s *Span) Annotate(attrs ...Attr) {
 
 // SpanInfo is an immutable snapshot of one recorded span.
 type SpanInfo struct {
-	Name string `json:"name"`
+	Name string
 	// ID is the span's creation-order identifier (see Span.ID).
-	ID int64 `json:"id"`
+	ID int64
 	// StartUS is the span start as microseconds since the first recorded
 	// span's start.
-	StartUS int64 `json:"start_us"`
+	StartUS int64
 	// DurUS is the span duration in microseconds (-1 if never ended).
-	DurUS    int64          `json:"dur_us"`
-	Attrs    map[string]any `json:"attrs,omitempty"`
-	Children []SpanInfo     `json:"children,omitempty"`
+	DurUS    int64
+	Attrs    map[string]any
+	Children []SpanInfo
 }
 
 // Duration returns the span duration (0 if the span was never ended).
@@ -237,46 +233,4 @@ func (s *Span) snapshot(epoch time.Time) SpanInfo {
 		info.Children = append(info.Children, c.snapshot(epoch))
 	}
 	return info
-}
-
-// WriteJSON dumps the span forest as indented JSON.
-func (t *Tracer) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	tree := t.Tree()
-	if tree == nil {
-		tree = []SpanInfo{}
-	}
-	return enc.Encode(tree)
-}
-
-// WriteTree dumps the span forest as an indented text tree with
-// durations and attributes, one span per line.
-func (t *Tracer) WriteTree(w io.Writer) {
-	for _, root := range t.Tree() {
-		writeTreeNode(w, root, 0)
-	}
-}
-
-func writeTreeNode(w io.Writer, si SpanInfo, depth int) {
-	for i := 0; i < depth; i++ {
-		fmt.Fprint(w, "  ")
-	}
-	dur := "unfinished"
-	if si.DurUS >= 0 {
-		dur = si.Duration().String()
-	}
-	fmt.Fprintf(w, "%s %s", si.Name, dur)
-	keys := make([]string, 0, len(si.Attrs))
-	for k := range si.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, " %s=%v", k, si.Attrs[k])
-	}
-	fmt.Fprintln(w)
-	for _, c := range si.Children {
-		writeTreeNode(w, c, depth+1)
-	}
 }

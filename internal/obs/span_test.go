@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -56,11 +55,8 @@ func TestSpanUnendedAndText(t *testing.T) {
 	if tree[0].DurUS != -1 {
 		t.Fatalf("unended span should report dur -1, got %d", tree[0].DurUS)
 	}
-	var sb strings.Builder
-	tr.WriteTree(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "open unfinished") || !strings.Contains(out, "\n  leaf ") {
-		t.Fatalf("text tree wrong:\n%s", out)
+	if kids := tree[0].Children; len(kids) != 1 || kids[0].Name != "leaf" || kids[0].DurUS < 0 {
+		t.Fatalf("ended child of an unended span wrong: %+v", kids)
 	}
 }
 
@@ -106,20 +102,4 @@ func TestContextSpanAPI(t *testing.T) {
 		t.Fatal("disabled StartSpan should return the original context and nil span")
 	}
 	s.End() // must not panic
-}
-
-func TestTracerJSON(t *testing.T) {
-	tr := NewTracer()
-	s := tr.StartSpan(nil, "solve", Float("obj", 1.5))
-	tr.StartSpan(s, "phase-i").End()
-	s.End()
-	var sb strings.Builder
-	if err := tr.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"name": "solve"`, `"phase-i"`, `"obj": 1.5`, `"dur_us"`} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("JSON missing %q:\n%s", want, sb.String())
-		}
-	}
 }
