@@ -2,9 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/workloads"
 )
 
@@ -59,6 +67,44 @@ func TestFig4Quick(t *testing.T) {
 		if up < 0.95 {
 			t.Errorf("%s: EnergyUp %.3f < 0.95 (mapper %.2f beat thistle %.2f)",
 				e.Labels[i], up, mp, th)
+		}
+	}
+}
+
+// TestFig4Committed is the tier-1 gate on the committed Fig. 4 numbers:
+// Thistle's pJ/MAC on each of the 23 Table II layers (energy, fixed
+// Eyeriss) must print as results/fig4.tsv's thistle_pJ_per_MAC at its
+// 3 decimals.
+func TestFig4Committed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("optimizes all 23 Table II layers")
+	}
+	want := map[string]string{}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "results", "fig4.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	for _, line := range strings.Split(string(raw), "\n") {
+		fields := strings.Split(line, "\t")
+		switch {
+		case fields[0] == "layer":
+			col = slices.Index(fields, "thistle_pJ_per_MAC")
+		case col > 0 && col < len(fields):
+			want[fields[0]] = fields[col]
+		}
+	}
+	layers := workloads.All()
+	eyeriss := arch.Eyeriss()
+	results, err := OptimizeLayers(context.Background(), layers,
+		core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &eyeriss}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, l := range layers {
+		got := fmt.Sprintf("%.3f", results[i].Best.Report.EnergyPerMAC)
+		if got != want[l.Name()] {
+			t.Errorf("%s: %s pJ/MAC, results/fig4.tsv has %q", l.Name(), got, want[l.Name()])
 		}
 	}
 }

@@ -11,7 +11,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -19,7 +18,7 @@ import (
 // that is singular to working precision.
 var ErrSingular = errors.New("linalg: singular matrix")
 
-// ErrInconsistent is returned by SolveWithNullspace when the system
+// ErrInconsistent is returned by SolveWithNullspaceInto when the system
 // A·x = b has no solution.
 var ErrInconsistent = errors.New("linalg: inconsistent linear system")
 
@@ -32,22 +31,6 @@ type Dense struct {
 // NewDense allocates a zero Rows×Cols matrix.
 func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices, which must all have the same
-// length.
-func FromRows(rows [][]float64) *Dense {
-	if len(rows) == 0 {
-		return NewDense(0, 0)
-	}
-	m := NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
 }
 
 // At returns element (i, j).
@@ -100,33 +83,6 @@ func (m *Dense) MulTransVec(x, y []float64) {
 			y[j] += a * xi
 		}
 	}
-}
-
-// Mul returns A·B as a new matrix.
-func (m *Dense) Mul(b *Dense) *Dense {
-	if m.Cols != b.Rows {
-		panic("linalg: dimension mismatch in Mul")
-	}
-	r := NewDense(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < b.Cols; j++ {
-				r.Add(i, j, a*b.At(k, j))
-			}
-		}
-	}
-	return r
-}
-
-// CongruentTransform returns Zᵀ·H·Z for the symmetric matrix H; the result
-// is the reduced Hessian used after equality elimination.
-func CongruentTransform(z, h *Dense) *Dense {
-	var ws Workspace
-	return ws.CongruentTransformTo(NewDense(z.Cols, z.Cols), z, h)
 }
 
 // Cholesky factors the symmetric positive-definite matrix A in place into
@@ -187,33 +143,6 @@ func CholSolve(l *Dense, b []float64) {
 	}
 }
 
-// SolveSPD solves A·x = b for symmetric positive-definite A, adding
-// an escalating diagonal regularization when the plain factorization
-// fails (as happens near-singular Hessians during Newton iterations).
-// A and b are not modified; the solution is returned.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	x := make([]float64, a.Rows)
-	var ws Workspace
-	if err := ws.SolveSPDTo(x, a, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// SolveWithNullspace solves the (possibly underdetermined, possibly
-// redundant) system A·x = b by Gaussian elimination with partial
-// pivoting. It returns a particular solution x0 and a matrix Z whose
-// columns form a basis of the nullspace of A, so that every solution is
-// x0 + Z·z. Returns ErrInconsistent when no solution exists.
-func SolveWithNullspace(a *Dense, b []float64) (x0 []float64, z *Dense, err error) {
-	var ws Workspace
-	x0v, zv, err := ws.SolveWithNullspaceInto(a, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return append([]float64(nil), x0v...), zv.Clone(), nil
-}
-
 // Dot returns the inner product of a and b.
 func Dot(a, b []float64) float64 {
 	s := 0.0
@@ -221,15 +150,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
 }
 
 // AXPY computes y += alpha·x in place.

@@ -14,8 +14,7 @@ import "math"
 // The zero value is ready to use. A Workspace is not safe for concurrent
 // use; pool instances instead of sharing one.
 type Workspace struct {
-	fact *Dense    // factorization scratch (SolveSPDTo, CholeskyInto)
-	hz   *Dense    // H·Z intermediate (CongruentTransformTo)
+	fact *Dense    // factorization scratch (SolveSPDTo)
 	elim *Dense    // Gaussian-elimination working copy (SolveWithNullspaceInto)
 	rhs  []float64 // elimination right-hand side
 	x0   []float64 // particular solution (owned, returned as view)
@@ -45,23 +44,12 @@ func (ws *Workspace) vec(v *[]float64, n int) []float64 {
 	return *v
 }
 
-// CholeskyInto factors the symmetric positive-definite a into dst (which
-// must be a.Rows×a.Cols; dst == a factors in place) and behaves exactly
-// like Cholesky otherwise.
-func CholeskyInto(dst, a *Dense) error {
-	if dst.Rows != a.Rows || dst.Cols != a.Cols {
-		panic("linalg: CholeskyInto dimension mismatch")
-	}
-	if dst != a {
-		copy(dst.Data, a.Data)
-	}
-	return Cholesky(dst)
-}
-
-// SolveSPDTo is SolveSPD writing the solution into dst (length a.Rows;
-// dst may alias b). It performs the identical escalating-regularization
-// attempts — the factor scratch lives in the workspace, so steady-state
-// calls do not allocate. a and b are not modified.
+// SolveSPDTo solves A·x = b for symmetric positive-definite A into dst
+// (length a.Rows; dst may alias b), adding an escalating diagonal
+// regularization when the plain factorization fails (as happens with
+// near-singular Hessians during Newton iterations). Only the lower
+// triangle of a is read. The factor scratch lives in the workspace, so
+// steady-state calls do not allocate. a and b are not modified.
 func (ws *Workspace) SolveSPDTo(dst []float64, a *Dense, b []float64) error {
 	n := a.Rows
 	if len(dst) != n || len(b) != n {
@@ -105,48 +93,15 @@ func (ws *Workspace) SolveSPDTo(dst []float64, a *Dense, b []float64) error {
 	return ErrSingular
 }
 
-// CongruentTransformTo computes Zᵀ·H·Z into dst (which is resized to
-// z.Cols×z.Cols and returned), using workspace scratch for the H·Z
-// intermediate. dst must not alias z or h.
-func (ws *Workspace) CongruentTransformTo(dst *Dense, z, h *Dense) *Dense {
-	if h.Cols != z.Rows {
-		panic("linalg: dimension mismatch in CongruentTransformTo")
-	}
-	hz := ws.dense(&ws.hz, h.Rows, z.Cols)
-	for i := range hz.Data {
-		hz.Data[i] = 0
-	}
-	for i := 0; i < h.Rows; i++ {
-		for k := 0; k < h.Cols; k++ {
-			a := h.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < z.Cols; j++ {
-				hz.Add(i, j, a*z.At(k, j))
-			}
-		}
-	}
-	if dst.Rows != z.Cols || dst.Cols != z.Cols {
-		panic("linalg: CongruentTransformTo dst dimension mismatch")
-	}
-	for i := 0; i < z.Cols; i++ {
-		for j := 0; j < z.Cols; j++ {
-			s := 0.0
-			for k := 0; k < z.Rows; k++ {
-				s += z.At(k, i) * hz.At(k, j)
-			}
-			dst.Set(i, j, s)
-		}
-	}
-	return dst
-}
-
-// SolveWithNullspaceInto is SolveWithNullspace returning workspace-owned
-// results: x0 and z are views into the workspace and remain valid only
-// until the next SolveWithNullspaceInto call. Callers that outlive that
-// window (or share results across goroutines) must deep-copy. a and b
-// are not modified.
+// SolveWithNullspaceInto solves the (possibly underdetermined, possibly
+// redundant) system A·x = b by Gaussian elimination with partial
+// pivoting. It returns a particular solution x0 and a matrix Z whose
+// columns form a basis of the nullspace of A, so that every solution is
+// x0 + Z·z, or ErrInconsistent when no solution exists. x0 and z are
+// views into the workspace and remain valid only until the next
+// SolveWithNullspaceInto call. Callers that outlive that window (or
+// share results across goroutines) must deep-copy. a and b are not
+// modified.
 func (ws *Workspace) SolveWithNullspaceInto(a *Dense, b []float64) (x0 []float64, z *Dense, err error) {
 	m, n := a.Rows, a.Cols
 	w := ws.dense(&ws.elim, m, n)

@@ -41,40 +41,9 @@ func mustPanic(t *testing.T, name string, f func()) {
 	f()
 }
 
-func TestCholeskyIntoMatchesCholesky(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a, _ := randSPD(rng, 5)
-	want := a.Clone()
-	if err := Cholesky(want); err != nil {
-		t.Fatal(err)
-	}
-
-	// Separate destination: a stays untouched, dst matches bit-for-bit.
-	orig := a.Clone()
-	dst := NewDense(5, 5)
-	if err := CholeskyInto(dst, a); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if a.Data[i] != orig.Data[i] {
-			t.Fatal("CholeskyInto modified its input")
-		}
-		if dst.Data[i] != want.Data[i] {
-			t.Fatalf("CholeskyInto differs from Cholesky at %d: %v vs %v", i, dst.Data[i], want.Data[i])
-		}
-	}
-
-	// Aliased destination: dst == a factors in place.
-	if err := CholeskyInto(a, a); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if a.Data[i] != want.Data[i] {
-			t.Fatal("in-place CholeskyInto differs from Cholesky")
-		}
-	}
-}
-
+// SolveSPD runs on a fresh workspace, so comparing it bit for bit with a
+// long-lived one checks that nothing from an earlier solve leaks into the
+// next.
 func TestSolveSPDToMatchesSolveSPD(t *testing.T) {
 	var ws Workspace
 	f := func(seed int64) bool {
@@ -116,32 +85,6 @@ func TestSolveSPDToMatchesSolveSPD(t *testing.T) {
 		}
 		for i := range want {
 			if b[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCongruentTransformToMatchesAllocating(t *testing.T) {
-	var ws Workspace
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(5)
-		k := 1 + rng.Intn(n)
-		h, _ := randSPD(rng, n)
-		z := NewDense(n, k)
-		for i := range z.Data {
-			z.Data[i] = rng.NormFloat64()
-		}
-		want := CongruentTransform(z, h)
-		dst := NewDense(k, k)
-		ws.CongruentTransformTo(dst, z, h)
-		for i := range want.Data {
-			if dst.Data[i] != want.Data[i] {
 				return false
 			}
 		}
@@ -246,11 +189,6 @@ func TestInPlaceDimensionMismatchPanics(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.Set(i, i, 1)
 	}
-	mustPanic(t, "CholeskyInto", func() { _ = CholeskyInto(NewDense(2, 3), a) })
 	mustPanic(t, "SolveSPDTo dst", func() { _ = ws.SolveSPDTo(make([]float64, 2), a, make([]float64, 3)) })
 	mustPanic(t, "SolveSPDTo b", func() { _ = ws.SolveSPDTo(make([]float64, 3), a, make([]float64, 2)) })
-	z := NewDense(2, 2)
-	mustPanic(t, "CongruentTransformTo inner", func() { ws.CongruentTransformTo(NewDense(2, 2), z, a) })
-	z3 := NewDense(3, 2)
-	mustPanic(t, "CongruentTransformTo dst", func() { ws.CongruentTransformTo(NewDense(3, 3), z3, a) })
 }

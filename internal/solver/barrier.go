@@ -208,25 +208,27 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	if p.Aeq != nil && p.Aeq.Rows > 0 && (p.Aeq.Cols != p.N || len(p.Beq) != p.Aeq.Rows) {
 		return Result{}, fmt.Errorf("%w: equality dimensions", ErrBadProblem)
 	}
-	yPart, zBasis, boxComp, elimErr := ws.eliminate(p, opts.Box)
+	yPart, zBasis, box, elimErr := ws.eliminate(p, opts.Box)
 	if elimErr != nil {
 		return Result{Status: Infeasible}, nil
 	}
 	nz := zBasis.Cols
 
-	// Compose all functions with the affine map. Box constraints on the
-	// original coordinates keep every subproblem (notably phase I)
-	// bounded; their composed forms come from the elimination cache.
-	composeInto(&ws.objScratch, &p.Obj, yPart, zBasis)
-	obj := ws.objScratch
-	ws.ineqScratch = growLSEs(&ws.ineqScratch, len(p.Ineq))
-	ineq := ws.ineqList[:0]
+	// Compose all functions with the affine map, into the sparse form
+	// the Newton loop evaluates: the objective is function 0 and the
+	// constraints follow. Box constraints on the original coordinates
+	// keep every subproblem (notably phase I) bounded; their composed
+	// forms come from the elimination cache.
+	fs := &ws.fns
+	fs.reset(nz)
+	row := growF(&ws.row, nz)
+	fs.compose(&p.Obj, yPart, zBasis, row)
 	for i := range p.Ineq {
-		composeInto(&ws.ineqScratch[i], &p.Ineq[i], yPart, zBasis)
-		ineq = append(ineq, ws.ineqScratch[i])
+		fs.compose(&p.Ineq[i], yPart, zBasis, row)
 	}
-	ineq = append(ineq, boxComp...)
-	ws.ineqList = ineq
+	for f := 0; f < box.count(); f++ {
+		fs.appendFn(box, f, -1)
+	}
 
 	recover := func(z []float64) []float64 {
 		y := append([]float64(nil), yPart...)
@@ -239,10 +241,8 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	if nz == 0 {
 		// Fully determined by equalities; just check feasibility.
 		z := []float64{}
-		for i := range ineq {
-			if ineq[i].Value(z) >= 0 {
-				return Result{Status: Infeasible}, nil
-			}
+		if fs.maxIneq(z) >= 0 {
+			return Result{Status: Infeasible}, nil
 		}
 		y := recover(z)
 		return Result{Y: y, Objective: p.Obj.Value(y), Status: Optimal}, nil
@@ -258,13 +258,13 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	usedPhaseI := false
 
 	// Phase I if the initial point is not strictly feasible.
-	if !strictlyFeasible(ineq, z, 1e-9) {
+	if fs.maxIneq(z) > -1e-9 {
 		usedPhaseI = true
 		ph := opts.Obs.StartSpan(opts.Span, "phase-i")
 		opts.Obs.Counter("solver.phase1_runs").Inc()
 		var ok bool
 		var n int
-		z, ok, n = phaseI(ws, ineq, z, opts)
+		z, ok, n = phaseI(ws, z, opts)
 		totalNewton += n
 		if ph != nil {
 			ph.Annotate(obs.Int("newton", n), obs.Attr{Key: "feasible", Value: ok})
@@ -278,7 +278,7 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	// Phase II: barrier path following.
 	ph2 := opts.Obs.StartSpan(opts.Span, "phase-ii")
 	ph2Newton := totalNewton
-	m := len(ineq)
+	m := fs.count() - 1
 	t := opts.T0
 	centerings := 0
 	status := Optimal
@@ -286,14 +286,14 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	emit := opts.Obs.EventsEnabled()
 	if m == 0 {
 		// Unconstrained: single Newton minimization of the objective.
-		n, _, converged := newtonMinimize(ws, &obj, nil, 1, z, opts, nil)
+		n, _, converged := newtonMinimize(ws, fs, 1, z, opts, nil)
 		totalNewton += n
 		if !converged {
 			status = Suboptimal
 		}
 	} else {
 		for centerings < opts.MaxCentering {
-			n, bt, converged := newtonMinimize(ws, &obj, ineq, t, z, opts, nil)
+			n, bt, converged := newtonMinimize(ws, fs, t, z, opts, nil)
 			totalNewton += n
 			centerings++
 			if !converged {
@@ -351,14 +351,6 @@ func boxConstraints(n int, box float64) []LSE {
 	return out
 }
 
-func identity(n int) *linalg.Dense {
-	m := linalg.NewDense(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // projectHint solves min ||yPart + Z z − yHint||² for z. The Gram
 // matrix ZᵀZ depends only on the nullspace basis, so it is cached with
 // the equality elimination and rebuilt only when the basis changes.
@@ -389,88 +381,68 @@ func (ws *Workspace) projectHint(yHint, yPart []float64, zb *linalg.Dense, z []f
 	}
 }
 
-func strictlyFeasible(ineq []LSE, z []float64, margin float64) bool {
-	for i := range ineq {
-		if ineq[i].Value(z) > -margin {
-			return false
-		}
-	}
-	return true
-}
-
 // phaseI finds a strictly feasible point by minimizing s subject to
 // fi(z) ≤ s over the extended variable (z, s), stopping as soon as
-// s < 0 at a centered point. Returns the feasible z and success.
-func phaseI(ws *Workspace, ineq []LSE, z0 []float64, opts Options) ([]float64, bool, int) {
+// s < 0 at a centered point. The constraints fi are functions
+// 1..count()−1 of ws.fns. Returns the feasible z and success.
+func phaseI(ws *Workspace, z0 []float64, opts Options) ([]float64, bool, int) {
+	fs := &ws.fns
 	nz := len(z0)
 	dim := nz + 1
-	// Extended constraints fi(z) − s ≤ 0 plus a floor s ≥ −1
-	// (−s − 1 ≤ 0) to keep the problem bounded.
-	ws.extScratch = growLSEs(&ws.extScratch, len(ineq)+1)
-	ext := ws.extList[:0]
-	for i := range ineq {
-		extendInto(&ws.extScratch[i], &ineq[i], dim, -1)
-		ext = append(ext, ws.extScratch[i])
+	// Objective: minimize s. Constraints: fi(z) − s ≤ 0, plus a floor
+	// s ≥ −1 (−s − 1 ≤ 0) to keep the problem bounded.
+	ext := &ws.ext
+	ext.reset(dim)
+	ext.add(nz, 1)
+	ext.endTerm(0)
+	ext.endFn()
+	for f := 1; f < fs.count(); f++ {
+		ext.appendFn(fs, f, nz)
 	}
-	fl := &ws.extScratch[len(ineq)]
-	floor := growF(&ws.hintD, dim) // hintD is free during phase I
-	for i := range floor {
-		floor[i] = 0
-	}
-	floor[dim-1] = -1
-	linearInto(fl, floor, -1)
-	ext = append(ext, *fl)
-	ws.extList = ext
-
-	// Objective: minimize s.
-	objA := floor // reuse: only the last coordinate differs
-	objA[dim-1] = 1
-	obj := ws.phObjLSE
-	linearInto(&obj, objA, 0)
-	ws.phObjLSE = obj
+	ext.add(nz, -1)
+	ext.endTerm(-1)
+	ext.endFn()
 
 	// Strictly feasible start: s = max fi(z0) + 1.
 	x := growF(&ws.phX, dim)
 	copy(x, z0)
-	maxF := math.Inf(-1)
-	for i := range ineq {
-		if v := ineq[i].Value(z0); v > maxF {
-			maxF = v
-		}
-	}
-	x[dim-1] = maxF + 1
+	x[dim-1] = fs.maxIneq(z0) + 1
 
 	total := 0
 	t := opts.T0
 	// Stop a centering step as soon as the slack is clearly negative and
 	// the underlying point is strictly feasible.
 	stop := func(x []float64) bool {
-		return x[dim-1] < -1e-6 && strictlyFeasible(ineq, x[:nz], 0)
+		return x[dim-1] < -1e-6 && fs.maxIneq(x[:nz]) <= 0
 	}
+	m := ext.count() - 1
 	for c := 0; c < opts.MaxCentering; c++ {
-		n, _, _ := newtonMinimize(ws, &obj, ext, t, x, opts, stop)
+		n, _, _ := newtonMinimize(ws, ext, t, x, opts, stop)
 		total += n
 		if x[dim-1] < -1e-7 {
 			out := append([]float64(nil), x[:nz]...)
-			if strictlyFeasible(ineq, out, 0) {
+			if fs.maxIneq(out) <= 0 {
 				return out, true, total
 			}
 		}
-		if float64(len(ext))/t < opts.Tol {
+		if float64(m)/t < opts.Tol {
 			break
 		}
 		t *= opts.Mu
 	}
 	out := append([]float64(nil), x[:nz]...)
-	return out, strictlyFeasible(ineq, out, 0), total
+	return out, fs.maxIneq(out) <= 0, total
 }
 
 // newtonMinimize minimizes t·f0(z) − Σ log(−fi(z)) over z in place,
-// returning the Newton iteration count, the line-search backtrack
-// count, and whether the decrement tolerance was reached. f0 may be
-// nil-adjacent only via ineq==nil unconstrained mode (then the barrier
-// term is absent).
-func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, opts Options, stop func([]float64) bool) (iters, bt int, converged bool) {
+// where f0 is function 0 of fs and the fi are the rest (none leaves the
+// unconstrained t·f0). It returns the Newton iteration count, the
+// line-search backtrack count, and whether the decrement tolerance was
+// reached.
+//
+// The Hessian is assembled in its lower triangle only, which is all
+// that SolveSPDTo reads; its upper triangle holds stale values.
+func newtonMinimize(ws *Workspace, fs *sparseLSEs, t float64, z []float64, opts Options, stop func([]float64) bool) (iters, bt int, converged bool) {
 	n := len(z)
 	log := opts.Obs.Logger()
 	backtracks := opts.Obs.Counter("solver.linesearch_backtracks")
@@ -479,77 +451,74 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 	gTmp := growF(&ws.gTmp, n)
 	hTmp := growDense(&ws.hTmp, n, n)
 
-	// evalLSE routes multi-term evaluations through workspace scratch so
-	// the inner loop stays allocation-free (the single-term fast path
-	// inside Eval never needed scratch).
-	evalLSE := func(f *LSE, y []float64, g []float64, h *linalg.Dense) float64 {
-		k := len(f.B)
-		if k == 1 {
-			return f.Eval(y, g, h)
-		}
-		return f.evalScratch(y, g, h, growF(&ws.evalU, k), growF(&ws.evalP, k))
-	}
-
 	eval := func(z []float64, needDeriv bool) (float64, bool) {
-		var val float64
-		if needDeriv {
-			val = t * evalLSE(f0, z, g, h)
-			linalg.Scale(t, g)
-			for i := range h.Data {
-				h.Data[i] *= t
-			}
-		} else {
-			val = t * f0.Value(z)
-		}
-		for i := range ineq {
-			// Affine constraints (single-term LSEs: box walls, trip lower
-			// bounds — the bulk of every GP here) have an exactly-zero
-			// Hessian, so skip both its evaluation and its accumulation;
-			// only the rank-1 barrier curvature inv²·g·gᵀ remains.
-			affine := ineq[i].Terms() == 1
-			var fi float64
-			if needDeriv {
-				if affine {
-					fi = ineq[i].Eval(z, gTmp, nil)
-				} else {
-					fi = evalLSE(&ineq[i], z, gTmp, hTmp)
+		if !needDeriv {
+			val := t * fs.value(0, z)
+			for f := 1; f < fs.count(); f++ {
+				fi := fs.value(f, z)
+				if fi >= 0 {
+					return math.Inf(1), false
 				}
+				val -= math.Log(-fi)
+			}
+			return val, true
+		}
+		for i := range g {
+			g[i] = 0
+		}
+		for r := 0; r < n; r++ {
+			hr := h.Data[r*n : r*n+r+1]
+			for c := range hr {
+				hr[c] = 0
+			}
+		}
+		val := t * fs.eval(0, z, g, h)
+		linalg.Scale(t, g)
+		for r := 0; r < n; r++ {
+			linalg.Scale(t, h.Data[r*n:r*n+r+1])
+		}
+		for f := 1; f < fs.count(); f++ {
+			k := fs.fn[f]
+			affine := fs.fn[f+1]-k == 1
+			var fi float64
+			if affine {
+				fi = fs.exponent(k, z) + 0
 			} else {
-				fi = ineq[i].Value(z)
+				fi = fs.eval(f, z, gTmp, hTmp)
 			}
 			if fi >= 0 {
-				if needDeriv && log.Enabled(obs.Trace) {
-					log.Tracef("solver: constraint %d value %g at newton entry", i, fi)
+				if log.Enabled(obs.Trace) {
+					log.Tracef("solver: constraint %d value %g at newton entry", f-1, fi)
 				}
 				return math.Inf(1), false
 			}
 			val -= math.Log(-fi)
-			if needDeriv {
-				inv := -1.0 / fi // positive
-				linalg.AXPY(inv, gTmp, g)
-				inv2 := inv * inv
-				if affine {
-					for r := 0; r < n; r++ {
-						gr := gTmp[r]
-						for c := 0; c <= r; c++ {
-							v := inv2 * gr * gTmp[c]
-							h.Add(r, c, v)
-							if c != r {
-								h.Add(c, r, v)
-							}
-						}
+			inv := -1.0 / fi // positive
+			inv2 := inv * inv
+			if affine {
+				// The Hessian of an affine constraint (box walls, trip
+				// lower bounds: the bulk of every GP here) is exactly
+				// zero, leaving the rank-1 barrier curvature inv²·a·aᵀ.
+				cols, vals := fs.entries(k)
+				for e, r := range cols {
+					g[r] += inv * vals[e]
+					igr := inv2 * vals[e]
+					hr := h.Data[r*n:]
+					for e2, c := range cols[:e+1] {
+						hr[c] += igr * vals[e2]
 					}
-					continue
 				}
-				for r := 0; r < n; r++ {
-					gr := gTmp[r]
-					for c := 0; c <= r; c++ {
-						v := inv2*gr*gTmp[c] + inv*hTmp.At(r, c)
-						h.Add(r, c, v)
-						if c != r {
-							h.Add(c, r, v)
-						}
-					}
+				continue
+			}
+			sup := fs.support(f)
+			for _, c := range sup {
+				g[c] += inv * gTmp[c]
+			}
+			for a, r := range sup {
+				gr := gTmp[r]
+				hr, tr := h.Data[r*n:], hTmp.Data[r*n:]
+				for _, c := range sup[:a+1] {
+					hr[c] += inv2*gr*gTmp[c] + inv*tr[c]
 				}
 			}
 		}
@@ -559,8 +528,10 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 	zTrial := growF(&ws.zTrial, n)
 	negG := growF(&ws.negG, n)
 	dir := growF(&ws.dir, n)
+	var val, lambda2 float64
 	for it := 0; it < opts.MaxNewton; it++ {
-		val, ok := eval(z, true)
+		var ok bool
+		val, ok = eval(z, true)
 		if !ok {
 			if log.Enabled(obs.Trace) {
 				log.Tracef("solver: eval infeasible at start of newton iter %d (t=%g)", it, t)
@@ -575,7 +546,7 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 			// Fall back to steepest descent.
 			d = negG
 		}
-		lambda2 := -linalg.Dot(g, d)
+		lambda2 = -linalg.Dot(g, d)
 		if lambda2 <= 0 {
 			// Not a descent direction (numerical trouble): use gradient.
 			d = negG
@@ -612,6 +583,10 @@ func newtonMinimize(ws *Workspace, f0 *LSE, ineq []LSE, t float64, z []float64, 
 		if stop != nil && stop(z) {
 			return it + 1, bt, true
 		}
+	}
+	if log.Enabled(obs.Trace) {
+		log.Tracef("solver: newton budget of %d iterations exhausted t=%g lambda2/2=%g |val|=%g",
+			opts.MaxNewton, t, lambda2/2, math.Abs(val))
 	}
 	return opts.MaxNewton, bt, false
 }

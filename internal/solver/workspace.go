@@ -5,8 +5,8 @@ import (
 )
 
 // Workspace holds every reusable buffer of a barrier solve: the linalg
-// factor scratch, the Newton-iteration vectors and Hessians, the arena
-// backing composed log-sum-exp functions, and a cache of the equality
+// factor scratch, the Newton-iteration vectors and Hessians, the sparse
+// form of the composed log-sum-exp functions, and a cache of the equality
 // elimination (particular solution, nullspace basis, composed box
 // constraints). The pipeline solves hundreds of GPs per placement that
 // share one equality system — identical extent-product and pin
@@ -31,28 +31,21 @@ type Workspace struct {
 	cachedBeq []float64
 	yPart     []float64
 	zBasis    *linalg.Dense
-	boxComp   []LSE // box constraints composed against zBasis
+	box       sparseLSEs // box constraints composed against zBasis
 	ztz       *linalg.Dense
 	ztzValid  bool
 
-	// Composed-function scratch: per-solve objective and inequality
-	// headers whose row and offset slices are reused at high-water mark.
-	objScratch  LSE
-	ineqScratch []LSE
-	ineqList    []LSE
+	// The functions the Newton loop evaluates, in sparse form: the
+	// composed objective and constraints of the current solve (fns) and
+	// their phase-I extension (ext). row is composition scratch.
+	fns, ext sparseLSEs
+	row      []float64
 
-	// Phase-I scratch: extended constraints, objective/floor rows, and
-	// the extended iterate.
-	extScratch []LSE
-	extList    []LSE
-	floorLSE   LSE
-	phObjLSE   LSE
-	phX        []float64
-
-	// Newton scratch, sized to the largest dimension seen.
+	// Phase-I iterate, and Newton scratch sized to the largest
+	// dimension seen.
+	phX                        []float64
 	g, gTmp, negG, dir, zTrial []float64
 	h, hTmp                    *linalg.Dense
-	evalU, evalP               []float64 // LSE evaluation scratch (max K)
 
 	// Hint-projection and recovery scratch.
 	hintD, hintRhs, hintSol, recTmp []float64
@@ -70,16 +63,6 @@ func growF(v *[]float64, n int) []float64 {
 	return *v
 }
 
-// growLSEs resizes *v to n, preserving existing element headers (whose
-// row/offset slices are the reusable storage) rather than zeroing them.
-func growLSEs(v *[]LSE, n int) []LSE {
-	if cap(*v) < n {
-		*v = append((*v)[:cap(*v)], make([]LSE, n-cap(*v))...)
-	}
-	*v = (*v)[:n]
-	return *v
-}
-
 // growDense resizes *m to rows×cols reusing its backing array; contents
 // are unspecified.
 func growDense(m **linalg.Dense, rows, cols int) *linalg.Dense {
@@ -90,59 +73,6 @@ func growDense(m **linalg.Dense, rows, cols int) *linalg.Dense {
 	}
 	(*m).Rows, (*m).Cols, (*m).Data = rows, cols, (*m).Data[:n]
 	return *m
-}
-
-// composeInto writes f composed with the affine map y = y0 + Z·z into
-// dst, reusing dst's row and offset storage. Numerically identical to
-// LSE.Compose.
-func composeInto(dst *LSE, f *LSE, y0 []float64, z *linalg.Dense) {
-	k := len(f.B)
-	if cap(dst.A) < k {
-		dst.A = make([][]float64, k)
-	}
-	dst.A = dst.A[:k]
-	dst.B = growF(&dst.B, k)
-	for i := 0; i < k; i++ {
-		row := growF(&dst.A[i], z.Cols)
-		z.MulTransVec(f.A[i], row)
-		dst.B[i] = f.B[i] + linalg.Dot(f.A[i], y0)
-	}
-}
-
-// linearInto builds the affine LSE a·y + b into dst, reusing dst's
-// storage (a is copied). Numerically identical to Linear.
-func linearInto(dst *LSE, a []float64, b float64) {
-	if cap(dst.A) < 1 {
-		dst.A = make([][]float64, 1)
-	}
-	dst.A = dst.A[:1]
-	row := growF(&dst.A[0], len(a))
-	copy(row, a)
-	dst.A[0] = row
-	dst.B = growF(&dst.B, 1)
-	dst.B[0] = b
-}
-
-// extendInto writes f over a space widened to newDim with coefficient
-// coefLast on the final coordinate into dst, reusing dst's storage.
-// Numerically identical to LSE.ExtendDim.
-func extendInto(dst *LSE, f *LSE, newDim int, coefLast float64) {
-	k := len(f.B)
-	if cap(dst.A) < k {
-		dst.A = make([][]float64, k)
-	}
-	dst.A = dst.A[:k]
-	dst.B = growF(&dst.B, k)
-	copy(dst.B, f.B)
-	for i := 0; i < k; i++ {
-		row := growF(&dst.A[i], newDim)
-		nc := copy(row, f.A[i])
-		for j := nc; j < newDim; j++ {
-			row[j] = 0
-		}
-		row[newDim-1] = coefLast
-		dst.A[i] = row
-	}
 }
 
 // sameFloats reports exact element-wise equality.
@@ -163,17 +93,17 @@ func sameFloats(a, b []float64) bool {
 // solution yPart, nullspace basis zBasis, and the box constraints
 // |y_i| ≤ box composed against that basis — from cache when p carries
 // the same equalities, dimension, and box bound as the previous solve.
-// The returned slices are workspace-owned and must be treated read-only.
-func (ws *Workspace) eliminate(p *Problem, box float64) (yPart []float64, zBasis *linalg.Dense, boxComp []LSE, err error) {
+// The returned values are workspace-owned and must be treated read-only.
+func (ws *Workspace) eliminate(p *Problem, box float64) (yPart []float64, zBasis *linalg.Dense, boxFns *sparseLSEs, err error) {
 	hasEq := p.Aeq != nil && p.Aeq.Rows > 0
 	if ws.eqValid && ws.cachedN == p.N && sameBox(ws.cachedBox, box) {
 		switch {
 		case !hasEq && ws.cachedAeq == nil:
-			return ws.yPart, ws.zBasis, ws.boxComp, nil
+			return ws.yPart, ws.zBasis, &ws.box, nil
 		case hasEq && ws.cachedAeq != nil &&
 			ws.cachedAeq.Rows == p.Aeq.Rows && ws.cachedAeq.Cols == p.Aeq.Cols &&
 			sameFloats(ws.cachedAeq.Data, p.Aeq.Data) && sameFloats(ws.cachedBeq, p.Beq):
-			return ws.yPart, ws.zBasis, ws.boxComp, nil
+			return ws.yPart, ws.zBasis, &ws.box, nil
 		}
 	}
 	ws.eqValid = false
@@ -205,19 +135,18 @@ func (ws *Workspace) eliminate(p *Problem, box float64) (yPart []float64, zBasis
 	}
 	// Compose the box constraints once per cache fill; every solve that
 	// hits the cache reuses them read-only.
+	ws.box.reset(ws.zBasis.Cols)
 	if box > 0 {
 		raw := boxConstraints(p.N, box)
-		ws.boxComp = growLSEs(&ws.boxComp, len(raw))
+		row := growF(&ws.row, ws.zBasis.Cols)
 		for i := range raw {
-			composeInto(&ws.boxComp[i], &raw[i], ws.yPart, ws.zBasis)
+			ws.box.compose(&raw[i], ws.yPart, ws.zBasis, row)
 		}
-	} else {
-		ws.boxComp = ws.boxComp[:0]
 	}
 	ws.cachedN = p.N
 	ws.cachedBox = box
 	ws.eqValid = true
-	return ws.yPart, ws.zBasis, ws.boxComp, nil
+	return ws.yPart, ws.zBasis, &ws.box, nil
 }
 
 // sameBox compares box bounds for cache keying.

@@ -5,7 +5,8 @@
 # comparison discipline, nil-receiver safety, dropped errors, plus the
 # flow-aware wallclock/maprange/lockguard/ctxprop/goscheduler
 # analyzers), which fails on any finding not suppressed by a reasoned
-# //tlvet:ignore, the short test suite, a race-detector pass over the
+# //tlvet:ignore, the short test suite, the bench/ module's smoke test
+# (every benchmark workload at toy scale), a race-detector pass over the
 # concurrent packages (mapper worker pool, the pipeline scheduler and
 # its staged GP flow, the experiments layer fan-out, solver hooks, obs,
 # cache singleflight, the thistled admission path), and an end-to-end
@@ -49,6 +50,10 @@ go run ./cmd/tlvet .
 
 echo "== go test -short ./..."
 go test -short ./...
+
+echo "== bench smoke test (every workload at toy scale, every design checked)"
+# bench/ is its own module, so go test ./... above does not reach it.
+(cd bench && go test .)
 
 echo "== go test -race (concurrent packages)"
 go test -race -timeout 30m ./internal/obs/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
