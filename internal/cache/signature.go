@@ -20,15 +20,13 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
-	"hash"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/dataflow"
@@ -105,9 +103,10 @@ type Key struct {
 	Params []Param
 }
 
-// Signature computes the content hash of the key.
+// Signature computes the content hash of the key: the key's byte
+// stream (see hasher), written into one buffer and hashed once.
 func (k Key) Signature() Signature {
-	h := hasher{h: sha256.New()}
+	h := hasher{buf: make([]byte, 0, 2048)}
 	h.str("schema", SchemaVersion)
 	h.str("component", k.Component)
 	h.problem(k.Problem)
@@ -122,41 +121,48 @@ func (k Key) Signature() Signature {
 	}
 	h.i64("params", int64(len(k.Params)))
 	for _, p := range k.Params {
-		h.str("param."+p.Name, p.Value)
+		h.param(p)
 	}
-	var sig Signature
-	h.h.Sum(sig[:0])
-	return sig
+	return sha256.Sum256(h.buf)
 }
 
-// hasher writes length-delimited, field-tagged values into a hash so
-// adjacent fields can never be confused for one another.
+// hasher builds a signature's byte stream. Every field is its tag
+// followed by its value, each length-delimited so adjacent fields can
+// never be confused for one another. A string (tag or value) is its
+// byte length as 8 big-endian bytes, then its bytes; an integer is 8
+// big-endian bytes, a float its IEEE-754 bits as one, a bool the
+// integer 0 or 1. On-disk records are named by the hashes of these
+// streams, so the fields, their order and their bytes are a contract:
+// change any of them only together with SchemaVersion.
 type hasher struct {
-	h   hash.Hash
-	buf [8]byte
+	buf []byte
+}
+
+func (w *hasher) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
+
+func (w *hasher) text(s string) {
+	w.u64(uint64(len(s)))
+	w.buf = append(w.buf, s...)
 }
 
 func (w *hasher) raw(b []byte) {
-	binary.BigEndian.PutUint64(w.buf[:], uint64(len(b)))
-	w.h.Write(w.buf[:])
-	w.h.Write(b)
+	w.u64(uint64(len(b)))
+	w.buf = append(w.buf, b...)
 }
 
 func (w *hasher) str(tag, v string) {
-	w.raw([]byte(tag))
-	w.raw([]byte(v))
+	w.text(tag)
+	w.text(v)
 }
 
 func (w *hasher) i64(tag string, v int64) {
-	w.raw([]byte(tag))
-	binary.BigEndian.PutUint64(w.buf[:], uint64(v))
-	w.h.Write(w.buf[:])
+	w.text(tag)
+	w.u64(uint64(v))
 }
 
 func (w *hasher) f64(tag string, v float64) {
-	w.raw([]byte(tag))
-	binary.BigEndian.PutUint64(w.buf[:], math.Float64bits(v))
-	w.h.Write(w.buf[:])
+	w.text(tag)
+	w.u64(math.Float64bits(v))
 }
 
 func (w *hasher) bool(tag string, v bool) {
@@ -165,6 +171,15 @@ func (w *hasher) bool(tag string, v bool) {
 	} else {
 		w.i64(tag, 0)
 	}
+}
+
+// param writes a Param under the tag "param.<name>".
+func (w *hasher) param(p Param) {
+	const prefix = "param."
+	w.u64(uint64(len(prefix) + len(p.Name)))
+	w.buf = append(w.buf, prefix...)
+	w.buf = append(w.buf, p.Name...)
+	w.text(p.Value)
 }
 
 // problem hashes the canonical form of a loop-nest problem. The
@@ -190,36 +205,69 @@ func (w *hasher) problem(p *loopnest.Problem) {
 		w.str("iter.role", role)
 		w.i64("iter.extent", it.Extent)
 	}
-	encs := make([]string, len(p.Tensors))
-	for i, t := range p.Tensors {
-		encs[i] = canonicalTensor(t)
-	}
-	sort.Strings(encs)
+	a, encs := canonicalTensors(make([]byte, 0, 512), make([]span, 0, 32), p.Tensors)
 	w.i64("tensors", int64(len(encs)))
 	for _, e := range encs {
-		w.str("tensor", e)
+		w.text("tensor")
+		w.raw(a[e.lo:e.hi])
 	}
 }
 
-// canonicalTensor renders one tensor as an order-independent string:
-// the read-write flag plus its subscripts, with terms sorted within
-// each dim and dims sorted within the tensor.
-func canonicalTensor(t loopnest.Tensor) string {
-	dims := make([]string, len(t.Dims))
-	for i, d := range t.Dims {
-		terms := make([]string, len(d.Terms))
-		for j, tm := range d.Terms {
-			terms[j] = fmt.Sprintf("%d*%d", tm.Iter, tm.Stride)
+// span is a rendering's position in canonicalTensors' buffer.
+type span struct{ lo, hi int }
+
+// canonicalTensors renders each tensor as an order-independent string,
+// appending the renderings to a, and returns their spans sorted. A
+// tensor renders as its read-write flag ("ro" or "rw"), a colon, and
+// its dims joined by "|"; a dim renders as its terms "<iter>*<stride>"
+// joined by "+". Terms are sorted within each dim, dims within the
+// tensor and the tensors themselves, all bytewise. sp is scratch.
+func canonicalTensors(a []byte, sp []span, ts []loopnest.Tensor) ([]byte, []span) {
+	for _, t := range ts {
+		dims := len(sp)
+		for _, d := range t.Dims {
+			terms := len(sp)
+			for _, tm := range d.Terms {
+				lo := len(a)
+				a = strconv.AppendInt(a, int64(tm.Iter), 10)
+				a = append(a, '*')
+				a = strconv.AppendInt(a, tm.Stride, 10)
+				sp = append(sp, span{lo, len(a)})
+			}
+			var dim span
+			a, dim = joinSorted(a, sp[terms:], "", '+')
+			sp = append(sp[:terms], dim)
 		}
-		sort.Strings(terms)
-		dims[i] = strings.Join(terms, "+")
+		flag := "ro:"
+		if t.ReadWrite {
+			flag = "rw:"
+		}
+		var enc span
+		a, enc = joinSorted(a, sp[dims:], flag, '|')
+		sp = append(sp[:dims], enc)
 	}
-	sort.Strings(dims)
-	flag := "ro"
-	if t.ReadWrite {
-		flag = "rw"
+	sortSpans(a, sp)
+	return a, sp
+}
+
+// joinSorted sorts parts bytewise and appends prefix and then the parts,
+// separated by sep, to a; it returns a and the span of what it appended.
+func joinSorted(a []byte, parts []span, prefix string, sep byte) ([]byte, span) {
+	sortSpans(a, parts)
+	lo := len(a)
+	a = append(a, prefix...)
+	for i, p := range parts {
+		if i > 0 {
+			a = append(a, sep)
+		}
+		a = append(a, a[p.lo:p.hi]...)
 	}
-	return flag + ":" + strings.Join(dims, "|")
+	return a, span{lo, len(a)}
+}
+
+// sortSpans sorts spans of a by their bytes.
+func sortSpans(a []byte, sp []span) {
+	slices.SortFunc(sp, func(x, y span) int { return bytes.Compare(a[x.lo:x.hi], a[y.lo:y.hi]) })
 }
 
 // arch hashes an architecture configuration without its display name.

@@ -119,6 +119,39 @@ func TestOptimizeCacheIdenticalResults(t *testing.T) {
 			t.Errorf("%s: arch differs: %v vs %v", tc.name, off.Best.Arch, tc.got.Best.Arch)
 		}
 	}
+
+	// A Result read back from a disk-tier record, through a fresh cache
+	// over the same directory as in a new process, is the cold Result
+	// in full. Both carry the signature, which the record itself must
+	// not: it is recorded on the hit.
+	sig := SolveSignature(p, base)
+	if miss.Signature != sig || hit.Signature != sig {
+		t.Errorf("recorded signatures %s (cold), %s (hit), want %s", miss.Signature, hit.Signature, sig)
+	}
+	dir := t.TempDir()
+	onDisk := base
+	onDisk.Cache = NewSolveCache(cache.Options{Dir: dir})
+	cold, err := Optimize(p, onDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk.Cache = NewSolveCache(cache.Options{Dir: dir})
+	fromDisk, err := Optimize(p, onDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := onDisk.Cache.Stats(); st.DiskHits != 1 {
+		t.Fatalf("second cache: %+v, want one disk hit", st)
+	}
+	want := *cold
+	want.Stats.FreshSolves = 0
+	want.Stats.FromCache = true
+	if !reflect.DeepEqual(&want, fromDisk) {
+		t.Errorf("disk-tier result differs from the cold one:\n%+v\n%+v", fromDisk, &want)
+	}
+	if rec, _ := onDisk.Cache.Get(sig); rec == nil || rec.Signature != (cache.Signature{}) {
+		t.Errorf("disk record value carries signature %v, want none", rec)
+	}
 }
 
 // TestOptimizeCacheFromContext: a cache attached to the context is

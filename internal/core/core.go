@@ -77,6 +77,16 @@ func Optimize(p *loopnest.Problem, opts Options) (*Result, error) {
 // leaf compute jointly with every other optimization sharing it;
 // otherwise the run gets its own bound of Options.Parallel.
 func OptimizeContext(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, error) {
+	return OptimizeSigned(ctx, p, opts, cache.Signature{})
+}
+
+// OptimizeSigned is OptimizeContext for a caller that already holds the
+// problem's solve signature: sig must be SolveSignature(p, opts), or
+// zero when the caller has none. A zero sig is computed here, only if a
+// cache or an event sink needs it. Either way the signature is recorded
+// on the returned Result, so each distinct problem is hashed once per
+// request.
+func OptimizeSigned(ctx context.Context, p *loopnest.Problem, opts Options, sig cache.Signature) (*Result, error) {
 	opts = opts.WithDefaults()
 	o := obs.FromContext(ctx)
 	ctx, span := obs.StartSpan(ctx, "optimize",
@@ -90,9 +100,7 @@ func OptimizeContext(ctx context.Context, p *loopnest.Problem, opts Options) (*R
 	// request; optimize_end carries the full row the manifest recorder
 	// folds into the per-layer table (see events.Schema).
 	emit := o.EventsEnabled()
-	var sig cache.Signature
-	haveSig := sc != nil || emit
-	if haveSig {
+	if sig == (cache.Signature{}) && (sc != nil || emit) {
 		sig = solveKey(p, opts).Signature()
 	}
 	var t0 time.Time
@@ -136,13 +144,18 @@ func OptimizeContext(ctx context.Context, p *loopnest.Problem, opts Options) (*R
 		}
 		return res, err
 	}
+	solve := func() (*Result, error) {
+		res, err := pipeline.Execute(ctx, p, opts)
+		if res != nil {
+			res.Signature = sig
+		}
+		return res, err
+	}
 	if sc == nil {
-		return finish(pipeline.Execute(ctx, p, opts))
+		return finish(solve())
 	}
 	span.Annotate(obs.String("cache_sig", sig.Short()))
-	res, hit, err := sc.Do(sig, func() (*Result, error) {
-		return pipeline.Execute(ctx, p, opts)
-	})
+	res, hit, err := sc.Do(sig, solve)
 	if err != nil {
 		return finish(nil, err)
 	}
@@ -161,6 +174,7 @@ func OptimizeContext(ctx context.Context, p *loopnest.Problem, opts Options) (*R
 	out := *res
 	out.Stats.FreshSolves = 0
 	out.Stats.FromCache = true
+	out.Signature = sig // a disk-tier record does not carry it
 	return finish(&out, nil)
 }
 

@@ -307,7 +307,8 @@ func Fig5(cfg Config) (*Experiment, error) {
 // OptimizeLayers runs the Thistle flow for every layer with shared
 // options, deduplicating across layers: layers whose problems share a
 // solve signature (same shape, same options — see core.SolveSignature)
-// are grouped, each group is solved exactly once, and the group's
+// are grouped, each group is solved exactly once (handed its grouping
+// signature, so the problem is not hashed again), and the group's
 // result is fanned back out to every member. Groups are solved
 // concurrently, but total leaf compute stays bounded: every group draws
 // from one pipeline scheduler — the one already on ctx
@@ -367,7 +368,7 @@ func OptimizeLayers(ctx context.Context, layers []workloads.Layer, opts core.Opt
 		go func(gi, i int) {
 			defer wg.Done()
 			lctx, lspan := layerSpan(cctx, layers[i])
-			r, err := core.OptimizeContext(lctx, probs[i], opts)
+			r, err := core.OptimizeSigned(lctx, probs[i], opts, sigs[i])
 			lspan.End()
 			if err != nil {
 				errs[gi] = err

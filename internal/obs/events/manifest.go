@@ -195,10 +195,10 @@ func newRunID(now time.Time) string {
 	return now.UTC().Format("20060102T150405") + "-" + suffix
 }
 
-// vcsRevision extracts the git revision stamped into the binary by the
-// Go toolchain ("" when built without VCS info). A locally modified
-// tree is marked with a "+dirty" suffix.
-func vcsRevision() string {
+// vcsRevision is the git revision stamped into the binary by the Go
+// toolchain ("" when built without VCS info), read once per process. A
+// locally modified tree is marked with a "+dirty" suffix.
+var vcsRevision = sync.OnceValue(func() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return ""
@@ -218,7 +218,7 @@ func vcsRevision() string {
 		return ""
 	}
 	return rev + dirty
-}
+})
 
 // BuildRevision returns the git revision the Go toolchain stamped into
 // the running binary — the same value manifests record as git_rev —

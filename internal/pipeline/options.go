@@ -200,6 +200,12 @@ type Stats struct {
 type Result struct {
 	Best  *DesignPoint
 	Stats Stats
+	// Signature is the solve signature (core.SolveSignature) the core
+	// facade used for this run, recorded on a cold solve and on a cache
+	// hit alike; zero when the run needed none (no cache, no event
+	// sink). It is not serialized: cache records are already named by
+	// it.
+	Signature cache.Signature `json:"-"`
 }
 
 // solvedPair records one GP solution.

@@ -539,13 +539,14 @@ func (s *Server) runWork(ctx context.Context, req *OptimizeRequest, wk *work) (*
 }
 
 // outcomeRow renders one result row (and its optional spec bundle),
-// stamping the solve signature so rows tie back to cache addressing.
+// stamping the solve signature the optimizer recorded on the result, so
+// rows tie back to cache addressing without hashing the problem again.
 func outcomeRow(p *loopnest.Problem, res *core.Result, wk *work) (LayerOutcome, *apiError) {
 	dp := res.Best
 	rep := dp.Report
 	row := LayerOutcome{
 		Problem:      p.Name,
-		Sig:          core.SolveSignature(p, wk.opts).Short(),
+		Sig:          res.Signature.Short(),
 		PEs:          dp.Arch.PEs,
 		Regs:         dp.Arch.Regs,
 		SRAMWords:    dp.Arch.SRAM,

@@ -18,6 +18,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/loopnest"
 	"repro/internal/model"
+	"repro/internal/specs"
+	"repro/internal/yamlite"
 )
 
 // tinyConv is the small problem every solving test uses: cold solve in
@@ -400,6 +402,67 @@ func TestServerMatchesCLI(t *testing.T) {
 	gj, _ := json.Marshal(out.Results[0])
 	if !bytes.Equal(wj, gj) {
 		t.Errorf("server row differs from CLI-equivalent row:\nserver: %s\ncli:    %s", gj, wj)
+	}
+}
+
+// TestRowSigIsCacheKey: for every selector that reaches the optimizer,
+// each row's sig is the short form of the signature its result is
+// cached under, on the cold request and on the warm repeat. The layers
+// request names one layer twice, so a deduplicated row is checked too.
+func TestRowSigIsCacheKey(t *testing.T) {
+	yamlBody, err := json.Marshal(OptimizeRequest{ProblemYAML: yamlite.Encode(specs.FromProblem(loopnest.MatMul(8, 8, 8)))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, body string }{
+		{"layer", `{"layer": "resnet18_L11"}`},
+		{"layers", `{"layers": ["resnet18_L8", "resnet18_L11", "resnet18_L8"]}`},
+		{"conv", tinyConv},
+		{"problem_yaml", string(yamlBody)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var req OptimizeRequest
+			if err := json.Unmarshal([]byte(tc.body), &req); err != nil {
+				t.Fatal(err)
+			}
+			wk, aerr := resolve(&req)
+			if aerr != nil {
+				t.Fatal(aerr.Message)
+			}
+			probs := []*loopnest.Problem{wk.prob}
+			if wk.prob == nil {
+				probs = probs[:0]
+				for _, l := range wk.layers {
+					p, err := l.Problem()
+					if err != nil {
+						t.Fatal(err)
+					}
+					probs = append(probs, p)
+				}
+			}
+			srv := New(Config{})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			for _, pass := range []string{"cold", "warm"} {
+				resp, data := postOptimize(t, ts, tc.body)
+				out := decodeOK(t, resp, data)
+				if len(out.Results) != len(probs) {
+					t.Fatalf("%s: %d rows, want %d", pass, len(out.Results), len(probs))
+				}
+				for i, row := range out.Results {
+					sig := core.SolveSignature(probs[i], wk.opts)
+					if row.Sig != sig.Short() {
+						t.Errorf("%s row %d (%s): sig %q, want %q", pass, i, row.Problem, row.Sig, sig.Short())
+					}
+					if _, ok := srv.Cache().Get(sig); !ok {
+						t.Errorf("%s row %d (%s): nothing cached under its signature", pass, i, row.Problem)
+					}
+					if pass == "warm" && !row.FromCache {
+						t.Errorf("warm row %d (%s) not served from the cache", i, row.Problem)
+					}
+				}
+			}
+		})
 	}
 }
 

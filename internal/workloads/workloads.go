@@ -11,6 +11,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/loopnest"
 )
@@ -119,13 +120,19 @@ func All() []Layer {
 
 // ByName finds a layer by its Name() identifier.
 func ByName(name string) (Layer, bool) {
-	for _, l := range All() {
-		if l.Name() == name {
-			return l, true
-		}
-	}
-	return Layer{}, false
+	l, ok := byName()[name]
+	return l, ok
 }
+
+// byName indexes All() by Name(), built once on first use.
+var byName = sync.OnceValue(func() map[string]Layer {
+	all := All()
+	m := make(map[string]Layer, len(all))
+	for _, l := range all {
+		m[l.Name()] = l
+	}
+	return m
+})
 
 // MatMulPresets returns the matrix-multiplication problems used by the
 // quickstart example and the Fig. 1 sanity benchmarks.

@@ -49,6 +49,17 @@ func TestAllAndByName(t *testing.T) {
 	if _, ok := ByName("nope"); ok {
 		t.Fatal("ByName false positive")
 	}
+	// Every layer is found, and a caller changing its copy of All()
+	// changes neither ByName's answers nor the next All().
+	for i, want := range all {
+		if got, ok := ByName(want.Name()); !ok || got != want {
+			t.Errorf("ByName(%q) = %+v, %v", want.Name(), got, ok)
+		}
+		all[i].K = 0
+	}
+	if l, _ := ByName("yolo9000_L3"); l.K != 128 || All()[14].K != 128 {
+		t.Error("modifying All()'s slice leaked into later lookups")
+	}
 }
 
 func TestProblemsValidate(t *testing.T) {

@@ -17,6 +17,9 @@
 # (`tlreport trace`). A pruning/warm-start determinism gate runs the
 # whole-network fixture with the solve-path optimizations on and off,
 # at -parallel 1 and 4, and requires the manifests to agree to 1e-12.
+# A cross-process disk-cache gate runs one layer twice over one
+# -cache-dir: the second process must be served from the first one's
+# record, found under its pinned solve signature, with the same result.
 # A final serve gate boots thistled on a random
 # port (scripts/servecheck), POSTs the same layer with a client
 # request ID, verifies the ID joins the manifest, trace, and access
@@ -93,6 +96,29 @@ echo "== pruning/warm-start determinism gate (whole network, on vs off, parallel
     "$tmp/net.on.p1.manifest.json" "$tmp/net.on.p4.manifest.json"
 "$tmp/tlreport" diff -edp-tol 1e-12 -energy-tol 1e-12 -delay-tol 1e-12 -wall-tol 1e9 \
     "$tmp/net.on.p1.manifest.json" "$tmp/net.off.p4.manifest.json"
+
+echo "== cross-process disk-cache gate (a second process reads the first one's record)"
+# Solve signatures name the on-disk records, so records written by an
+# earlier build must still be found: the record of resnet18_L12 under
+# the default options has this pinned name, and the second run must be
+# served from it with a result identical to the first.
+"$tmp/thistle" -layer resnet18_L12 -specs=false -cache-dir "$tmp/cache" \
+    -manifest "$tmp/disk1.manifest.json" >/dev/null
+"$tmp/thistle" -layer resnet18_L12 -specs=false -cache-dir "$tmp/cache" \
+    -manifest "$tmp/disk2.manifest.json" >/dev/null
+record="$tmp/cache/optimize-84509cefdc4ede285ffb750b9eca2eb0b8fc2bdb82af7a38c91ff510b1b4a318.json"
+if [ ! -f "$record" ]; then
+    echo "disk cache: no record $(basename "$record"); found:" >&2
+    ls "$tmp/cache" >&2
+    exit 1
+fi
+if ! grep -q '"disk_hits": 1' "$tmp/disk2.manifest.json" ||
+    ! grep -q '"from_cache": true' "$tmp/disk2.manifest.json"; then
+    echo "disk cache: the second run was not served from the disk record" >&2
+    exit 1
+fi
+"$tmp/tlreport" diff -edp-tol 1e-12 -energy-tol 1e-12 -delay-tol 1e-12 -wall-tol 1e9 \
+    "$tmp/disk1.manifest.json" "$tmp/disk2.manifest.json"
 
 echo "== e2e serve gate (thistled vs thistle CLI, telemetry, graceful drain)"
 go build -o "$tmp/thistled" ./cmd/thistled
