@@ -10,8 +10,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# tlvet: the project-specific static-analysis suite (cmd/tlvet); fails
-# on any finding. Use `go run ./cmd/tlvet -list` to see the analyzers.
+# tlvet: the project-specific static-analysis suite (cmd/tlvet): ctxprop,
+# droppederr, eventfields, goscheduler, maprange, stagedep, wallclock.
+# Fails on any finding; `go run ./cmd/tlvet -list` describes each.
 lint:
 	$(GO) run ./cmd/tlvet .
 

@@ -10,19 +10,14 @@
 package repro
 
 import (
-	"context"
-	"io"
-	"runtime"
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/experiments"
 	"repro/internal/loopnest"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -342,234 +337,6 @@ func BenchmarkExtEDP(b *testing.B) {
 		b.ReportMetric(mean(e.Series[0].Values), "energyDesign_EDP")
 		b.ReportMetric(mean(e.Series[2].Values), "edpDesign_EDP")
 	}
-}
-
-// BenchmarkOptimizeColdCache measures a full dataflow optimization with
-// no cache in play — the baseline the warm-cache benchmark is read
-// against.
-func BenchmarkOptimizeColdCache(b *testing.B) {
-	l, _ := workloads.ByName("resnet18_L6")
-	p, err := l.Problem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := arch.Eyeriss()
-	opts := core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &a}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Optimize(p, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Stats.FreshSolves == 0 {
-			b.Fatal("cold run reported no fresh solves")
-		}
-	}
-}
-
-// BenchmarkOptimizeColdPruned isolates the solve-path optimizations
-// that BenchmarkOptimizeColdCache now includes by default: "on" runs
-// with bound pruning and hybrid warm starts (reporting how many class
-// pairs the bound skipped), "off" is the ablation with both disabled —
-// every pair formulated and solved from the cold analytic hint. The
-// two produce byte-identical designs; the gap is pure solver work.
-func BenchmarkOptimizeColdPruned(b *testing.B) {
-	l, _ := workloads.ByName("resnet18_L6")
-	p, err := l.Problem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := arch.Eyeriss()
-	run := func(b *testing.B, opts core.Options) {
-		pruned := 0
-		for i := 0; i < b.N; i++ {
-			res, err := core.Optimize(p, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pruned += res.Stats.Pruned
-		}
-		b.ReportMetric(float64(pruned)/float64(b.N), "prunedPairs")
-	}
-	b.Run("on", func(b *testing.B) {
-		run(b, core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &a})
-	})
-	b.Run("off", func(b *testing.B) {
-		run(b, core.Options{
-			Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &a,
-			DisableBoundPruning: true, DisableWarmStart: true,
-		})
-	})
-}
-
-// BenchmarkOptimizeWarmCache measures the same optimization served from
-// a primed solve cache: the signature computation plus a copy, no GPs.
-func BenchmarkOptimizeWarmCache(b *testing.B) {
-	l, _ := workloads.ByName("resnet18_L6")
-	p, err := l.Problem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := arch.Eyeriss()
-	sc := core.NewSolveCache(cache.Options{})
-	opts := core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &a, Cache: sc}
-	if _, err := core.Optimize(p, opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.Optimize(p, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Stats.FromCache {
-			b.Fatal("warm run missed the cache")
-		}
-	}
-}
-
-// BenchmarkOptimizeTracing measures the cost of the deep-tracing layer
-// on a full cold optimization: "off" is the nil-Obs fast path (every
-// hook a nil check), "on" records the complete span forest (stage
-// spans, per-pair GP solves with phase-I/II children, sched-wait
-// attribution) plus the metrics registry, then serializes the Chrome
-// trace. The two ns/op figures bound the tracing overhead; the target
-// is nil when off and under ~2% when on.
-func BenchmarkOptimizeTracing(b *testing.B) {
-	l, _ := workloads.ByName("resnet18_L6")
-	p, err := l.Problem()
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := arch.Eyeriss()
-	opts := core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &a}
-	b.Run("off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.OptimizeContext(context.Background(), p, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			o := &obs.Obs{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
-			ctx := obs.NewContext(context.Background(), o)
-			if _, err := core.OptimizeContext(ctx, p, opts); err != nil {
-				b.Fatal(err)
-			}
-			var spans int
-			for _, root := range o.Tracer.Tree() {
-				spans += countSpans(root)
-			}
-			if _, err := o.Tracer.WriteChromeTrace(io.Discard, nil); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(spans), "spans")
-		}
-	})
-}
-
-func countSpans(si obs.SpanInfo) int {
-	n := 1
-	for _, c := range si.Children {
-		n += countSpans(c)
-	}
-	return n
-}
-
-// BenchmarkNetworkWarmCache runs a whole-network optimization (the first
-// four ResNet-18 layers) cold and then warm through the same cache,
-// demonstrating the end-to-end speedup of content-addressed reuse across
-// a full `-pipeline`-style sweep.
-func BenchmarkNetworkWarmCache(b *testing.B) {
-	layers := workloads.ResNet18()[:4]
-	a := arch.Eyeriss()
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opts := core.Options{
-				Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &a,
-				Cache: core.NewSolveCache(cache.Options{}),
-			}
-			if _, err := experiments.OptimizeLayers(context.Background(), layers, opts, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		opts := core.Options{
-			Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &a,
-			Cache: core.NewSolveCache(cache.Options{}),
-		}
-		if _, err := experiments.OptimizeLayers(context.Background(), layers, opts, nil); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			results, err := experiments.OptimizeLayers(context.Background(), layers, opts, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range results {
-				if !r.Stats.FromCache {
-					b.Fatal("warm network run missed the cache")
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkNetworkScheduler compares whole-network optimization run
-// strictly sequentially (one core.OptimizeContext call per layer, one
-// layer at a time) against the scheduled path (OptimizeLayers
-// submitting every layer into one shared bounded scheduler sized by
-// NumCPU). The layer set is filtered to distinct solve signatures so
-// signature dedup cannot shortcut the scheduled side — the comparison
-// is pure scheduling. The reported "cores" metric is GOMAXPROCS:
-// single-core machines show parity, multi-core machines show the
-// cross-layer speedup.
-func BenchmarkNetworkScheduler(b *testing.B) {
-	all := workloads.ResNet18()
-	a := arch.Eyeriss()
-	opts := core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &a}
-	var layers []workloads.Layer
-	seen := map[cache.Signature]bool{}
-	for _, l := range all {
-		p, err := l.Problem()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sig := core.SolveSignature(p, opts)
-		if !seen[sig] {
-			seen[sig] = true
-			layers = append(layers, l)
-		}
-		if len(layers) == 4 {
-			break
-		}
-	}
-	cores := float64(runtime.GOMAXPROCS(0))
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, l := range layers {
-				p, err := l.Problem()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := core.OptimizeContext(context.Background(), p, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		b.ReportMetric(cores, "cores")
-	})
-	b.Run("scheduled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.OptimizeLayers(context.Background(), layers, opts, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(cores, "cores")
-	})
 }
 
 // BenchmarkExtNoC runs the inter-PE network-energy extension and reports

@@ -35,6 +35,6 @@
 // analysis).
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation; cmd/experiments runs them at full scale, and
-// serve_bench_test.go pins the service-layer overhead.
+// the paper's evaluation; cmd/experiments runs them at full scale.
+// Performance is measured by the bench/ module (bash bench/run.sh).
 package repro

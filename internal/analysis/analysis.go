@@ -2,8 +2,8 @@
 // cmd/tlvet. It loads every package in the module with go/parser and
 // go/types and runs a suite of Thistle-specific analyzers over the
 // typed ASTs — checks that encode invariants go vet cannot know about,
-// such as the thistle-events-v1 field schema, the positivity rule for
-// posynomial coefficients, or the solve path's wall-clock ban.
+// such as the thistle-events-v1 field schema, the package layering
+// rules, or the solve path's wall-clock ban.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // analysis package (Analyzer, Pass, Reportf) so the checks would port
@@ -17,8 +17,8 @@
 // per function declaration. Module.Transitive propagates facts such as
 // "reads the wall clock" caller-ward through that graph (stopping at
 // analyzer-defined barrier functions) and reconstructs witness chains
-// for diagnostics, so flow-aware analyzers (wallclock, goscheduler,
-// ctxprop) can reason past the current package's boundary.
+// for diagnostics, so a flow-aware analyzer (wallclock) can reason past
+// the current package's boundary.
 //
 // Findings can be suppressed with
 //
@@ -42,8 +42,8 @@ import (
 // An Analyzer is one named check. Run receives a fully typechecked
 // package and reports findings through the Pass.
 type Analyzer struct {
-	// Name is the identifier used in findings, -only/-skip selectors,
-	// and //tlvet:ignore directives.
+	// Name is the identifier used in findings and //tlvet:ignore
+	// directives.
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
@@ -57,25 +57,18 @@ type Pass struct {
 	Pkg      *Package
 	// Module is the cross-package view of the run: every loaded
 	// package, the static callgraph over them, and the Transitive fact
-	// machinery. Flow-aware analyzers (wallclock, goscheduler) consult
-	// it to reason past the current package's boundary.
+	// machinery. The wallclock analyzer consults it to reason past the
+	// current package's boundary.
 	Module *Module
 
 	findings *[]Finding
 }
-
-// Fset returns the file set all positions in the package resolve
-// against.
-func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
 
 // Files returns the package's parsed non-test files.
 func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
 
 // TypesInfo returns the package's type information.
 func (p *Pass) TypesInfo() *types.Info { return p.Pkg.Info }
-
-// TypesPkg returns the package's *types.Package.
-func (p *Pass) TypesPkg() *types.Package { return p.Pkg.Types }
 
 // Path returns the package's import path (e.g. repro/internal/gp).
 // Golden-file tests load testdata directories under fake

@@ -6,8 +6,8 @@ import (
 )
 
 func TestFindingString(t *testing.T) {
-	f := Finding{Analyzer: "floateq", Message: "exact float == comparison", File: "internal/solver/barrier.go", Line: 42, Col: 7}
-	want := "internal/solver/barrier.go:42: [floateq] exact float == comparison"
+	f := Finding{Analyzer: "wallclock", Message: "time.Now reachable from a solve path", File: "internal/solver/barrier.go", Line: 42, Col: 7}
+	want := "internal/solver/barrier.go:42: [wallclock] time.Now reachable from a solve path"
 	if got := f.String(); got != want {
 		t.Errorf("Finding.String() = %q, want %q", got, want)
 	}
@@ -95,9 +95,9 @@ func TestIgnoreDirectiveForms(t *testing.T) {
 	if ig.suppresses(valid) {
 		t.Errorf("directive suppressed a finding two lines below")
 	}
-	valid.Analyzer = "floateq"
+	valid.Analyzer = "maprange"
 	valid.Line = 6
 	if ig.suppresses(valid) {
-		t.Errorf("directive for droppederr suppressed a floateq finding")
+		t.Errorf("directive for droppederr suppressed a maprange finding")
 	}
 }

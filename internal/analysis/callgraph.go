@@ -26,29 +26,23 @@ type CallSite struct {
 }
 
 // A FuncNode is the control-flow summary of one declared function:
-// every static call site in source order (including calls inside
+// every static call site in source order, including calls inside
 // nested function literals, which execute — if at all — on behalf of
-// the declaring function) and the positions of any `go` statements.
+// the declaring function.
 type FuncNode struct {
-	Fn   *types.Func
-	Decl *ast.FuncDecl
-	Pkg  *Package
+	Fn *types.Func
 	// Calls lists static call sites in source order, nested literals
 	// included.
 	Calls []CallSite
-	// GoStmts are the positions of `go` statements in the body.
-	GoStmts []token.Pos
 }
 
-// A Module is the cross-package view of one analysis run: all loaded
-// packages (targets plus their module-internal dependencies) and the
-// callgraph over them. Facts — transitively propagated properties such
+// A Module is the cross-package view of one analysis run: the
+// callgraph over all loaded packages (targets plus their
+// module-internal dependencies). Facts — transitively propagated properties such
 // as "reads the wall clock" — are computed on demand with Transitive.
 type Module struct {
-	// Pkgs holds every package visible to the module, target packages
-	// first, in deterministic order.
-	Pkgs []*Package
-	// Funcs indexes the summary of every function declared in Pkgs.
+	// Funcs indexes the summary of every function declared in the
+	// loaded packages.
 	Funcs map[*types.Func]*FuncNode
 	// nodes is Funcs in deterministic (load, then source) order, so
 	// fact propagation and witness chains are stable run to run.
@@ -94,7 +88,6 @@ func BuildModule(pkgs []*Package) *Module {
 	}
 
 	m := &Module{
-		Pkgs:    all,
 		Funcs:   make(map[*types.Func]*FuncNode),
 		callers: make(map[*types.Func][]*FuncNode),
 	}
@@ -109,16 +102,13 @@ func BuildModule(pkgs []*Package) *Module {
 				if fn == nil {
 					continue
 				}
-				node := &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
+				node := &FuncNode{Fn: fn}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.CallExpr:
+					if call, ok := n.(*ast.CallExpr); ok {
 						node.Calls = append(node.Calls, CallSite{
-							Callee: StaticCallee(pkg.Info, n),
-							Pos:    n.Pos(),
+							Callee: StaticCallee(pkg.Info, call),
+							Pos:    call.Pos(),
 						})
-					case *ast.GoStmt:
-						node.GoStmts = append(node.GoStmts, n.Pos())
 					}
 					return true
 				})

@@ -17,12 +17,8 @@ func All() []*analysis.Analyzer {
 		CtxProp,
 		DroppedErr,
 		EventFields,
-		FloatEq,
 		GoScheduler,
-		LockGuard,
 		MapRange,
-		NilRecv,
-		PosyCoef,
 		StageDep,
 		WallClock,
 	}

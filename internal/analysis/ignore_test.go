@@ -20,7 +20,7 @@ func parseIgnoreFixture(t *testing.T, src string) *Package {
 	return &Package{Path: "repro/internal/fix", Fset: fset, Files: []*ast.File{f}}
 }
 
-var ignoreKnown = map[string]bool{"wallclock": true, "maprange": true, "lockguard": true}
+var ignoreKnown = map[string]bool{"wallclock": true, "maprange": true, "goscheduler": true}
 
 func finding(analyzer string, line int) Finding {
 	return Finding{Analyzer: analyzer, File: "fix.go", Line: line}
@@ -44,8 +44,8 @@ func f() {
 			t.Errorf("%s not suppressed on the directive's next line", name)
 		}
 	}
-	if ig.suppresses(finding("lockguard", 5)) {
-		t.Error("lockguard suppressed without being named")
+	if ig.suppresses(finding("goscheduler", 5)) {
+		t.Error("goscheduler suppressed without being named")
 	}
 	if ig.suppresses(finding("wallclock", 7)) {
 		t.Error("suppression leaked past the directive's line span")
@@ -124,8 +124,8 @@ func g() {
 		t.Error("line-level wallclock suppression must not act file-wide")
 	}
 	// The file-level directive must not widen to unnamed analyzers.
-	if ig.suppresses(finding("lockguard", 7)) {
-		t.Error("lockguard suppressed by directives that never name it")
+	if ig.suppresses(finding("goscheduler", 7)) {
+		t.Error("goscheduler suppressed by directives that never name it")
 	}
 }
 

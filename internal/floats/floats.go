@@ -3,8 +3,8 @@
 // latent nondeterminism bug in an optimizer whose results must be
 // byte-identical across runs and cache tiers — two mathematically equal
 // quantities computed along different code paths rarely compare equal —
-// so the tlvet floateq analyzer forbids it in internal/solver,
-// internal/model, and internal/core and points here instead.
+// so compare through these helpers unless exact identity is the point
+// (sort comparators, cache keys).
 //
 // The helpers use a hybrid tolerance: |a−b| ≤ tol·max(1, |a|, |b|),
 // i.e. absolute near zero and relative away from it, which behaves

@@ -159,7 +159,7 @@ func nClosest(cands []int64, target float64, k int) []int64 {
 		s[i] = scored{c, math.Abs(math.Log(float64(c)) - math.Log(target))}
 	}
 	slices.SortFunc(s, func(a, b scored) int {
-		//tlvet:ignore floateq -- sort comparator: tolerance-based equality breaks strict weak ordering
+		// Exact float compare on purpose: a tolerance would break the sort's strict weak ordering.
 		if a.d != b.d {
 			if a.d < b.d {
 				return -1

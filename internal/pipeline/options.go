@@ -27,7 +27,9 @@ const (
 	CoDesign
 )
 
-// String returns the CLI spelling of the mode ("fixed" or "codesign").
+// String returns the mode's name, "fixedarch" or "codesign". It is not
+// the CLI's -mode spelling ("fixed"): the name is hashed into solve
+// signatures and written to optimize_start events, so it must not change.
 func (m Mode) String() string {
 	if m == CoDesign {
 		return "codesign"
@@ -56,7 +58,8 @@ type Options struct {
 	// MinUtilization filters fixed-arch integer candidates (default 0,
 	// i.e. disabled; the paper mentions a threshold without a value).
 	MinUtilization float64
-	// MaxCandidates caps the integerization cross product (default 65536).
+	// MaxCandidates caps the integerization cross product (default
+	// 1<<20).
 	MaxCandidates int
 	// TopClasses is how many best GP class pairs are integerized
 	// (default 3).

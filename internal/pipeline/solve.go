@@ -39,7 +39,7 @@ func (solveStage) Run(r *Run) error {
 		return fmt.Errorf("%w: all %d permutation classes infeasible", ErrNoDesign, len(r.jobs))
 	}
 	sort.Slice(solved, func(i, j int) bool {
-		//tlvet:ignore floateq -- sort comparator: tolerance-based equality breaks strict weak ordering
+		// Exact float compare on purpose: a tolerance would break the sort's strict weak ordering.
 		if solved[i].objective != solved[j].objective {
 			return solved[i].objective < solved[j].objective
 		}

@@ -81,7 +81,7 @@ func sameFloats(a, b []float64) bool {
 		return false
 	}
 	for i := range a {
-		//tlvet:ignore floateq -- cache key: exact content identity decides reuse; any difference must miss
+		// Exact float compare on purpose: the cache key is exact content identity; any difference must miss.
 		if a[i] != b[i] {
 			return false
 		}
@@ -151,6 +151,6 @@ func (ws *Workspace) eliminate(p *Problem, box float64) (yPart []float64, zBasis
 
 // sameBox compares box bounds for cache keying.
 func sameBox(a, b float64) bool {
-	//tlvet:ignore floateq -- cache key: the box bound is a configuration constant, compared for identity
+	// Exact float compare on purpose: the box bound is a configuration constant, compared for identity.
 	return a == b
 }

@@ -2,8 +2,9 @@
 // Timeloop-style specification files (Fig. 3 of the paper): block
 // mappings, block sequences (including inline "- key: value" items),
 // and plain/quoted scalars, with '#' comments. Anchors, aliases, flow
-// collections, multi-line scalars, and multi-document streams are
-// deliberately out of scope.
+// collections (beyond the empty {} and [] blocks Encode writes),
+// multi-line scalars, and multi-document streams are deliberately out
+// of scope.
 package yamlite
 
 import (
@@ -217,7 +218,14 @@ func (p *parser) parseBlock(indent int) (*Node, error) {
 	if l == nil {
 		return nil, fmt.Errorf("%w: unexpected end of input", ErrParse)
 	}
-	if strings.HasPrefix(l.content, "- ") || l.content == "-" {
+	switch {
+	case l.content == "{}": // Encode's empty map
+		p.pos++
+		return NewMap(), nil
+	case l.content == "[]": // Encode's empty sequence
+		p.pos++
+		return NewSeq(), nil
+	case strings.HasPrefix(l.content, "- ") || l.content == "-":
 		return p.parseSeq(indent)
 	}
 	return p.parseMap(indent)
@@ -243,6 +251,11 @@ func (p *parser) parseSeq(indent int) (*Node, error) {
 			continue
 		}
 		rest := strings.TrimSpace(l.content[2:])
+		if rest == "{}" { // Encode's empty map as an item
+			p.pos++
+			seq.Append(NewMap())
+			continue
+		}
 		if isMapEntry(rest) {
 			// Inline map item: re-interpret the remainder as a virtual
 			// line indented past the dash, then continue the map block.
@@ -340,20 +353,25 @@ func splitKey(s string) (key, rest string, err error) {
 
 func unquote(s string) string {
 	if len(s) >= 2 {
-		if (s[0] == '\'' && s[len(s)-1] == '\'') || (s[0] == '"' && s[len(s)-1] == '"') {
+		switch {
+		case s[0] == '\'' && s[len(s)-1] == '\'':
+			// Inside single quotes '' is a quote, as quote writes it.
+			return strings.ReplaceAll(s[1:len(s)-1], "''", "'")
+		case s[0] == '"' && s[len(s)-1] == '"':
 			return s[1 : len(s)-1]
 		}
 	}
 	return s
 }
 
-// needsQuote reports whether a scalar must be quoted on output.
-func needsQuote(s string) bool {
-	if s == "" {
-		return true
+// quote returns a scalar or key as written on output: single-quoted,
+// with ' doubled, when it would otherwise read back differently.
+func quote(s string) string {
+	if s != "" && !strings.ContainsAny(s, ":#{}[]'\"\n") &&
+		!strings.HasPrefix(s, "- ") && s == strings.TrimSpace(s) {
+		return s
 	}
-	return strings.ContainsAny(s, ":#{}[]'\"\n") ||
-		strings.HasPrefix(s, "- ") || s != strings.TrimSpace(s)
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }
 
 // Encode serializes the node as YAML text.
@@ -367,11 +385,7 @@ func encode(b *strings.Builder, n *Node, indent int, inline bool) {
 	pad := strings.Repeat(" ", indent)
 	switch n.Kind {
 	case Scalar:
-		v := n.Value
-		if needsQuote(v) {
-			v = "'" + strings.ReplaceAll(v, "'", "''") + "'"
-		}
-		b.WriteString(v)
+		b.WriteString(quote(n.Value))
 		b.WriteByte('\n')
 	case Map:
 		first := true
@@ -381,7 +395,7 @@ func encode(b *strings.Builder, n *Node, indent int, inline bool) {
 				b.WriteString(pad)
 			}
 			first = false
-			b.WriteString(k)
+			b.WriteString(quote(k))
 			b.WriteString(":")
 			switch v.Kind {
 			case Scalar:

@@ -15,15 +15,17 @@ func mustParse(t *testing.T, src string) *Node {
 	return n
 }
 
-func TestParseScalarsAndTypes(t *testing.T) {
-	n := mustParse(t, `
+const docScalars = `
 name: ExampleArch
 depth: 1024
 bw: 8.5
 flag: true
 quoted: 'a: b'
 empty:
-`)
+`
+
+func TestParseScalarsAndTypes(t *testing.T) {
+	n := mustParse(t, docScalars)
 	if s, _ := n.Get("name").Str(); s != "ExampleArch" {
 		t.Fatalf("name = %q", s)
 	}
@@ -44,8 +46,7 @@ empty:
 	}
 }
 
-func TestParseNestedMapsAndSeqs(t *testing.T) {
-	src := `
+const docNested = `
 architecture:
   version: A.3
   subtree:
@@ -63,7 +64,9 @@ mapping:
     target: DRAM
   - target: SRAM
 `
-	n := mustParse(t, src)
+
+func TestParseNestedMapsAndSeqs(t *testing.T) {
+	n := mustParse(t, docNested)
 	arch := n.Get("architecture")
 	if v, _ := arch.Get("version").Str(); v != "A.3" {
 		t.Fatalf("version = %q", v)
@@ -91,12 +94,14 @@ mapping:
 	}
 }
 
-func TestParseComments(t *testing.T) {
-	n := mustParse(t, `
+const docComments = `
 a: 1 # trailing
 # full line
 b: 'keep # this'
-`)
+`
+
+func TestParseComments(t *testing.T) {
+	n := mustParse(t, docComments)
 	if v, _ := n.Get("a").Int(); v != 1 {
 		t.Fatal("a")
 	}
@@ -105,13 +110,15 @@ b: 'keep # this'
 	}
 }
 
-func TestParseSeqOfScalars(t *testing.T) {
-	n := mustParse(t, `
+const docSeqOfScalars = `
 dims:
   - I
   - J
   - K
-`)
+`
+
+func TestParseSeqOfScalars(t *testing.T) {
+	n := mustParse(t, docSeqOfScalars)
 	d := n.Get("dims")
 	if d.Kind != Seq || len(d.Items) != 3 {
 		t.Fatalf("dims = %+v", d)
@@ -121,8 +128,10 @@ dims:
 	}
 }
 
+const docDashAlone = "xs:\n  -\n    a: 1\n  -\n    a: 2\n"
+
 func TestParseDashAloneItem(t *testing.T) {
-	n := mustParse(t, "xs:\n  -\n    a: 1\n  -\n    a: 2\n")
+	n := mustParse(t, docDashAlone)
 	xs := n.Get("xs")
 	if len(xs.Items) != 2 {
 		t.Fatalf("items = %d", len(xs.Items))
@@ -132,30 +141,33 @@ func TestParseDashAloneItem(t *testing.T) {
 	}
 }
 
+var badDocs = []string{
+	"a: 1\n\tb: 2",    // tab indent
+	"a:\n   - x\n  y", // inconsistent
+	"a: 1\na: 2",      // duplicate key
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"a: 1\n\tb: 2",    // tab indent
-		"a:\n   - x\n  y", // inconsistent
-	}
-	for _, src := range bad {
+	for _, src := range badDocs {
 		if _, err := Parse(src); err == nil {
 			t.Fatalf("Parse(%q) should fail", src)
 		}
 	}
-	if _, err := Parse("a: 1\na: 2"); err == nil {
-		t.Fatal("duplicate keys should fail")
-	}
 }
 
+const docEmpty = "\n  \n# only comments\n"
+
 func TestEmptyDocument(t *testing.T) {
-	n := mustParse(t, "\n  \n# only comments\n")
+	n := mustParse(t, docEmpty)
 	if n.Kind != Map || len(n.Keys()) != 0 {
 		t.Fatalf("empty doc = %+v", n)
 	}
 }
 
+const docAccessors = "m:\n  k: v\n"
+
 func TestAccessorErrors(t *testing.T) {
-	n := mustParse(t, "m:\n  k: v\n")
+	n := mustParse(t, docAccessors)
 	if _, err := n.Get("m").Int(); err == nil {
 		t.Fatal("Int on map should fail")
 	}
@@ -207,9 +219,8 @@ func TestEncodeEmptyCollections(t *testing.T) {
 	}
 }
 
-func TestRoundTripRealTimeloopSpec(t *testing.T) {
-	// A trimmed version of the paper's Fig. 3(a).
-	src := `architecture:
+// docTimeloopSpec is a trimmed version of the paper's Fig. 3(a).
+const docTimeloopSpec = `architecture:
   version: A.3
   subtree:
     - name: system
@@ -245,7 +256,9 @@ func TestRoundTripRealTimeloopSpec(t *testing.T) {
                   class: intmac
                   name: MACC
 `
-	n := mustParse(t, src)
+
+func TestRoundTripRealTimeloopSpec(t *testing.T) {
+	n := mustParse(t, docTimeloopSpec)
 	out := Encode(n)
 	back := mustParse(t, out)
 	if !Equal(n, back) {

@@ -1,16 +1,15 @@
 #!/bin/sh
 # check.sh runs the repository's pre-merge gate: gofmt, build, vet, the
 # tlvet static-analysis suite (project-specific invariants: event
-# schema conformance, posynomial coefficient positivity, float
-# comparison discipline, nil-receiver safety, dropped errors, plus the
-# flow-aware wallclock/maprange/lockguard/ctxprop/goscheduler
-# analyzers), which fails on any finding not suppressed by a reasoned
-# //tlvet:ignore, the short test suite, the bench/ module's smoke test
-# (every benchmark workload at toy scale), a race-detector pass over the
-# concurrent packages (mapper worker pool, the pipeline scheduler and
-# its staged GP flow, the experiments layer fan-out, solver hooks, obs,
-# cache singleflight, the thistled admission path), and an end-to-end
-# run-report gate: a small workload is optimized with
+# schema conformance, dropped errors, package layering, plus the
+# flow-aware wallclock/maprange/ctxprop/goscheduler analyzers), which
+# fails on any finding not suppressed by a reasoned //tlvet:ignore, the
+# short test suite, a 10 s fuzz of yamlite.Parse, the bench/ module's
+# smoke test (every benchmark workload at toy scale), a race-detector
+# pass over the concurrent packages (mapper worker pool, the pipeline
+# scheduler and its staged GP flow, the experiments layer fan-out,
+# solver hooks, obs, cache singleflight, the thistled admission path),
+# and an end-to-end run-report gate: a small workload is optimized with
 # -events/-manifest/-trace-out, the JSONL stream is validated against
 # the schema, a tlreport self-diff must come back regression-free, and
 # the Chrome trace file must parse and report a critical path
@@ -53,6 +52,11 @@ go run ./cmd/tlvet .
 
 echo "== go test -short ./..."
 go test -short ./...
+
+echo "== fuzz yamlite.Parse (10 s; the parser of thistled's problem_yaml/arch_yaml)"
+# A crasher is written to internal/yamlite/testdata/fuzz/FuzzParse;
+# commit it as a regression input with the fix.
+go test -run '^$' -fuzz=FuzzParse -fuzztime=10s ./internal/yamlite
 
 echo "== bench smoke test (every workload at toy scale, every design checked)"
 # bench/ is its own module, so go test ./... above does not reach it.
