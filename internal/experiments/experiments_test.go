@@ -71,41 +71,64 @@ func TestFig4Quick(t *testing.T) {
 	}
 }
 
-// TestFig4Committed is the tier-1 gate on the committed Fig. 4 numbers:
-// Thistle's pJ/MAC on each of the 23 Table II layers (energy, fixed
-// Eyeriss) must print as results/fig4.tsv's thistle_pJ_per_MAC at its
-// 3 decimals.
-func TestFig4Committed(t *testing.T) {
+// TestCommittedFigures is the tier-1 gate on the committed figure
+// numbers: each row optimizes all 23 Table II layers with the options
+// its figure uses, and every layer's value must print as the results
+// file's column at its 3 decimals. fig4 pins the energy searches on
+// fixed Eyeriss, fig7 the fixed-arch delay searches, and fig8 the
+// co-design delay searches, so a change to the integerize search that
+// picks a different design shows here.
+func TestCommittedFigures(t *testing.T) {
 	if testing.Short() {
-		t.Skip("optimizes all 23 Table II layers")
+		t.Skip("optimizes all 23 Table II layers per figure")
 	}
-	want := map[string]string{}
-	raw, err := os.ReadFile(filepath.Join("..", "..", "results", "fig4.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col := -1
-	for _, line := range strings.Split(string(raw), "\n") {
-		fields := strings.Split(line, "\t")
-		switch {
-		case fields[0] == "layer":
-			col = slices.Index(fields, "thistle_pJ_per_MAC")
-		case col > 0 && col < len(fields):
-			want[fields[0]] = fields[col]
-		}
-	}
-	layers := workloads.All()
 	eyeriss := arch.Eyeriss()
-	results, err := OptimizeLayers(context.Background(), layers,
-		core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &eyeriss}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, l := range layers {
-		got := fmt.Sprintf("%.3f", results[i].Best.Report.EnergyPerMAC)
-		if got != want[l.Name()] {
-			t.Errorf("%s: %s pJ/MAC, results/fig4.tsv has %q", l.Name(), got, want[l.Name()])
-		}
+	for _, c := range []struct {
+		fig, column string
+		opts        core.Options
+		value       func(*model.Report) float64
+	}{
+		{"fig4", "thistle_pJ_per_MAC",
+			core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &eyeriss},
+			func(r *model.Report) float64 { return r.EnergyPerMAC }},
+		{"fig7", "thistle_IPC",
+			core.Options{Criterion: model.MinDelay, Mode: core.FixedArch, Arch: &eyeriss},
+			func(r *model.Report) float64 { return r.IPC }},
+		{"fig8", "layerwise_IPC",
+			core.Options{Criterion: model.MinDelay, Mode: core.CoDesign},
+			func(r *model.Report) float64 { return r.IPC }},
+	} {
+		t.Run(c.fig, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("..", "..", "results", c.fig+".tsv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]string{}
+			col := -1
+			for _, line := range strings.Split(string(raw), "\n") {
+				fields := strings.Split(line, "\t")
+				switch {
+				case fields[0] == "layer":
+					col = slices.Index(fields, c.column)
+				case col > 0 && col < len(fields):
+					want[fields[0]] = fields[col]
+				}
+			}
+			if col < 0 {
+				t.Fatalf("results/%s.tsv has no %s column", c.fig, c.column)
+			}
+			layers := workloads.All()
+			results, err := OptimizeLayers(context.Background(), layers, c.opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, l := range layers {
+				got := fmt.Sprintf("%.3f", c.value(results[i].Best.Report))
+				if got != want[l.Name()] {
+					t.Errorf("%s: %s %s, results/%s.tsv has %q", l.Name(), c.column, got, c.fig, want[l.Name()])
+				}
+			}
+		})
 	}
 }
 

@@ -20,7 +20,18 @@ type intOptions struct {
 	nDiv    int     // divisor candidates per variable (paper's n, 2–3)
 	nPow2   int     // power-of-two candidates per capacity
 	minUtil float64 // minimum PE utilization for fixed-arch candidates
-	maxCand int     // cap on the candidate cross product
+	maxCand int     // cap on the leaves one search evaluates
+}
+
+// newIntOptions takes the integerization settings from resolved run
+// options.
+func newIntOptions(o Options) intOptions {
+	return intOptions{
+		nDiv:    o.NDiv,
+		nPow2:   o.NPow2,
+		minUtil: o.MinUtilization,
+		maxCand: o.MaxCandidates,
+	}
 }
 
 // integerizeStage converts the best TopClasses relaxed solutions to
@@ -42,12 +53,7 @@ func (integerizeStage) Run(r *Run) error {
 	// One evaluator shared by every job: model.Evaluator is documented
 	// safe for concurrent use (its volume cache is internally locked).
 	ev := model.NewEvaluator(r.nest)
-	iopt := intOptions{
-		nDiv:    r.opts.NDiv,
-		nPow2:   r.opts.NPow2,
-		minUtil: r.opts.MinUtilization,
-		maxCand: r.opts.MaxCandidates,
-	}
+	iopt := newIntOptions(r.opts)
 	candC := r.obs.Counter("core.int_candidates")
 
 	// integerizePass converts each of the top pairs under shrink(x) and
@@ -280,10 +286,27 @@ type candidate struct {
 // co-design mode) power-of-two capacities — directly through model
 // evaluation, keeping only the best valid design. Streaming avoids
 // materializing the cross product (which reaches millions of mappings at
-// ladder width 3), and the visit counter caps runaway spaces without
-// biasing which region gets cut: the cap applies to evaluations, and the
-// ladder orders each dimension's choices by proximity to the relaxed
-// solution, so the nearest region is covered first.
+// ladder width 3).
+//
+// The visit order is depth first over the free iterators in iterator
+// order, each dimension's ladder ascending by (sramT, peTile, regTile)
+// as dimCandidates deduplicates it, with the capacity pairs innermost.
+// consider keeps the first of equal scores, so this order is the
+// tie-break and must not change.
+//
+// For the delay criterion the search is an exact branch and bound. A
+// leaf's Cycles is at least ops/PEsUsed, and PEsUsed is the product of
+// sramT/peTile over the free iterators (the standard nest's spatial
+// level holds only tiled iterators). Below a partial assignment every
+// leaf therefore uses at most the prefix's PE product times the largest
+// sramT/peTile of each remaining ladder, capped at the fixed
+// architecture's PE count (a leaf using more is invalid). A subtree
+// whose bound gives ops/PEs ≥ the incumbent's Cycles is skipped: float
+// division is monotone, so none of its leaves could score strictly
+// better. Energy and EDP searches evaluate every leaf.
+//
+// visited counts the leaves evaluated; pruned leaves are not counted,
+// and only evaluated leaves count toward the maxCand cap.
 func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion) (best *candidate, bestRep *model.Report, visited int) {
 	var freeIters []int
 	for it := range n.Prob.Iters {
@@ -342,11 +365,39 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 		}
 	}
 
+	// Delay bound state: maxPEs[i] is the largest PE product the
+	// dimensions i.. can contribute.
+	var maxPEs []int64
+	ops := float64(n.Prob.Ops())
+	if crit == model.MinDelay {
+		maxPEs = make([]int64, len(perDim)+1)
+		maxPEs[len(perDim)] = 1
+		for i := len(perDim) - 1; i >= 0; i-- {
+			widest := int64(1)
+			for _, c := range perDim[i] {
+				widest = max(widest, c.sramT/c.peTile)
+			}
+			maxPEs[i] = maxPEs[i+1] * widest
+		}
+	}
+	// cannotWin reports whether no leaf below a prefix with PE product
+	// pes can beat the incumbent on delay.
+	cannotWin := func(i int, pes int64) bool {
+		if maxPEs == nil || bestRep == nil {
+			return false
+		}
+		bound := pes * maxPEs[i]
+		if av.mode == FixedArch {
+			bound = min(bound, av.fixed.PEs)
+		}
+		return ops/float64(bound) >= bestRep.Cycles
+	}
+
 	run := func(minUtil float64) {
 		dims := make([]dimCandidate, 0, len(perDim))
-		var rec func(i int)
-		rec = func(i int) {
-			if visited >= opt.maxCand {
+		var rec func(i int, pes int64)
+		rec = func(i int, pes int64) {
+			if visited >= opt.maxCand || cannotWin(i, pes) {
 				return
 			}
 			if i == len(perDim) {
@@ -354,10 +405,6 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 				for _, a := range archs {
 					ac := a
 					if av.mode == CoDesign {
-						pes := int64(1)
-						for _, d := range dims {
-							pes *= d.sramT / d.peTile
-						}
 						ac.PEs = pes
 						if ac.Area() > av.budget {
 							continue
@@ -370,11 +417,11 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 			}
 			for _, c := range perDim[i] {
 				dims = append(dims, c)
-				rec(i + 1)
+				rec(i+1, pes*(c.sramT/c.peTile))
 				dims = dims[:len(dims)-1]
 			}
 		}
-		rec(0)
+		rec(0, 1)
 	}
 	run(opt.minUtil)
 	if best == nil && opt.minUtil > 0 {

@@ -1,6 +1,13 @@
 package pipeline
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"repro/internal/dataflow"
+	"repro/internal/model"
+	"repro/internal/workloads"
+)
 
 func TestNClosest(t *testing.T) {
 	cands := []int64{1, 2, 4, 8, 16, 32}
@@ -34,4 +41,41 @@ func TestPow2Candidates(t *testing.T) {
 			t.Fatalf("pow2Candidates below 1: %v", got)
 		}
 	}
+}
+
+// BenchmarkIntegerizeSearch times one co-design-delay integerize search
+// on resnet18_L10: the divisor-ladder search of the best relaxed
+// solution, with the GP solves done before the timer starts. Each
+// iteration builds a fresh evaluator, as every search of a run pays for
+// its own permutation's symbolic volumes. It reports the leaves
+// evaluated per search as "candidates".
+func BenchmarkIntegerizeSearch(b *testing.B) {
+	l, _ := workloads.ByName("resnet18_L10")
+	p, err := l.Problem()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Criterion: model.MinDelay, Mode: CoDesign, Parallel: 1}.WithDefaults()
+	r, err := newRun(context.Background(), p, opts, NewScheduler(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, st := range []Stage{enumerateStage{}, formulateStage{}, solveStage{}} {
+		if err := st.Run(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sp := r.solved[0]
+	perms := dataflow.StandardPerms(sp.permL1, sp.permSRAM)
+	iopt := newIntOptions(opts)
+	b.ResetTimer()
+	var visited int
+	for i := 0; i < b.N; i++ {
+		var c *candidate
+		c, _, visited = searchIntegerCandidates(model.NewEvaluator(r.nest), r.nest, perms, sp.x, r.av, iopt, opts.Criterion)
+		if c == nil {
+			b.Fatal("no integer design")
+		}
+	}
+	b.ReportMetric(float64(visited), "candidates")
 }

@@ -58,8 +58,9 @@ type Options struct {
 	// MinUtilization filters fixed-arch integer candidates (default 0,
 	// i.e. disabled; the paper mentions a threshold without a value).
 	MinUtilization float64
-	// MaxCandidates caps the integerization cross product (default
-	// 1<<20).
+	// MaxCandidates caps the leaves each integerization search
+	// evaluates (default 1<<20). Leaves the delay bound prunes are not
+	// evaluated and do not count toward it.
 	MaxCandidates int
 	// TopClasses is how many best GP class pairs are integerized
 	// (default 3).
@@ -183,6 +184,8 @@ type Stats struct {
 	PairsSolved int
 	Infeasible  int
 	Suboptimal  int
+	// Candidates counts the integer leaves evaluated; pruned leaves
+	// are not counted.
 	Candidates  int
 	NewtonIters int
 	// Pruned counts pair GPs skipped by the bound-based class pruning:

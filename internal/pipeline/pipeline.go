@@ -246,35 +246,11 @@ func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, e
 
 // executeOne runs the staged pipeline for one fixed nest configuration.
 func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, sched *Scheduler) (*Result, error) {
-	if err := opts.Arch.Validate(); err != nil {
-		return nil, err
-	}
-	o := obs.FromContext(ctx)
-	nest, err := dataflow.StandardNest(p, opts.Nest)
+	r, err := newRun(ctx, p, opts, sched)
 	if err != nil {
 		return nil, err
 	}
-	// Architecture variables (registered on the shared VarSet so they can
-	// appear in the same GP as the trip counts), and the delay variable.
-	av := &archVars{mode: opts.Mode, tech: opts.Arch.Tech, fixed: *opts.Arch, budget: opts.AreaBudget}
-	if opts.Mode == CoDesign {
-		av.varR = nest.Vars.NewVar("arch_R")
-		av.varS = nest.Vars.NewVar("arch_S")
-		av.varP = nest.Vars.NewVar("arch_P")
-	}
-	varT := nest.Vars.NewVar("delay_T")
-
-	r := &Run{
-		ctx:    ctx,
-		prob:   p,
-		opts:   opts,
-		obs:    o,
-		sched:  sched,
-		parent: obs.SpanFromContext(ctx),
-		nest:   nest,
-		av:     av,
-		varT:   varT,
-	}
+	o := r.obs
 	for _, st := range Stages() {
 		//tlvet:ignore wallclock -- telemetry: stage duration feeds the pipeline.stage.* histogram only
 		start := time.Now()
@@ -309,6 +285,39 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, sched *S
 		}
 	}
 	return &Result{Best: r.best, Stats: r.stats}, nil
+}
+
+// newRun builds the per-run context of one fixed nest configuration:
+// the standard nest, the architecture variables and the delay variable.
+func newRun(ctx context.Context, p *loopnest.Problem, opts Options, sched *Scheduler) (*Run, error) {
+	if err := opts.Arch.Validate(); err != nil {
+		return nil, err
+	}
+	nest, err := dataflow.StandardNest(p, opts.Nest)
+	if err != nil {
+		return nil, err
+	}
+	// Architecture variables (registered on the shared VarSet so they can
+	// appear in the same GP as the trip counts), and the delay variable.
+	av := &archVars{mode: opts.Mode, tech: opts.Arch.Tech, fixed: *opts.Arch, budget: opts.AreaBudget}
+	if opts.Mode == CoDesign {
+		av.varR = nest.Vars.NewVar("arch_R")
+		av.varS = nest.Vars.NewVar("arch_S")
+		av.varP = nest.Vars.NewVar("arch_P")
+	}
+	varT := nest.Vars.NewVar("delay_T")
+
+	return &Run{
+		ctx:    ctx,
+		prob:   p,
+		opts:   opts,
+		obs:    obs.FromContext(ctx),
+		sched:  sched,
+		parent: obs.SpanFromContext(ctx),
+		nest:   nest,
+		av:     av,
+		varT:   varT,
+	}, nil
 }
 
 // hasUntiledKernelLoops reports whether the problem has kernel iterators
