@@ -23,12 +23,10 @@ test:
 # Race-detector run over the concurrent packages: the mapper's worker
 # pool, the pipeline scheduler and its workspace pool, the solver
 # telemetry hooks, the obs registry itself, cache singleflight, the
-# thistled admission path, and the experiments layer fan-out (just
-# TestOptimizeLayers: the figure sweeps are too slow under -race).
-# Same package list as scripts/check.sh's race leg.
+# thistled admission path, and the core whole-network batch. Same
+# package list as scripts/check.sh's race leg.
 race:
 	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
-	$(GO) test -race -timeout 30m -run 'TestOptimizeLayers' ./internal/experiments/
 
 check: build vet lint test race
 	@echo "check: ok"

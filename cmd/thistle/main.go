@@ -36,7 +36,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/loopnest"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -225,7 +224,11 @@ func runPipeline(ctx context.Context, name string, opts core.Options) error {
 	default:
 		return fmt.Errorf("unknown pipeline %q (resnet18 | yolo9000 | all)", name)
 	}
-	results, err := experiments.OptimizeLayers(ctx, layers, opts, nil)
+	probs, err := workloads.Problems(layers)
+	if err != nil {
+		return err
+	}
+	results, err := core.OptimizeLayers(ctx, probs, opts)
 	if err != nil {
 		return err
 	}

@@ -26,7 +26,7 @@ import (
 	"repro/internal/loopnest"
 	"repro/internal/mapper"
 	"repro/internal/model"
-	"repro/internal/obs/events"
+	"repro/internal/obs"
 	"repro/internal/specs"
 	"repro/internal/workloads"
 	"repro/internal/yamlite"
@@ -174,7 +174,7 @@ func run() error {
 	}
 	if o.EventsEnabled() {
 		rep := res.Report
-		o.Emit(events.EvMapperEnd, map[string]any{
+		o.Emit(obs.EvMapperEnd, map[string]any{
 			"problem":        prob.Name,
 			"trials":         res.Trials,
 			"valid":          res.Valid,

@@ -27,7 +27,6 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/obs/events"
 	"repro/internal/specs"
 	"repro/internal/yamlite"
 )
@@ -132,7 +131,7 @@ func run() error {
 		o.Logf(obs.Info, "report served from cache (%s)", sig.Short())
 	}
 	if o.EventsEnabled() {
-		o.Emit(events.EvModelValidate, map[string]any{
+		o.Emit(obs.EvModelValidate, map[string]any{
 			"problem":    prob.Name,
 			"valid":      rep.Valid(),
 			"violations": len(rep.Violations),

@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"repro/internal/cliutil"
+	"repro/internal/obs"
 	"repro/internal/obs/events"
 )
 
@@ -157,10 +158,10 @@ func runValidate(args []string) int {
 	}
 	fmt.Println()
 	for _, typ := range []string{
-		events.EvRunStart, events.EvLayersTotal, events.EvOptimizeStart,
-		events.EvOptimizeEnd, events.EvLayerReused, events.EvSolveEnd,
-		events.EvCentering, events.EvMapperEnd, events.EvModelValidate,
-		events.EvRunEnd,
+		obs.EvRunStart, obs.EvLayersTotal, obs.EvOptimizeStart,
+		obs.EvOptimizeEnd, obs.EvSolveEnd,
+		obs.EvCentering, obs.EvMapperEnd, obs.EvModelValidate,
+		obs.EvRunEnd,
 	} {
 		if n := sum.ByType[typ]; n > 0 {
 			fmt.Printf("  %-16s %d\n", typ, n)

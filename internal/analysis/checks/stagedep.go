@@ -18,10 +18,10 @@ import (
 //     not the reverse) and let stage code reach around the facade's
 //     caching and event emission.
 //   - files in repro/internal/serve (the thistled HTTP service) may
-//     import the optimizer stack it fronts (core, experiments,
-//     pipeline, cache, obs, specs, workloads, ...) but not the CLI
-//     runtime: the service layer sits beside the commands, below
-//     cliutil's flag plumbing.
+//     import the optimizer stack it fronts (core, pipeline, cache, obs,
+//     specs, workloads, ...) but not the figure-regeneration
+//     experiments or the CLI runtime: the service layer sits beside the
+//     commands, below cliutil's flag plumbing.
 //   - nothing except the commands (repro/cmd/...) may import
 //     repro/internal/serve: the service is a leaf of the internal
 //     graph, so no library layer can grow a dependency on HTTP types.
@@ -65,7 +65,6 @@ var stageDepRules = []stageDepRule{
 			"repro/internal/arch",
 			"repro/internal/cache",
 			"repro/internal/core",
-			"repro/internal/experiments",
 			"repro/internal/loopnest",
 			"repro/internal/model",
 			"repro/internal/obs",

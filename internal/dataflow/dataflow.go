@@ -568,7 +568,7 @@ func (n *Nest) EnumerateClasses(li int, syms []Involution) ([]PermClass, error) 
 
 	classes := map[string]*PermClass{}
 	var order []string
-	permute(append([]int(nil), lvl.Active...), func(perm []int) {
+	Permute(append([]int(nil), lvl.Active...), func(perm []int) {
 		key := canonical(perm)
 		if c, ok := classes[string(key)]; ok {
 			c.Size++
@@ -586,9 +586,9 @@ func (n *Nest) EnumerateClasses(li int, syms []Involution) ([]PermClass, error) 
 	return out, nil
 }
 
-// permute invokes fn with every permutation of s (Heap's algorithm). fn
+// Permute invokes fn with every permutation of s (Heap's algorithm). fn
 // must not retain s.
-func permute(s []int, fn func([]int)) {
+func Permute(s []int, fn func([]int)) {
 	var rec func(k int)
 	rec = func(k int) {
 		if k == 1 {

@@ -8,20 +8,15 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/arch"
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/loopnest"
 	"repro/internal/mapper"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/workloads"
 )
 
@@ -304,144 +299,15 @@ func Fig5(cfg Config) (*Experiment, error) {
 	}, nil
 }
 
-// OptimizeLayers runs the Thistle flow for every layer with shared
-// options, deduplicating across layers: layers whose problems share a
-// solve signature (same shape, same options — see core.SolveSignature)
-// are grouped, each group is solved exactly once (handed its grouping
-// signature, so the problem is not hashed again), and the group's
-// result is fanned back out to every member. Groups are solved
-// concurrently, but total leaf compute stays bounded: every group draws
-// from one pipeline scheduler — the one already on ctx
-// (pipeline.ContextWithScheduler) or a fresh one sized by
-// opts.Parallel — so submitting N layers never multiplies the
-// configured concurrency by N. Grouping happens before any solve, so
-// each signature's owner (the "from" layer of the layer_reused events)
-// is always the first layer in input order, independent of completion
-// order.
-//
-// The returned slice is index-aligned with layers; deduplicated entries
-// share one *Result (treat them as immutable). A solve cache on the
-// context additionally memoizes groups across separate OptimizeLayers
-// calls and process restarts. The dedup count is recorded on the obs
-// counter "experiments.layers_deduped". On failure, the first solve
-// error in input order is returned (cancellation of the siblings is
-// reported only when no layer failed on its own).
-func OptimizeLayers(ctx context.Context, layers []workloads.Layer, opts core.Options, progress func(workloads.Layer)) ([]*core.Result, error) {
-	o := obs.FromContext(ctx)
-	if o.EventsEnabled() {
-		o.Emit(obs.EvLayersTotal, map[string]any{"total": len(layers)})
-	}
-	// Group by signature before solving anything, in input order.
-	probs := make([]*loopnest.Problem, len(layers))
-	sigs := make([]cache.Signature, len(layers))
-	first := make(map[cache.Signature]int, len(layers))
-	owners := make([]int, 0, len(layers)) // group owners, in input order
-	for i, l := range layers {
-		p, err := l.Problem()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", l.Name(), err)
-		}
-		probs[i] = p
-		sigs[i] = core.SolveSignature(p, opts)
-		if _, ok := first[sigs[i]]; !ok {
-			first[sigs[i]] = i
-			owners = append(owners, i)
-		}
-	}
-	// One shared admission bound for every group's leaf compute.
-	if pipeline.SchedulerFromContext(ctx) == nil {
-		ctx = pipeline.ContextWithScheduler(ctx, pipeline.NewScheduler(opts.Parallel))
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Solve each group concurrently. The goroutines are orchestration —
-	// they hold no scheduler tokens; the GP solves and integerization
-	// searches they trigger do.
-	outs := make([]*core.Result, len(owners))
-	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for gi, i := range owners {
-		if progress != nil {
-			progress(layers[i])
-		}
-		wg.Add(1)
-		go func(gi, i int) {
-			defer wg.Done()
-			lctx, lspan := layerSpan(cctx, layers[i])
-			r, err := core.OptimizeSigned(lctx, probs[i], opts, sigs[i])
-			lspan.End()
-			if err != nil {
-				errs[gi] = err
-				cancel() // stop admitting the other groups' leaf jobs
-				return
-			}
-			outs[gi] = r
-		}(gi, i)
-	}
-	wg.Wait()
-	// Deterministic error: the first real failure in input order beats
-	// the cancellations it caused in sibling groups.
-	var firstErr error
-	for gi, err := range errs {
-		if err == nil {
-			continue
-		}
-		wrapped := fmt.Errorf("%s: %w", layers[owners[gi]].Name(), err)
-		if !errors.Is(err, context.Canceled) {
-			return nil, wrapped
-		}
-		if firstErr == nil {
-			firstErr = wrapped
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// Fan the group results back out and report reuse in input order.
-	results := make([]*core.Result, len(layers))
-	ownerOut := make(map[cache.Signature]*core.Result, len(owners))
-	for gi, i := range owners {
-		ownerOut[sigs[i]] = outs[gi]
-	}
-	deduped := 0
-	for i, l := range layers {
-		results[i] = ownerOut[sigs[i]]
-		j := first[sigs[i]]
-		if j == i {
-			continue
-		}
-		deduped++
-		if o.EventsEnabled() {
-			// A reused row with the source layer's numbers, so
-			// manifests of deduplicated whole-network runs still
-			// cover every layer (see events.Schema).
-			rep := results[i].Best.Report
-			o.Emit(obs.EvLayerReused, map[string]any{
-				"problem":        l.Name(),
-				"from":           layers[j].Name(),
-				"sig":            sigs[i].Short(),
-				"energy_pj":      rep.Energy,
-				"cycles":         rep.Cycles,
-				"edp":            rep.Energy * rep.Cycles,
-				"energy_per_mac": rep.EnergyPerMAC,
-				"ipc":            rep.IPC,
-			})
-		}
-	}
-	if deduped > 0 {
-		o.Counter("experiments.layers_deduped").Add(int64(deduped))
-		if o.Enabled(obs.Info) {
-			o.Logf(obs.Info, "dedup: %d of %d layers shared a solve signature", deduped, len(layers))
-		}
-	}
-	return results, nil
-}
-
 // codesignAll runs layer-wise co-design for every layer and returns the
 // per-layer results, solving each distinct layer shape once.
 func codesignAll(ctx context.Context, cfg Config, crit model.Criterion) ([]*core.Result, error) {
-	return OptimizeLayers(ctx, cfg.Layers, core.Options{Criterion: crit, Mode: core.CoDesign},
-		func(l workloads.Layer) { cfg.progress("codesign(%v) %s", crit, l.Name()) })
+	probs, err := workloads.Problems(cfg.Layers)
+	if err != nil {
+		return nil, err
+	}
+	cfg.progress("codesign(%v) %d layers", crit, len(probs))
+	return core.OptimizeLayers(ctx, probs, core.Options{Criterion: crit, Mode: core.CoDesign})
 }
 
 // dominantIndex returns the layer index whose layer-wise design has the

@@ -118,7 +118,11 @@ func TestCommittedFigures(t *testing.T) {
 				t.Fatalf("results/%s.tsv has no %s column", c.fig, c.column)
 			}
 			layers := workloads.All()
-			results, err := OptimizeLayers(context.Background(), layers, c.opts, nil)
+			probs, err := workloads.Problems(layers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results, err := core.OptimizeLayers(context.Background(), probs, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

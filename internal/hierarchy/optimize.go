@@ -9,7 +9,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/gp"
 	"repro/internal/loopnest"
-	"repro/internal/mapper"
 	"repro/internal/solver"
 )
 
@@ -355,7 +354,7 @@ func ladder(extent int64, realCum []float64, n int) [][]int64 {
 		}
 		// Choose the cumulative tile at position pos (inner to outer):
 		// must divide the next-outer cumulative tile (remaining).
-		for _, d := range nearestDivisors(remaining, realCum[pos], n) {
+		for _, d := range loopnest.NearestDivisors(remaining, realCum[pos], n) {
 			chosen[pos] = d
 			rec(pos-1, d, chosen)
 		}
@@ -375,23 +374,4 @@ func ladder(extent int64, realCum []float64, n int) [][]int64 {
 		}
 	}
 	return ded
-}
-
-func nearestDivisors(n int64, target float64, k int) []int64 {
-	ds := mapper.Divisors(n)
-	if target < 1 {
-		target = 1
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		di := math.Abs(math.Log(float64(ds[i])) - math.Log(target))
-		dj := math.Abs(math.Log(float64(ds[j])) - math.Log(target))
-		if di != dj {
-			return di < dj
-		}
-		return ds[i] < ds[j]
-	})
-	if k > len(ds) {
-		k = len(ds)
-	}
-	return ds[:k]
 }

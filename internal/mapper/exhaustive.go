@@ -143,7 +143,7 @@ func orderedFactorizations(n int64, k int) [][]int64 {
 		return [][]int64{{n}}
 	}
 	var out [][]int64
-	for _, d := range Divisors(n) {
+	for _, d := range loopnest.Divisors(n) {
 		for _, rest := range orderedFactorizations(n/d, k-1) {
 			f := append([]int64{d}, rest...)
 			out = append(out, f)

@@ -225,7 +225,7 @@ func newGenerator(n *dataflow.Nest, a *arch.Arch, cons *Constraints) (*generator
 				iter.Name, iter.Extent, pinned[it])
 		}
 		g.free[it] = iter.Extent / pinned[it]
-		g.divisors[it] = Divisors(g.free[it])
+		g.divisors[it] = loopnest.Divisors(g.free[it])
 	}
 	if err := cons.Validate(n, g.free); err != nil {
 		return nil, err
@@ -349,20 +349,13 @@ func (g *generator) random(rng *rand.Rand) *model.Mapping {
 	return m
 }
 
-// Divisors returns the sorted divisors of n (n ≥ 1). It forwards to
-// loopnest.Divisors, the canonical home shared with the optimization
-// pipeline.
-func Divisors(n int64) []int64 {
-	return loopnest.Divisors(n)
-}
-
 func randomDivisor(rng *rand.Rand, n int64) int64 {
-	ds := Divisors(n)
+	ds := loopnest.Divisors(n)
 	return ds[rng.Intn(len(ds))]
 }
 
 func randomDivisorAtMost(rng *rand.Rand, n, maxVal int64) int64 {
-	ds := Divisors(n)
+	ds := loopnest.Divisors(n)
 	hi := 0
 	for hi < len(ds) && ds[hi] <= maxVal {
 		hi++

@@ -8,29 +8,6 @@ import (
 	"repro/internal/model"
 )
 
-func TestDivisors(t *testing.T) {
-	cases := []struct {
-		n    int64
-		want []int64
-	}{
-		{1, []int64{1}},
-		{12, []int64{1, 2, 3, 4, 6, 12}},
-		{17, []int64{1, 17}},
-		{64, []int64{1, 2, 4, 8, 16, 32, 64}},
-	}
-	for _, c := range cases {
-		got := Divisors(c.n)
-		if len(got) != len(c.want) {
-			t.Fatalf("Divisors(%d) = %v", c.n, got)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("Divisors(%d) = %v, want %v", c.n, got, c.want)
-			}
-		}
-	}
-}
-
 func TestSearchMatmulFindsValidMapping(t *testing.T) {
 	p := loopnest.MatMul(64, 64, 64)
 	a := arch.Eyeriss()

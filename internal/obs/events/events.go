@@ -12,9 +12,10 @@
 //
 // The package plugs into the existing telemetry plumbing through
 // obs.EventSink: an Emitter (JSONL writer) and a Recorder (manifest
-// builder) both implement it, and the solver, core, and experiments
-// layers emit through the nil-safe obs.Obs.Emit hook they already
-// carry. Nothing below the CLI layer imports this package.
+// builder) both implement it, and the solver and core layers emit
+// through the nil-safe obs.Obs.Emit hook they already carry, naming
+// each event with an obs.Ev* constant. Nothing below the CLI layer
+// imports this package.
 package events
 
 import (
@@ -48,24 +49,6 @@ type Event struct {
 	Type   string         `json:"type"`
 	Fields map[string]any `json:"fields,omitempty"`
 }
-
-// Event types emitted by the pipeline, outermost to innermost. The
-// canonical declarations live in package obs (so the solver, core, and
-// experiments layers can emit them without importing this package);
-// they are re-exported here under the same names for the CLI layer.
-// Schema (schema.go) describes the fields each type carries.
-const (
-	EvRunStart      = obs.EvRunStart
-	EvRunEnd        = obs.EvRunEnd
-	EvLayersTotal   = obs.EvLayersTotal
-	EvOptimizeStart = obs.EvOptimizeStart
-	EvOptimizeEnd   = obs.EvOptimizeEnd
-	EvLayerReused   = obs.EvLayerReused
-	EvSolveEnd      = obs.EvSolveEnd
-	EvCentering     = obs.EvCentering
-	EvMapperEnd     = obs.EvMapperEnd
-	EvModelValidate = obs.EvModelValidate
-)
 
 // Emitter writes the JSONL stream. It is safe for concurrent use; Emit
 // never returns an error (the stream is telemetry, not a correctness
@@ -115,7 +98,7 @@ func (e *Emitter) Emit(typ string, fields map[string]any) {
 		Type:   typ,
 		Fields: fields,
 	}
-	if typ == EvRunStart {
+	if typ == obs.EvRunStart {
 		ev.Schema = SchemaVersion
 	}
 	data, err := json.Marshal(ev)
@@ -214,8 +197,8 @@ func Validate(r io.Reader) (*StreamSummary, error) {
 		return nil, fmt.Errorf("%w: empty stream", ErrBadStream)
 	}
 	first := events[0]
-	if first.Type != EvRunStart {
-		return nil, fmt.Errorf("%w: first event is %q, want %q", ErrBadStream, first.Type, EvRunStart)
+	if first.Type != obs.EvRunStart {
+		return nil, fmt.Errorf("%w: first event is %q, want %q", ErrBadStream, first.Type, obs.EvRunStart)
 	}
 	if first.Schema != SchemaVersion {
 		return nil, fmt.Errorf("%w: schema %q, want %q", ErrBadStream, first.Schema, SchemaVersion)
@@ -260,7 +243,7 @@ func Validate(r io.Reader) (*StreamSummary, error) {
 		}
 		sum.Events++
 		sum.ByType[ev.Type]++
-		if ev.Type == EvRunEnd {
+		if ev.Type == obs.EvRunEnd {
 			sum.Complete = true
 		}
 	}

@@ -11,16 +11,16 @@ import (
 
 // emitLifecycle writes a minimal but complete stream through e.
 func emitLifecycle(e *Emitter) {
-	e.Emit(EvRunStart, map[string]any{
+	e.Emit(obs.EvRunStart, map[string]any{
 		"run_id": "r1", "tool": "test", "go_version": "go", "args": []string{"-x"},
 	})
-	e.Emit(EvOptimizeStart, map[string]any{"problem": "l1", "mode": "fixedarch"})
-	e.Emit(EvCentering, map[string]any{"step": 1, "gap": 0.5, "newton": 7, "backtracks": 2})
-	e.Emit(EvSolveEnd, map[string]any{"status": "optimal", "newton": 7, "centerings": 1})
-	e.Emit(EvOptimizeEnd, map[string]any{
+	e.Emit(obs.EvOptimizeStart, map[string]any{"problem": "l1", "mode": "fixedarch"})
+	e.Emit(obs.EvCentering, map[string]any{"step": 1, "gap": 0.5, "newton": 7, "backtracks": 2})
+	e.Emit(obs.EvSolveEnd, map[string]any{"status": "optimal", "newton": 7, "centerings": 1})
+	e.Emit(obs.EvOptimizeEnd, map[string]any{
 		"problem": "l1", "status": "ok", "energy_pj": 10.0, "cycles": 20.0, "edp": 200.0,
 	})
-	e.Emit(EvRunEnd, map[string]any{
+	e.Emit(obs.EvRunEnd, map[string]any{
 		"layers": 1, "energy_pj": 10.0, "cycles": 20.0, "edp": 200.0, "wall_us": 5,
 	})
 }
@@ -95,7 +95,7 @@ func TestValidateCleanStream(t *testing.T) {
 	if len(sum.Warnings) != 0 {
 		t.Fatalf("unexpected warnings: %v", sum.Warnings)
 	}
-	if sum.ByType[EvCentering] != 1 || sum.ByType[EvSolveEnd] != 1 {
+	if sum.ByType[obs.EvCentering] != 1 || sum.ByType[obs.EvSolveEnd] != 1 {
 		t.Fatalf("by-type counts wrong: %v", sum.ByType)
 	}
 }
@@ -152,7 +152,7 @@ func TestMultiAndObsIntegration(t *testing.T) {
 	if !o.EventsEnabled() {
 		t.Fatal("EventsEnabled should be true with a sink attached")
 	}
-	o.Emit(EvOptimizeEnd, map[string]any{
+	o.Emit(obs.EvOptimizeEnd, map[string]any{
 		"problem": "l1", "status": "ok", "energy_pj": 2.0, "cycles": 3.0, "edp": 6.0,
 	})
 	em.Close()
@@ -164,7 +164,7 @@ func TestMultiAndObsIntegration(t *testing.T) {
 		t.Fatalf("recorder missed the event: %+v", man.Layers)
 	}
 	var nilObs *obs.Obs
-	nilObs.Emit(EvRunEnd, nil) // must not panic
+	nilObs.Emit(obs.EvRunEnd, nil) // must not panic
 	if nilObs.EventsEnabled() {
 		t.Fatal("nil Obs should report events disabled")
 	}

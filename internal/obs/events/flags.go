@@ -80,7 +80,7 @@ func (f *Flags) Setup(o *obs.Obs, tool string, args []string, warnw io.Writer) (
 		o.Events = f.rec
 	}
 	f.obs = o
-	o.Emit(EvRunStart, f.rec.StartFields())
+	o.Emit(obs.EvRunStart, f.rec.StartFields())
 	if f.StatusAddr != "" {
 		srv, err := StartStatusServer(f.StatusAddr, o.Metrics, f.rec)
 		if err != nil {
@@ -111,7 +111,7 @@ func (f *Flags) Finish(cacheStats *CacheStats) error {
 		snap = &s
 	}
 	man := f.rec.Finish(cacheStats, snap)
-	f.obs.Emit(EvRunEnd, man.EndFields())
+	f.obs.Emit(obs.EvRunEnd, man.EndFields())
 	var firstErr error
 	if f.ManifestPath != "" {
 		if err := WriteManifest(f.ManifestPath, man); err != nil {

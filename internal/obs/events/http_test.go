@@ -15,11 +15,11 @@ func TestStatusServer(t *testing.T) {
 	reg.Counter("solver.solves").Add(3)
 	reg.Histogram("solver.solve_duration").Observe(5 * time.Microsecond)
 	rec := NewRecorder("test", nil)
-	rec.Emit(EvLayersTotal, map[string]any{"total": 2})
-	rec.Emit(EvOptimizeEnd, map[string]any{
+	rec.Emit(obs.EvLayersTotal, map[string]any{"total": 2})
+	rec.Emit(obs.EvOptimizeEnd, map[string]any{
 		"problem": "l1", "status": "ok", "energy_pj": 10.0, "cycles": 20.0, "edp": 200.0,
 	})
-	rec.Emit(EvOptimizeStart, map[string]any{"problem": "l2"})
+	rec.Emit(obs.EvOptimizeStart, map[string]any{"problem": "l2"})
 
 	srv, err := StartStatusServer("127.0.0.1:0", reg, rec)
 	if err != nil {

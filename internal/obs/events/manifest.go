@@ -39,7 +39,7 @@ type LayerResult struct {
 	Candidates   int64   `json:"candidates,omitempty"`
 	FromCache    bool    `json:"from_cache,omitempty"`
 	// Reused marks a row fanned out by cross-layer dedup rather than
-	// solved (experiments.OptimizeLayers signature groups).
+	// solved (core.OptimizeLayers signature groups).
 	Reused bool  `json:"reused,omitempty"`
 	WallUS int64 `json:"wall_us,omitempty"`
 }
@@ -153,8 +153,8 @@ func LoadManifest(path string) (*Manifest, error) {
 }
 
 // Recorder accumulates a run's manifest from the event stream: it
-// implements obs.EventSink and builds per-layer rows from optimize_end,
-// layer_reused, and mapper_end events, so the layers below the CLI need
+// implements obs.EventSink and builds per-layer rows from optimize_end
+// and mapper_end events, so the layers below the CLI need
 // no knowledge of manifests. It also tracks live progress for the
 // -status-addr /statusz endpoint. A nil *Recorder is a no-op sink.
 type Recorder struct {
@@ -278,26 +278,24 @@ func (r *Recorder) Emit(typ string, fields map[string]any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	switch typ {
-	case EvLayersTotal:
+	case obs.EvLayersTotal:
 		r.total = int(fnum(fields, "total"))
-	case EvOptimizeStart:
+	case obs.EvOptimizeStart:
 		r.current = fstr(fields, "problem")
-	case EvOptimizeEnd:
+	case obs.EvOptimizeEnd:
 		if fstr(fields, "status") != "ok" {
 			return
 		}
-		r.man.Layers = append(r.man.Layers, rowFromFields(fields, false))
-	case EvLayerReused:
-		r.man.Layers = append(r.man.Layers, rowFromFields(fields, true))
-	case EvMapperEnd:
-		row := rowFromFields(fields, false)
+		r.man.Layers = append(r.man.Layers, rowFromFields(fields))
+	case obs.EvMapperEnd:
+		row := rowFromFields(fields)
 		row.Name = row.Name + "/mapper"
 		r.man.Layers = append(r.man.Layers, row)
 	}
 }
 
 // rowFromFields decodes the shared row payload of an event.
-func rowFromFields(fields map[string]any, reused bool) LayerResult {
+func rowFromFields(fields map[string]any) LayerResult {
 	return LayerResult{
 		Name:         fstr(fields, "problem"),
 		Sig:          fstr(fields, "sig"),
@@ -310,7 +308,7 @@ func rowFromFields(fields map[string]any, reused bool) LayerResult {
 		FreshSolves:  int64(fnum(fields, "fresh_solves")),
 		Candidates:   int64(fnum(fields, "candidates")),
 		FromCache:    fbool(fields, "from_cache"),
-		Reused:       reused,
+		Reused:       fbool(fields, "reused"),
 		WallUS:       int64(fnum(fields, "wall_us")),
 	}
 }

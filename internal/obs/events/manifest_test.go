@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func sampleManifest(runID string, edp float64) *Manifest {
@@ -95,20 +97,20 @@ func TestRecorderBuildsManifest(t *testing.T) {
 	if rec.RunID() == "" {
 		t.Fatal("empty run id")
 	}
-	rec.Emit(EvLayersTotal, map[string]any{"total": 3})
-	rec.Emit(EvOptimizeStart, map[string]any{"problem": "l1"})
-	rec.Emit(EvOptimizeEnd, map[string]any{
+	rec.Emit(obs.EvLayersTotal, map[string]any{"total": 3})
+	rec.Emit(obs.EvOptimizeStart, map[string]any{"problem": "l1"})
+	rec.Emit(obs.EvOptimizeEnd, map[string]any{
 		"problem": "l1", "status": "ok", "sig": "abc123",
 		"energy_pj": 10.0, "cycles": 20.0, "edp": 200.0,
 		"pairs_solved": 85, "fresh_solves": 85, "wall_us": 42,
 	})
 	// Failed optimizes must not become rows.
-	rec.Emit(EvOptimizeEnd, map[string]any{"problem": "bad", "status": "error"})
-	rec.Emit(EvLayerReused, map[string]any{
-		"problem": "l2", "from": "l1",
+	rec.Emit(obs.EvOptimizeEnd, map[string]any{"problem": "bad", "status": "error"})
+	rec.Emit(obs.EvOptimizeEnd, map[string]any{
+		"problem": "l2", "status": "ok", "reused": true, "from": "l1",
 		"energy_pj": 10.0, "cycles": 20.0, "edp": 200.0,
 	})
-	rec.Emit(EvMapperEnd, map[string]any{
+	rec.Emit(obs.EvMapperEnd, map[string]any{
 		"problem": "l1", "trials": 100, "energy_pj": 15.0, "cycles": 25.0, "edp": 375.0,
 	})
 	st := rec.Status()

@@ -3,6 +3,8 @@ package events
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/obs"
 )
 
 // FieldKind classifies the value a thistle-events-v1 field may carry,
@@ -72,38 +74,35 @@ func Schema() map[string]EventSpec {
 		return m
 	}
 	return map[string]EventSpec{
-		EvRunStart: row(
+		obs.EvRunStart: row(
 			map[string]FieldKind{"run_id": KindString, "tool": KindString, "go_version": KindString},
 			map[string]FieldKind{"git_rev": KindString, "args": KindAny, "start_time": KindString, "request_id": KindString},
 		),
-		EvRunEnd: row(
+		obs.EvRunEnd: row(
 			map[string]FieldKind{
 				"layers": KindInt, "energy_pj": KindFloat, "cycles": KindFloat,
 				"edp": KindFloat, "wall_us": KindInt,
 			},
 			map[string]FieldKind{"fresh_solves": KindInt},
 		),
-		EvLayersTotal: row(
+		obs.EvLayersTotal: row(
 			map[string]FieldKind{"total": KindInt},
 			nil,
 		),
-		EvOptimizeStart: row(
+		obs.EvOptimizeStart: row(
 			map[string]FieldKind{"problem": KindString},
 			map[string]FieldKind{"sig": KindString, "mode": KindString, "criterion": KindString},
 		),
-		EvOptimizeEnd: row(
+		obs.EvOptimizeEnd: row(
 			map[string]FieldKind{"problem": KindString, "status": KindString},
 			layerRow(map[string]FieldKind{
 				"sig": KindString, "wall_us": KindInt, "error": KindString,
 				"pairs_solved": KindInt, "fresh_solves": KindInt,
 				"candidates": KindInt, "from_cache": KindBool,
+				"reused": KindBool, "from": KindString,
 			}),
 		),
-		EvLayerReused: row(
-			map[string]FieldKind{"problem": KindString, "from": KindString},
-			layerRow(map[string]FieldKind{"sig": KindString}),
-		),
-		EvSolveEnd: row(
+		obs.EvSolveEnd: row(
 			map[string]FieldKind{"status": KindString, "newton": KindInt, "centerings": KindInt},
 			map[string]FieldKind{
 				"objective": KindFloat, "wall_us": KindInt,
@@ -111,15 +110,15 @@ func Schema() map[string]EventSpec {
 				"warm_start": KindBool, "phase1_skipped": KindBool,
 			},
 		),
-		EvCentering: row(
+		obs.EvCentering: row(
 			map[string]FieldKind{"step": KindInt, "gap": KindFloat, "newton": KindInt},
 			map[string]FieldKind{"t": KindFloat, "backtracks": KindInt, "converged": KindBool},
 		),
-		EvMapperEnd: row(
+		obs.EvMapperEnd: row(
 			map[string]FieldKind{"problem": KindString, "trials": KindInt},
 			layerRow(map[string]FieldKind{"valid": KindInt, "from_cache": KindBool}),
 		),
-		EvModelValidate: row(
+		obs.EvModelValidate: row(
 			map[string]FieldKind{"problem": KindString, "valid": KindBool},
 			map[string]FieldKind{
 				"violations": KindInt, "energy_pj": KindFloat, "cycles": KindFloat,

@@ -3,6 +3,8 @@ package events
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestSchemaCoversAllEventTypes pins the schema table to the declared
@@ -10,8 +12,8 @@ import (
 // key is a declared constant.
 func TestSchemaCoversAllEventTypes(t *testing.T) {
 	all := []string{
-		EvRunStart, EvRunEnd, EvLayersTotal, EvOptimizeStart, EvOptimizeEnd,
-		EvLayerReused, EvSolveEnd, EvCentering, EvMapperEnd, EvModelValidate,
+		obs.EvRunStart, obs.EvRunEnd, obs.EvLayersTotal, obs.EvOptimizeStart, obs.EvOptimizeEnd,
+		obs.EvSolveEnd, obs.EvCentering, obs.EvMapperEnd, obs.EvModelValidate,
 	}
 	schema := Schema()
 	if len(schema) != len(all) {
@@ -70,8 +72,8 @@ func TestFieldKindCheckValue(t *testing.T) {
 func TestValidateChecksFieldKinds(t *testing.T) {
 	var b strings.Builder
 	e := NewEmitter(&b)
-	e.Emit(EvRunStart, map[string]any{"run_id": "r1", "tool": "test", "go_version": "go"})
-	e.Emit(EvSolveEnd, map[string]any{"status": "optimal", "newton": "seven", "centerings": 1})
+	e.Emit(obs.EvRunStart, map[string]any{"run_id": "r1", "tool": "test", "go_version": "go"})
+	e.Emit(obs.EvSolveEnd, map[string]any{"status": "optimal", "newton": "seven", "centerings": 1})
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +83,11 @@ func TestValidateChecksFieldKinds(t *testing.T) {
 
 	b.Reset()
 	e = NewEmitter(&b)
-	e.Emit(EvRunStart, map[string]any{"run_id": "r1", "tool": "test", "go_version": "go"})
-	e.Emit(EvSolveEnd, map[string]any{
+	e.Emit(obs.EvRunStart, map[string]any{"run_id": "r1", "tool": "test", "go_version": "go"})
+	e.Emit(obs.EvSolveEnd, map[string]any{
 		"status": "optimal", "newton": 7, "centerings": 1, "newtonn": 8,
 	})
-	e.Emit(EvRunEnd, map[string]any{
+	e.Emit(obs.EvRunEnd, map[string]any{
 		"layers": 1, "energy_pj": 1.0, "cycles": 2.0, "edp": 2.0, "wall_us": 10,
 	})
 	if err := e.Close(); err != nil {

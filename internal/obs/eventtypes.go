@@ -1,13 +1,12 @@
 package obs
 
 // Event types of the thistle-events-v1 run-record stream, declared here
-// — below every layer that emits — so the solver, core, and experiments
-// packages can reference them without importing internal/obs/events
-// (which stays a CLI-layer concern). Package events re-exports each
-// constant under the same name and owns the machine-readable schema
-// (events.Schema) describing the fields every type must carry; the
-// tlvet eventfields analyzer enforces that schema at every Emit call
-// site.
+// — below every layer that emits — so the solver and core packages and
+// the commands all name events through this one package. Package
+// internal/obs/events (a CLI-layer concern) owns the machine-readable
+// schema (events.Schema) describing the fields every type must carry;
+// the tlvet eventfields analyzer enforces that schema at every Emit
+// call site.
 const (
 	// EvRunStart opens every stream: run_id, tool, go_version, git_rev,
 	// args, start_time.
@@ -21,11 +20,10 @@ const (
 	// criterion, and the solve-cache content signature.
 	EvOptimizeStart = "optimize_start"
 	// EvOptimizeEnd carries the optimize outcome: the design point's
-	// energy/cycles/EDP, search effort, and cache disposition.
+	// energy/cycles/EDP, search effort, and cache disposition. A batch
+	// member served by cross-layer dedup (core.OptimizeLayers) gets a
+	// row marked reused, naming its group owner in "from".
 	EvOptimizeEnd = "optimize_end"
-	// EvLayerReused marks a layer served by cross-layer dedup in
-	// experiments.OptimizeLayers (same signature as an earlier layer).
-	EvLayerReused = "layer_reused"
 	// EvSolveEnd summarizes one GP barrier solve: status, Newton
 	// iterations, centerings, objective, wall time, final duality gap,
 	// and whether a phase-I feasibility search was needed.

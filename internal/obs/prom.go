@@ -88,7 +88,7 @@ var promHelp = map[string]string{
 	"pipeline.sched.wait":        "Time jobs spent queued before a scheduler slot freed",
 	"pipeline.stage.":            "Duration of one optimization pipeline stage",
 	"obs.trace.clamped":          "Trace events dropped or clamped by the span limit",
-	"experiments.layers_deduped": "Workload layers skipped as duplicates of an identical shape",
+	"core.layers_deduped":        "Workload layers skipped as duplicates of an identical shape",
 }
 
 // helpFor resolves a registry name to its HELP text: exact match first,

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -153,5 +154,55 @@ func TestArchVarsAccessors(t *testing.T) {
 	m := av.sramEnergy()
 	if len(m.Terms) != 1 || m.Terms[0].Exp != 0.5 {
 		t.Fatalf("sramEnergy = %+v, want exponent 0.5", m)
+	}
+}
+
+// TestEnumerateRaw pins the pruning ablation's enumeration: with
+// pruning disabled every permutation of a level's active iterators is
+// its own class of Size 1 — n! distinct classes, as many as the pruned
+// classes' sizes add up to.
+func TestEnumerateRaw(t *testing.T) {
+	p, err := loopnest.Conv2D(loopnest.Conv2DConfig{
+		Name: "conv", N: 1, K: 16, C: 16, H: 7, W: 7, R: 3, S: 3, StrideX: 1, StrideY: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nest, err := dataflow.StandardNest(p, dataflow.StandardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []int{dataflow.StandardLevelL1, dataflow.StandardLevelSRAM} {
+		n := len(nest.Levels[level].Active)
+		fact := 1
+		for i := 2; i <= n; i++ {
+			fact *= i
+		}
+		raw, err := enumerate(nest, level, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) != fact {
+			t.Fatalf("level %d: %d raw classes, want %d! = %d", level, len(raw), n, fact)
+		}
+		seen := map[string]bool{}
+		for _, c := range raw {
+			key := fmt.Sprint(c.Perm)
+			if c.Size != 1 || seen[key] {
+				t.Fatalf("level %d: raw class %v of size %d (repeat %v)", level, c.Perm, c.Size, seen[key])
+			}
+			seen[key] = true
+		}
+		pruned, err := enumerate(nest, level, dataflow.SymmetricInvolutions(p), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, c := range pruned {
+			total += c.Size
+		}
+		if total != fact || len(pruned) >= fact {
+			t.Errorf("level %d: %d pruned classes covering %d permutations, want fewer than %d covering all", level, len(pruned), total, fact)
+		}
 	}
 }

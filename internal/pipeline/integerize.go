@@ -147,49 +147,6 @@ type dimCandidate struct {
 	sramT   int64 // S
 }
 
-// nClosest returns the k values from sorted candidates closest to target
-// in log space (ratio distance), deduplicated.
-func nClosest(cands []int64, target float64, k int) []int64 {
-	if len(cands) == 0 {
-		return nil
-	}
-	if target < 1 {
-		target = 1
-	}
-	type scored struct {
-		v int64
-		d float64
-	}
-	s := make([]scored, len(cands))
-	for i, c := range cands {
-		s[i] = scored{c, math.Abs(math.Log(float64(c)) - math.Log(target))}
-	}
-	slices.SortFunc(s, func(a, b scored) int {
-		// Exact float compare on purpose: a tolerance would break the sort's strict weak ordering.
-		if a.d != b.d {
-			if a.d < b.d {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		}
-		return 0
-	})
-	if k > len(s) {
-		k = len(s)
-	}
-	out := make([]int64, 0, k)
-	for _, c := range s[:k] {
-		out = append(out, c.v)
-	}
-	return out
-}
-
 // pow2Candidates returns the n powers of two nearest to target (at least
 // 1, ascending).
 func pow2Candidates(target float64, n int) []int64 {
@@ -237,9 +194,9 @@ func dimCandidates(n *dataflow.Nest, it int, x []float64, opt intOptions) []dimC
 	realPE := lv[0] * lv[1]
 	realSRAM := lv[0] * lv[1] * lv[2]
 	var out []dimCandidate
-	for _, s := range nClosest(loopnest.Divisors(extent), realSRAM, opt.nDiv) {
-		for _, q := range nClosest(loopnest.Divisors(s), realPE, opt.nDiv) {
-			for _, r := range nClosest(loopnest.Divisors(q), realReg, opt.nDiv) {
+	for _, s := range loopnest.NearestDivisors(extent, realSRAM, opt.nDiv) {
+		for _, q := range loopnest.NearestDivisors(s, realPE, opt.nDiv) {
+			for _, r := range loopnest.NearestDivisors(q, realReg, opt.nDiv) {
 				out = append(out, dimCandidate{iter: it, regTile: r, peTile: q, sramT: s})
 			}
 		}

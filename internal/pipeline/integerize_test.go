@@ -9,23 +9,6 @@ import (
 	"repro/internal/workloads"
 )
 
-func TestNClosest(t *testing.T) {
-	cands := []int64{1, 2, 4, 8, 16, 32}
-	got := nClosest(cands, 7, 2)
-	if len(got) != 2 || got[0] != 8 || got[1] != 4 {
-		t.Fatalf("nClosest = %v", got)
-	}
-	if got := nClosest(cands, 0.5, 1); got[0] != 1 {
-		t.Fatalf("nClosest low = %v", got)
-	}
-	if got := nClosest(nil, 5, 2); got != nil {
-		t.Fatalf("nClosest nil = %v", got)
-	}
-	if got := nClosest(cands, 100, 99); len(got) != len(cands) {
-		t.Fatalf("nClosest clamp = %v", got)
-	}
-}
-
 func TestPow2Candidates(t *testing.T) {
 	got := pow2Candidates(12, 2)
 	if len(got) != 2 || got[0] != 8 || got[1] != 16 {
@@ -60,7 +43,7 @@ func BenchmarkIntegerizeSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, st := range []Stage{enumerateStage{}, formulateStage{}, solveStage{}} {
+	for _, st := range []stage{enumerateStage{}, formulateStage{}, solveStage{}} {
 		if err := st.Run(r); err != nil {
 			b.Fatal(err)
 		}

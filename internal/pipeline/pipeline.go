@@ -97,19 +97,6 @@ func (r *Run) putWS(ws *solver.Workspace) {
 	r.wsMu.Unlock()
 }
 
-// Context returns the run's context (cancelling it stops admission of
-// new leaf jobs).
-func (r *Run) Context() context.Context { return r.ctx }
-
-// Problem returns the problem under optimization.
-func (r *Run) Problem() *loopnest.Problem { return r.prob }
-
-// Options returns the run's resolved options.
-func (r *Run) Options() Options { return r.opts }
-
-// Stats returns the search-effort counters accumulated so far.
-func (r *Run) Stats() Stats { return r.stats }
-
 // pairJob is one permutation-class pair to be solved as a GP.
 type pairJob struct {
 	l1, sram []int
@@ -122,26 +109,24 @@ type integerized struct {
 	rep  *model.Report
 }
 
-// Stage is one step of the optimization pipeline. Stages are executed
+// stage is one step of the optimization pipeline. Stages are executed
 // in order against a shared *Run; a stage returning an error aborts the
 // run (ErrNoDesign-wrapped errors still surface the accumulated Stats).
-type Stage interface {
+type stage interface {
 	// Name is the stage's identifier, used for the per-stage duration
 	// histogram ("pipeline.stage.<name>") and debug logs.
 	Name() string
 	Run(*Run) error
 }
 
-// Stages returns the standard stage sequence of one optimization pass.
-func Stages() []Stage {
-	return []Stage{
-		enumerateStage{},
-		formulateStage{},
-		solveStage{},
-		integerizeStage{},
-		validateStage{},
-		selectStage{},
-	}
+// stages is the standard stage sequence of one optimization pass.
+var stages = []stage{
+	enumerateStage{},
+	formulateStage{},
+	solveStage{},
+	integerizeStage{},
+	validateStage{},
+	selectStage{},
 }
 
 // Execute runs the full flow for one problem: one staged pass per
@@ -251,7 +236,7 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, sched *S
 		return nil, err
 	}
 	o := r.obs
-	for _, st := range Stages() {
+	for _, st := range stages {
 		//tlvet:ignore wallclock -- telemetry: stage duration feeds the pipeline.stage.* histogram only
 		start := time.Now()
 		// Each stage runs under its own "stage:<name>" span: spans the
@@ -385,33 +370,10 @@ func enumerate(nest *dataflow.Nest, level int, syms []dataflow.Involution, raw b
 	// "class".
 	lvl := nest.Levels[level]
 	var out []dataflow.PermClass
-	permuteAll(append([]int(nil), lvl.Active...), func(p []int) {
+	dataflow.Permute(append([]int(nil), lvl.Active...), func(p []int) {
 		out = append(out, dataflow.PermClass{Perm: append([]int(nil), p...), Size: 1})
 	})
 	return out, nil
-}
-
-func permuteAll(s []int, fn func([]int)) {
-	var rec func(k int)
-	rec = func(k int) {
-		if k == 1 {
-			fn(s)
-			return
-		}
-		for i := 0; i < k; i++ {
-			rec(k - 1)
-			if k%2 == 0 {
-				s[i], s[k-1] = s[k-1], s[i]
-			} else {
-				s[0], s[k-1] = s[k-1], s[0]
-			}
-		}
-	}
-	if len(s) == 0 {
-		fn(s)
-		return
-	}
-	rec(len(s))
 }
 
 // formulateStage turns the class cross product into the GP job list.

@@ -20,8 +20,8 @@ import (
 //
 // One scheduler is created per Optimize call (sized by
 // Options.Parallel) unless the caller attached a shared one to the
-// context with ContextWithScheduler; batch drivers like
-// experiments.OptimizeLayers do exactly that, which is what lets them
+// context with ContextWithScheduler; the whole-network batch
+// core.OptimizeLayers does exactly that, which is what lets it
 // submit every layer concurrently without oversubscribing CPUs.
 // Admission telemetry: every Acquire observes its queue wait in the
 // pipeline.sched.wait histogram, and two live gauges —

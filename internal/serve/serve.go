@@ -46,13 +46,13 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/loopnest"
 	"repro/internal/obs"
 	"repro/internal/obs/events"
 	"repro/internal/obs/timeseries"
 	"repro/internal/pipeline"
 	"repro/internal/specs"
+	"repro/internal/workloads"
 )
 
 // Config sizes the server. Zero values select defaults; see each field.
@@ -464,7 +464,7 @@ func (s *Server) runWork(ctx context.Context, req *OptimizeRequest, wk *work) (*
 		ro.Tracer = obs.NewTracer()
 		ro.Tracer.SetTraceID(obs.DeriveTraceID(traceSeed(reqID, rec.RunID())))
 	}
-	ro.Emit(events.EvRunStart, rec.StartFields())
+	ro.Emit(obs.EvRunStart, rec.StartFields())
 
 	rctx := obs.NewContext(ctx, ro)
 	rctx = pipeline.ContextWithScheduler(rctx, s.sched)
@@ -479,15 +479,11 @@ func (s *Server) runWork(ctx context.Context, req *OptimizeRequest, wk *work) (*
 		res, err = core.OptimizeContext(rctx, wk.prob, wk.opts)
 		results = []*core.Result{res}
 	} else {
-		probs = make([]*loopnest.Problem, len(wk.layers))
-		for i, l := range wk.layers {
-			p, perr := l.Problem()
-			if perr != nil {
-				return nil, &apiError{status: http.StatusInternalServerError, Code: "internal", Message: perr.Error()}
-			}
-			probs[i] = p
+		var perr error
+		if probs, perr = workloads.Problems(wk.layers); perr != nil {
+			return nil, &apiError{status: http.StatusInternalServerError, Code: "internal", Message: perr.Error()}
 		}
-		results, err = experiments.OptimizeLayers(rctx, wk.layers, wk.opts, nil)
+		results, err = core.OptimizeLayers(rctx, probs, wk.opts)
 	}
 	if err != nil {
 		return nil, optimizeError(ctx, err)
@@ -506,7 +502,7 @@ func (s *Server) runWork(ctx context.Context, req *OptimizeRequest, wk *work) (*
 	// the shared cache (service-lifetime counters), tying hit-ratio
 	// telemetry to every audit record.
 	man := rec.Finish(manifestCacheStats(s.cache.Stats()), nil)
-	ro.Emit(events.EvRunEnd, man.EndFields())
+	ro.Emit(obs.EvRunEnd, man.EndFields())
 	manJSON, jerr := json.Marshal(man)
 	if jerr != nil {
 		return nil, &apiError{status: http.StatusInternalServerError, Code: "internal", Message: jerr.Error()}

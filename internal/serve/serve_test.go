@@ -18,7 +18,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/loopnest"
 	"repro/internal/model"
+	"repro/internal/obs/events"
 	"repro/internal/specs"
+	"repro/internal/workloads"
 	"repro/internal/yamlite"
 )
 
@@ -431,13 +433,8 @@ func TestRowSigIsCacheKey(t *testing.T) {
 			}
 			probs := []*loopnest.Problem{wk.prob}
 			if wk.prob == nil {
-				probs = probs[:0]
-				for _, l := range wk.layers {
-					p, err := l.Problem()
-					if err != nil {
-						t.Fatal(err)
-					}
-					probs = append(probs, p)
+				if probs, err = workloads.Problems(wk.layers); err != nil {
+					t.Fatal(err)
 				}
 			}
 			srv := New(Config{})
@@ -463,6 +460,42 @@ func TestRowSigIsCacheKey(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPipelineManifestRowsStable: two identical pipeline requests, each
+// solved cold by its own server, list the same manifest rows in the same
+// order — the order of the response's results — byte for byte apart
+// from wall time.
+func TestPipelineManifestRowsStable(t *testing.T) {
+	var first []byte
+	for run := 0; run < 2; run++ {
+		ts := httptest.NewServer(New(Config{}).Handler())
+		resp, data := postOptimize(t, ts, `{"pipeline": "resnet18"}`)
+		ts.Close()
+		out := decodeOK(t, resp, data)
+		var man events.Manifest
+		if err := json.Unmarshal(out.Manifest, &man); err != nil {
+			t.Fatalf("decoding manifest: %v", err)
+		}
+		if len(man.Layers) != len(out.Results) {
+			t.Fatalf("run %d: %d manifest rows for %d results", run, len(man.Layers), len(out.Results))
+		}
+		for i := range man.Layers {
+			if man.Layers[i].Name != out.Results[i].Problem {
+				t.Fatalf("run %d: manifest row %d is %s, results[%d] is %s", run, i, man.Layers[i].Name, i, out.Results[i].Problem)
+			}
+			man.Layers[i].WallUS = 0
+		}
+		rows, err := json.Marshal(man.Layers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = rows
+		} else if !bytes.Equal(rows, first) {
+			t.Errorf("manifest rows differ between identical requests:\n%s\n%s", first, rows)
+		}
 	}
 }
 

@@ -50,6 +50,19 @@ func (l Layer) Problem() (*loopnest.Problem, error) {
 	})
 }
 
+// Problems converts each layer to the loop-nest IR, in order.
+func Problems(layers []Layer) ([]*loopnest.Problem, error) {
+	probs := make([]*loopnest.Problem, len(layers))
+	for i, l := range layers {
+		p, err := l.Problem()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", l.Name(), err)
+		}
+		probs[i] = p
+	}
+	return probs, nil
+}
+
 // MACs returns the layer's multiply-accumulate count.
 func (l Layer) MACs() int64 {
 	h := l.HOut()

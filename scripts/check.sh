@@ -7,7 +7,7 @@
 # short test suite, a 10 s fuzz of yamlite.Parse, the bench/ module's
 # smoke test (every benchmark workload at toy scale), a race-detector
 # pass over the concurrent packages (mapper worker pool, the pipeline
-# scheduler and its staged GP flow, the experiments layer fan-out,
+# scheduler and its staged GP flow, the core whole-network batch,
 # solver hooks, obs, cache singleflight, the thistled admission path),
 # and an end-to-end run-report gate: a small workload is optimized with
 # -events/-manifest/-trace-out, the JSONL stream is validated against
@@ -64,9 +64,6 @@ echo "== bench smoke test (every workload at toy scale, every design checked)"
 
 echo "== go test -race (concurrent packages)"
 go test -race -timeout 30m ./internal/obs/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
-# The experiments figure sweeps are too slow under the race detector;
-# race-check just the concurrent layer fan-out.
-go test -race -timeout 30m -run 'TestOptimizeLayers' ./internal/experiments/
 
 echo "== e2e run-report gate (thistle -events/-manifest + tlreport)"
 go build -o "$tmp/thistle" ./cmd/thistle
