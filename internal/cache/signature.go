@@ -34,11 +34,13 @@ import (
 	"repro/internal/model"
 )
 
-// SchemaVersion tags the cache record format. It is mixed into every
-// signature and written into every on-disk record, so any change to the
-// canonical encoding or to the cached value types invalidates old
-// entries instead of deserializing them wrongly.
-const SchemaVersion = "thistle-cache-v1"
+// SchemaVersion tags the cache record format and the optimizer behind
+// it. It is mixed into every signature and written into every on-disk
+// record, so any change to the canonical encoding or to the cached value
+// types invalidates old entries instead of deserializing them wrongly.
+// A change that alters optimization results bumps it too, so a cache
+// directory written before it cannot keep serving the old designs.
+const SchemaVersion = "thistle-cache-v2"
 
 // Signature is the content hash of one optimization request.
 type Signature [sha256.Size]byte

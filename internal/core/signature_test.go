@@ -15,34 +15,34 @@ import (
 // them orphans existing records: it must come with a SchemaVersion
 // bump, never by accident.
 var goldenSignatures = map[string]struct{ energy, codesignDelay string }{
-	"resnet18_L1":  {"fbb2cb53b8e1d8e8f409ed649ef89a31fa845e5b79ec999a264aa53282f91914", "0613221d188d59eb3338ee08851dd33db4e4541405141be12928b89843cd2233"},
-	"resnet18_L2":  {"cb276dcf244d0c802b7dd733dcb0a165f10a1e19970b97eb0805510ea8dd5a6c", "5abd218acd2ef3802e3180fbf7e2dfd77bb6b7e6e816e8d143d0318291efea07"},
-	"resnet18_L3":  {"3119e40e741217959d4ef8344f80568b6ee8e23d7c475a864239426640d528b6", "d1ec751c6041c99a05dedad6d81a1a9c84c4158e7c4f33709365348fc1d0a3b6"},
-	"resnet18_L4":  {"72445b3a8b8ee98e220a655c5605e649ba6b1fe4c67f5660c54272aea73593b3", "3b81cdeb3e076d1a23c4d46ce828a7afaa34d786db40a0ebe92a7895a38bd49b"},
-	"resnet18_L5":  {"ae5c983eb6476f40be944c6f1e8345953a50d032b4892772921e3a56879cd661", "bc5aba8e4758026c3c1e983084106e3588da3f172d8b88f9dc0e144c439b80bd"},
-	"resnet18_L6":  {"922f55f11e740980eb27449ac66819674b45f4f24ae8695246a6d2790e8c3f20", "3bc16a9e3391cf3e4793bafeb32d8804b7e21cd3fc3a058d7415eaada65e8931"},
-	"resnet18_L7":  {"0d7ce1588d63a7681c48bc9ba19706d11be8d77b44f1447314515cf589f9c58c", "5e24bc1f6922b6d878863b9c417896bb9e99b71500c2d0bb5edb97661ad392ec"},
-	"resnet18_L8":  {"33538399e0c75603468d850f87381d1800f06a8c1f87f45f92a0387a34ddbd4f", "f58fee98772cfa41fe8627b49c8a7270897d3f532d456029b21d73d3298d327a"},
-	"resnet18_L9":  {"ab9205b98334ad14742c37fd0c413fa7ba25c48e987711472fc35cff2e51cae7", "e429ebed143baa6d4198144c0192d2068ca4d528a0f153f8727fa79065952d0e"},
-	"resnet18_L10": {"2a08f744ad49f42a30d1229b906e29f7c9391e5e06ddbd1d92eaeed729098a6d", "9fab5f83083f3cc9fee6ed3bda94b01aae1332e49834afda99ab2f114154b64b"},
-	"resnet18_L11": {"0888e56bce9ab92318485cdc3e640b15d22ef6e84fe06b9d605264f9b5969190", "a423e18c6d30fa5c27432fff3acb8bffb5776c03025c2272756dce9d81994b6e"},
-	"resnet18_L12": {"84509cefdc4ede285ffb750b9eca2eb0b8fc2bdb82af7a38c91ff510b1b4a318", "53bdcde2325c289348698afdb722bd79c742cf9f21b0bdb58e7b19cd714e6af0"},
-	"yolo9000_L1":  {"de111c2d65ab3cb8ae88da0243808c96c925c5db890a00f495e2540d12e0cf14", "aeabae22bec86cec86c52616f08330b7d4c06428b317ed774ed7219a69f02cc0"},
-	"yolo9000_L2":  {"e8a96d9bdb8cdf4eaaf5db66451bf90ce496facb0070c0f4c578a69615e96497", "c3245ba8b08fafca2ff1ff250a57cfad43e8aba272c57318f3be9dc3ee590796"},
-	"yolo9000_L3":  {"f934f447edcce8f96aae0f2f24c942cff69433cfab71c54d0f73b25753ab3260", "78346ab7afd9fa9d6999e322f6efc232efc30f6300b544761b36964711ac2968"},
-	"yolo9000_L4":  {"2d0d5a6c0d645670510c7de758bcdc8492561ff1973695f11e5040f36c06d2ba", "13f2eddab93cba690bb2ebfbbeedaa41d49f94b25db5729ae5a91177d8720dde"},
-	"yolo9000_L5":  {"ac45ccf138d98a9b4a45e0257c543425f220aa270254f4f776aad4d9ee5dd781", "5dbfe9f9ca23aaf2eb6ac362d608b3f68b32cc297723479065671c89794d77b6"},
-	"yolo9000_L6":  {"ed908f4c222f26dedbd9e3400157c5c5be892db3e8e482188be22f38da512e94", "bd65916ca6f1e6b21c4751b3ede4bda04d51336a641c207d7c27fbaf98371343"},
-	"yolo9000_L7":  {"5bd73606bef05e47e1f481ed9ed5a96d116f533912232826baf4038ab75c4d73", "34926f7cf7d895c5cfe5e448abd7a07003feeb5105097ea53242f075ac4bdd6f"},
-	"yolo9000_L8":  {"8d31e0d699d6560e10060273162ca31f50a3927dcc39dc3889380abd5c18fc63", "709844853de9d8ee091361b4629919e71b8cf57f50bd8e22c8453256e22f2c0e"},
-	"yolo9000_L9":  {"5bfe29a8247348bbacbfb120dcdac1e95a61ba0ea04580cc7918b9a5a6171563", "6c85f6c04049591aa392d2d6011b7d482054a2ecaf9abb99ca700ee3d127d2e0"},
-	"yolo9000_L10": {"333d443b92f14c0cdd60bf73a4633136ae1f5552573d114bcfe62f770454c5e3", "9e94ab0bf61ce66870456fc89cf0db07be7c0cf86d0cc2e1786b434aa8daa5a0"},
-	"yolo9000_L11": {"3a29d1b621ef00511b58684956e16859f04af87d4c34e8d55d516395a0339b33", "80b53767d20ffdcb042cb30ec6f911f396ab23c76166f6e211986f71c0e4e210"},
+	"resnet18_L1":  {"2d33b4a226852b6c5b6f7c001d2310b8ae4028931fd997f9edbe20a2f2a473dd", "757b351fbfbc8014da115f78cd27759ba5df142357cb7d19573595dd512842d3"},
+	"resnet18_L2":  {"341aa76e5425a44693500dba3a87663d551c5e635a30d044982e465bcffb2219", "b9fb781e58066beaaa038188b0e9618133c83e54dddf22652aaee8658b16a686"},
+	"resnet18_L3":  {"f8e30723f0aa8c83015b94ff039dd8f5980a613d09a6a7b406196849fa053d66", "24c574efc882a6e3a965934082c9faf1a00f636eb6312d9d11112b2e6f4bf357"},
+	"resnet18_L4":  {"173a1509bfb80e34754db4040d2acca4ca6662f56852de56669a118b8997585d", "da99aadda53fdcbdbd6b152259567a0e1f69a23a038ad962a1c7d3eb364995c3"},
+	"resnet18_L5":  {"92552a570e2b14d42c9687c99c09db60da48549d353e0b7805b55a252ee031cf", "3e7113f41f73800218026f17b955127a57988ef5c32ad4f882a741b204e6290f"},
+	"resnet18_L6":  {"945f3cd7e1becf112ac1aa3da41b3996638b485928c286f142f4ffbf0283b699", "82b1f581a10b0fe2f10a281ba6ddb8fff674d83e39f66c00f05befcbdb620468"},
+	"resnet18_L7":  {"ee90e1f8653724b0595fabfc05ce13ae21969a2b0d6f9b89e67c7ee89496f519", "3b13fb415009eca6bacfa83a1244a25fcc0d815b1a6b4ee7433e114cf64bfdf8"},
+	"resnet18_L8":  {"71f18bdc57826ccab5054b0f29bb9626c756b4e6a68652bf48914a0abef46ec4", "dc1e87bb770ae79304df6d347f7f5f26dcba1c5db40f26261fb2a3cf93c43859"},
+	"resnet18_L9":  {"8889a7b6e4a0da8aef50b287bd2e9776b9fb366d03f84724a522ff3a26e02aaa", "dc5bf9ce13ee44d79d63777647cf01906764d0d077730b7a3ba96c504f44e385"},
+	"resnet18_L10": {"fcbf378ad8f651e1a74743d4a086edd28ada4e5bc132c9040953a630fc743186", "ca457e029a51177fdfe815aff1a519e13f67d94cba5418c131c319d478a15c6b"},
+	"resnet18_L11": {"064836e16364c022531592fcfa553b735dfa9feeb7b467487d3dccba25592031", "b54fff739bedc2b6f92e67f3077510615d52d34fad385cc8f573ee81e9ba27fa"},
+	"resnet18_L12": {"ccc75e2428d582b536c642664b29979adc958a326ff22249be02d4a9476d8291", "50a40eee550ab2a0c6657ed4550232d6a1d45e1b7f64993caf81d8f4cff66220"},
+	"yolo9000_L1":  {"0ea42c09a8bc26437d98ea8a504328c4b68f28d87f939d6f7f33e42ce2a07538", "bc99f51f2760b0d452838ff8a177a73fad745f59cc1665aa983f6da4b9e7aaa5"},
+	"yolo9000_L2":  {"7aeea05b19e5b4230f7e11c247e945c608ad6b7d12f9bdf56eb8c095a353a354", "0cd5817ee7f2851bb5ac6585fedbf3da601a51a5cd7d690c027918bb4a4b4869"},
+	"yolo9000_L3":  {"3f049d9fedeed39cd3f13e104b42768b3754d94066f5162e344a67558149ed7e", "a13e7fabce6d7bf054231f435694d56509392c1ecff2a8bd3e27ab501b1d7ef6"},
+	"yolo9000_L4":  {"96850c7fe5f43e88a9a373605cbe9609826b76d662ad3bb46272f834039abb24", "4b521ecab73a014a221dbec26344e9742fa3d710fd5116c5d526cba273e72d2d"},
+	"yolo9000_L5":  {"112ffde29f89c6e6f67a0953230a9f707ecd5afc394797e25033dcb839538953", "8658bcd5458fcd056bbd49021b302ff15772c5f532572bdc4162976e5327fb5b"},
+	"yolo9000_L6":  {"388809f57165bf8984e3416ba1e9c49d43bccd6a4093e96462db191455f1dba4", "5f1d24315883c00e6ed4c543eb121862b8d262ec1c4cce4e621c06c21e674e8a"},
+	"yolo9000_L7":  {"c9ecce355a7b9089568f9e235b6f0a011d066339212e642501c25874dfcc0297", "625c3bc0d4b7ee611435fb1f69c76636c87c5069a2bb10fd559b0558a8d6c004"},
+	"yolo9000_L8":  {"5b1a74879b9b3a68c10e1f1c46ad692e541e97a3dabfe9e619242b57f89bb3a6", "b47a1526345eb177603c874040430ac6cc1aa6e3ec4d0f4ca90dc6014f13302b"},
+	"yolo9000_L9":  {"36c65a670730a4dbc2f5609d61b196b4a12cadf8a8f46bdc692708aa111cb1af", "1580fee81632a93cdaf62058d424e1e3bef68f81e0b5f0b336f02bffb07a0a89"},
+	"yolo9000_L10": {"05c971fba33e93168c749b91903c2398cbf7892de76314f38a00e7837c179b5c", "d80162a7d54afefb208d62f690beb18851f6597e143f2e939a51e7eb4a86cb16"},
+	"yolo9000_L11": {"77eb08174dd5e9d141503f2da7fdc02074bb589a70a6510d6c8ab77590dda37a", "762121ce06233ccf9b1ecbd818314ad9f1452f4b3cf3700f3b28ed7ca9282a9d"},
 }
 
 // goldenMatMulSignature pins the default-options signature of a
 // 256×256×256 MatMul, a problem with no kernel iterators.
-const goldenMatMulSignature = "f4139d2c06d5a2d9526aed8b3ff41c13552aa9e475d25cf1518abee81ce58a6a"
+const goldenMatMulSignature = "c83b968327ede571a0ea7832ac5c32be453280813fa3a18588ea68cc0ed76119"
 
 func TestSolveSignatureGolden(t *testing.T) {
 	energy := Options{}

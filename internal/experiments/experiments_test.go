@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,9 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/arch"
+	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/workloads"
 )
 
@@ -72,68 +70,91 @@ func TestFig4Quick(t *testing.T) {
 }
 
 // TestCommittedFigures is the tier-1 gate on the committed figure
-// numbers: each row optimizes all 23 Table II layers with the options
-// its figure uses, and every layer's value must print as the results
-// file's column at its 3 decimals. fig4 pins the energy searches on
-// fixed Eyeriss, fig7 the fixed-arch delay searches, and fig8 the
-// co-design delay searches, so a change to the integerize search that
-// picks a different design shows here.
+// numbers. It runs the Fig. 5, 6 and 8 runners over all 23 Table II
+// layers, sharing one solve cache, and each must render byte for byte as
+// its results file: every column, including the single-architecture
+// ones built from the dominant layer's design, and the notes naming the
+// co-designed architectures. Figs. 4 and 7 also run the randomized
+// mapper, so only their Thistle columns are gated, against the Eyeriss
+// columns of Figs. 5 and 8, which are the same searches. A change to the
+// solver or the integerize search that picks a different design shows
+// here.
 func TestCommittedFigures(t *testing.T) {
 	if testing.Short() {
-		t.Skip("optimizes all 23 Table II layers per figure")
+		t.Skip("optimizes all 23 Table II layers for six figure columns")
 	}
-	eyeriss := arch.Eyeriss()
-	for _, c := range []struct {
-		fig, column string
-		opts        core.Options
-		value       func(*model.Report) float64
-	}{
-		{"fig4", "thistle_pJ_per_MAC",
-			core.Options{Criterion: model.MinEnergy, Mode: core.FixedArch, Arch: &eyeriss},
-			func(r *model.Report) float64 { return r.EnergyPerMAC }},
-		{"fig7", "thistle_IPC",
-			core.Options{Criterion: model.MinDelay, Mode: core.FixedArch, Arch: &eyeriss},
-			func(r *model.Report) float64 { return r.IPC }},
-		{"fig8", "layerwise_IPC",
-			core.Options{Criterion: model.MinDelay, Mode: core.CoDesign},
-			func(r *model.Report) float64 { return r.IPC }},
-	} {
-		t.Run(c.fig, func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join("..", "..", "results", c.fig+".tsv"))
-			if err != nil {
-				t.Fatal(err)
-			}
+	cfg := Config{Cache: core.NewSolveCache(cache.Options{})}
+	figs := map[string]*Experiment{}
+	for id, run := range map[string]Runner{"fig5": Fig5, "fig6": Fig6, "fig8": Fig8} {
+		e, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		figs[id] = e
+	}
+	committed := func(t *testing.T, fig string) string {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("..", "..", "results", fig+".tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	// column checks the Thistle column of a figure that also runs the
+	// mapper against the Eyeriss series of the figure with the same
+	// searches.
+	column := func(fig, column string, series Series) {
+		t.Run(fig, func(t *testing.T) {
 			want := map[string]string{}
 			col := -1
-			for _, line := range strings.Split(string(raw), "\n") {
+			for _, line := range strings.Split(committed(t, fig), "\n") {
 				fields := strings.Split(line, "\t")
 				switch {
 				case fields[0] == "layer":
-					col = slices.Index(fields, c.column)
+					col = slices.Index(fields, column)
 				case col > 0 && col < len(fields):
 					want[fields[0]] = fields[col]
 				}
 			}
 			if col < 0 {
-				t.Fatalf("results/%s.tsv has no %s column", c.fig, c.column)
+				t.Fatalf("results/%s.tsv has no %s column", fig, column)
 			}
-			layers := workloads.All()
-			probs, err := workloads.Problems(layers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results, err := core.OptimizeLayers(context.Background(), probs, c.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, l := range layers {
-				got := fmt.Sprintf("%.3f", c.value(results[i].Best.Report))
-				if got != want[l.Name()] {
-					t.Errorf("%s: %s %s, results/%s.tsv has %q", l.Name(), c.column, got, c.fig, want[l.Name()])
+			for i, l := range workloads.All() {
+				if got := fmt.Sprintf("%.3f", series.Values[i]); got != want[l.Name()] {
+					t.Errorf("%s: %s %s, results/%s.tsv has %q", l.Name(), column, got, fig, want[l.Name()])
 				}
 			}
 		})
 	}
+	// rendered checks a whole figure against its results file.
+	rendered := func(fig string) {
+		t.Run(fig, func(t *testing.T) {
+			var buf bytes.Buffer
+			figs[fig].Render(&buf)
+			got, want := strings.Split(buf.String(), "\n"), strings.Split(committed(t, fig), "\n")
+			if len(got) != len(want) {
+				t.Errorf("regenerated %d lines, results/%s.tsv has %d", len(got), fig, len(want))
+			}
+			for i := range max(len(got), len(want)) {
+				if at(got, i) != at(want, i) {
+					t.Errorf("line %d: regenerated %q, results/%s.tsv has %q", i+1, at(got, i), fig, at(want, i))
+				}
+			}
+		})
+	}
+	column("fig4", "thistle_pJ_per_MAC", figs["fig5"].Series[0])
+	rendered("fig5")
+	rendered("fig6")
+	column("fig7", "thistle_IPC", figs["fig8"].Series[0])
+	rendered("fig8")
+}
+
+// at returns line i of lines, or "" past its end.
+func at(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return ""
 }
 
 // TestFig5Quick: co-design must cut pJ/MAC well below the Eyeriss line

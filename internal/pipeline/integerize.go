@@ -34,36 +34,43 @@ func newIntOptions(o Options) intOptions {
 	}
 }
 
-// integerizeStage converts the best TopClasses relaxed solutions to
-// integer designs. Each pair's divisor-ladder search is a leaf compute
-// job admitted through the shared scheduler; results land in per-pair
-// slots and are compacted in solved-pair order, so parallelism cannot
-// change which candidates survive. When no pair yields an integer point,
-// a fallback ladder shrinks the relaxed solutions geometrically toward
-// the all-ones tiling (x^λ stays ≥ 1) and retries.
+// integerizeStage converts the solve stage's tie band to integer
+// designs. Each pair's divisor-ladder search is a leaf compute job
+// admitted through the shared scheduler; results land in per-pair slots
+// and are compacted in band order, so parallelism cannot change which
+// candidates survive. When no pair yields an integer point, a fallback
+// ladder shrinks the relaxed solutions geometrically toward the
+// all-ones tiling (x^λ stays ≥ 1) and retries.
+//
+// The band is searched in two rounds: its first TopClasses pairs, then
+// the rest. For delay, each second-round search starts from the first
+// round's best Cycles as its incumbent and returns only a strictly
+// better design. Second-round pairs come later in selectStage's strict
+// order, so a design that merely tied the first round could never have
+// won, and the seed only lets the branch and bound skip more. The seed
+// needs MinUtilization 0: with a utilization filter a search falls back
+// to unfiltered leaves when it finds none, which a seed would trigger.
 type integerizeStage struct{}
 
 func (integerizeStage) Name() string { return "integerize" }
 
 func (integerizeStage) Run(r *Run) error {
-	top := r.opts.TopClasses
-	if top > len(r.solved) {
-		top = len(r.solved)
-	}
 	// One evaluator shared by every job: model.Evaluator is documented
 	// safe for concurrent use (its volume cache is internally locked).
 	ev := model.NewEvaluator(r.nest)
 	iopt := newIntOptions(r.opts)
 	candC := r.obs.Counter("core.int_candidates")
+	seeded := r.opts.Criterion == model.MinDelay && iopt.minUtil == 0
 
-	// integerizePass converts each of the top pairs under shrink(x) and
-	// returns the surviving candidates in pair order.
-	integerizePass := func(shrink func([]float64) []float64) ([]*integerized, error) {
-		out := make([]*integerized, top)
+	// integerizePass converts each pair under shrink(x), keeping only
+	// designs that score strictly below seed, and returns the surviving
+	// candidates in pair order.
+	integerizePass := func(pairs []solvedPair, shrink func([]float64) []float64, seed float64) ([]*integerized, error) {
+		out := make([]*integerized, len(pairs))
 		var mu sync.Mutex
-		err := r.sched.ForEach(r.ctx, top, func(i int) error {
-			sp := r.solved[i]
-			c, rep, visited := r.integerizeOne(ev, iopt, candC, shrink(sp.x), sp)
+		err := r.sched.ForEach(r.ctx, len(pairs), func(i int) error {
+			sp := pairs[i]
+			c, rep, visited := r.integerizeOne(ev, iopt, candC, shrink(sp.x), sp, seed)
 			mu.Lock()
 			r.stats.Candidates += visited
 			mu.Unlock()
@@ -75,17 +82,27 @@ func (integerizeStage) Run(r *Run) error {
 		if err != nil {
 			return nil, err
 		}
-		cands := out[:0]
-		for _, c := range out {
-			if c != nil {
-				cands = append(cands, c)
+		return slices.DeleteFunc(out, func(c *integerized) bool { return c == nil }), nil
+	}
+	// integerizeBand runs the two rounds over the whole band.
+	integerizeBand := func(shrink func([]float64) []float64) ([]*integerized, error) {
+		k := min(r.opts.TopClasses, len(r.solved))
+		cands, err := integerizePass(r.solved[:k], shrink, math.Inf(1))
+		if err != nil || k == len(r.solved) {
+			return cands, err
+		}
+		seed := math.Inf(1)
+		if seeded {
+			for _, c := range cands {
+				seed = min(seed, c.rep.Cycles)
 			}
 		}
-		return cands, nil
+		rest, err := integerizePass(r.solved[k:], shrink, seed)
+		return append(cands, rest...), err
 	}
 
 	identity := func(x []float64) []float64 { return x }
-	cands, err := integerizePass(identity)
+	cands, err := integerizeBand(identity)
 	if err != nil {
 		return err
 	}
@@ -95,7 +112,7 @@ func (integerizeStage) Run(r *Run) error {
 		// integer point. Shrink the solution geometrically toward the
 		// minimal (all-ones) tiling and retry.
 		for _, lambda := range []float64{0.5, 0.25, 0} {
-			cands, err = integerizePass(func(x []float64) []float64 {
+			cands, err = integerizeBand(func(x []float64) []float64 {
 				shrunk := append([]float64(nil), x...)
 				for i := range shrunk {
 					if shrunk[i] > 1 {
@@ -117,9 +134,9 @@ func (integerizeStage) Run(r *Run) error {
 }
 
 // integerizeOne converts one relaxed solution to the best integer
-// design, recording an integerize span whose model-eval child covers
-// the streamed candidate evaluation.
-func (r *Run) integerizeOne(ev *model.Evaluator, iopt intOptions, candC *obs.Counter, x []float64, sp solvedPair) (*candidate, *model.Report, int) {
+// design scoring strictly below seed, recording an integerize span whose
+// model-eval child covers the streamed candidate evaluation.
+func (r *Run) integerizeOne(ev *model.Evaluator, iopt intOptions, candC *obs.Counter, x []float64, sp solvedPair, seed float64) (*candidate, *model.Report, int) {
 	o := r.obs
 	var ispan *obs.Span
 	if o.TracingEnabled() {
@@ -127,7 +144,7 @@ func (r *Run) integerizeOne(ev *model.Evaluator, iopt intOptions, candC *obs.Cou
 	}
 	evalSpan := o.StartSpan(ispan, "model-eval")
 	perms := dataflow.StandardPerms(sp.permL1, sp.permSRAM)
-	c, rep, visited := searchIntegerCandidates(ev, r.nest, perms, x, r.av, iopt, r.opts.Criterion)
+	c, rep, visited := searchIntegerCandidates(ev, r.nest, perms, x, r.av, iopt, r.opts.Criterion, seed)
 	candC.Add(int64(visited))
 	if evalSpan != nil {
 		evalSpan.SetAttr("candidates", int64(visited))
@@ -251,20 +268,30 @@ type candidate struct {
 // consider keeps the first of equal scores, so this order is the
 // tie-break and must not change.
 //
-// For the delay criterion the search is an exact branch and bound. A
-// leaf's Cycles is at least ops/PEsUsed, and PEsUsed is the product of
+// Two exact prunes skip leaves that could never be kept. On a fixed
+// architecture, a prefix whose PE product already exceeds the
+// architecture's PEs is skipped in every criterion: the product only
+// grows below it, and a leaf using more PEs than exist is invalid. For
+// the delay criterion the search is also a branch and bound. A leaf's
+// Cycles is at least ops/PEsUsed, and PEsUsed is the product of
 // sramT/peTile over the free iterators (the standard nest's spatial
 // level holds only tiled iterators). Below a partial assignment every
 // leaf therefore uses at most the prefix's PE product times the largest
 // sramT/peTile of each remaining ladder, capped at the fixed
-// architecture's PE count (a leaf using more is invalid). A subtree
-// whose bound gives ops/PEs ≥ the incumbent's Cycles is skipped: float
-// division is monotone, so none of its leaves could score strictly
-// better. Energy and EDP searches evaluate every leaf.
+// architecture's PE count. A subtree whose bound gives ops/PEs ≥ the
+// incumbent's Cycles is skipped: float division is monotone, so none of
+// its leaves could score strictly better. Energy and EDP searches have
+// only the PE cap.
+//
+// seed is the score to beat: the search keeps only designs scoring
+// strictly below it, and for delay it is the incumbent from the start
+// (+Inf for none). It returns nil when no leaf beats it. A finite seed
+// needs opt.minUtil 0, because a search that keeps nothing under the
+// utilization filter retries without it.
 //
 // visited counts the leaves evaluated; pruned leaves are not counted,
 // and only evaluated leaves count toward the maxCand cap.
-func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion) (best *candidate, bestRep *model.Report, visited int) {
+func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion, seed float64) (best *candidate, bestRep *model.Report, visited int) {
 	var freeIters []int
 	for it := range n.Prob.Iters {
 		if len(n.DimTripVars(it)) == 4 {
@@ -307,6 +334,7 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 	// reuse cannot leak state between candidates.
 	m := buildMapping(n, perms, nil)
 
+	bestScore := seed
 	consider := func(c *candidate, minUtil float64) {
 		rep, err := sess.Evaluate(&c.archCfg, c.mapping)
 		if err != nil || !rep.Valid() {
@@ -315,13 +343,19 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 		if av.mode == FixedArch && rep.Utilization < minUtil {
 			return
 		}
-		if bestRep == nil || model.Score(crit, rep) < model.Score(crit, bestRep) {
+		if score := model.Score(crit, rep); score < bestScore {
 			cc := *c
 			cc.mapping = c.mapping.Clone()
-			best, bestRep = &cc, rep.Clone()
+			best, bestRep, bestScore = &cc, rep.Clone(), score
 		}
 	}
 
+	// PE cap: a fixed architecture's PE count (no cap in co-design,
+	// where the area budget bounds each leaf).
+	peCap := int64(math.MaxInt64)
+	if av.mode == FixedArch {
+		peCap = av.fixed.PEs
+	}
 	// Delay bound state: maxPEs[i] is the largest PE product the
 	// dimensions i.. can contribute.
 	var maxPEs []int64
@@ -338,16 +372,12 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 		}
 	}
 	// cannotWin reports whether no leaf below a prefix with PE product
-	// pes can beat the incumbent on delay.
+	// pes can be kept.
 	cannotWin := func(i int, pes int64) bool {
-		if maxPEs == nil || bestRep == nil {
-			return false
+		if pes > peCap {
+			return true
 		}
-		bound := pes * maxPEs[i]
-		if av.mode == FixedArch {
-			bound = min(bound, av.fixed.PEs)
-		}
-		return ops/float64(bound) >= bestRep.Cycles
+		return maxPEs != nil && ops/float64(min(pes*maxPEs[i], peCap)) >= bestScore
 	}
 
 	run := func(minUtil float64) {

@@ -18,8 +18,9 @@ import (
 // product, in the same order, with no bound, and keeps the first strict
 // minimum. The cross product is walked as an odometer (last dimension
 // fastest), not by recursion, so it shares no control flow with the
-// search under test.
-func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion) (best *candidate, bestRep *model.Report, leaves int) {
+// search under test. leaves counts the leaves whose PE product fits a
+// fixed architecture (all of them in co-design), all counts every leaf.
+func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion) (best *candidate, bestRep *model.Report, leaves, all int) {
 	var perDim [][]dimCandidate
 	for it := range n.Prob.Iters {
 		if len(n.DimTripVars(it)) != 4 {
@@ -27,7 +28,7 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 		}
 		d := dimCandidates(n, it, x, opt)
 		if len(d) == 0 {
-			return nil, nil, 0
+			return nil, nil, 0, 0
 		}
 		perDim = append(perDim, d)
 	}
@@ -42,7 +43,7 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 	}
 	sess, err := model.NewEvaluator(n).Session(perms)
 	if err != nil {
-		return nil, nil, 0
+		return nil, nil, 0, 0
 	}
 	pass := func(minUtil float64) {
 		idx := make([]int, len(perDim))
@@ -61,7 +62,10 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 						continue
 					}
 				}
-				leaves++
+				all++
+				if pes <= a.PEs {
+					leaves++
+				}
 				rep, err := sess.Evaluate(&a, m)
 				if err != nil || !rep.Valid() || (av.mode == FixedArch && rep.Utilization < minUtil) {
 					continue
@@ -85,10 +89,10 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 	}
 	pass(opt.minUtil)
 	if best == nil && opt.minUtil > 0 {
-		leaves = 0
+		leaves, all = 0, 0
 		pass(0)
 	}
-	return best, bestRep, leaves
+	return best, bestRep, leaves, all
 }
 
 // randomOracleProblem draws a small conv or matmul with prime extents,
@@ -112,19 +116,21 @@ func randomOracleProblem(t *testing.T, rng *rand.Rand) *loopnest.Problem {
 	return p
 }
 
-// TestIntegerizeMatchesBruteForce checks that the delay branch and bound
-// skips only leaves that could never win: on seeded random small
-// problems, in both modes, searchIntegerCandidates must return the same
-// architecture, mapping and report, bit for bit, as evaluating every
-// leaf. Energy searches are the control: they are not pruned, so they
-// must also evaluate exactly the oracle's leaves.
+// TestIntegerizeMatchesBruteForce checks that the integerize search's
+// prunes skip only leaves that could never be kept: on seeded random
+// small problems, in both modes, searchIntegerCandidates must return the
+// same architecture, mapping and report, bit for bit, as evaluating
+// every leaf. Energy searches have only the PE cap, so they must
+// evaluate exactly the oracle's leaves whose PE product fits. A delay
+// search seeded with the oracle's best Cycles must find nothing, and
+// one seeded just above must still find the oracle's design.
 func TestIntegerizeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// A small fixed architecture makes the PE cap bind; Eyeriss does not
 	// for most of these shapes.
 	small := arch.Arch{Name: "small", PEs: 12, Regs: 64, SRAM: 2048, Tech: arch.Tech45nm()}
 	eyeriss := arch.Eyeriss()
-	var delayVisited, delayLeaves int
+	var delayVisited, delayLeaves, fitLeaves, allLeaves, seeded int
 	for trial := 0; trial < 24; trial++ {
 		p := randomOracleProblem(t, rng)
 		for _, mode := range []Mode{FixedArch, CoDesign} {
@@ -176,38 +182,69 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 				opt.minUtil = 0.5
 			}
 			for _, crit := range []model.Criterion{model.MinDelay, model.MinEnergy} {
-				got, gotRep, visited := searchIntegerCandidates(model.NewEvaluator(n), n, perms, x, av, opt, crit)
-				want, wantRep, leaves := bruteForceIntegerize(n, perms, x, av, opt, crit)
+				search := func(seed float64) (*candidate, *model.Report, int) {
+					return searchIntegerCandidates(model.NewEvaluator(n), n, perms, x, av, opt, crit, seed)
+				}
+				got, gotRep, visited := search(math.Inf(1))
+				want, wantRep, leaves, all := bruteForceIntegerize(n, perms, x, av, opt, crit)
 				name := p.Name + " " + mode.String() + " " + crit.String()
-				if (got == nil) != (want == nil) {
-					t.Fatalf("%s: found %v, oracle found %v", name, got != nil, want != nil)
-				}
-				if got != nil {
-					if !reflect.DeepEqual(got.archCfg, want.archCfg) || !reflect.DeepEqual(got.mapping, want.mapping) {
-						t.Errorf("%s: design %+v %v, oracle %+v %v", name,
-							got.archCfg, got.mapping.Trips, want.archCfg, want.mapping.Trips)
-					}
-					if math.Float64bits(gotRep.Cycles) != math.Float64bits(wantRep.Cycles) ||
-						math.Float64bits(gotRep.Energy) != math.Float64bits(wantRep.Energy) ||
-						!reflect.DeepEqual(gotRep, wantRep) {
-						t.Errorf("%s: report %+v, oracle %+v", name, gotRep, wantRep)
-					}
-				}
+				sameDesign(t, name, got, gotRep, want, wantRep)
 				switch {
 				case crit == model.MinEnergy && visited != leaves:
-					t.Errorf("%s: energy search evaluated %d leaves, oracle %d", name, visited, leaves)
+					t.Errorf("%s: energy search evaluated %d leaves, oracle %d that fit", name, visited, leaves)
 				case visited > leaves:
-					t.Errorf("%s: delay search evaluated %d leaves, more than the oracle's %d", name, visited, leaves)
+					t.Errorf("%s: delay search evaluated %d leaves, more than the oracle's %d that fit", name, visited, leaves)
 				}
-				if crit == model.MinDelay {
-					delayVisited += visited
-					delayLeaves += leaves
+				fitLeaves += leaves
+				allLeaves += all
+				if crit != model.MinDelay {
+					continue
+				}
+				delayVisited += visited
+				delayLeaves += leaves
+				if want == nil || opt.minUtil > 0 {
+					continue
+				}
+				seeded++
+				if c, _, _ := search(wantRep.Cycles); c != nil {
+					t.Errorf("%s: seeded with the oracle's best %v cycles, the search kept %v", name, wantRep.Cycles, c.archCfg)
+				}
+				c, rep, v := search(math.Nextafter(wantRep.Cycles, math.Inf(1)))
+				sameDesign(t, name+" seeded", c, rep, want, wantRep)
+				if v > visited {
+					t.Errorf("%s: seeded search evaluated %d leaves, unseeded %d", name, v, visited)
 				}
 			}
 		}
 	}
-	t.Logf("delay searches evaluated %d of %d leaves", delayVisited, delayLeaves)
+	t.Logf("delay searches evaluated %d of %d leaves; %d of %d leaves fit the PE cap; %d seeded searches",
+		delayVisited, delayLeaves, fitLeaves, allLeaves, seeded)
 	if delayVisited >= delayLeaves {
 		t.Errorf("the delay bound never pruned: %d of %d leaves evaluated", delayVisited, delayLeaves)
+	}
+	if fitLeaves >= allLeaves || seeded == 0 {
+		t.Errorf("the PE cap or the seed was never exercised: %d of %d leaves fit, %d seeded searches", fitLeaves, allLeaves, seeded)
+	}
+}
+
+// sameDesign reports a search result that differs from the oracle's in
+// presence, architecture, mapping or any bit of its report.
+func sameDesign(t *testing.T, name string, got *candidate, gotRep *model.Report, want *candidate, wantRep *model.Report) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Errorf("%s: found %v, oracle found %v", name, got != nil, want != nil)
+		return
+	}
+	if got == nil {
+		return
+	}
+	if !reflect.DeepEqual(got.archCfg, want.archCfg) || !reflect.DeepEqual(got.mapping, want.mapping) {
+		t.Errorf("%s: design %+v %v, oracle %+v %v", name,
+			got.archCfg, got.mapping.Trips, want.archCfg, want.mapping.Trips)
+	}
+	if math.Float64bits(gotRep.Cycles) != math.Float64bits(wantRep.Cycles) ||
+		math.Float64bits(gotRep.Energy) != math.Float64bits(wantRep.Energy) ||
+		!reflect.DeepEqual(gotRep, wantRep) {
+		t.Errorf("%s: report %+v, oracle %+v", name, gotRep, wantRep)
 	}
 }

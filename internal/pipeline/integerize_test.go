@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -55,7 +56,7 @@ func BenchmarkIntegerizeSearch(b *testing.B) {
 	var visited int
 	for i := 0; i < b.N; i++ {
 		var c *candidate
-		c, _, visited = searchIntegerCandidates(model.NewEvaluator(r.nest), r.nest, perms, sp.x, r.av, iopt, opts.Criterion)
+		c, _, visited = searchIntegerCandidates(model.NewEvaluator(r.nest), r.nest, perms, sp.x, r.av, iopt, opts.Criterion, math.Inf(1))
 		if c == nil {
 			b.Fatal("no integer design")
 		}

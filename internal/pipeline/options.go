@@ -59,11 +59,12 @@ type Options struct {
 	// i.e. disabled; the paper mentions a threshold without a value).
 	MinUtilization float64
 	// MaxCandidates caps the leaves each integerization search
-	// evaluates (default 1<<20). Leaves the delay bound prunes are not
-	// evaluated and do not count toward it.
+	// evaluates (default 1<<20). Leaves the PE cap or the delay bound
+	// prunes are not evaluated and do not count toward it.
 	MaxCandidates int
 	// TopClasses is how many best GP class pairs are integerized
-	// (default 3).
+	// (default 3): at least k, plus ties within Solver.Tol of the k-th
+	// relaxed optimum.
 	TopClasses int
 	// Parallel sizes the run's bounded scheduler: the maximum number of
 	// leaf compute jobs (GP solves, integerization searches) in flight

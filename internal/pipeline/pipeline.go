@@ -63,7 +63,7 @@ type Run struct {
 	// Stage products, in pipeline order.
 	classesL1, classesSRAM []dataflow.PermClass // Enumerate
 	jobs                   []pairJob            // Formulate
-	solved                 []solvedPair         // Solve (sorted, deterministic)
+	solved                 []solvedPair         // Solve (the tie band, in permutation-key order)
 	cands                  []*integerized       // Integerize, filtered by Validate
 	best                   *DesignPoint         // Select
 
@@ -102,7 +102,7 @@ type pairJob struct {
 	l1, sram []int
 }
 
-// integerized is one pair's best integer design, in solved-pair order.
+// integerized is one pair's best integer design, in band order.
 type integerized struct {
 	pair solvedPair
 	cand *candidate

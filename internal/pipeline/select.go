@@ -43,10 +43,10 @@ func (validateStage) Run(r *Run) error {
 	return nil
 }
 
-// selectStage picks the winning candidate. Candidates arrive in
-// solved-pair order (objective, then permutation tie-break) and the
-// comparison is strict, so the result is independent of scheduler width
-// and completion order.
+// selectStage picks the winning candidate. Candidates arrive in the
+// tie band's permutation-key order and the comparison is strict, so the
+// first of equal scores wins and the result is independent of scheduler
+// width, completion order and the last bits of each relaxed optimum.
 type selectStage struct{}
 
 func (selectStage) Name() string { return "select" }

@@ -15,11 +15,12 @@ import (
 // solveStage runs one GP per class pair through the shared scheduler.
 // When every strict GP is infeasible (tiny capacities plus the
 // posynomial overestimate), a second pass loosens the capacity bounds
-// by the relaxation's worst-case slack (see buildGP). The surviving
-// solutions are sorted by objective with a permutation-order tie-break,
-// so the top set — and therefore the final design — is identical across
-// runs regardless of scheduler width or completion order (cached and
-// uncached runs must produce byte-identical results).
+// by the relaxation's worst-case slack (see buildGP). It keeps the tie
+// band of the TopClasses best relaxed optima (see topBand), so the set
+// handed to integerization — and therefore the final design — is the
+// same across runs regardless of scheduler width, completion order or
+// the last bits of each solve (cached and uncached runs must produce
+// byte-identical results).
 type solveStage struct{}
 
 func (solveStage) Name() string { return "solve" }
@@ -38,19 +39,38 @@ func (solveStage) Run(r *Run) error {
 	if len(solved) == 0 {
 		return fmt.Errorf("%w: all %d permutation classes infeasible", ErrNoDesign, len(r.jobs))
 	}
-	sort.Slice(solved, func(i, j int) bool {
-		// Exact float compare on purpose: a tolerance would break the sort's strict weak ordering.
-		if solved[i].objective != solved[j].objective {
-			return solved[i].objective < solved[j].objective
-		}
-		if c := slices.Compare(solved[i].permL1, solved[j].permL1); c != 0 {
-			return c < 0
-		}
-		return slices.Compare(solved[i].permSRAM, solved[j].permSRAM) < 0
-	})
-	r.solved = solved
+	r.solved = topBand(solved, r.opts.TopClasses, r.opts.Solver.Tol)
 	return nil
 }
+
+// topBand returns the pairs to integerize: at least the k best relaxed
+// optima, plus every pair that ties the k-th within the solver's
+// relative gap tol, in permutation-key order (L1, then SRAM). Relaxed
+// optima of different pairs can be equal, and a solve resolves them
+// only to tol, so ranking them by their last bits would let rounding
+// pick the design; inside the band the exact integer score decides.
+// Neither the set nor its order depends on the input order or on
+// objective differences below tol·kth. It reorders solved in place.
+func topBand(solved []solvedPair, k int, tol float64) []solvedPair {
+	objs := make([]float64, len(solved))
+	for i, sp := range solved {
+		objs[i] = sp.objective
+	}
+	slices.Sort(objs)
+	limit := bandLimit(objs[min(k, len(objs))-1], tol)
+	band := slices.DeleteFunc(solved, func(sp solvedPair) bool { return sp.objective > limit })
+	slices.SortFunc(band, func(a, b solvedPair) int {
+		if c := slices.Compare(a.permL1, b.permL1); c != 0 {
+			return c
+		}
+		return slices.Compare(a.permSRAM, b.permSRAM)
+	})
+	return band
+}
+
+// bandLimit is the largest relaxed objective that ties kth within the
+// relative tolerance tol. Objectives are posynomial values, so positive.
+func bandLimit(kth, tol float64) float64 { return kth * (1 + tol) }
 
 // solvePass solves the pair jobs in two deterministic phases and
 // collects the feasible solutions in job order.
@@ -61,18 +81,18 @@ func (solveStage) Run(r *Run) error {
 // smallest feasible seed objective becomes the global prune threshold.
 // Phase B walks each group sequentially, warm-starting every solve from
 // the group's previous solution and skipping pairs whose objective
-// lower bound (boundCtx) exceeds the threshold.
+// lower bound (boundCtx) exceeds bandLimit of the threshold.
 //
 // Both optimizations preserve the exact result set. Warm starts only
 // move the interior-point starting iterate. Pruning is conservative: a
-// pruned pair's true optimum exceeds the threshold, and at least
-// TopClasses deterministically-chosen solves sit at or below it, so the
-// pruned pair could never have entered the integerized top set. The
-// threshold tightens per group using only that group's own solves plus
-// the global seeds, keeping every decision independent of scheduler
-// width and completion order. Per-job results land in distinct slots,
-// so only the shared stats need a lock; admission stops at the first
-// error or context cancellation.
+// pruned pair's true optimum exceeds bandLimit(threshold), and at least
+// TopClasses deterministically-chosen solves sit at or below the
+// threshold, so the pruned pair could never have entered the tie band.
+// The threshold tightens per group using only that group's own solves
+// plus the global seeds, keeping every decision independent of
+// scheduler width and completion order. Per-job results land in
+// distinct slots, so only the shared stats need a lock; admission stops
+// at the first error or context cancellation.
 func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 	o := r.obs
 	tracing := o.TracingEnabled()
@@ -205,13 +225,14 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 	}
 
 	// Prune threshold: with k = TopClasses, only the k smallest
-	// objectives survive into integerization, and the seeds already
-	// supply candidates at or below their k-th smallest — any pair whose
-	// objective provably exceeds it is skippable. Fewer than k feasible
+	// objectives and their ties within Solver.Tol survive into
+	// integerization, and the seeds already supply candidates at or
+	// below their k-th smallest — any pair whose objective provably
+	// exceeds bandLimit of it is skippable. Fewer than k feasible
 	// seeds means no pruning (threshold +Inf), which also keeps the
 	// capSlack retry exact: a pass with zero feasible solves never
 	// pruned anything.
-	k := r.opts.TopClasses
+	k, tol := r.opts.TopClasses, r.opts.Solver.Tol
 	var seedObjs []float64
 	if prune {
 		seedObjs = make([]float64, 0, nGroups)
@@ -251,7 +272,7 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 			var bound func(*formulation) bool
 			if prune {
 				bound = func(f *formulation) bool {
-					return bc.lowerBound(f.objective) > threshold
+					return bc.lowerBound(f.objective) > bandLimit(threshold, tol)
 				}
 			}
 			sp, err := solveJob(g*groupSize+idx, ws, hint, bound)

@@ -437,8 +437,9 @@ func phaseI(ws *Workspace, z0 []float64, opts Options) ([]float64, bool, int) {
 // newtonMinimize minimizes t·f0(z) − Σ log(−fi(z)) over z in place,
 // where f0 is function 0 of fs and the fi are the rest (none leaves the
 // unconstrained t·f0). It returns the Newton iteration count, the
-// line-search backtrack count, and whether the decrement tolerance was
-// reached.
+// line-search backtrack count, and whether the point is centered: the
+// decrement tolerance was reached, or the remaining decrease is below
+// float64 resolution.
 //
 // The Hessian is assembled in its lower triangle only, which is all
 // that SolveSPDTo reads; its upper triangle holds stale values.
@@ -553,6 +554,14 @@ func newtonMinimize(ws *Workspace, fs *sparseLSEs, t float64, z []float64, opts 
 			lambda2 = linalg.Dot(g, g)
 		}
 		if lambda2/2 <= opts.NewtonTol {
+			return it + 1, bt, true
+		}
+		// The Armijo test at step 1 asks for a decrease of 0.25·λ². Once
+		// that is below float64's resolution of val, the line search
+		// compares values that differ only by rounding: the point is as
+		// centered as this precision can tell, the same verdict a
+		// stalled line search reaches after 60 halvings.
+		if 0.25*lambda2 <= math.Abs(val)*0x1p-52 {
 			return it + 1, bt, true
 		}
 		// Backtracking line search (Armijo, alpha=0.25, beta=0.5), with

@@ -399,6 +399,59 @@ func TestSolveTinyGP(t *testing.T) {
 	}
 }
 
+// TestSolveStopsAtFloat64Resolution solves a GP whose objective carries
+// a constant factor of 1e300, so the t-scaled barrier value is large and
+// the Newton decrement stays above NewtonTol long after the Armijo
+// decrease it predicts drops below float64's resolution of that value.
+// The line search then only compares rounding noise: without the
+// resolution stop a centering spends its whole MaxNewton budget there
+// and the solve ends Suboptimal. It must end Optimal in fewer Newton
+// iterations than one centering's budget, at the optimum of the
+// unscaled problem shifted by log(1e300).
+func TestSolveStopsAtFloat64Resolution(t *testing.T) {
+	gp := func(offset float64) *Problem {
+		rng := rand.New(rand.NewSource(0))
+		const n = 4
+		p := &Problem{N: n}
+		for k := 0; k < 6; k++ {
+			row := make([]float64, n)
+			for i := range row {
+				row[i] = float64(rng.Intn(5) - 2)
+			}
+			p.Obj.A = append(p.Obj.A, row)
+			p.Obj.B = append(p.Obj.B, offset+rng.NormFloat64())
+		}
+		for k := 0; k < 4; k++ {
+			var f LSE
+			for j := 0; j < 2; j++ {
+				row := make([]float64, n)
+				for i := range row {
+					row[i] = float64(rng.Intn(3))
+				}
+				f.A = append(f.A, row)
+				f.B = append(f.B, -5+rng.NormFloat64())
+			}
+			p.Ineq = append(p.Ineq, f)
+		}
+		return p
+	}
+	opts := Options{}.withDefaults()
+	ref, err := Solve(gp(0), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := Solve(gp(math.Log(1e300)), nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.Status != Optimal || big.Newton >= opts.MaxNewton {
+		t.Fatalf("status %v after %d Newton iterations (budget %d per centering)", big.Status, big.Newton, opts.MaxNewton)
+	}
+	if d := big.Objective - ref.Objective - math.Log(1e300); math.Abs(d) > 1e-7 {
+		t.Errorf("objective %v, want the unscaled optimum %v + log(1e300) (off by %g)", big.Objective, ref.Objective, d)
+	}
+}
+
 func TestSolveWithEquality(t *testing.T) {
 	// minimize x + y s.t. x·y = 6 → x = y = √6, objective 2√6.
 	// Log space: min log(e^y1+e^y2) s.t. y1 + y2 = log 6.

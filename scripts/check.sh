@@ -107,7 +107,7 @@ echo "== cross-process disk-cache gate (a second process reads the first one's r
     -manifest "$tmp/disk1.manifest.json" >/dev/null
 "$tmp/thistle" -layer resnet18_L12 -specs=false -cache-dir "$tmp/cache" \
     -manifest "$tmp/disk2.manifest.json" >/dev/null
-record="$tmp/cache/optimize-84509cefdc4ede285ffb750b9eca2eb0b8fc2bdb82af7a38c91ff510b1b4a318.json"
+record="$tmp/cache/optimize-ccc75e2428d582b536c642664b29979adc958a326ff22249be02d4a9476d8291.json"
 if [ ! -f "$record" ]; then
     echo "disk cache: no record $(basename "$record"); found:" >&2
     ls "$tmp/cache" >&2
