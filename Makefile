@@ -28,8 +28,12 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
 
-check: build vet lint test race
-	@echo "check: ok"
+# The full pre-merge gate: scripts/check.sh runs gofmt, build, vet,
+# lint, the short tests, a yamlite fuzz leg, the bench/ smoke test, the
+# race leg above, and the end-to-end run-report, determinism, disk-cache
+# and serve gates.
+check:
+	sh scripts/check.sh
 
 # Capture a Chrome trace of a single-layer optimization and print its
 # critical-path / queue-wait report. Load /tmp/thistle.trace.json in

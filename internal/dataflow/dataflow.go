@@ -199,7 +199,9 @@ func (n *Nest) regFootprint(t loopnest.Tensor) expr.Product {
 // constructExpr is the paper's Algorithm 1: given the footprint df at the
 // next-lower level and the outer-to-inner iterator permutation of a
 // temporal level, it returns the footprint and per-execution data volume
-// at this level. Iterators in perm must be active at the level.
+// at this level. Iterators in perm must be active at the level. The
+// volume depends on perm only through signatureOf(perm, t): df scaled by
+// the innermost iterator t uses, times every trip above it.
 func (n *Nest) constructExpr(level int, perm []int, t loopnest.Tensor, df expr.Product) (dfOut, dvOut expr.Product) {
 	lvl := &n.Levels[level]
 	dfOut = df.Clone()
@@ -226,6 +228,29 @@ func (n *Nest) constructExpr(level int, perm []int, t loopnest.Tensor, df expr.P
 		}
 	}
 	return dfOut, dvOut
+}
+
+// dvSig is what a tensor's data volume at a copy level depends on in a
+// permutation: the trailing run of iterators the tensor does not use
+// (its copy is hoisted above them) and the innermost one it uses. The
+// hoisted set alone is not enough: the innermost used iterator decides
+// which footprint dimension is scaled.
+type dvSig struct {
+	hoisted uint64 // bit it set for each hoisted iterator it
+	inner   int    // innermost used iterator, or −1 if t uses none
+}
+
+// signatureOf returns t's dvSig under the outer-to-inner order perm.
+func signatureOf(perm []int, t loopnest.Tensor) dvSig {
+	sig := dvSig{inner: -1}
+	for k := len(perm) - 1; k >= 0; k-- {
+		if t.Uses(perm[k]) {
+			sig.inner = perm[k]
+			break
+		}
+		sig.hoisted |= 1 << perm[k]
+	}
+	return sig
 }
 
 // advanceSpatial returns df advanced across a spatial level (present
@@ -484,17 +509,74 @@ type PermClass struct {
 // (the paper's H/W symmetry, which for convolution swaps h↔w jointly
 // with r↔s); classes equivalent under an involution are merged.
 func (n *Nest) EnumerateClasses(li int, syms []Involution) ([]PermClass, error) {
+	df, swaps, err := n.classInputs(li, syms)
+	if err != nil {
+		return nil, err
+	}
+	// A tensor's DV depends on the permutation only through its dvSig,
+	// so each tensor's plain and swapped keys are built once per distinct
+	// signature; a permutation's key joins its tensors' pieces with ';'
+	// and takes the least of the plain and swapped joins.
+	var kb expr.KeyBuf
+	pieces := make([]map[dvSig][][]byte, len(df))
+	for ti := range pieces {
+		pieces[ti] = map[dvSig][][]byte{}
+	}
+	cur := make([][][]byte, len(df)) // the current permutation's pieces per tensor
+	join := func(dst []byte, v int) []byte {
+		dst = dst[:0]
+		for ti := range cur {
+			if ti > 0 {
+				dst = append(dst, ';')
+			}
+			dst = append(dst, cur[ti][v]...)
+		}
+		return dst
+	}
+	var keyBuf, bestBuf []byte
+	return n.collectClasses(li, func(perm []int) []byte {
+		for ti, t := range n.Prob.Tensors {
+			sig := signatureOf(perm, t)
+			ks, ok := pieces[ti][sig]
+			if !ok {
+				_, dv := n.constructExpr(li, perm, t, df[ti])
+				ks = make([][]byte, 1+len(swaps))
+				ks[0] = kb.AppendProductKey(nil, dv, nil)
+				for si, swap := range swaps {
+					ks[1+si] = kb.AppendProductKey(nil, dv, swap)
+				}
+				pieces[ti][sig] = ks
+			}
+			cur[ti] = ks
+		}
+		bestBuf = join(bestBuf, 0)
+		for v := 1; v <= len(swaps); v++ {
+			keyBuf = join(keyBuf, v)
+			if bytes.Compare(keyBuf, bestBuf) < 0 {
+				bestBuf, keyBuf = keyBuf, bestBuf
+			}
+		}
+		return bestBuf
+	}), nil
+}
+
+// classInputs validates the copy level li and returns what its class
+// keys are built from: every tensor's footprint below the level (which
+// no permutation of li changes) and one trip-variable swap map per
+// involution in syms, each swapping the full trip-variable chains of
+// its iterator pairs.
+func (n *Nest) classInputs(li int, syms []Involution) ([]expr.Product, []map[expr.VarID]expr.VarID, error) {
 	if li <= 0 || li >= len(n.Levels) {
-		return nil, fmt.Errorf("%w: level %d out of range", ErrBadNest, li)
+		return nil, nil, fmt.Errorf("%w: level %d out of range", ErrBadNest, li)
 	}
 	lvl := &n.Levels[li]
 	if lvl.Kind != Temporal || !lvl.Copy {
-		return nil, fmt.Errorf("%w: level %s is not a copy level", ErrBadNest, lvl.Name)
+		return nil, nil, fmt.Errorf("%w: level %s is not a copy level", ErrBadNest, lvl.Name)
 	}
-	// Footprints below this level are permutation-independent: compute
-	// them by advancing through the lower levels.
-	nt := len(n.Prob.Tensors)
-	df := make([]expr.Product, nt)
+	if len(n.Prob.Iters) > 64 {
+		return nil, nil, fmt.Errorf("%w: %d iterators, at most 64 can be enumerated", ErrBadNest, len(n.Prob.Iters))
+	}
+	df := make([]expr.Product, len(n.Prob.Tensors))
 	for ti, t := range n.Prob.Tensors {
 		df[ti] = n.regFootprint(t)
 	}
@@ -508,9 +590,6 @@ func (n *Nest) EnumerateClasses(li int, syms []Involution) ([]PermClass, error) 
 			}
 		}
 	}
-
-	// Variable swap maps for symmetry canonicalization: each involution
-	// swaps the full trip-variable chains of its iterator pairs.
 	var swaps []map[expr.VarID]expr.VarID
 	for _, inv := range syms {
 		swap := map[expr.VarID]expr.VarID{}
@@ -531,50 +610,22 @@ func (n *Nest) EnumerateClasses(li int, syms []Involution) ([]PermClass, error) 
 			swaps = append(swaps, swap)
 		}
 	}
+	return df, swaps, nil
+}
 
-	// Key construction is the enumeration hot path: one key per tensor
-	// per permutation per involution. A shared KeyBuf plus two swapped
-	// byte buffers keeps the whole dedup loop allocation-free except for
-	// the first sighting of each distinct class (the map-key string).
-	var kb expr.KeyBuf
-	var keyBuf, bestBuf []byte
-	dvs := make([]expr.Product, nt)
-	canonical := func(perm []int) []byte {
-		for ti, t := range n.Prob.Tensors {
-			_, dv := n.constructExpr(li, perm, t, df[ti])
-			dvs[ti] = dv
-		}
-		bestBuf = bestBuf[:0]
-		for ti := range dvs {
-			if ti > 0 {
-				bestBuf = append(bestBuf, ';')
-			}
-			bestBuf = kb.AppendProductKey(bestBuf, dvs[ti], nil)
-		}
-		for _, swap := range swaps {
-			keyBuf = keyBuf[:0]
-			for ti := range dvs {
-				if ti > 0 {
-					keyBuf = append(keyBuf, ';')
-				}
-				keyBuf = kb.AppendProductKey(keyBuf, dvs[ti], swap)
-			}
-			if bytes.Compare(keyBuf, bestBuf) < 0 {
-				bestBuf, keyBuf = keyBuf, bestBuf
-			}
-		}
-		return bestBuf
-	}
-
+// collectClasses groups the permutations of level li's active iterators
+// by key: each class keeps the first permutation in Heap order as its
+// representative and counts its members. Classes come out sorted by key.
+func (n *Nest) collectClasses(li int, key func(perm []int) []byte) []PermClass {
 	classes := map[string]*PermClass{}
 	var order []string
-	Permute(append([]int(nil), lvl.Active...), func(perm []int) {
-		key := canonical(perm)
-		if c, ok := classes[string(key)]; ok {
+	Permute(append([]int(nil), n.Levels[li].Active...), func(perm []int) {
+		k := key(perm)
+		if c, ok := classes[string(k)]; ok {
 			c.Size++
 			return
 		}
-		ks := string(key)
+		ks := string(k)
 		classes[ks] = &PermClass{Perm: append([]int(nil), perm...), Key: ks, Size: 1}
 		order = append(order, ks)
 	})
@@ -583,7 +634,7 @@ func (n *Nest) EnumerateClasses(li int, syms []Involution) ([]PermClass, error) 
 	for _, k := range order {
 		out = append(out, *classes[k])
 	}
-	return out, nil
+	return out
 }
 
 // Permute invokes fn with every permutation of s (Heap's algorithm). fn

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -437,18 +436,7 @@ func (p Poly) String(vs *VarSet) string {
 // after Canon.
 func (p Poly) Key() string {
 	q := p.Clone()
-	q.Canon()
-	var b strings.Builder
-	for i, m := range q {
-		if i > 0 {
-			b.WriteByte('+')
-		}
-		fmt.Fprintf(&b, "%g", m.Coeff)
-		for _, t := range m.Terms {
-			fmt.Fprintf(&b, "@%d^%g", t.Var, t.Exp)
-		}
-	}
-	return b.String()
+	return string(appendPolyKey(nil, q.Canon()))
 }
 
 // SubstConst returns a copy of p with every variable in vals replaced by
@@ -609,27 +597,10 @@ func (pr Product) String(vs *VarSet) string {
 // Key returns a canonical serialization of the product for structural
 // deduplication. Factors are individually canonicalized and sorted so that
 // factor order does not affect the key. Single-monomial factors are
-// merged into one monomial factor first.
+// merged into one monomial factor first. See KeyBuf for repeated keying.
 func (pr Product) Key() string {
-	mono := Const(1)
-	var polys []string
-	for _, f := range pr.Factors {
-		g := f.Clone()
-		g.Canon()
-		if g.IsMonomial() {
-			mono = mono.Mul(g[0])
-			continue
-		}
-		polys = append(polys, g.Key())
-	}
-	sort.Strings(polys)
-	var b strings.Builder
-	b.WriteString(Poly{mono}.Key())
-	for _, s := range polys {
-		b.WriteByte('|')
-		b.WriteString(s)
-	}
-	return b.String()
+	var kb KeyBuf
+	return string(kb.AppendProductKey(nil, pr, nil))
 }
 
 // SubstConst returns a copy with the given variables folded into the

@@ -6,18 +6,16 @@ import (
 	"strconv"
 )
 
-// KeyBuf amortizes canonical-key construction across many Product.Key
-// computations. The hot caller is dataflow.(*Nest).EnumerateClasses,
-// which keys every tensor's data-volume product for every permutation
-// (and once more per symmetry involution): with the naive Key() that is
-// a Clone+Canon+fmt.Fprintf storm on every call. A KeyBuf instead copies
-// each factor into reusable scratch arrays, canonicalizes in place, and
-// renders with strconv append calls, so steady-state key construction
-// performs no allocations at all.
+// KeyBuf renders canonical product keys (Product.Key) and reuses its
+// scratch across calls. EnumerateClasses keys each tensor's data-volume
+// product once per distinct DV signature (and once more per symmetry
+// involution): a KeyBuf copies each factor into reusable scratch arrays,
+// canonicalizes in place, and renders with strconv append calls, so
+// steady-state key construction performs no allocations beyond dst.
 //
-// The rendered bytes are exactly Product.Key()'s output (and, with a
-// non-nil subst, exactly Product.RenameVars(subst).Key()); keys produced
-// either way compare equal. A KeyBuf is not safe for concurrent use.
+// With a non-nil subst the bytes are exactly
+// Product.RenameVars(subst).Key(). A KeyBuf is not safe for concurrent
+// use.
 type KeyBuf struct {
 	terms     []Term   // term arena backing the scratch factor copies
 	poly      Poly     // scratch factor copy (canonicalized in place)
@@ -29,11 +27,12 @@ type KeyBuf struct {
 
 // AppendProductKey appends the canonical key of pr — with every variable
 // v first replaced by subst[v] when subst is non-nil — to dst and
-// returns the extended slice. The result is byte-for-byte identical to
+// returns the extended slice: the single-monomial factors merged into
+// one leading monomial, then each other factor's key in sorted order,
+// all joined by '|'. The result is byte-for-byte identical to
 // pr.RenameVars(subst).Key() (or pr.Key() for a nil subst).
 func (kb *KeyBuf) AppendProductKey(dst []byte, pr Product, subst map[VarID]VarID) []byte {
-	// Merged single-monomial factor, seeded with the constant 1 exactly
-	// like Product.Key.
+	// Merged single-monomial factor, seeded with the constant 1.
 	mono := Monomial{Coeff: 1, Terms: kb.monoTerms[:0]}
 	kb.keyViews = kb.keyViews[:0]
 	for _, f := range pr.Factors {
@@ -57,8 +56,8 @@ func (kb *KeyBuf) AppendProductKey(dst []byte, pr Product, subst map[VarID]VarID
 	}
 	kb.monoTerms = mono.Terms[:0]
 	slices.SortFunc(kb.keyViews, bytes.Compare)
-	// Poly{mono}.Key() canonicalizes once more, which can drop a
-	// zero-coefficient monomial entirely; replicate via the tmp scratch.
+	// Canonicalize the merged monomial as a one-term Poly, which drops it
+	// entirely when its coefficient is zero.
 	kb.tmp = append(kb.tmp[:0], mono)
 	kb.tmp.Canon()
 	dst = appendPolyKey(dst, kb.tmp)
@@ -99,9 +98,8 @@ func (kb *KeyBuf) copyFactor(f Poly, subst map[VarID]VarID) Poly {
 	return kb.poly
 }
 
-// appendPolyKey renders the canonical polynomial q in Poly.Key's format
-// ("coeff@var^exp…+…") using strconv appends. strconv.AppendFloat with
-// 'g'/-1 is exactly fmt's %g for float64, so the bytes match Poly.Key.
+// appendPolyKey renders the canonical polynomial q as Poly.Key's format
+// "coeff@var^exp…+…", floats as strconv's shortest 'g' form (fmt's %g).
 func appendPolyKey(dst []byte, q Poly) []byte {
 	for i, m := range q {
 		if i > 0 {

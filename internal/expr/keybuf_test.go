@@ -1,9 +1,53 @@
 package expr
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 )
+
+// fmtPolyKey and fmtProductKey render keys the direct way, with fmt and
+// string sorting: the oracle for the strconv renderer behind Poly.Key,
+// Product.Key and KeyBuf.
+func fmtPolyKey(p Poly) string {
+	q := p.Clone()
+	q.Canon()
+	var b strings.Builder
+	for i, m := range q {
+		if i > 0 {
+			b.WriteByte('+')
+		}
+		fmt.Fprintf(&b, "%g", m.Coeff)
+		for _, t := range m.Terms {
+			fmt.Fprintf(&b, "@%d^%g", t.Var, t.Exp)
+		}
+	}
+	return b.String()
+}
+
+func fmtProductKey(pr Product) string {
+	mono := Const(1)
+	var polys []string
+	for _, f := range pr.Factors {
+		g := f.Clone()
+		g.Canon()
+		if g.IsMonomial() {
+			mono = mono.Mul(g[0])
+			continue
+		}
+		polys = append(polys, fmtPolyKey(g))
+	}
+	sort.Strings(polys)
+	var b strings.Builder
+	b.WriteString(fmtPolyKey(Poly{mono}))
+	for _, s := range polys {
+		b.WriteByte('|')
+		b.WriteString(s)
+	}
+	return b.String()
+}
 
 // randProduct builds a random factored expression shaped like the
 // dataflow DF/DV products: monomial factors plus small signomial
@@ -33,9 +77,9 @@ func randProduct(rng *rand.Rand) Product {
 }
 
 // TestKeyBufMatchesProductKey quick-checks that the allocation-free key
-// builder renders byte-identical output to Product.Key and
-// Product.RenameVars().Key — the property EnumerateClasses' dedup
-// depends on.
+// builder, and Poly.Key and Product.Key through it, render the fmt
+// oracle's bytes, also after RenameVars — the property EnumerateClasses'
+// dedup depends on.
 func TestKeyBufMatchesProductKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	subst := map[VarID]VarID{0: 1, 1: 0, 4: 5, 5: 4}
@@ -43,15 +87,23 @@ func TestKeyBufMatchesProductKey(t *testing.T) {
 	var buf []byte
 	for i := 0; i < 500; i++ {
 		pr := randProduct(rng)
-		want := pr.Key()
+		want := fmtProductKey(pr)
 		buf = kb.AppendProductKey(buf[:0], pr, nil)
 		if got := string(buf); got != want {
-			t.Fatalf("case %d: AppendProductKey = %q, Key() = %q", i, got, want)
+			t.Fatalf("case %d: AppendProductKey = %q, oracle %q", i, got, want)
 		}
-		want = pr.RenameVars(subst).Key()
+		if got := pr.Key(); got != want {
+			t.Fatalf("case %d: Product.Key = %q, oracle %q", i, got, want)
+		}
+		want = fmtProductKey(pr.RenameVars(subst))
 		buf = kb.AppendProductKey(buf[:0], pr, subst)
 		if got := string(buf); got != want {
-			t.Fatalf("case %d (renamed): AppendProductKey = %q, Key() = %q", i, got, want)
+			t.Fatalf("case %d (renamed): AppendProductKey = %q, oracle %q", i, got, want)
+		}
+		for fi, f := range pr.Factors {
+			if got, want := f.Key(), fmtPolyKey(f); got != want {
+				t.Fatalf("case %d factor %d: Poly.Key = %q, oracle %q", i, fi, got, want)
+			}
 		}
 	}
 }
@@ -63,7 +115,7 @@ func TestKeyBufPrefixAppend(t *testing.T) {
 	pr := ProductOf(PolyFrom(MonoPow(2, 3, 1)))
 	var kb KeyBuf
 	out := kb.AppendProductKey([]byte("pre;"), pr, nil)
-	want := "pre;" + pr.Key()
+	want := "pre;" + fmtProductKey(pr)
 	if string(out) != want {
 		t.Fatalf("got %q, want %q", out, want)
 	}

@@ -138,3 +138,31 @@ func TestTieBandDesignRobust(t *testing.T) {
 		}
 	}
 }
+
+// TestPrunableBandEdge checks the bound-pruning test against the tie
+// band: a pair whose lower bound ties the k-th within tol may still
+// enter the band and must be solved; only one above kth·(1+tol) is
+// pruned.
+func TestPrunableBandEdge(t *testing.T) {
+	const tol, kth = 1e-6, 3.52954e8
+	limit := bandLimit(kth, tol)
+	for _, c := range []struct {
+		lower float64
+		want  bool
+	}{
+		{kth / 2, false},
+		{kth, false},
+		{math.Nextafter(kth, math.Inf(1)), false},
+		{kth * (1 + tol/2), false},
+		{limit, false},
+		{math.Nextafter(limit, math.Inf(1)), true},
+		{kth * (1 + 2*tol), true},
+	} {
+		if got := prunable(c.lower, kth, tol); got != c.want {
+			t.Errorf("prunable(%.17g, kth %g, tol %g) = %v, want %v", c.lower, kth, tol, got, c.want)
+		}
+	}
+	if prunable(1e300, math.Inf(1), tol) {
+		t.Error("an infinite threshold (fewer than k seeds) must prune nothing")
+	}
+}

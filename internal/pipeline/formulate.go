@@ -64,22 +64,80 @@ func (av *archVars) sramEnergy() expr.Monomial {
 	return expr.Const(av.fixed.SRAMEnergy())
 }
 
+// classVolumes holds the relaxed, folded Algorithm 1 polynomials of one
+// run, each built once from the only permutation it depends on:
+//
+//   - SRAM↔register (boundary-0) traffic depends on the L1 order alone:
+//     the levels above multiply it by the spatial and SRAM-level trip
+//     factors, which no order changes;
+//   - DRAM↔SRAM (boundary-1) traffic depends on the SRAM order alone: the
+//     footprint leaving the L1 level scales every iterator a tensor uses
+//     exactly once, whatever their order;
+//   - footprints depend on neither.
+//
+// It is read-only once built and shared by every pair job of the run.
+type classVolumes struct {
+	trafficSR, trafficDS []expr.Poly // per L1 class, per SRAM class
+	regFoot, sramFoot    expr.Poly
+	// slackR and slackS are the relaxed footprints' worst-case relative
+	// overestimates, by which the capacity-slack pass scales the
+	// register and SRAM capacities (see finish).
+	slackR, slackS float64
+}
+
+// newClassVolumes runs Algorithm 1 over the L1 and SRAM classes in step —
+// run k takes the k-th class of each list, or its last once a list is
+// exhausted — so max(len(l1), len(sram)) runs cover every class.
+func newClassVolumes(nest *dataflow.Nest, l1, sram []dataflow.PermClass) (*classVolumes, error) {
+	cv := &classVolumes{trafficSR: make([]expr.Poly, len(l1)), trafficDS: make([]expr.Poly, len(sram))}
+	if len(l1) == 0 || len(sram) == 0 {
+		return cv, nil
+	}
+	for k := range max(len(l1), len(sram)) {
+		vols, err := nest.ComputeVolumes(dataflow.StandardPerms(l1[min(k, len(l1)-1)].Perm, sram[min(k, len(sram)-1)].Perm))
+		if err != nil {
+			return nil, err
+		}
+		if len(vols.Boundaries) != 2 {
+			return nil, fmt.Errorf("core: nest must have exactly 2 memory boundaries, got %d", len(vols.Boundaries))
+		}
+		// Constant-fold pinned trips before relaxing: stride-1 kernel
+		// extents become exact posynomials (see Volumes.Folded).
+		folded := vols.Folded()
+		if k < len(l1) {
+			cv.trafficSR[k] = folded.SumTraffic(0, true)
+		}
+		if k < len(sram) {
+			cv.trafficDS[k] = folded.SumTraffic(1, true)
+		}
+		if k == 0 {
+			cv.regFoot = folded.SumFootprint(0, true)
+			cv.sramFoot = folded.SumFootprint(1, true)
+			ones := onesAssignment(nest)
+			cv.slackR = relaxSlack(vols, 0, cv.regFoot, ones)
+			cv.slackS = relaxSlack(vols, 1, cv.sramFoot, ones)
+		}
+	}
+	return cv, nil
+}
+
 // formulation is one geometric program for one permutation-class pair.
-// It is built in two steps: newFormulation computes the traffic and
-// footprint posynomials and the objective (enough to evaluate the cheap
-// pruning bound, see boundCtx), and finish lowers everything into the
+// It is built in two steps: newFormulation assembles the objective from
+// the run's per-class polynomials (enough to evaluate the cheap pruning
+// bound, see boundCtx), and finish lowers everything into the
 // constrained program. Pruned pairs never pay for finish.
 type formulation struct {
 	nest *dataflow.Nest
-	vols *dataflow.Volumes
+	cv   *classVolumes
 	prog *gp.Program
 	av   *archVars
 	crit model.Criterion
 	varT expr.VarID // delay variable (MinDelay only)
 
-	// Relaxed posynomials shared by the pruning bound and the program.
+	// The relaxed traffic of the pair's classes (shared with the run's
+	// other pairs: read-only) and the objective, used by the pruning
+	// bound and the program.
 	trafficSR, trafficDS expr.Poly
-	regFoot, sramFoot    expr.Poly
 	objective            expr.Poly
 	ops                  float64
 }
@@ -88,8 +146,12 @@ type formulation struct {
 // copy-level permutations (the paper's Eq. 3 / Eq. 5 generalized to CNNs
 // via the Algorithm-1 expressions). varT is the delay variable, used only
 // for the MinDelay criterion.
-func buildGP(nest *dataflow.Nest, perms [][]int, av *archVars, crit model.Criterion, varT expr.VarID, capSlack bool) (*formulation, error) {
-	f, err := newFormulation(nest, perms, av, crit, varT)
+func buildGP(nest *dataflow.Nest, l1, sram []int, av *archVars, crit model.Criterion, varT expr.VarID, capSlack bool) (*formulation, error) {
+	cv, err := newClassVolumes(nest, []dataflow.PermClass{{Perm: l1}}, []dataflow.PermClass{{Perm: sram}})
+	if err != nil {
+		return nil, err
+	}
+	f, err := newFormulation(nest, cv, 0, 0, av, crit, varT)
 	if err != nil {
 		return nil, err
 	}
@@ -99,26 +161,15 @@ func buildGP(nest *dataflow.Nest, perms [][]int, av *archVars, crit model.Criter
 	return f, nil
 }
 
-// newFormulation computes the data-volume posynomials and the objective
-// for one permutation pair without building the full program.
-func newFormulation(nest *dataflow.Nest, perms [][]int, av *archVars, crit model.Criterion, varT expr.VarID) (*formulation, error) {
-	vols, err := nest.ComputeVolumes(perms)
-	if err != nil {
-		return nil, err
+// newFormulation builds the objective of the pair (L1 class l1, SRAM
+// class sram) from the run's per-class polynomials, without building the
+// full program.
+func newFormulation(nest *dataflow.Nest, cv *classVolumes, l1, sram int, av *archVars, crit model.Criterion, varT expr.VarID) (*formulation, error) {
+	f := &formulation{
+		nest: nest, cv: cv, av: av, crit: crit, varT: varT,
+		trafficSR: cv.trafficSR[l1], trafficDS: cv.trafficDS[sram],
+		ops: float64(nest.Prob.Ops()),
 	}
-	if len(vols.Boundaries) != 2 {
-		return nil, fmt.Errorf("core: nest must have exactly 2 memory boundaries, got %d", len(vols.Boundaries))
-	}
-	f := &formulation{nest: nest, vols: vols, av: av, crit: crit, varT: varT}
-
-	// Constant-fold pinned trips before relaxing: stride-1 kernel extents
-	// become exact posynomials (see Volumes.Folded).
-	folded := vols.Folded()
-	f.trafficSR = folded.SumTraffic(0, true)
-	f.trafficDS = folded.SumTraffic(1, true)
-	f.regFoot = folded.SumFootprint(0, true)
-	f.sramFoot = folded.SumFootprint(1, true)
-	f.ops = float64(nest.Prob.Ops())
 
 	// Total energy per Eq. 3:
 	//   (4ε_R + ε_op)·N_ops + (ε_R + ε_S)·DVol^{S↔R} + (ε_S + ε_D)·DVol^{D↔S}
@@ -157,8 +208,6 @@ func newFormulation(nest *dataflow.Nest, perms [][]int, av *archVars, crit model
 // finish lowers the formulation into its constrained geometric program.
 func (f *formulation) finish(capSlack bool) error {
 	nest, av, varT := f.nest, f.av, f.varT
-	vols := f.vols
-	regFoot, sramFoot := f.regFoot, f.sramFoot
 	prog := gp.New(nest.Vars)
 	f.prog = prog
 
@@ -205,15 +254,13 @@ func (f *formulation) finish(capSlack bool) error {
 	// are re-enforced during integerization either way.
 	slackR, slackS := 1.0, 1.0
 	if capSlack {
-		ones := onesAssignment(nest)
-		slackR = relaxSlack(vols, 0, regFoot, ones)
-		slackS = relaxSlack(vols, 1, sramFoot, ones)
+		slackR, slackS = f.cv.slackR, f.cv.slackS
 	}
-	if err := prog.AddLessEq("cap:registers", regFoot,
+	if err := prog.AddLessEq("cap:registers", f.cv.regFoot,
 		av.regCapacity().Mul(expr.Const(slackR))); err != nil {
 		return err
 	}
-	if err := prog.AddLessEq("cap:sram", sramFoot,
+	if err := prog.AddLessEq("cap:sram", f.cv.sramFoot,
 		av.sramCapacity().Mul(expr.Const(slackS))); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/loopnest"
 	"repro/internal/model"
 	"repro/internal/solver"
+	"repro/internal/workloads"
 )
 
 func buildTestFormulation(t *testing.T, mode Mode, crit model.Criterion) (*formulation, *dataflow.Nest, *archVars) {
@@ -28,8 +30,7 @@ func buildTestFormulation(t *testing.T, mode Mode, crit model.Criterion) (*formu
 		av.varP = nest.Vars.NewVar("arch_P")
 	}
 	varT := nest.Vars.NewVar("delay_T")
-	perms := dataflow.StandardPerms([]int{0, 1, 2}, []int{0, 2, 1})
-	f, err := buildGP(nest, perms, av, crit, varT, false)
+	f, err := buildGP(nest, []int{0, 1, 2}, []int{0, 2, 1}, av, crit, varT, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +204,98 @@ func TestEnumerateRaw(t *testing.T) {
 		}
 		if total != fact || len(pruned) >= fact {
 			t.Errorf("level %d: %d pruned classes covering %d permutations, want fewer than %d covering all", level, len(pruned), total, fact)
+		}
+	}
+}
+
+// tableIIRuns builds, for every Table II layer and both RS placements,
+// a run in the given mode that has been through the enumerate and
+// formulate stages.
+func tableIIRuns(t testing.TB, mode Mode) []*Run {
+	t.Helper()
+	var runs []*Run
+	for _, l := range workloads.All() {
+		p, err := l.Problem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rs := range []dataflow.RSPlacement{dataflow.RSAtRegister, dataflow.RSAtLevel1} {
+			opts := Options{Criterion: model.MinEnergy, Mode: mode, Parallel: 1}.WithDefaults()
+			opts.Nest.RS = rs
+			r, err := newRun(context.Background(), p, opts, NewScheduler(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range []stage{enumerateStage{}, formulateStage{}} {
+				if err := st.Run(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runs = append(runs, r)
+		}
+	}
+	return runs
+}
+
+// TestClassVolumesMatchPerPair checks that the formulate stage's
+// per-class polynomials are, for every pair of every Table II layer
+// under both placements, in fixed and co-design mode, exactly what
+// Algorithm 1 builds for the pair itself: the relaxed, folded traffic
+// at both boundaries, the relaxed footprints, and the capacity slacks.
+func TestClassVolumesMatchPerPair(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Algorithm 1 for every pair of 23 layers")
+	}
+	for _, mode := range []Mode{FixedArch, CoDesign} {
+		for _, r := range tableIIRuns(t, mode) {
+			name := r.prob.Name + " " + r.opts.Nest.RS.String()
+			if len(r.jobs) != len(r.classesL1)*len(r.classesSRAM) {
+				t.Fatalf("%s: %d jobs for %d×%d classes", name, len(r.jobs), len(r.classesL1), len(r.classesSRAM))
+			}
+			cv := r.vols
+			for _, j := range r.jobs {
+				l1, sram := r.classesL1[j.l1].Perm, r.classesSRAM[j.sram].Perm
+				vols, err := r.nest.ComputeVolumes(dataflow.StandardPerms(l1, sram))
+				if err != nil {
+					t.Fatal(err)
+				}
+				folded := vols.Folded()
+				for _, c := range []struct {
+					what      string
+					got, want any
+				}{
+					{"trafficSR", cv.trafficSR[j.l1], folded.SumTraffic(0, true)},
+					{"trafficDS", cv.trafficDS[j.sram], folded.SumTraffic(1, true)},
+					{"regFoot", cv.regFoot, folded.SumFootprint(0, true)},
+					{"sramFoot", cv.sramFoot, folded.SumFootprint(1, true)},
+					{"register slack", cv.slackR, relaxSlack(vols, 0, folded.SumFootprint(0, true), onesAssignment(r.nest))},
+					{"SRAM slack", cv.slackS, relaxSlack(vols, 1, folded.SumFootprint(1, true), onesAssignment(r.nest))},
+				} {
+					if !reflect.DeepEqual(c.got, c.want) {
+						t.Fatalf("%s %v, pair %v × %v: %s differs from the pair's own", name, mode, l1, sram, c.what)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFormulate times the formulate rung of every Table II layer
+// (fixed Eyeriss, energy, both placements): the formulate stage plus
+// each pair's objective, as the solve stage assembles it.
+func BenchmarkFormulate(b *testing.B) {
+	runs := tableIIRuns(b, FixedArch)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runs {
+			if err := (formulateStage{}).Run(r); err != nil {
+				b.Fatal(err)
+			}
+			for _, j := range r.jobs {
+				if _, err := newFormulation(r.nest, r.vols, j.l1, j.sram, r.av, r.opts.Criterion, r.varT); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
 }

@@ -62,6 +62,7 @@ type Run struct {
 
 	// Stage products, in pipeline order.
 	classesL1, classesSRAM []dataflow.PermClass // Enumerate
+	vols                   *classVolumes        // Formulate
 	jobs                   []pairJob            // Formulate
 	solved                 []solvedPair         // Solve (the tie band, in permutation-key order)
 	cands                  []*integerized       // Integerize, filtered by Validate
@@ -97,9 +98,10 @@ func (r *Run) putWS(ws *solver.Workspace) {
 	r.wsMu.Unlock()
 }
 
-// pairJob is one permutation-class pair to be solved as a GP.
+// pairJob is one permutation-class pair to be solved as a GP: indices
+// into the run's L1 and SRAM classes.
 type pairJob struct {
-	l1, sram []int
+	l1, sram int
 }
 
 // integerized is one pair's best integer design, in band order.
@@ -376,20 +378,26 @@ func enumerate(nest *dataflow.Nest, level int, syms []dataflow.Involution, raw b
 	return out, nil
 }
 
-// formulateStage turns the class cross product into the GP job list.
-// The per-pair posynomial construction itself stays lazy — each solve
-// job builds (and discards) its program right before solving, keeping
-// peak memory proportional to the scheduler width rather than the
-// job count.
+// formulateStage runs Algorithm 1 once per class (see classVolumes) and
+// turns the class cross product into the GP job list. Each pair's
+// program stays lazy — its solve job assembles the objective from the
+// per-class polynomials and builds (and discards) the program right
+// before solving, keeping peak memory proportional to the scheduler
+// width rather than the job count.
 type formulateStage struct{}
 
 func (formulateStage) Name() string { return "formulate" }
 
 func (formulateStage) Run(r *Run) error {
+	vols, err := newClassVolumes(r.nest, r.classesL1, r.classesSRAM)
+	if err != nil {
+		return err
+	}
+	r.vols = vols
 	r.jobs = make([]pairJob, 0, len(r.classesL1)*len(r.classesSRAM))
-	for _, c1 := range r.classesL1 {
-		for _, c3 := range r.classesSRAM {
-			r.jobs = append(r.jobs, pairJob{c1.Perm, c3.Perm})
+	for i := range r.classesL1 {
+		for j := range r.classesSRAM {
+			r.jobs = append(r.jobs, pairJob{i, j})
 		}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/dataflow"
 	"repro/internal/obs"
 	"repro/internal/solver"
 )
@@ -72,6 +71,11 @@ func topBand(solved []solvedPair, k int, tol float64) []solvedPair {
 // relative tolerance tol. Objectives are posynomial values, so positive.
 func bandLimit(kth, tol float64) float64 { return kth * (1 + tol) }
 
+// prunable reports whether a pair whose objective is at least lower can
+// be skipped: only when it cannot enter the tie band of threshold, the
+// k-th smallest objective known so far.
+func prunable(lower, threshold, tol float64) bool { return lower > bandLimit(threshold, tol) }
+
 // solvePass solves the pair jobs in two deterministic phases and
 // collects the feasible solutions in job order.
 //
@@ -119,14 +123,14 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 	// after the cheap half of formulation; pruned pairs return nil.
 	solveJob := func(i int, ws *solver.Workspace, xHint []float64, bound func(*formulation) bool) (*solvedPair, error) {
 		j := r.jobs[i]
+		permL1, permSRAM := r.classesL1[j.l1].Perm, r.classesSRAM[j.sram].Perm
 		var pairSpan *obs.Span
 		if tracing {
 			pairSpan = o.StartSpan(passSpan, "gp-pair",
-				obs.Stringer("perm_l1", j.l1), obs.Stringer("perm_sram", j.sram))
+				obs.Stringer("perm_l1", permL1), obs.Stringer("perm_sram", permSRAM))
 		}
-		perms := dataflow.StandardPerms(j.l1, j.sram)
 		fspan := o.StartSpan(pairSpan, "formulate")
-		f, err := newFormulation(r.nest, perms, r.av, r.opts.Criterion, r.varT)
+		f, err := newFormulation(r.nest, r.vols, j.l1, j.sram, r.av, r.opts.Criterion, r.varT)
 		if err != nil {
 			fspan.End()
 			pairSpan.End()
@@ -182,7 +186,7 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 			case solver.Optimal:
 				r.stats.NewtonIters += res.Newton
 				sp = &solvedPair{
-					permL1: j.l1, permSRAM: j.sram,
+					permL1: permL1, permSRAM: permSRAM,
 					x: res.X, objective: res.Objective,
 				}
 				results[i] = sp
@@ -272,7 +276,7 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 			var bound func(*formulation) bool
 			if prune {
 				bound = func(f *formulation) bool {
-					return bc.lowerBound(f.objective) > bandLimit(threshold, tol)
+					return prunable(bc.lowerBound(f.objective), threshold, tol)
 				}
 			}
 			sp, err := solveJob(g*groupSize+idx, ws, hint, bound)

@@ -25,7 +25,7 @@
 # log, probes the telemetry surface (/metrics SLO families, /varz,
 # a tlmon -once frame), and diffs the server-side manifest against the
 # CLI's — the two must agree exactly — before asserting a clean SIGTERM
-# drain. Equivalent to `make check`.
+# drain. `make check` runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
