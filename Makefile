@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race check bench trace serve mon
+.PHONY: all build vet lint test race check bench trace serve
 
 all: check
 
@@ -48,11 +48,6 @@ trace:
 # and docs/OPERATIONS.md for production sizing.
 serve:
 	$(GO) run ./cmd/thistled -addr localhost:8080 -cache
-
-# Live terminal dashboard against the `make serve` daemon: QPS,
-# latency quantiles, queue depth, cache hit rate, SLO burn state.
-mon:
-	$(GO) run ./cmd/tlmon -addr localhost:8080
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ ./...

@@ -62,11 +62,6 @@ func run() error {
 	cacheDir := flag.String("cache-dir", "", "persist cache entries as JSON records in this directory (implies -cache)")
 	cacheSize := flag.Int("cache-size", 0, "max in-memory cache entries (default 1024)")
 	verbosity := flag.String("v", "info", "log verbosity: off|warn|info|debug|trace")
-	varzInterval := flag.Duration("varz-interval", 5*time.Second, "/varz time-series sampling interval (negative: sample only on /varz reads)")
-	varzWindow := flag.Duration("varz-window", 30*time.Minute, "/varz time-series retention window")
-	sloAvail := flag.Float64("slo-availability", 0.99, "availability objective: fraction of admitted requests that must succeed (negative: disable SLO tracking)")
-	sloLatObj := flag.Float64("slo-latency-objective", 0.95, "latency objective: fraction of admitted requests that must finish under -slo-latency-target")
-	sloLatTarget := flag.Duration("slo-latency-target", 0, "latency target for the latency SLO (0: the -deadline value)")
 	accessLog := flag.String("access-log", "", "write JSON access logs to this file ('-': stderr; default off)")
 	accessSample := flag.Int("access-log-sample", 1, "keep 1 in N fast successful requests in the access log (non-200 and slow requests always log)")
 	accessSlow := flag.Duration("access-log-slow", time.Second, "wall time beyond which a request always logs")
@@ -116,13 +111,6 @@ func run() error {
 		SpoolDir:        *spoolDir,
 		Cache:           sc,
 		Obs:             o,
-		SLO: serve.SLOConfig{
-			Availability:     *sloAvail,
-			LatencyObjective: *sloLatObj,
-			LatencyTarget:    *sloLatTarget,
-		},
-		SampleInterval:  *varzInterval,
-		SampleWindow:    *varzWindow,
 		AccessLog:       accessW,
 		AccessLogSample: *accessSample,
 		AccessLogSlow:   *accessSlow,

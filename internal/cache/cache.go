@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/obs/events"
 )
 
 // Options configures a Cache. Zero values select defaults.
@@ -60,6 +61,23 @@ func (s Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
+}
+
+// Manifest converts the counters for a run manifest's cache block,
+// returning nil for an unused cache (so the manifest omits the block).
+func (s Stats) Manifest() *events.CacheStats {
+	if s.Hits+s.Misses == 0 {
+		return nil
+	}
+	return &events.CacheStats{
+		Hits:              s.Hits,
+		Misses:            s.Misses,
+		DiskHits:          s.DiskHits,
+		SingleflightWaits: s.SingleflightWaits,
+		Stores:            s.Stores,
+		Evictions:         s.Evictions,
+		HitRate:           s.HitRate(),
+	}
 }
 
 // Cache is a concurrency-safe, content-addressed memoization map from

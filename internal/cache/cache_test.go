@@ -256,3 +256,16 @@ func TestMetricsCounters(t *testing.T) {
 		t.Errorf("cache.store = %d, want 1", v)
 	}
 }
+
+// TestStatsManifest: an unused cache is omitted from the manifest
+// entirely rather than reported as all-zero.
+func TestStatsManifest(t *testing.T) {
+	if got := (Stats{}).Manifest(); got != nil {
+		t.Fatalf("unused cache produced stats block %+v", got)
+	}
+	s := Stats{Hits: 3, Misses: 1, Stores: 1}
+	got := s.Manifest()
+	if got == nil || got.Hits != 3 || got.Misses != 1 || got.HitRate != s.HitRate() {
+		t.Fatalf("Stats.Manifest = %+v", got)
+	}
+}

@@ -133,27 +133,10 @@ func (rt *Runtime) Close() {
 // Both run even if the first fails, so a broken manifest sink cannot
 // suppress the metrics dump; the first error wins.
 func (rt *Runtime) Finish(metricsOut io.Writer, stats cache.Stats) error {
-	errEv := rt.flags.Events.Finish(manifestCacheStats(stats))
+	errEv := rt.flags.Events.Finish(stats.Manifest())
 	errObs := rt.flags.Obs.Finish(metricsOut)
 	if errEv != nil {
 		return errEv
 	}
 	return errObs
-}
-
-// manifestCacheStats converts a cache's counters for the manifest,
-// returning nil for an unused cache (so the manifest omits the block).
-func manifestCacheStats(s cache.Stats) *events.CacheStats {
-	if s.Hits+s.Misses == 0 {
-		return nil
-	}
-	return &events.CacheStats{
-		Hits:              s.Hits,
-		Misses:            s.Misses,
-		DiskHits:          s.DiskHits,
-		SingleflightWaits: s.SingleflightWaits,
-		Stores:            s.Stores,
-		Evictions:         s.Evictions,
-		HitRate:           s.HitRate(),
-	}
 }

@@ -133,19 +133,6 @@ func TestRuntimeFullStack(t *testing.T) {
 	}
 }
 
-// TestManifestCacheStats: an unused cache is omitted from the manifest
-// entirely rather than reported as all-zero.
-func TestManifestCacheStats(t *testing.T) {
-	if got := manifestCacheStats(cache.Stats{}); got != nil {
-		t.Fatalf("unused cache produced stats block %+v", got)
-	}
-	s := cache.Stats{Hits: 3, Misses: 1, Stores: 1}
-	got := manifestCacheStats(s)
-	if got == nil || got.Hits != 3 || got.Misses != 1 || got.HitRate != s.HitRate() {
-		t.Fatalf("manifestCacheStats = %+v", got)
-	}
-}
-
 // TestTraceOut wires -trace-out (plus -events so a run ID exists) and
 // checks Finish writes a Chrome trace that the tracefile reader
 // accepts, with the trace ID derived from the run ID and the runtime

@@ -14,8 +14,8 @@
 // obs.EventSink: an Emitter (JSONL writer) and a Recorder (manifest
 // builder) both implement it, and the solver and core layers emit
 // through the nil-safe obs.Obs.Emit hook they already carry, naming
-// each event with an obs.Ev* constant. Nothing below the CLI layer
-// imports this package.
+// each event with an obs.Ev* constant. Below the CLI layer only cache
+// imports this package, to convert its counters into CacheStats.
 package events
 
 import (

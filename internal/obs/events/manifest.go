@@ -54,8 +54,9 @@ type Totals struct {
 	FreshSolves int64   `json:"fresh_solves"`
 }
 
-// CacheStats mirrors internal/cache.Stats without importing it, keeping
-// this package free of the optimizer's type graph.
+// CacheStats is a manifest's cache block: internal/cache.Stats.Manifest
+// converts the counters, so this package stays free of the optimizer's
+// type graph.
 type CacheStats struct {
 	Hits              int64   `json:"hits"`
 	Misses            int64   `json:"misses"`

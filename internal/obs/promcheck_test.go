@@ -136,15 +136,15 @@ func TestValidateExpositionRejectsBadPayloads(t *testing.T) {
 }
 
 func TestValidateExpositionAcceptsLabeledFamilies(t *testing.T) {
-	payload := `# HELP thistle_slo_burn_rate Error budget burn rate
-# TYPE thistle_slo_burn_rate gauge
-thistle_slo_burn_rate{slo="availability",window="5m"} 0.5
-thistle_slo_burn_rate{slo="availability",window="1h"} 0.25
-thistle_slo_burn_rate{slo="latency",window="5m"} 0
-thistle_slo_burn_rate{slo="latency",window="1h"} 0
-# TYPE thistle_slo_events_total counter
-thistle_slo_events_total{slo="availability",outcome="good"} 99
-thistle_slo_events_total{slo="availability",outcome="bad"} 1
+	payload := `# HELP thistle_example_ratio An example labeled gauge
+# TYPE thistle_example_ratio gauge
+thistle_example_ratio{slo="availability",window="5m"} 0.5
+thistle_example_ratio{slo="availability",window="1h"} 0.25
+thistle_example_ratio{slo="latency",window="5m"} 0
+thistle_example_ratio{slo="latency",window="1h"} 0
+# TYPE thistle_example_events_total counter
+thistle_example_events_total{slo="availability",outcome="good"} 99
+thistle_example_events_total{slo="availability",outcome="bad"} 1
 `
 	if err := ValidateExposition(strings.NewReader(payload)); err != nil {
 		t.Fatalf("labeled payload rejected: %v", err)

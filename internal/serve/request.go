@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -278,18 +281,34 @@ func (c *ConvSpec) problem() (*loopnest.Problem, error) {
 	return loopnest.Conv2D(cfg)
 }
 
-// decodeRequest reads and strictly validates the request body: unknown
-// fields are rejected so typos fail loudly instead of silently running
-// the default workload.
-func decodeRequest(r *http.Request) (*OptimizeRequest, *apiError) {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a /v1/optimize body. The largest legitimate body
+// carries a problem and an architecture spec document of a few KiB each.
+const maxBodyBytes = 1 << 20
+
+// decodeRequest reads and strictly validates the request body: a body
+// over maxBodyBytes is refused with 413, and unknown fields are rejected
+// so typos fail loudly instead of silently running the default workload.
+func decodeRequest(w http.ResponseWriter, r *http.Request) (*OptimizeRequest, *apiError) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return nil, &apiError{
+				status: http.StatusRequestEntityTooLarge,
+				Code:   "body_too_large", Message: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes),
+			}
+		}
+		return nil, badRequest("reading request body: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var req OptimizeRequest
 	if err := dec.Decode(&req); err != nil {
 		return nil, badRequest("decoding request body: %v", err)
 	}
-	// Trailing garbage after the JSON document is a malformed request.
-	if dec.More() {
+	// Anything but JSON whitespace after the document is a malformed
+	// request (dec.More would let a stray ']' or '}' through).
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
 		return nil, badRequest("request body holds more than one JSON document")
 	}
 	return &req, nil

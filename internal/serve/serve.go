@@ -49,7 +49,6 @@ import (
 	"repro/internal/loopnest"
 	"repro/internal/obs"
 	"repro/internal/obs/events"
-	"repro/internal/obs/timeseries"
 	"repro/internal/pipeline"
 	"repro/internal/specs"
 	"repro/internal/workloads"
@@ -87,16 +86,6 @@ type Config struct {
 	// backs /metrics and the serve.* gauges and histograms; its Log
 	// receives request logs. Nil allocates a metrics-only bundle.
 	Obs *obs.Obs
-	// SLO configures availability/latency objective tracking (zero
-	// value: 99% availability, 95% of requests under DefaultDeadline;
-	// Availability < 0 disables tracking).
-	SLO SLOConfig
-	// SampleInterval is the /varz time-series sampling cadence
-	// (0: 5s; negative: no background sampler — /varz still samples
-	// on-demand at the default cadence).
-	SampleInterval time.Duration
-	// SampleWindow is how much history /varz retains (0: 30m).
-	SampleWindow time.Duration
 	// AccessLog, when set, receives one JSON line per optimize request
 	// (subject to AccessLogSample; non-200 and slow requests always
 	// log). Nil disables access logging.
@@ -136,12 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.SampleInterval == 0 {
-		c.SampleInterval = 5 * time.Second
-	}
-	if c.SampleWindow <= 0 {
-		c.SampleWindow = 30 * time.Minute
-	}
 	if c.AccessLogSlow <= 0 {
 		c.AccessLogSlow = time.Second
 	}
@@ -175,8 +158,6 @@ type Server struct {
 	mux       *http.ServeMux
 	handler   http.Handler // mux wrapped in the request-ID middleware
 	start     time.Time
-	collector *timeseries.Collector
-	slo       *sloSet
 	accessLog *accessLogger
 
 	// Admission state: active holds one token per executing request;
@@ -231,35 +212,19 @@ func New(cfg Config) *Server {
 		deadlines:   cfg.Obs.Counter("serve.deadline_exceeded"),
 	}
 	s.run = s.runWork
-	s.slo = newSLOSet(cfg.SLO, cfg.DefaultDeadline, nil)
 	s.accessLog = newAccessLogger(cfg.AccessLog, cfg.AccessLogSample, cfg.AccessLogSlow)
-
-	interval := cfg.SampleInterval
-	background := interval > 0
-	if !background {
-		interval = 5 * time.Second
-	}
-	capacity := int(cfg.SampleWindow / interval)
-	if capacity < 2 {
-		capacity = 2
-	}
-	s.collector = timeseries.New(cfg.Obs.Metrics, timeseries.Options{Interval: interval, Capacity: capacity})
-	if background {
-		s.collector.Start()
-	}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/optimize", s.handleOptimize)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/statusz", s.handleStatusz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/varz", s.handleVarz)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "thistled: POST /v1/optimize (optimize), /v1/healthz (health), /statusz (progress), /metrics (prometheus), /varz (time series)")
+		fmt.Fprintln(w, "thistled: POST /v1/optimize (optimize), /v1/healthz (health), /statusz (progress), /metrics (prometheus)")
 	})
 	s.mux = mux
 	s.handler = s.requestIDMiddleware(mux)
@@ -271,9 +236,10 @@ func New(cfg Config) *Server {
 // 404s — carries X-Request-ID.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Close releases background resources (the /varz sampler). It does not
-// drain; call Drain first for a graceful shutdown.
-func (s *Server) Close() { s.collector.Stop() }
+// Close is a no-op kept for callers that pair New with Close: the
+// server starts no background goroutine, so there is nothing to release.
+// It does not drain; call Drain for a graceful shutdown.
+func (s *Server) Close() {}
 
 // Scheduler exposes the shared admission bound (for tests and stats).
 func (s *Server) Scheduler() *pipeline.Scheduler { return s.sched }
@@ -369,7 +335,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.reqTotal.Inc()
-	req, aerr := decodeRequest(r)
+	req, aerr := decodeRequest(w, r)
 	if aerr != nil {
 		s.reqErr.Inc()
 		writeError(w, aerr)
@@ -407,7 +373,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	resp, aerr := s.run(ctx, req, wk)
 	wall := time.Since(t0)
 	s.latency.Observe(wall)
-	s.slo.observe(aerr == nil, wall)
 	reqID := RequestIDFromContext(r.Context())
 
 	if aerr != nil {
@@ -501,7 +466,7 @@ func (s *Server) runWork(ctx context.Context, req *OptimizeRequest, wk *work) (*
 	// Finish the run record. The manifest carries the request's view of
 	// the shared cache (service-lifetime counters), tying hit-ratio
 	// telemetry to every audit record.
-	man := rec.Finish(manifestCacheStats(s.cache.Stats()), nil)
+	man := rec.Finish(s.cache.Stats().Manifest(), nil)
 	ro.Emit(obs.EvRunEnd, man.EndFields())
 	manJSON, jerr := json.Marshal(man)
 	if jerr != nil {
@@ -609,23 +574,6 @@ func (s *Server) spool(man *events.Manifest, resp *OptimizeResponse) {
 	}
 }
 
-// manifestCacheStats mirrors cliutil's conversion (serve cannot import
-// cliutil: the CLI runtime sits above the service layer).
-func manifestCacheStats(st cache.Stats) *events.CacheStats {
-	if st.Hits+st.Misses == 0 {
-		return nil
-	}
-	return &events.CacheStats{
-		Hits:              st.Hits,
-		Misses:            st.Misses,
-		DiskHits:          st.DiskHits,
-		SingleflightWaits: st.SingleflightWaits,
-		Stores:            st.Stores,
-		Evictions:         st.Evictions,
-		HitRate:           st.HitRate(),
-	}
-}
-
 // record keeps the newest requests for /statusz.
 func (s *Server) record(st reqStatus) {
 	s.mu.Lock()
@@ -659,32 +607,10 @@ func traceSeed(reqID, runID string) string {
 }
 
 // handleMetrics serves the shared registry in Prometheus text format —
-// the same exporter the batch CLIs mount behind -status-addr — plus
-// the thistle_slo_* objective families.
+// the same exporter the batch CLIs mount behind -status-addr.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	// Best effort below: the client may be gone mid-write.
-	_ = s.o.Metrics.Snapshot().WritePrometheus(w)
-	_ = s.slo.writePrometheus(w)
-}
-
-// varzResponse is the /varz body: the thistle-timeseries-v1 snapshot
-// with the SLO block attached, which is everything cmd/tlmon renders.
-type varzResponse struct {
-	timeseries.Snapshot
-	SLO []SLOStatus `json:"slo,omitempty"`
-}
-
-// handleVarz serves the sampled time-series state as JSON. A read
-// samples on demand when the retained state is staler than one
-// interval, so scripts probing a quiet server still see fresh data.
-func (s *Server) handleVarz(w http.ResponseWriter, _ *http.Request) {
-	s.collector.SampleIfStale()
-	w.Header().Set("Content-Type", "application/json")
-	resp := varzResponse{Snapshot: s.collector.Snapshot(), SLO: s.slo.statuses()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp) // best effort: the client may be gone
+	_ = s.o.Metrics.Snapshot().WritePrometheus(w) // best effort: the client may be gone
 }
 
 // handleStatusz renders the human-readable service page: uptime,
@@ -713,8 +639,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 	cs := s.cache.Stats()
 	fmt.Fprintf(w, "cache: %d hits / %d misses (%.1f%% hit rate), %d entries, %d singleflight waits\n",
 		cs.Hits, cs.Misses, 100*cs.HitRate(), cs.Entries, cs.SingleflightWaits)
-	s.slo.writeStatusz(w)
-	s.writeSparklines(w)
 
 	s.mu.Lock()
 	recent := append([]reqStatus(nil), s.recent...)
@@ -731,65 +655,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		}
 		fmt.Fprintf(w, "%s  %s  %d  %s  %s\n", id, r.Outcome, r.Layers, r.Wall.Round(time.Millisecond), r.Summary)
 	}
-}
-
-// sparkWidth is how many trailing samples each /statusz sparkline shows
-// (30 samples × the 5s default interval = 2.5 minutes of history).
-const sparkWidth = 30
-
-// writeSparklines renders the /varz series the eye wants on /statusz:
-// request rate, p95 latency, queue depth, and cache hit rate over the
-// sampler's recent history. Quiet until the sampler has ≥2 rounds.
-func (s *Server) writeSparklines(w io.Writer) {
-	s.collector.SampleIfStale()
-	qps := timeseries.Tail(s.collector.Rates("serve.requests"), sparkWidth)
-	if len(qps) < 2 {
-		return
-	}
-	p95 := timeseries.Tail(s.collector.Values("serve.request.latency.p95_ms"), sparkWidth)
-	queue := timeseries.Tail(s.collector.Values("serve.queue_depth"), sparkWidth)
-	fmt.Fprintf(w, "\ntrends (last %d samples @ %s):\n", len(qps), s.collector.Interval())
-	fmt.Fprintf(w, "  qps    %s  now %.2f/s\n", timeseries.Spark(qps), qps[len(qps)-1])
-	if len(p95) > 0 {
-		fmt.Fprintf(w, "  p95    %s  now %.1fms\n", timeseries.Spark(p95), p95[len(p95)-1])
-	}
-	if len(queue) > 0 {
-		fmt.Fprintf(w, "  queue  %s  now %.0f\n", timeseries.Spark(queue), queue[len(queue)-1])
-	}
-	hits := timeseries.Tail(s.collector.Rates("cache.hit"), sparkWidth)
-	misses := timeseries.Tail(s.collector.Rates("cache.miss"), sparkWidth)
-	if ratios, ok := hitRatios(hits, misses); ok {
-		fmt.Fprintf(w, "  cache  %s  now %.0f%% hit\n", timeseries.Spark(ratios), ratios[len(ratios)-1])
-	}
-}
-
-// hitRatios derives a per-sample cache hit-rate series (percent) from
-// aligned hit/miss rate series; samples with no traffic carry the
-// previous ratio so the sparkline stays readable.
-func hitRatios(hits, misses []float64) ([]float64, bool) {
-	n := len(hits)
-	if len(misses) < n {
-		n = len(misses)
-	}
-	if n == 0 {
-		return nil, false
-	}
-	// Align from the tail: both series sample the same rounds, but one
-	// may have existed for more of them.
-	hits = hits[len(hits)-n:]
-	misses = misses[len(misses)-n:]
-	out := make([]float64, n)
-	prev := 0.0
-	any := false
-	for i := 0; i < n; i++ {
-		total := hits[i] + misses[i]
-		if total > 0 {
-			prev = 100 * hits[i] / total
-			any = true
-		}
-		out[i] = prev
-	}
-	return out, any
 }
 
 // writeJSON writes a JSON response body with the given status.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/loopnest"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/obs/events"
 	"repro/internal/specs"
 	"repro/internal/workloads"
@@ -164,29 +165,39 @@ func TestOptimizeTraceAndEvents(t *testing.T) {
 	}
 }
 
+// badRequestCase is one rejected /v1/optimize body and its typed error.
+type badRequestCase struct {
+	name, body string
+	status     int
+	code       string
+}
+
+// badRequests are the small rejected bodies; FuzzDecodeRequest seeds
+// from them too.
+var badRequests = []badRequestCase{
+	{"no selector", `{}`, 400, "bad_request"},
+	{"two selectors", `{"layer": "resnet18_L1", "pipeline": "resnet18"}`, 400, "bad_request"},
+	{"unknown field", `{"layer": "resnet18_L1", "bogus": 1}`, 400, "bad_request"},
+	{"unknown layer", `{"layer": "vgg16_L1"}`, 400, "bad_request"},
+	{"unknown pipeline", `{"pipeline": "vgg16"}`, 400, "bad_request"},
+	{"bad criterion", tinyConv[:len(tinyConv)-1] + `, "criterion": "power"}`, 400, "bad_request"},
+	{"bad mode", tinyConv[:len(tinyConv)-1] + `, "mode": "auto"}`, 400, "bad_request"},
+	{"negative deadline", tinyConv[:len(tinyConv)-1] + `, "deadline_ms": -1}`, 400, "bad_request"},
+	{"malformed json", `{"layer": `, 400, "bad_request"},
+	{"trailing document", `{"layer": "resnet18_L1"} {"layer": "resnet18_L2"}`, 400, "bad_request"},
+	{"trailing bracket", `{"layer": "resnet18_L1"} ]`, 400, "bad_request"},
+	{"bad problem yaml", `{"problem_yaml": "not: a: problem"}`, 400, "bad_request"},
+	{"bad conv shape", `{"conv": {"k": 0, "c": 8, "h": 4, "r": 2}}`, 400, "bad_request"},
+}
+
 func TestBadRequests(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		name, body string
-		status     int
-		code       string
-	}{
-		{"no selector", `{}`, 400, "bad_request"},
-		{"two selectors", `{"layer": "resnet18_L1", "pipeline": "resnet18"}`, 400, "bad_request"},
-		{"unknown field", `{"layer": "resnet18_L1", "bogus": 1}`, 400, "bad_request"},
-		{"unknown layer", `{"layer": "vgg16_L1"}`, 400, "bad_request"},
-		{"unknown pipeline", `{"pipeline": "vgg16"}`, 400, "bad_request"},
-		{"bad criterion", tinyConv[:len(tinyConv)-1] + `, "criterion": "power"}`, 400, "bad_request"},
-		{"bad mode", tinyConv[:len(tinyConv)-1] + `, "mode": "auto"}`, 400, "bad_request"},
-		{"negative deadline", tinyConv[:len(tinyConv)-1] + `, "deadline_ms": -1}`, 400, "bad_request"},
-		{"malformed json", `{"layer": `, 400, "bad_request"},
-		{"trailing document", `{"layer": "resnet18_L1"} {"layer": "resnet18_L2"}`, 400, "bad_request"},
-		{"bad problem yaml", `{"problem_yaml": "not: a: problem"}`, 400, "bad_request"},
-		{"bad conv shape", `{"conv": {"k": 0, "c": 8, "h": 4, "r": 2}}`, 400, "bad_request"},
-	}
+	cases := append(badRequests, badRequestCase{
+		"body too large", `{"layer": "` + strings.Repeat("a", maxBodyBytes) + `"}`, 413, "body_too_large",
+	})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, data := postOptimize(t, ts, tc.body)
@@ -538,7 +549,14 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("metrics status = %d", code)
 	}
+	if err := obs.ValidateExposition(strings.NewReader(body)); err != nil {
+		t.Fatalf("live /metrics invalid: %v", err)
+	}
+	if strings.Contains(body, "thistle_slo_") {
+		t.Errorf("/metrics still exports SLO families:\n%s", body)
+	}
 	for _, want := range []string{
+		"# HELP thistle_serve_requests_total",
 		"thistle_serve_requests_total 1",
 		"thistle_serve_requests_ok_total 1",
 		"thistle_serve_in_flight 0",
@@ -558,6 +576,9 @@ func TestHealthAndMetricsEndpoints(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/statusz missing %q in:\n%s", want, body)
 		}
+	}
+	if code, _ := get("/varz"); code != http.StatusNotFound {
+		t.Errorf("GET /varz status = %d, want 404", code)
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,71 +13,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/events"
-	"repro/internal/obs/timeseries"
 )
-
-func TestVarzEndpoint(t *testing.T) {
-	srv := New(Config{SampleInterval: -1}) // on-demand sampling only
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	if resp, data := postOptimize(t, ts, tinyConv); resp.StatusCode != 200 {
-		t.Fatalf("optimize failed: %s", data)
-	}
-
-	resp, err := http.Get(ts.URL + "/varz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content-type = %q", ct)
-	}
-	var varz struct {
-		Schema string `json:"schema"`
-		Rounds int64  `json:"rounds"`
-		Series []struct {
-			Name    string `json:"name"`
-			Kind    string `json:"kind"`
-			Samples []struct {
-				T int64   `json:"t"`
-				V float64 `json:"v"`
-			} `json:"samples"`
-		} `json:"series"`
-		SLO []SLOStatus `json:"slo"`
-	}
-	if err := json.Unmarshal(data, &varz); err != nil {
-		t.Fatalf("decoding /varz: %v\n%s", err, data)
-	}
-	if varz.Schema != timeseries.SchemaVersion {
-		t.Fatalf("schema = %q, want %q", varz.Schema, timeseries.SchemaVersion)
-	}
-	if varz.Rounds < 1 {
-		t.Fatalf("rounds = %d, want >= 1 (SampleIfStale on read)", varz.Rounds)
-	}
-	byName := map[string]float64{}
-	for _, s := range varz.Series {
-		if len(s.Samples) > 0 {
-			byName[s.Name] = s.Samples[len(s.Samples)-1].V
-		}
-	}
-	if byName["serve.requests"] < 1 {
-		t.Fatalf("serve.requests series = %v, want >= 1; series: %v", byName["serve.requests"], byName)
-	}
-	for _, want := range []string{"serve.request.latency.count", "serve.request.latency.p95_ms"} {
-		if _, ok := byName[want]; !ok {
-			t.Errorf("missing derived series %s", want)
-		}
-	}
-	if len(varz.SLO) != 2 {
-		t.Fatalf("slo block = %+v, want availability+latency", varz.SLO)
-	}
-	if varz.SLO[0].SLO != "availability" || varz.SLO[0].Good < 1 {
-		t.Fatalf("availability slo = %+v", varz.SLO[0])
-	}
-}
 
 // TestRequestIDJoinsAllRecords is the acceptance-criteria test: an
 // inbound X-Request-ID must be echoed on the response and appear
@@ -228,39 +163,6 @@ func TestRequestIDOnErrorPaths(t *testing.T) {
 	}
 }
 
-// TestMetricsExpositionValid validates the live /metrics payload —
-// registry families plus the appended thistle_slo_* block — against the
-// exposition grammar.
-func TestMetricsExpositionValid(t *testing.T) {
-	srv := New(Config{})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	if resp, data := postOptimize(t, ts, tinyConv); resp.StatusCode != 200 {
-		t.Fatalf("optimize failed: %s", data)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := obs.ValidateExposition(bytes.NewReader(data)); err != nil {
-		t.Fatalf("live /metrics invalid: %v", err)
-	}
-	for _, want := range []string{
-		"thistle_slo_objective{slo=\"availability\"}",
-		"thistle_slo_burn_rate{slo=\"latency\",window=\"5m\"}",
-		"thistle_slo_events_total{slo=\"availability\",outcome=\"good\"} 1",
-		"# HELP thistle_serve_requests_total",
-	} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-}
-
 // TestStatuszRecentRingConcurrent hammers the recent-request ring from
 // many writers while readers render /statusz — the race gate covers it.
 func TestStatuszRecentRingConcurrent(t *testing.T) {
@@ -305,34 +207,5 @@ func TestStatuszRecentRingConcurrent(t *testing.T) {
 	srv.mu.Unlock()
 	if n != 32 {
 		t.Fatalf("ring holds %d entries, want cap 32", n)
-	}
-}
-
-// TestStatuszShowsSLOAndTrends asserts the human page gained the SLO
-// block and (after enough samples) the sparkline trends.
-func TestStatuszShowsSLOAndTrends(t *testing.T) {
-	srv := New(Config{SampleInterval: -1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	if resp, data := postOptimize(t, ts, tinyConv); resp.StatusCode != 200 {
-		t.Fatalf("optimize failed: %s", data)
-	}
-	// Force a second sampling round so rate series have >= 2 samples.
-	srv.collector.SampleNow()
-	srv.collector.SampleNow()
-
-	resp, err := http.Get(ts.URL + "/statusz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	body := string(data)
-	for _, want := range []string{"slo availability: GREEN", "slo latency:", "trends (last", "qps"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/statusz missing %q:\n%s", want, body)
-		}
 	}
 }

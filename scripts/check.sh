@@ -4,11 +4,12 @@
 # schema conformance, dropped errors, package layering, plus the
 # flow-aware wallclock/maprange/ctxprop/goscheduler analyzers), which
 # fails on any finding not suppressed by a reasoned //tlvet:ignore, the
-# short test suite, a 10 s fuzz of yamlite.Parse, the bench/ module's
-# smoke test (every benchmark workload at toy scale), a race-detector
-# pass over the concurrent packages (mapper worker pool, the pipeline
-# scheduler and its staged GP flow, the core whole-network batch,
-# solver hooks, obs, cache singleflight, the thistled admission path),
+# short test suite, 10 s fuzzes of yamlite.Parse and of the
+# /v1/optimize request decoder, the bench/ module's smoke test (every
+# benchmark workload at toy scale), a race-detector pass over the
+# concurrent packages (mapper worker pool, the pipeline scheduler and
+# its staged GP flow, the core whole-network batch, solver hooks, obs,
+# cache singleflight, the thistled admission path),
 # and an end-to-end run-report gate: a small workload is optimized with
 # -events/-manifest/-trace-out, the JSONL stream is validated against
 # the schema, a tlreport self-diff must come back regression-free, and
@@ -22,10 +23,10 @@
 # A final serve gate boots thistled on a random
 # port (scripts/servecheck), POSTs the same layer with a client
 # request ID, verifies the ID joins the manifest, trace, and access
-# log, probes the telemetry surface (/metrics SLO families, /varz,
-# a tlmon -once frame), and diffs the server-side manifest against the
-# CLI's — the two must agree exactly — before asserting a clean SIGTERM
-# drain. `make check` runs this script.
+# log, probes /v1/healthz, /metrics and /statusz, asserts a repeated
+# request is a shared-cache hit, and diffs the server-side manifest
+# against the CLI's — the two must agree exactly — before asserting a
+# clean SIGTERM drain. `make check` runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,6 +58,11 @@ echo "== fuzz yamlite.Parse (10 s; the parser of thistled's problem_yaml/arch_ya
 # A crasher is written to internal/yamlite/testdata/fuzz/FuzzParse;
 # commit it as a regression input with the fix.
 go test -run '^$' -fuzz=FuzzParse -fuzztime=10s ./internal/yamlite
+
+echo "== fuzz the /v1/optimize request decoder (10 s; decodeRequest + resolve)"
+# A crasher is written to internal/serve/testdata/fuzz/FuzzDecodeRequest;
+# commit it as a regression input with the fix.
+go test -run '^$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/serve
 
 echo "== bench smoke test (every workload at toy scale, every design checked)"
 # bench/ is its own module, so go test ./... above does not reach it.
@@ -123,8 +129,7 @@ fi
 
 echo "== e2e serve gate (thistled vs thistle CLI, telemetry, graceful drain)"
 go build -o "$tmp/thistled" ./cmd/thistled
-go build -o "$tmp/tlmon" ./cmd/tlmon
-go run ./scripts/servecheck "$tmp/thistled" "$tmp" "$tmp/tlmon"
+go run ./scripts/servecheck "$tmp/thistled" "$tmp"
 # The server and the CLI optimized the same layer through the same
 # pipeline; their per-layer results must agree exactly (wall time is
 # the only legitimate difference).

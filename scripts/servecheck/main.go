@@ -5,13 +5,10 @@
 // is served from the shared cache, verifies the request-ID join (the
 // X-Request-ID the client sent must reappear verbatim in the response
 // header, the manifest, the Chrome trace, and the access log), probes
-// the health and telemetry surface (/metrics, /statusz, /varz), and
-// finally SIGTERMs the daemon expecting a clean graceful-drain exit.
+// the health and telemetry surface (/v1/healthz, /metrics, /statusz),
+// and finally SIGTERMs the daemon expecting a clean graceful-drain exit.
 //
-//	servecheck <thistled-binary> <outdir> [tlmon-binary]
-//
-// When a tlmon binary is given, it is run with -once against the live
-// daemon and its frame must render the qps and slo blocks.
+//	servecheck <thistled-binary> <outdir>
 //
 // On success the returned manifest is written to
 // <outdir>/server.manifest.json and the process exits 0; any protocol,
@@ -33,21 +30,17 @@ import (
 )
 
 func main() {
-	if len(os.Args) != 3 && len(os.Args) != 4 {
-		fmt.Fprintln(os.Stderr, "usage: servecheck <thistled-binary> <outdir> [tlmon-binary]")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: servecheck <thistled-binary> <outdir>")
 		os.Exit(2)
 	}
-	tlmon := ""
-	if len(os.Args) == 4 {
-		tlmon = os.Args[3]
-	}
-	if err := run(os.Args[1], os.Args[2], tlmon); err != nil {
+	if err := run(os.Args[1], os.Args[2]); err != nil {
 		fmt.Fprintln(os.Stderr, "servecheck:", err)
 		os.Exit(1)
 	}
 }
 
-func run(binary, outdir, tlmon string) error {
+func run(binary, outdir string) error {
 	if err := os.MkdirAll(outdir, 0o755); err != nil {
 		return err
 	}
@@ -179,24 +172,14 @@ func run(binary, outdir, tlmon string) error {
 	}
 
 	// Health and telemetry surface: healthz says ok, metrics exposes the
-	// serve.* and SLO families, statusz shows the SLO block, varz serves
-	// a schema-tagged time-series snapshot.
+	// serve.* families, statusz reports the serving state.
 	if err := expectGet(base+"/v1/healthz", "ok"); err != nil {
 		return err
 	}
 	if err := expectGet(base+"/metrics", "thistle_serve_requests_total"); err != nil {
 		return err
 	}
-	if err := expectGet(base+"/metrics", "thistle_slo_burn_rate"); err != nil {
-		return err
-	}
 	if err := expectGet(base+"/statusz", "thistled serving"); err != nil {
-		return err
-	}
-	if err := expectGet(base+"/statusz", "slo availability"); err != nil {
-		return err
-	}
-	if err := expectGet(base+"/varz", "thistle-timeseries-v1"); err != nil {
 		return err
 	}
 
@@ -208,21 +191,6 @@ func run(binary, outdir, tlmon string) error {
 	}
 	if !strings.Contains(string(logData), clientReqID) {
 		return fmt.Errorf("access log %s has no line for request %q:\n%s", accessLog, clientReqID, logData)
-	}
-
-	// The dashboard's scripting mode must render a frame off the live
-	// daemon: one fetch of /varz, qps and slo blocks present, exit 0.
-	if tlmon != "" {
-		monOut, err := exec.Command(tlmon, "-addr", base, "-once").CombinedOutput()
-		if err != nil {
-			return fmt.Errorf("tlmon -once: %w\n%s", err, monOut)
-		}
-		for _, needle := range []string{"qps", "slo"} {
-			if !strings.Contains(string(monOut), needle) {
-				return fmt.Errorf("tlmon frame missing %q:\n%s", needle, monOut)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "servecheck: tlmon frame ok\n")
 	}
 
 	// Graceful drain: SIGTERM must produce a clean exit 0.
