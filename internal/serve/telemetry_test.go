@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -160,6 +161,34 @@ func TestRequestIDOnErrorPaths(t *testing.T) {
 	resp3.Body.Close()
 	if got := resp3.Header.Get(RequestIDHeader); got != "okbadchars" {
 		t.Fatalf("sanitized echo = %q, want okbadchars", got)
+	}
+}
+
+// TestMetricsExpositionValid validates the live /metrics payload against
+// the exposition grammar and checks no thistle_slo_* family is exported.
+func TestMetricsExpositionValid(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if resp, data := postOptimize(t, ts, tinyConv); resp.StatusCode != 200 {
+		t.Fatalf("optimize failed: %s", data)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := obs.ValidateExposition(bytes.NewReader(data)); err != nil {
+		t.Fatalf("live /metrics invalid: %v", err)
+	}
+	if strings.Contains(string(data), "thistle_slo_") {
+		t.Errorf("/metrics still exports SLO families:\n%s", data)
+	}
+	if !strings.Contains(string(data), "# HELP thistle_serve_requests_total") {
+		t.Errorf("/metrics missing thistle_serve_requests_total HELP line")
 	}
 }
 
