@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/floats"
 	"repro/internal/model"
+	"repro/internal/obs/events"
 	"repro/internal/obs/tracefile"
 	"repro/internal/workloads"
 )
@@ -315,6 +317,77 @@ func TestCLIRunRecords(t *testing.T) {
 	}
 	if got, want := manDelay.Layers[0].Cycles, res.Best.Report.Cycles; !floats.EqTol(got, want, 1e-12) {
 		t.Fatalf("thistle -criterion delay: %v cycles, core.Optimize with NDiv 0: %v", got, want)
+	}
+}
+
+// TestCLIEventStreamMatchesFixture reruns the run that recorded the
+// events package's fixture stream and requires the same events: apart
+// from the framing (seq, t_us) and the fields that name the run, the
+// build or the clock, every event's fields must equal one recorded
+// event's. Zero values are
+// dropped on both sides, since an optional field at zero is omitted
+// from the stream (Validate checks the required ones are present).
+// The events are compared as a multiset: even at -parallel 1 the GP
+// solves' solve_end and centering events interleave run to run.
+func TestCLIEventStreamMatchesFixture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration test skipped in -short mode")
+	}
+	bin := buildCmds(t)
+	path := filepath.Join(t.TempDir(), "run.events.jsonl")
+	cmd := exec.Command(filepath.Join(bin, "thistle"),
+		"-layer", "resnet18_L12", "-specs=false", "-parallel", "1", "-events", path)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("thistle: %v\n%s", err, out)
+	}
+	canonical := func(path string) []string {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		evs, warnings, err := events.ReadStream(f)
+		if err != nil || len(warnings) > 0 {
+			t.Fatalf("%s: %v %v", path, err, warnings)
+		}
+		var out []string
+		for _, ev := range evs {
+			for k, v := range ev.Fields {
+				switch k {
+				case "wall_us", "run_id", "start_time", "git_rev", "go_version", "args":
+					delete(ev.Fields, k)
+				}
+				if v == 0.0 || v == false || v == "" {
+					delete(ev.Fields, k)
+				}
+			}
+			b, err := json.Marshal(map[string]any{"type": ev.Type, "fields": ev.Fields})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(b))
+		}
+		sort.Strings(out)
+		return out
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if sum, err := events.Validate(f); err != nil || len(sum.Warnings) > 0 {
+		t.Fatalf("validate: %v %+v", err, sum)
+	}
+	got := canonical(path)
+	want := canonical("internal/obs/events/testdata/resnet18_L12.events.jsonl")
+	if len(got) != len(want) {
+		t.Fatalf("%d events, fixture has %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("event differs from the fixture:\n got %s\nwant %s", got[i], want[i])
+		}
 	}
 }
 

@@ -10,7 +10,7 @@
 // -metrics, profiles), the solve cache (-cache, -cache-dir — the
 // studies re-solve each other's baselines, so cross-figure hit rates
 // are tabulated in EXPERIMENTS.md), and durable run records (-events,
-// -manifest, -status-addr).
+// -manifest).
 //
 // Examples:
 //

@@ -10,7 +10,7 @@
 // deduplicate same-shaped layers. The shared runtime flag block
 // (internal/cliutil) adds observability (-v, -trace-out, -metrics,
 // profiles), the content-addressed solve cache (-cache, -cache-dir),
-// and durable run records (-events, -manifest, -status-addr); see the
+// and durable run records (-events, -manifest); see the
 // README. The same optimizer is available as a long-running HTTP
 // service via cmd/thistled.
 //

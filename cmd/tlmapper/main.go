@@ -174,16 +174,18 @@ func run() error {
 	}
 	if o.EventsEnabled() {
 		rep := res.Report
-		o.Emit(obs.EvMapperEnd, map[string]any{
-			"problem":        prob.Name,
-			"trials":         res.Trials,
-			"valid":          res.Valid,
-			"energy_pj":      rep.Energy,
-			"cycles":         rep.Cycles,
-			"edp":            rep.Energy * rep.Cycles,
-			"energy_per_mac": rep.EnergyPerMAC,
-			"ipc":            rep.IPC,
-			"from_cache":     hit,
+		o.Emit(&obs.MapperEnd{
+			Problem: prob.Name,
+			Trials:  res.Trials,
+			Valid:   res.Valid,
+			Figures: obs.Figures{
+				EnergyPJ:     rep.Energy,
+				Cycles:       rep.Cycles,
+				EDP:          rep.Energy * rep.Cycles,
+				EnergyPerMAC: rep.EnergyPerMAC,
+				IPC:          rep.IPC,
+			},
+			FromCache: hit,
 		})
 	}
 	fmt.Printf("problem:      %s (%d MACs)\n", prob.Name, res.Report.Ops)

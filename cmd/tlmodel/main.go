@@ -131,14 +131,14 @@ func run() error {
 		o.Logf(obs.Info, "report served from cache (%s)", sig.Short())
 	}
 	if o.EventsEnabled() {
-		o.Emit(obs.EvModelValidate, map[string]any{
-			"problem":    prob.Name,
-			"valid":      rep.Valid(),
-			"violations": len(rep.Violations),
-			"energy_pj":  rep.Energy,
-			"cycles":     rep.Cycles,
-			"edp":        rep.Energy * rep.Cycles,
-			"from_cache": hit,
+		o.Emit(&obs.ModelValidate{
+			Problem:    prob.Name,
+			Valid:      rep.Valid(),
+			Violations: len(rep.Violations),
+			EnergyPJ:   rep.Energy,
+			Cycles:     rep.Cycles,
+			EDP:        rep.Energy * rep.Cycles,
+			FromCache:  hit,
 		})
 	}
 	fmt.Printf("problem:       %s (%d MACs)\n", prob.Name, rep.Ops)

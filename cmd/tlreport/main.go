@@ -157,12 +157,8 @@ func runValidate(args []string) int {
 		fmt.Print(" (incomplete)")
 	}
 	fmt.Println()
-	for _, typ := range []string{
-		obs.EvRunStart, obs.EvLayersTotal, obs.EvOptimizeStart,
-		obs.EvOptimizeEnd, obs.EvSolveEnd,
-		obs.EvCentering, obs.EvMapperEnd, obs.EvModelValidate,
-		obs.EvRunEnd,
-	} {
+	for _, ev := range obs.EventTypes {
+		typ := ev.EventType()
 		if n := sum.ByType[typ]; n > 0 {
 			fmt.Printf("  %-16s %d\n", typ, n)
 		}

@@ -1,13 +1,12 @@
 // Command tlvet runs the Thistle static-analysis suite over the
 // module: project-specific invariants that go vet cannot check and the
-// tests do not catch, from event-schema conformance up to flow-aware
-// determinism on a module-wide callgraph.
+// tests do not catch, from dropped errors and package layering up to
+// flow-aware determinism on a module-wide callgraph.
 //
 // The analyzers and their one-line invariants:
 //
 //	ctxprop     ctx-receiving functions must not call context.Background/TODO or drop ctx when a Context variant exists
 //	droppederr  error results must be consumed, not discarded
-//	eventfields emitted thistle-events-v1 fields must match the registered schema
 //	goscheduler go statements in internal/ must be Scheduler-internal, WaitGroup-scoped, or carry a reasoned suppression
 //	maprange    map iteration must not feed Emit/serialization/printing or unsorted slice appends
 //	stagedep    cross-package layering: pipeline and serve import only downward, and only commands import serve

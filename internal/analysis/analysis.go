@@ -2,8 +2,8 @@
 // cmd/tlvet. It loads every package in the module with go/parser and
 // go/types and runs a suite of Thistle-specific analyzers over the
 // typed ASTs — checks that encode invariants go vet cannot know about,
-// such as the thistle-events-v1 field schema, the package layering
-// rules, or the solve path's wall-clock ban.
+// such as the package layering rules or the solve path's wall-clock
+// ban.
 //
 // The framework deliberately mirrors the shape of golang.org/x/tools'
 // analysis package (Analyzer, Pass, Reportf) so the checks would port

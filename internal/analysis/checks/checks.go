@@ -16,7 +16,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		CtxProp,
 		DroppedErr,
-		EventFields,
 		GoScheduler,
 		MapRange,
 		StageDep,

@@ -20,7 +20,6 @@ func TestGolden(t *testing.T) {
 		dir      string
 		fakePath string
 	}{
-		{EventFields, "eventfields", "repro/internal/analysis/checks/testdata/eventfields"},
 		{DroppedErr, "droppederr", "repro/internal/analysis/checks/testdata/droppederr"},
 		{DroppedErr, "ignore", "repro/internal/analysis/checks/testdata/ignore"},
 		{StageDep, "stagedep", "repro/internal/pipeline/testfixture"},

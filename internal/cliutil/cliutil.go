@@ -30,7 +30,7 @@ import (
 
 // Flags is the shared CLI flag block: obs (verbosity, trace, metrics,
 // profiles), cache (enable, dir, capacity, stats), events (event
-// stream, manifest, status server), and -version.
+// stream, manifest), and -version.
 type Flags struct {
 	Obs    obs.Flags
 	Cache  cache.Flags
@@ -81,15 +81,14 @@ type Runtime struct {
 }
 
 // Setup assembles the runtime after flag parsing: the obs bundle first,
-// then the event stream wrapping it (emitting run_start and, when
-// requested, serving the live status endpoint). tool and args name the
-// invocation in the run record; warnings go to warnw.
+// then the event stream wrapping it (emitting run_start). tool and args
+// name the invocation in the run record; warnings go to warnw.
 func (f *Flags) Setup(tool string, args []string, warnw io.Writer) (*Runtime, error) {
 	o, err := f.Obs.Setup(warnw)
 	if err != nil {
 		return nil, err
 	}
-	if o, err = f.Events.Setup(o, tool, args, warnw); err != nil {
+	if o, err = f.Events.Setup(o, tool, args); err != nil {
 		f.Obs.Close()
 		return nil, err
 	}

@@ -89,10 +89,10 @@ func OptimizeContext(ctx context.Context, p *loopnest.Problem, opts Options) (*R
 	sig := solveKey(p, opts).Signature()
 	//tlvet:ignore wallclock -- telemetry: wall_us on optimize events; never feeds solve results
 	t0 := time.Now()
-	o.Emit(obs.EvOptimizeStart, startFields(p, opts, sig))
+	o.Emit(startEvent(p, opts, sig))
 	res, err := optimize(ctx, p, opts, sig)
 	//tlvet:ignore wallclock -- telemetry: wall_us on optimize events; never feeds solve results
-	o.Emit(obs.EvOptimizeEnd, endFields(p.Name, sig, res, err, time.Since(t0), ""))
+	o.Emit(endEvent(p.Name, sig, res, err, time.Since(t0), ""))
 	return res, err
 }
 
@@ -107,12 +107,11 @@ func OptimizeContext(ctx context.Context, p *loopnest.Problem, opts Options) (*R
 // multiplies the configured concurrency by N.
 //
 // The run events come out in input order whatever order the groups
-// finish in: layers_total and each group's optimize_start as the groups
-// launch, then, once all are done, one optimize_end per problem. A
-// group owner (the first problem in input order with its signature)
-// gets its row whether it succeeded or not; every other member gets a
-// row marked reused, naming the owner in "from", only when the whole
-// batch succeeded.
+// finish in: each group's optimize_start as the groups launch, then,
+// once all are done, one optimize_end per problem. A group owner (the
+// first problem in input order with its signature) gets its row whether
+// it succeeded or not; every other member gets a row marked reused,
+// naming the owner in "from", only when the whole batch succeeded.
 //
 // The returned slice is index-aligned with probs; deduplicated entries
 // share one *Result (treat them as immutable). A solve cache on the
@@ -125,9 +124,6 @@ func OptimizeLayers(ctx context.Context, probs []*loopnest.Problem, opts Options
 	opts = opts.WithDefaults()
 	o := obs.FromContext(ctx)
 	emit := o.EventsEnabled()
-	if emit {
-		o.Emit(obs.EvLayersTotal, map[string]any{"total": len(probs)})
-	}
 	// Group by signature before solving anything, in input order.
 	sigs := make([]cache.Signature, len(probs))
 	owner := make([]int, len(probs))
@@ -159,7 +155,7 @@ func OptimizeLayers(ctx context.Context, probs []*loopnest.Problem, opts Options
 			continue
 		}
 		if emit {
-			o.Emit(obs.EvOptimizeStart, startFields(p, opts, sigs[i]))
+			o.Emit(startEvent(p, opts, sigs[i]))
 		}
 		wg.Add(1)
 		go func(i int) {
@@ -201,9 +197,9 @@ func OptimizeLayers(ctx context.Context, probs []*loopnest.Problem, opts Options
 		switch {
 		case !emit:
 		case j == i:
-			o.Emit(obs.EvOptimizeEnd, endFields(p.Name, sigs[i], results[i], errs[i], walls[i], ""))
+			o.Emit(endEvent(p.Name, sigs[i], results[i], errs[i], walls[i], ""))
 		case firstErr == nil:
-			o.Emit(obs.EvOptimizeEnd, endFields(p.Name, sigs[i], results[i], nil, 0, probs[j].Name))
+			o.Emit(endEvent(p.Name, sigs[i], results[i], nil, 0, probs[j].Name))
 		}
 	}
 	if firstErr != nil {
@@ -218,51 +214,50 @@ func OptimizeLayers(ctx context.Context, probs []*loopnest.Problem, opts Options
 	return results, nil
 }
 
-// startFields builds the optimize_start payload.
-func startFields(p *loopnest.Problem, opts Options, sig cache.Signature) map[string]any {
-	return map[string]any{
-		"problem":   p.Name,
-		"sig":       sig.Short(),
-		"mode":      opts.Mode.String(),
-		"criterion": opts.Criterion.String(),
+// startEvent builds the optimize_start event.
+func startEvent(p *loopnest.Problem, opts Options, sig cache.Signature) *obs.OptimizeStart {
+	return &obs.OptimizeStart{
+		Problem:   p.Name,
+		Sig:       sig.Short(),
+		Mode:      opts.Mode.String(),
+		Criterion: opts.Criterion.String(),
 	}
 }
 
-// endFields builds every optimize_end payload: the row the manifest
-// recorder folds into its per-layer table (see events.Schema). A failed
-// run carries its error; a successful one its design's figures and
-// search effort. A nonempty from marks a batch member served by its
-// group owner's solve: the row repeats the owner's design figures,
-// flagged reused, without effort or wall time of its own.
-func endFields(name string, sig cache.Signature, res *Result, err error, wall time.Duration, from string) map[string]any {
-	f := map[string]any{"problem": name, "sig": sig.Short()}
-	if from == "" {
-		f["wall_us"] = wall.Microseconds()
-	}
+// endEvent builds every optimize_end event: the row the manifest
+// recorder folds into its per-layer table. A failed run carries its
+// error; a successful one its design's figures and search effort. A
+// nonempty from marks a batch member served by its group owner's
+// solve: the row repeats the owner's design figures, flagged reused,
+// without effort or wall time of its own.
+func endEvent(name string, sig cache.Signature, res *Result, err error, wall time.Duration, from string) *obs.OptimizeEnd {
+	e := &obs.OptimizeEnd{Problem: name, Sig: sig.Short(), WallUS: wall.Microseconds()}
 	if err != nil || res == nil || res.Best == nil {
-		f["status"] = "error"
+		e.Status = "error"
 		if err != nil {
-			f["error"] = err.Error()
+			e.Error = err.Error()
 		}
-		return f
+		return e
 	}
 	rep := res.Best.Report
-	f["status"] = "ok"
-	f["energy_pj"] = rep.Energy
-	f["cycles"] = rep.Cycles
-	f["edp"] = rep.Energy * rep.Cycles
-	f["energy_per_mac"] = rep.EnergyPerMAC
-	f["ipc"] = rep.IPC
-	if from != "" {
-		f["reused"] = true
-		f["from"] = from
-		return f
+	e.Status = "ok"
+	e.Figures = obs.Figures{
+		EnergyPJ:     rep.Energy,
+		Cycles:       rep.Cycles,
+		EDP:          rep.Energy * rep.Cycles,
+		EnergyPerMAC: rep.EnergyPerMAC,
+		IPC:          rep.IPC,
 	}
-	f["pairs_solved"] = res.Stats.PairsSolved
-	f["fresh_solves"] = res.Stats.FreshSolves
-	f["candidates"] = res.Stats.Candidates
-	f["from_cache"] = res.Stats.FromCache
-	return f
+	if from != "" {
+		e.Reused = true
+		e.From = from
+		return e
+	}
+	e.PairsSolved = res.Stats.PairsSolved
+	e.FreshSolves = res.Stats.FreshSolves
+	e.Candidates = res.Stats.Candidates
+	e.FromCache = res.Stats.FromCache
+	return e
 }
 
 // optimize is the cached, traced solve behind OptimizeContext and

@@ -20,25 +20,23 @@ import (
 // eventLog is a concurrency-safe obs.EventSink recording emitted events
 // in order.
 type eventLog struct {
-	mu     sync.Mutex
-	types  []string
-	fields []map[string]any
+	mu  sync.Mutex
+	evs []obs.Event
 }
 
-func (s *eventLog) Emit(typ string, fields map[string]any) {
+func (s *eventLog) Emit(ev obs.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.types = append(s.types, typ)
-	s.fields = append(s.fields, fields)
+	s.evs = append(s.evs, ev)
 }
 
-func (s *eventLog) byType(typ string) []map[string]any {
+func (s *eventLog) ends() []*obs.OptimizeEnd {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []map[string]any
-	for i, t := range s.types {
-		if t == typ {
-			out = append(out, s.fields[i])
+	var out []*obs.OptimizeEnd
+	for _, ev := range s.evs {
+		if e, ok := ev.(*obs.OptimizeEnd); ok {
+			out = append(out, e)
 		}
 	}
 	return out
@@ -98,37 +96,36 @@ func TestOptimizeLayersDedupProvenance(t *testing.T) {
 		t.Fatal("distinct shapes collapsed onto one result")
 	}
 	from := map[int]string{2: probs[0].Name, 5: probs[1].Name, 6: probs[0].Name}
-	ends := log.byType(obs.EvOptimizeEnd)
+	ends := log.ends()
 	if len(ends) != len(probs) {
 		t.Fatalf("got %d optimize_end events, want %d", len(ends), len(probs))
 	}
-	for i, f := range ends {
-		if f["problem"] != probs[i].Name || f["status"] != "ok" || f["energy_pj"] == nil || f["sig"] == nil {
-			t.Errorf("row %d: %v, want an ok row for %s", i, f, probs[i].Name)
+	for i, e := range ends {
+		if e.Problem != probs[i].Name || e.Status != "ok" || e.EnergyPJ == 0 || e.Sig == "" {
+			t.Errorf("row %d: %+v, want an ok row for %s", i, e, probs[i].Name)
 		}
 		if want, reused := from[i]; reused {
-			if f["reused"] != true || f["from"] != want {
-				t.Errorf("row %d: reused=%v from=%v, want reused from %s", i, f["reused"], f["from"], want)
+			if !e.Reused || e.From != want {
+				t.Errorf("row %d: reused=%v from=%v, want reused from %s", i, e.Reused, e.From, want)
 			}
-		} else if f["reused"] != nil || f["from"] != nil || f["wall_us"] == nil {
-			t.Errorf("owner row %d: %v", i, f)
+		} else if e.Reused || e.From != "" || e.WallUS == 0 {
+			t.Errorf("owner row %d: %+v", i, e)
 		}
 	}
 	// One start per group owner, in input order, all before the first
-	// end; the total arrives first of all.
-	if len(log.types) == 0 || log.types[0] != obs.EvLayersTotal || log.fields[0]["total"] != len(probs) {
-		t.Fatalf("first event = %v, want layers_total %d", log.types[:1], len(probs))
-	}
-	var starts []any
-	for i, typ := range log.types {
-		if typ == obs.EvOptimizeStart {
-			starts = append(starts, log.fields[i]["problem"])
+	// end.
+	var starts []string
+	for _, ev := range log.evs {
+		switch e := ev.(type) {
+		case *obs.OptimizeStart:
+			starts = append(starts, e.Problem)
+		case *obs.OptimizeEnd:
+			if len(starts) < 4 {
+				t.Fatalf("optimize_end before every group started: starts %v", starts)
+			}
 		}
-		if typ == obs.EvOptimizeEnd && len(starts) < 4 {
-			t.Fatalf("optimize_end before every group started: starts %v", starts)
-		}
 	}
-	want := []any{probs[0].Name, probs[1].Name, probs[3].Name, probs[4].Name}
+	want := []string{probs[0].Name, probs[1].Name, probs[3].Name, probs[4].Name}
 	if len(starts) != len(want) {
 		t.Fatalf("optimize_start problems = %v, want %v", starts, want)
 	}

@@ -13,9 +13,10 @@
 // The package plugs into the existing telemetry plumbing through
 // obs.EventSink: an Emitter (JSONL writer) and a Recorder (manifest
 // builder) both implement it, and the solver and core layers emit
-// through the nil-safe obs.Obs.Emit hook they already carry, naming
-// each event with an obs.Ev* constant. Below the CLI layer only cache
-// imports this package, to convert its counters into CacheStats.
+// through the nil-safe obs.Obs.Emit hook they already carry, each event
+// a typed payload from internal/obs (obs.EventTypes). Below the CLI
+// layer only cache imports this package, to convert its counters into
+// CacheStats.
 package events
 
 import (
@@ -37,17 +38,29 @@ import (
 // an incompatible format instead of misreading them.
 const SchemaVersion = "thistle-events-v1"
 
-// Event is one line of the JSONL stream. Seq is strictly increasing
-// within a stream (assigned by the Emitter under its lock, so events
-// from parallel solver goroutines are totally ordered). TimeUS is
-// microseconds since the stream was opened — relative, so identical
-// runs produce comparable streams. Schema is set on run_start only.
+// Event is one line of the JSONL stream as read back. Seq is strictly
+// increasing within a stream (assigned by the Emitter under its lock,
+// so events from parallel solver goroutines are totally ordered).
+// TimeUS is microseconds since the stream was opened — relative, so
+// identical runs produce comparable streams. Schema is set on run_start
+// only. Fields is the payload struct's JSON object, decoded generically
+// so streams from other versions stay readable.
 type Event struct {
 	Schema string         `json:"schema,omitempty"`
 	Seq    int64          `json:"seq"`
 	TimeUS int64          `json:"t_us"`
 	Type   string         `json:"type"`
 	Fields map[string]any `json:"fields,omitempty"`
+}
+
+// line is one line of the JSONL stream as written: Event's framing
+// around a typed payload.
+type line struct {
+	Schema string    `json:"schema,omitempty"`
+	Seq    int64     `json:"seq"`
+	TimeUS int64     `json:"t_us"`
+	Type   string    `json:"type"`
+	Fields obs.Event `json:"fields"`
 }
 
 // Emitter writes the JSONL stream. It is safe for concurrent use; Emit
@@ -82,7 +95,7 @@ func Create(path string) (*Emitter, error) {
 }
 
 // Emit appends one event. Implements obs.EventSink.
-func (e *Emitter) Emit(typ string, fields map[string]any) {
+func (e *Emitter) Emit(ev obs.Event) {
 	if e == nil {
 		return
 	}
@@ -92,16 +105,16 @@ func (e *Emitter) Emit(typ string, fields map[string]any) {
 		return
 	}
 	e.seq++
-	ev := Event{
+	l := line{
 		Seq:    e.seq,
 		TimeUS: time.Since(e.start).Microseconds(),
-		Type:   typ,
-		Fields: fields,
+		Type:   ev.EventType(),
+		Fields: ev,
 	}
-	if typ == obs.EvRunStart {
-		ev.Schema = SchemaVersion
+	if l.Type == obs.EvRunStart {
+		l.Schema = SchemaVersion
 	}
-	data, err := json.Marshal(ev)
+	data, err := json.Marshal(l)
 	if err != nil {
 		e.err = err
 		return
@@ -154,7 +167,7 @@ func ReadStream(r io.Reader) ([]Event, []string, error) {
 		line++
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("events: line %d: %w", line+1, err)
 	}
 	var warnings []string
 	if pending != "" {
@@ -180,14 +193,14 @@ type StreamSummary struct {
 	Warnings []string
 }
 
-// Validate checks a stream against the schema table (Schema): the
-// first event must be run_start carrying the current SchemaVersion and
-// its required fields, sequence numbers must be strictly increasing,
-// and every known event type must carry its required fields with
-// schema-conformant values. Unknown event types pass validation and
-// unknown fields on known types are warnings (forward compatibility);
-// a missing run_end (crash) and a truncated final line are also
-// warnings, not errors.
+// Validate checks a stream against the schema derived from the event
+// payload types (obs.EventTypes): the first event must be run_start
+// carrying the current SchemaVersion and its required fields, sequence
+// numbers must be strictly increasing, and every known event type must
+// carry its required fields with schema-conformant values. Unknown
+// event types pass validation and unknown fields on known types are
+// warnings (forward compatibility); a missing run_end (crash) and a
+// truncated final line are also warnings, not errors.
 func Validate(r io.Reader) (*StreamSummary, error) {
 	events, warnings, err := ReadStream(r)
 	if err != nil {
@@ -203,7 +216,7 @@ func Validate(r io.Reader) (*StreamSummary, error) {
 	if first.Schema != SchemaVersion {
 		return nil, fmt.Errorf("%w: schema %q, want %q", ErrBadStream, first.Schema, SchemaVersion)
 	}
-	schema := Schema()
+	specs := schema()
 	sum := &StreamSummary{ByType: map[string]int{}, Warnings: warnings}
 	prevSeq := int64(0)
 	for i, ev := range events {
@@ -211,7 +224,7 @@ func Validate(r io.Reader) (*StreamSummary, error) {
 			return nil, fmt.Errorf("%w: event %d: seq %d not increasing (previous %d)", ErrBadStream, i, ev.Seq, prevSeq)
 		}
 		prevSeq = ev.Seq
-		if spec, known := schema[ev.Type]; known {
+		if spec, known := specs[ev.Type]; known {
 			// Iterate both field maps in sorted order so the first
 			// error reported — and the order of unknown-field warnings
 			// — is deterministic run to run.
@@ -281,9 +294,9 @@ type sink = obs.EventSink
 
 type multiSink []sink
 
-func (m multiSink) Emit(typ string, fields map[string]any) {
+func (m multiSink) Emit(ev obs.Event) {
 	for _, s := range m {
-		s.Emit(typ, fields)
+		s.Emit(ev)
 	}
 }
 

@@ -2,6 +2,8 @@ package events
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,18 +13,35 @@ import (
 
 // emitLifecycle writes a minimal but complete stream through e.
 func emitLifecycle(e *Emitter) {
-	e.Emit(obs.EvRunStart, map[string]any{
-		"run_id": "r1", "tool": "test", "go_version": "go", "args": []string{"-x"},
+	e.Emit(&obs.RunStart{RunID: "r1", Tool: "test", GoVersion: "go", Args: []string{"-x"}})
+	e.Emit(&obs.OptimizeStart{Problem: "l1", Mode: "fixedarch"})
+	e.Emit(&obs.Centering{Step: 1, Gap: 0.5, Newton: 7, Backtracks: 2})
+	e.Emit(&obs.SolveEnd{Status: "optimal", Newton: 7, Centerings: 1})
+	e.Emit(&obs.OptimizeEnd{
+		Problem: "l1", Status: "ok", Figures: obs.Figures{EnergyPJ: 10, Cycles: 20, EDP: 200},
 	})
-	e.Emit(obs.EvOptimizeStart, map[string]any{"problem": "l1", "mode": "fixedarch"})
-	e.Emit(obs.EvCentering, map[string]any{"step": 1, "gap": 0.5, "newton": 7, "backtracks": 2})
-	e.Emit(obs.EvSolveEnd, map[string]any{"status": "optimal", "newton": 7, "centerings": 1})
-	e.Emit(obs.EvOptimizeEnd, map[string]any{
-		"problem": "l1", "status": "ok", "energy_pj": 10.0, "cycles": 20.0, "edp": 200.0,
-	})
-	e.Emit(obs.EvRunEnd, map[string]any{
-		"layers": 1, "energy_pj": 10.0, "cycles": 20.0, "edp": 200.0, "wall_us": 5,
-	})
+	e.Emit(&obs.RunEnd{Layers: 1, EnergyPJ: 10, Cycles: 20, EDP: 200, WallUS: 5})
+}
+
+// typed decodes a read-back event into its registered payload type.
+func typed(t *testing.T, ev Event) obs.Event {
+	t.Helper()
+	for _, proto := range obs.EventTypes {
+		if proto.EventType() != ev.Type {
+			continue
+		}
+		data, err := json.Marshal(ev.Fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := reflect.New(reflect.TypeOf(proto).Elem()).Interface().(obs.Event)
+		if err := json.Unmarshal(data, out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	t.Fatalf("event type %q not registered", ev.Type)
+	return nil
 }
 
 func TestStreamRoundTrip(t *testing.T) {
@@ -64,7 +83,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	var buf2 bytes.Buffer
 	e2 := NewEmitter(&buf2)
 	for _, ev := range evs {
-		e2.Emit(ev.Type, ev.Fields)
+		e2.Emit(typed(t, ev))
 	}
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
@@ -120,16 +139,22 @@ func TestValidateTruncatedFinalLine(t *testing.T) {
 	}
 }
 
+// badStreams are invalid streams, by what is wrong with them.
+var badStreams = map[string]string{
+	"empty":          "",
+	"not run_start":  `{"seq":1,"t_us":0,"type":"solve_end","fields":{"status":"ok","newton":1,"centerings":1}}` + "\n\n",
+	"wrong schema":   `{"schema":"thistle-events-v0","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r","tool":"t","go_version":"g"}}` + "\n\n",
+	"missing fields": `{"schema":"thistle-events-v1","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r"}}` + "\n\n",
+	"seq not increasing": `{"schema":"thistle-events-v1","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r","tool":"t","go_version":"g"}}` + "\n" +
+		`{"seq":1,"t_us":1,"type":"optimize_start","fields":{"problem":"l1"}}` + "\n\n",
+}
+
+// unknownTypeStream carries an event type this version does not know.
+const unknownTypeStream = `{"schema":"thistle-events-v1","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r","tool":"t","go_version":"g"}}` + "\n" +
+	`{"seq":2,"t_us":1,"type":"future_thing","fields":{"whatever":true}}` + "\n\n"
+
 func TestValidateRejectsBadStreams(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"not run_start":  `{"seq":1,"t_us":0,"type":"solve_end","fields":{"status":"ok","newton":1,"centerings":1}}` + "\n\n",
-		"wrong schema":   `{"schema":"thistle-events-v0","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r","tool":"t","go_version":"g"}}` + "\n\n",
-		"missing fields": `{"schema":"thistle-events-v1","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r"}}` + "\n\n",
-		"seq not increasing": `{"schema":"thistle-events-v1","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r","tool":"t","go_version":"g"}}` + "\n" +
-			`{"seq":1,"t_us":1,"type":"layers_total","fields":{"total":3}}` + "\n\n",
-	}
-	for name, stream := range cases {
+	for name, stream := range badStreams {
 		if _, err := Validate(strings.NewReader(stream)); err == nil {
 			t.Errorf("%s: Validate accepted an invalid stream", name)
 		}
@@ -137,9 +162,7 @@ func TestValidateRejectsBadStreams(t *testing.T) {
 }
 
 func TestValidateUnknownTypePasses(t *testing.T) {
-	stream := `{"schema":"thistle-events-v1","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r","tool":"t","go_version":"g"}}` + "\n" +
-		`{"seq":2,"t_us":1,"type":"future_thing","fields":{"whatever":true}}` + "\n\n"
-	if _, err := Validate(strings.NewReader(stream)); err != nil {
+	if _, err := Validate(strings.NewReader(unknownTypeStream)); err != nil {
 		t.Fatalf("unknown event types must pass (forward compatibility): %v", err)
 	}
 }
@@ -152,8 +175,8 @@ func TestMultiAndObsIntegration(t *testing.T) {
 	if !o.EventsEnabled() {
 		t.Fatal("EventsEnabled should be true with a sink attached")
 	}
-	o.Emit(obs.EvOptimizeEnd, map[string]any{
-		"problem": "l1", "status": "ok", "energy_pj": 2.0, "cycles": 3.0, "edp": 6.0,
+	o.Emit(&obs.OptimizeEnd{
+		Problem: "l1", Status: "ok", Figures: obs.Figures{EnergyPJ: 2, Cycles: 3, EDP: 6},
 	})
 	em.Close()
 	if !strings.Contains(buf.String(), `"optimize_end"`) {
@@ -164,11 +187,42 @@ func TestMultiAndObsIntegration(t *testing.T) {
 		t.Fatalf("recorder missed the event: %+v", man.Layers)
 	}
 	var nilObs *obs.Obs
-	nilObs.Emit(obs.EvRunEnd, nil) // must not panic
+	nilObs.Emit(&obs.RunEnd{}) // must not panic
 	if nilObs.EventsEnabled() {
 		t.Fatal("nil Obs should report events disabled")
 	}
 	if Multi(nil, nil) != nil {
 		t.Fatal("Multi of no sinks should be nil")
+	}
+}
+
+// fixture is a thistle-events-v1 stream recorded before the payloads
+// were typed: `thistle -layer resnet18_L12 -specs=false -parallel 1
+// -events resnet18_L12.events.jsonl`.
+const fixture = "testdata/resnet18_L12.events.jsonl"
+
+// TestValidateFixture pins Validate's summary of the recorded stream,
+// so streams already on disk keep their verdict and counts.
+func TestValidateFixture(t *testing.T) {
+	f, err := os.Open(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sum, err := Validate(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &StreamSummary{
+		Events: 684,
+		ByType: map[string]int{
+			obs.EvRunStart: 1, obs.EvOptimizeStart: 1, obs.EvSolveEnd: 85,
+			obs.EvCentering: 595, obs.EvOptimizeEnd: 1, obs.EvRunEnd: 1,
+		},
+		RunID:    "20261018T080216-d9ef5792",
+		Complete: true,
+	}
+	if !reflect.DeepEqual(sum, want) {
+		t.Fatalf("summary = %+v, want %+v", sum, want)
 	}
 }

@@ -156,16 +156,11 @@ func LoadManifest(path string) (*Manifest, error) {
 // Recorder accumulates a run's manifest from the event stream: it
 // implements obs.EventSink and builds per-layer rows from optimize_end
 // and mapper_end events, so the layers below the CLI need
-// no knowledge of manifests. It also tracks live progress for the
-// -status-addr /statusz endpoint. A nil *Recorder is a no-op sink.
+// no knowledge of manifests. A nil *Recorder is a no-op sink.
 type Recorder struct {
 	mu    sync.Mutex
 	man   Manifest
 	start time.Time
-
-	// Live progress for /statusz.
-	total   int
-	current string
 }
 
 // NewRecorder starts a run record, stamping identity and environment.
@@ -229,7 +224,7 @@ var vcsRevision = sync.OnceValue(func() string {
 func BuildRevision() string { return vcsRevision() }
 
 // SetRequestID stamps the serving-layer request identifier onto the
-// run record (no-op on a nil receiver). Call it before StartFields or
+// run record (no-op on a nil receiver). Call it before RunStart or
 // Finish so the ID reaches both the event stream and the manifest.
 func (r *Recorder) SetRequestID(id string) {
 	if r == nil {
@@ -248,69 +243,61 @@ func (r *Recorder) RunID() string {
 	return r.man.RunID
 }
 
-// StartFields returns the run_start event payload matching this
-// record, or nil for a nil receiver.
-func (r *Recorder) StartFields() map[string]any {
-	if r == nil {
-		return nil
-	}
+// RunStart returns the run_start event matching this record.
+func (r *Recorder) RunStart() *obs.RunStart {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := map[string]any{
-		"run_id":     r.man.RunID,
-		"tool":       r.man.Tool,
-		"go_version": r.man.GoVersion,
-		"git_rev":    r.man.GitRev,
-		"args":       r.man.Args,
-		"start_time": r.man.StartTime,
+	return &obs.RunStart{
+		RunID:     r.man.RunID,
+		Tool:      r.man.Tool,
+		GoVersion: r.man.GoVersion,
+		GitRev:    r.man.GitRev,
+		Args:      r.man.Args,
+		StartTime: r.man.StartTime,
+		RequestID: r.man.RequestID,
 	}
-	if r.man.RequestID != "" {
-		f["request_id"] = r.man.RequestID
-	}
-	return f
 }
 
 // Emit consumes one event, folding row-bearing types into the manifest.
 // Implements obs.EventSink.
-func (r *Recorder) Emit(typ string, fields map[string]any) {
+func (r *Recorder) Emit(ev obs.Event) {
 	if r == nil {
+		return
+	}
+	var row LayerResult
+	switch e := ev.(type) {
+	case *obs.OptimizeEnd:
+		if e.Status != "ok" {
+			return
+		}
+		row = layerRow(e.Problem, e.Figures)
+		row.Sig = e.Sig
+		row.PairsSolved = int64(e.PairsSolved)
+		row.FreshSolves = int64(e.FreshSolves)
+		row.Candidates = int64(e.Candidates)
+		row.FromCache = e.FromCache
+		row.Reused = e.Reused
+		row.WallUS = e.WallUS
+	case *obs.MapperEnd:
+		row = layerRow(e.Problem+"/mapper", e.Figures)
+		row.FromCache = e.FromCache
+	default:
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch typ {
-	case obs.EvLayersTotal:
-		r.total = int(fnum(fields, "total"))
-	case obs.EvOptimizeStart:
-		r.current = fstr(fields, "problem")
-	case obs.EvOptimizeEnd:
-		if fstr(fields, "status") != "ok" {
-			return
-		}
-		r.man.Layers = append(r.man.Layers, rowFromFields(fields))
-	case obs.EvMapperEnd:
-		row := rowFromFields(fields)
-		row.Name = row.Name + "/mapper"
-		r.man.Layers = append(r.man.Layers, row)
-	}
+	r.man.Layers = append(r.man.Layers, row)
 }
 
-// rowFromFields decodes the shared row payload of an event.
-func rowFromFields(fields map[string]any) LayerResult {
+// layerRow starts a manifest row from an event's design figures.
+func layerRow(name string, f obs.Figures) LayerResult {
 	return LayerResult{
-		Name:         fstr(fields, "problem"),
-		Sig:          fstr(fields, "sig"),
-		EnergyPJ:     fnum(fields, "energy_pj"),
-		Cycles:       fnum(fields, "cycles"),
-		EDP:          fnum(fields, "edp"),
-		EnergyPerMAC: fnum(fields, "energy_per_mac"),
-		IPC:          fnum(fields, "ipc"),
-		PairsSolved:  int64(fnum(fields, "pairs_solved")),
-		FreshSolves:  int64(fnum(fields, "fresh_solves")),
-		Candidates:   int64(fnum(fields, "candidates")),
-		FromCache:    fbool(fields, "from_cache"),
-		Reused:       fbool(fields, "reused"),
-		WallUS:       int64(fnum(fields, "wall_us")),
+		Name:         name,
+		EnergyPJ:     f.EnergyPJ,
+		Cycles:       f.Cycles,
+		EDP:          f.EDP,
+		EnergyPerMAC: f.EnergyPerMAC,
+		IPC:          f.IPC,
 	}
 }
 
@@ -342,70 +329,14 @@ func (r *Recorder) Finish(cs *CacheStats, metrics *obs.Snapshot) *Manifest {
 	return &out
 }
 
-// EndFields returns the run_end event payload for a finished manifest.
-func (m *Manifest) EndFields() map[string]any {
-	return map[string]any{
-		"layers":       int64(m.Totals.Layers),
-		"energy_pj":    m.Totals.EnergyPJ,
-		"cycles":       m.Totals.Cycles,
-		"edp":          m.Totals.EDP,
-		"wall_us":      m.WallUS,
-		"fresh_solves": m.Totals.FreshSolves,
+// RunEnd returns the run_end event for a finished manifest.
+func (m *Manifest) RunEnd() *obs.RunEnd {
+	return &obs.RunEnd{
+		Layers:      m.Totals.Layers,
+		EnergyPJ:    m.Totals.EnergyPJ,
+		Cycles:      m.Totals.Cycles,
+		EDP:         m.Totals.EDP,
+		WallUS:      m.WallUS,
+		FreshSolves: m.Totals.FreshSolves,
 	}
-}
-
-// Status is a point-in-time view of run progress for /statusz.
-type Status struct {
-	RunID   string        `json:"run_id"`
-	Tool    string        `json:"tool"`
-	Elapsed time.Duration `json:"elapsed_ns"`
-	Total   int           `json:"total_layers"`
-	Done    int           `json:"done_layers"`
-	Current string        `json:"current,omitempty"`
-	Layers  []LayerResult `json:"layers,omitempty"`
-}
-
-// Status snapshots live progress.
-func (r *Recorder) Status() Status {
-	if r == nil {
-		return Status{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return Status{
-		RunID:   r.man.RunID,
-		Tool:    r.man.Tool,
-		Elapsed: time.Since(r.start),
-		Total:   r.total,
-		Done:    len(r.man.Layers),
-		Current: r.current,
-		Layers:  append([]LayerResult(nil), r.man.Layers...),
-	}
-}
-
-// fnum reads a numeric field however JSON or the in-process emitter
-// typed it.
-func fnum(fields map[string]any, key string) float64 {
-	switch v := fields[key].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	case int:
-		return float64(v)
-	case json.Number:
-		f, _ := v.Float64()
-		return f
-	}
-	return 0
-}
-
-func fstr(fields map[string]any, key string) string {
-	s, _ := fields[key].(string)
-	return s
-}
-
-func fbool(fields map[string]any, key string) bool {
-	b, _ := fields[key].(bool)
-	return b
 }

@@ -97,26 +97,21 @@ func TestRecorderBuildsManifest(t *testing.T) {
 	if rec.RunID() == "" {
 		t.Fatal("empty run id")
 	}
-	rec.Emit(obs.EvLayersTotal, map[string]any{"total": 3})
-	rec.Emit(obs.EvOptimizeStart, map[string]any{"problem": "l1"})
-	rec.Emit(obs.EvOptimizeEnd, map[string]any{
-		"problem": "l1", "status": "ok", "sig": "abc123",
-		"energy_pj": 10.0, "cycles": 20.0, "edp": 200.0,
-		"pairs_solved": 85, "fresh_solves": 85, "wall_us": 42,
+	rec.Emit(&obs.OptimizeStart{Problem: "l1"})
+	rec.Emit(&obs.OptimizeEnd{
+		Problem: "l1", Status: "ok", Sig: "abc123",
+		Figures:     obs.Figures{EnergyPJ: 10, Cycles: 20, EDP: 200},
+		PairsSolved: 85, FreshSolves: 85, WallUS: 42,
 	})
 	// Failed optimizes must not become rows.
-	rec.Emit(obs.EvOptimizeEnd, map[string]any{"problem": "bad", "status": "error"})
-	rec.Emit(obs.EvOptimizeEnd, map[string]any{
-		"problem": "l2", "status": "ok", "reused": true, "from": "l1",
-		"energy_pj": 10.0, "cycles": 20.0, "edp": 200.0,
+	rec.Emit(&obs.OptimizeEnd{Problem: "bad", Status: "error"})
+	rec.Emit(&obs.OptimizeEnd{
+		Problem: "l2", Status: "ok", Reused: true, From: "l1",
+		Figures: obs.Figures{EnergyPJ: 10, Cycles: 20, EDP: 200},
 	})
-	rec.Emit(obs.EvMapperEnd, map[string]any{
-		"problem": "l1", "trials": 100, "energy_pj": 15.0, "cycles": 25.0, "edp": 375.0,
+	rec.Emit(&obs.MapperEnd{
+		Problem: "l1", Trials: 100, Figures: obs.Figures{EnergyPJ: 15, Cycles: 25, EDP: 375},
 	})
-	st := rec.Status()
-	if st.Total != 3 || st.Done != 3 {
-		t.Fatalf("status = %+v", st)
-	}
 	man := rec.Finish(&CacheStats{Hits: 1, Misses: 1, HitRate: 0.5}, nil)
 	if len(man.Layers) != 3 {
 		t.Fatalf("got %d rows, want 3: %+v", len(man.Layers), man.Layers)

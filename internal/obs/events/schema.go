@@ -3,17 +3,18 @@ package events
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
+	"sync"
 
 	"repro/internal/obs"
 )
 
-// FieldKind classifies the value a thistle-events-v1 field may carry,
-// both as the Go value handed to Emit and as the JSON value it decodes
-// back to. The kinds are deliberately coarse — the stream is telemetry,
-// not an API — but they are exactly what the tlvet eventfields analyzer
-// enforces statically at Emit call sites and what Validate enforces
-// dynamically on decoded streams, so a producer and a consumer can
-// never disagree about a field's shape.
+// FieldKind classifies the value a thistle-events-v1 field may carry
+// once decoded from JSON. The kinds are deliberately coarse — the
+// stream is telemetry, not an API — and each is derived from the Go
+// type of the payload field that writes it (see schema), so a producer
+// and Validate cannot disagree about a field's shape.
 type FieldKind string
 
 // Field kinds. KindInt accepts any Go integer (JSON: a number with an
@@ -28,20 +29,18 @@ const (
 	KindAny    FieldKind = "any"
 )
 
-// EventSpec describes one event type of the thistle-events-v1 schema:
-// the fields every instance must carry and the optional fields a
-// well-formed producer may add. Fields outside Required ∪ Optional are
-// schema violations at Emit call sites (tlvet eventfields) and warnings
-// when read back (Validate) — warnings rather than errors so newer
-// streams stay readable by older binaries.
-type EventSpec struct {
+// eventSpec describes one event type: the fields every instance must
+// carry and the optional fields a producer may add. Fields outside
+// Required ∪ Optional are warnings when read back (Validate) rather
+// than errors, so newer streams stay readable by older binaries.
+type eventSpec struct {
 	Required map[string]FieldKind
 	Optional map[string]FieldKind
 }
 
 // Kind returns the declared kind of a field and whether the field is
 // part of the spec at all.
-func (s EventSpec) Kind(field string) (FieldKind, bool) {
+func (s eventSpec) Kind(field string) (FieldKind, bool) {
 	if k, ok := s.Required[field]; ok {
 		return k, true
 	}
@@ -49,83 +48,52 @@ func (s EventSpec) Kind(field string) (FieldKind, bool) {
 	return k, ok
 }
 
-// Schema returns the thistle-events-v1 event table: event type →
-// field specification. It is the single source of truth shared by the
-// stream validator (tlreport validate, via Validate) and the tlvet
-// eventfields analyzer, so the two cannot drift apart. The returned map
-// is freshly built on each call; callers may mutate their copy.
-func Schema() map[string]EventSpec {
-	row := func(req, opt map[string]FieldKind) EventSpec {
-		return EventSpec{Required: req, Optional: opt}
+// schema maps each event type of the registry (obs.EventTypes) to its
+// spec, derived by reflection from the payload struct: a field tagged
+// omitempty is optional, any other is required, and the field's Go
+// kind gives its FieldKind.
+var schema = sync.OnceValue(func() map[string]eventSpec {
+	m := make(map[string]eventSpec, len(obs.EventTypes))
+	for _, ev := range obs.EventTypes {
+		spec := eventSpec{Required: map[string]FieldKind{}, Optional: map[string]FieldKind{}}
+		spec.add(reflect.TypeOf(ev).Elem())
+		m[ev.EventType()] = spec
 	}
-	// layerRow is the shared optional payload of the row-bearing events
-	// the manifest Recorder folds into per-layer results.
-	layerRow := func(extra map[string]FieldKind) map[string]FieldKind {
-		m := map[string]FieldKind{
-			"energy_pj":      KindFloat,
-			"cycles":         KindFloat,
-			"edp":            KindFloat,
-			"energy_per_mac": KindFloat,
-			"ipc":            KindFloat,
+	return m
+})
+
+// add records the JSON fields of struct type t, descending into
+// embedded structs as encoding/json does.
+func (s eventSpec) add(t reflect.Type) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Anonymous {
+			s.add(f.Type)
+			continue
 		}
-		for k, v := range extra {
-			m[k] = v
+		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if opts == "omitempty" {
+			s.Optional[name] = kindOf(f.Type)
+		} else {
+			s.Required[name] = kindOf(f.Type)
 		}
-		return m
 	}
-	return map[string]EventSpec{
-		obs.EvRunStart: row(
-			map[string]FieldKind{"run_id": KindString, "tool": KindString, "go_version": KindString},
-			map[string]FieldKind{"git_rev": KindString, "args": KindAny, "start_time": KindString, "request_id": KindString},
-		),
-		obs.EvRunEnd: row(
-			map[string]FieldKind{
-				"layers": KindInt, "energy_pj": KindFloat, "cycles": KindFloat,
-				"edp": KindFloat, "wall_us": KindInt,
-			},
-			map[string]FieldKind{"fresh_solves": KindInt},
-		),
-		obs.EvLayersTotal: row(
-			map[string]FieldKind{"total": KindInt},
-			nil,
-		),
-		obs.EvOptimizeStart: row(
-			map[string]FieldKind{"problem": KindString},
-			map[string]FieldKind{"sig": KindString, "mode": KindString, "criterion": KindString},
-		),
-		obs.EvOptimizeEnd: row(
-			map[string]FieldKind{"problem": KindString, "status": KindString},
-			layerRow(map[string]FieldKind{
-				"sig": KindString, "wall_us": KindInt, "error": KindString,
-				"pairs_solved": KindInt, "fresh_solves": KindInt,
-				"candidates": KindInt, "from_cache": KindBool,
-				"reused": KindBool, "from": KindString,
-			}),
-		),
-		obs.EvSolveEnd: row(
-			map[string]FieldKind{"status": KindString, "newton": KindInt, "centerings": KindInt},
-			map[string]FieldKind{
-				"objective": KindFloat, "wall_us": KindInt,
-				"gap": KindFloat, "phase1": KindBool,
-				"warm_start": KindBool, "phase1_skipped": KindBool,
-			},
-		),
-		obs.EvCentering: row(
-			map[string]FieldKind{"step": KindInt, "gap": KindFloat, "newton": KindInt},
-			map[string]FieldKind{"t": KindFloat, "backtracks": KindInt, "converged": KindBool},
-		),
-		obs.EvMapperEnd: row(
-			map[string]FieldKind{"problem": KindString, "trials": KindInt},
-			layerRow(map[string]FieldKind{"valid": KindInt, "from_cache": KindBool}),
-		),
-		obs.EvModelValidate: row(
-			map[string]FieldKind{"problem": KindString, "valid": KindBool},
-			map[string]FieldKind{
-				"violations": KindInt, "energy_pj": KindFloat, "cycles": KindFloat,
-				"edp": KindFloat, "from_cache": KindBool,
-			},
-		),
+}
+
+// kindOf maps a payload field's Go type to the kind of its JSON value.
+func kindOf(t reflect.Type) FieldKind {
+	switch t.Kind() {
+	case reflect.String:
+		return KindString
+	case reflect.Bool:
+		return KindBool
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return KindInt
+	case reflect.Float32, reflect.Float64:
+		return KindFloat
 	}
+	return KindAny
 }
 
 // CheckValue reports whether a JSON-decoded field value conforms to the

@@ -7,35 +7,31 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSchemaCoversAllEventTypes pins the schema table to the declared
-// event-type constants: every Ev* constant has a spec and every spec
-// key is a declared constant.
-func TestSchemaCoversAllEventTypes(t *testing.T) {
-	all := []string{
-		obs.EvRunStart, obs.EvRunEnd, obs.EvLayersTotal, obs.EvOptimizeStart, obs.EvOptimizeEnd,
-		obs.EvSolveEnd, obs.EvCentering, obs.EvMapperEnd, obs.EvModelValidate,
+// TestSchemaRequiredFields pins the required fields derived from the
+// payload types: a field gaining or losing omitempty changes which
+// recorded streams Validate rejects.
+func TestSchemaRequiredFields(t *testing.T) {
+	want := map[string]string{
+		obs.EvRunStart:      "go_version run_id tool",
+		obs.EvRunEnd:        "cycles edp energy_pj layers wall_us",
+		obs.EvOptimizeStart: "problem",
+		obs.EvOptimizeEnd:   "problem status",
+		obs.EvSolveEnd:      "centerings newton status",
+		obs.EvCentering:     "gap newton step",
+		obs.EvMapperEnd:     "problem trials",
+		obs.EvModelValidate: "problem valid",
 	}
-	schema := Schema()
-	if len(schema) != len(all) {
-		t.Errorf("Schema() has %d entries, want %d", len(schema), len(all))
+	specs := schema()
+	if len(specs) != len(want) {
+		t.Errorf("schema has %d event types, want %d", len(specs), len(want))
 	}
-	for _, typ := range all {
-		spec, ok := schema[typ]
-		if !ok {
-			t.Errorf("Schema() missing event type %q", typ)
-			continue
+	for typ, fields := range want {
+		if got := strings.Join(sortedKeys(specs[typ].Required), " "); got != fields {
+			t.Errorf("%s required fields = %q, want %q", typ, got, fields)
 		}
-		if len(spec.Required) == 0 {
-			t.Errorf("Schema()[%q] has no required fields", typ)
-		}
-		for field, kind := range spec.Required {
-			if _, dup := spec.Optional[field]; dup {
-				t.Errorf("Schema()[%q]: field %q is both required and optional", typ, field)
-			}
-			if kind == "" {
-				t.Errorf("Schema()[%q]: field %q has empty kind", typ, field)
-			}
-		}
+	}
+	if k, _ := specs[obs.EvOptimizeEnd].Kind("energy_pj"); k != KindFloat {
+		t.Errorf("optimize_end energy_pj (embedded Figures) kind = %q, want float", k)
 	}
 }
 
@@ -66,34 +62,22 @@ func TestFieldKindCheckValue(t *testing.T) {
 	}
 }
 
-// TestValidateChecksFieldKinds exercises the dynamic side of the shared
-// schema: a required field carried with the wrong kind fails
-// validation, an unknown field on a known type is only a warning.
+// TestValidateChecksFieldKinds: a required field carried with the
+// wrong kind fails validation, an unknown field on a known type is only
+// a warning. The streams are literals because the typed payloads
+// cannot carry either defect.
 func TestValidateChecksFieldKinds(t *testing.T) {
-	var b strings.Builder
-	e := NewEmitter(&b)
-	e.Emit(obs.EvRunStart, map[string]any{"run_id": "r1", "tool": "test", "go_version": "go"})
-	e.Emit(obs.EvSolveEnd, map[string]any{"status": "optimal", "newton": "seven", "centerings": 1})
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Validate(strings.NewReader(b.String())); err == nil {
+	const start = `{"schema":"thistle-events-v1","seq":1,"t_us":0,"type":"run_start","fields":{"run_id":"r1","tool":"test","go_version":"go"}}` + "\n"
+	stream := start +
+		`{"seq":2,"t_us":1,"type":"solve_end","fields":{"status":"optimal","newton":"seven","centerings":1}}` + "\n"
+	if _, err := Validate(strings.NewReader(stream)); err == nil {
 		t.Fatal("Validate accepted a string-valued newton field")
 	}
 
-	b.Reset()
-	e = NewEmitter(&b)
-	e.Emit(obs.EvRunStart, map[string]any{"run_id": "r1", "tool": "test", "go_version": "go"})
-	e.Emit(obs.EvSolveEnd, map[string]any{
-		"status": "optimal", "newton": 7, "centerings": 1, "newtonn": 8,
-	})
-	e.Emit(obs.EvRunEnd, map[string]any{
-		"layers": 1, "energy_pj": 1.0, "cycles": 2.0, "edp": 2.0, "wall_us": 10,
-	})
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := Validate(strings.NewReader(b.String()))
+	stream = start +
+		`{"seq":2,"t_us":1,"type":"solve_end","fields":{"status":"optimal","newton":7,"centerings":1,"newtonn":8}}` + "\n" +
+		`{"seq":3,"t_us":2,"type":"run_end","fields":{"layers":1,"energy_pj":1,"cycles":2,"edp":2,"wall_us":10}}` + "\n"
+	sum, err := Validate(strings.NewReader(stream))
 	if err != nil {
 		t.Fatalf("Validate: %v", err)
 	}

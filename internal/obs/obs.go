@@ -31,24 +31,23 @@ type Obs struct {
 
 // EventSink consumes structured run events. Implementations must be
 // safe for concurrent use: the solver and the core GP workers emit from
-// parallel goroutines. Field values should be JSON-marshalable
-// primitives (string, int64, float64, bool) or slices of them.
+// parallel goroutines. A sink must not modify the payload.
 type EventSink interface {
-	Emit(typ string, fields map[string]any)
+	Emit(ev Event)
 }
 
 // EventsEnabled reports whether an event sink is attached. Hot loops
-// use it to skip building the field map entirely.
+// use it to skip building the payload entirely.
 func (o *Obs) EventsEnabled() bool { return o != nil && o.Events != nil }
 
 // Emit forwards one structured event to the attached sink, if any.
 // Callers on hot paths should guard with EventsEnabled first to avoid
-// allocating the field map.
-func (o *Obs) Emit(typ string, fields map[string]any) {
+// allocating the payload.
+func (o *Obs) Emit(ev Event) {
 	if o == nil || o.Events == nil {
 		return
 	}
-	o.Events.Emit(typ, fields)
+	o.Events.Emit(ev)
 }
 
 // Logger returns the logger component (nil when disabled).

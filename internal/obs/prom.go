@@ -11,9 +11,8 @@ import (
 // as cumulative `_bucket{le="..."}` series in seconds plus `_sum` and
 // `_count`. Metric names are sanitized to the Prometheus charset
 // (dots become underscores) and prefixed with "thistle_". Known metric
-// families carry a `# HELP` line (see promHelp). The output is what the
-// -status-addr /metrics endpoint serves, so a long whole-network run
-// can be scraped live.
+// families carry a `# HELP` line (see promHelp). The output is what
+// thistled's /metrics endpoint serves.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	for _, c := range s.Counters {
 		name := promName(c.Name) + "_total"

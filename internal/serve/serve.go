@@ -429,7 +429,7 @@ func (s *Server) runWork(ctx context.Context, req *OptimizeRequest, wk *work) (*
 		ro.Tracer = obs.NewTracer()
 		ro.Tracer.SetTraceID(obs.DeriveTraceID(traceSeed(reqID, rec.RunID())))
 	}
-	ro.Emit(obs.EvRunStart, rec.StartFields())
+	ro.Emit(rec.RunStart())
 
 	rctx := obs.NewContext(ctx, ro)
 	rctx = pipeline.ContextWithScheduler(rctx, s.sched)
@@ -467,7 +467,7 @@ func (s *Server) runWork(ctx context.Context, req *OptimizeRequest, wk *work) (*
 	// the shared cache (service-lifetime counters), tying hit-ratio
 	// telemetry to every audit record.
 	man := rec.Finish(s.cache.Stats().Manifest(), nil)
-	ro.Emit(obs.EvRunEnd, man.EndFields())
+	ro.Emit(man.RunEnd())
 	manJSON, jerr := json.Marshal(man)
 	if jerr != nil {
 		return nil, &apiError{status: http.StatusInternalServerError, Code: "internal", Message: jerr.Error()}
@@ -606,8 +606,7 @@ func traceSeed(reqID, runID string) string {
 	return runID
 }
 
-// handleMetrics serves the shared registry in Prometheus text format —
-// the same exporter the batch CLIs mount behind -status-addr.
+// handleMetrics serves the shared registry in Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.o.Metrics.Snapshot().WritePrometheus(w) // best effort: the client may be gone

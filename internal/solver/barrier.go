@@ -155,18 +155,17 @@ func Solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 		hist.Observe(time.Since(t0))
 	}
 	if o.EventsEnabled() {
-		o.Emit(obs.EvSolveEnd, map[string]any{
-			"status":     res.Status.String(),
-			"newton":     res.Newton,
-			"centerings": res.Centerings,
-			"objective":  res.Objective,
-			"gap":        res.Gap,
-			"phase1":     res.PhaseI,
-			"warm_start": opts.WarmStart,
-			"phase1_skipped": opts.WarmStart &&
-				res.Status != Infeasible && !res.PhaseI,
+		o.Emit(&obs.SolveEnd{
+			Status:        res.Status.String(),
+			Newton:        res.Newton,
+			Centerings:    res.Centerings,
+			Objective:     res.Objective,
+			Gap:           res.Gap,
+			Phase1:        res.PhaseI,
+			WarmStart:     opts.WarmStart,
+			Phase1Skipped: opts.WarmStart && res.Status != Infeasible && !res.PhaseI,
 			//tlvet:ignore wallclock -- telemetry: wall_us on solve_end events; never feeds solve results
-			"wall_us": time.Since(t0).Microseconds(),
+			WallUS: time.Since(t0).Microseconds(),
 		})
 	}
 	o.Counter("solver.solves").Inc()
@@ -302,13 +301,13 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 			gap := float64(m) / t
 			finalGap = gap
 			if emit {
-				opts.Obs.Emit(obs.EvCentering, map[string]any{
-					"step":       centerings,
-					"t":          t,
-					"gap":        gap,
-					"newton":     n,
-					"backtracks": bt,
-					"converged":  converged,
+				opts.Obs.Emit(&obs.Centering{
+					Step:       centerings,
+					T:          t,
+					Gap:        gap,
+					Newton:     n,
+					Backtracks: bt,
+					Converged:  converged,
 				})
 			}
 			if gap < opts.Tol {

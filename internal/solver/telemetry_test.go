@@ -2,37 +2,10 @@ package solver
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/obs/events"
 )
-
-// sinkLog is a concurrency-safe obs.EventSink capturing emitted events.
-type sinkLog struct {
-	mu     sync.Mutex
-	types  []string
-	fields []map[string]any
-}
-
-func (s *sinkLog) Emit(typ string, fields map[string]any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.types = append(s.types, typ)
-	s.fields = append(s.fields, fields)
-}
-
-func (s *sinkLog) last(typ string) map[string]any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.types) - 1; i >= 0; i-- {
-		if s.types[i] == typ {
-			return s.fields[i]
-		}
-	}
-	return nil
-}
 
 // tinyGP is the classic minimize x+y s.t. x·y ≥ 1 in log space; from
 // the origin the constraint is active (boundary), so phase I runs.
@@ -86,43 +59,6 @@ func TestSolveConvergenceTelemetry(t *testing.T) {
 	}
 	if res3.Status != Infeasible || !res3.PhaseI || res3.Gap != 0 {
 		t.Fatalf("infeasible solve = %+v, want infeasible via phase I with gap 0", res3)
-	}
-}
-
-// TestSolveEndEventFields checks the solve_end payload carries the new
-// gap/phase1 fields and that every field conforms to the
-// thistle-events-v1 schema (the dynamic twin of the tlvet eventfields
-// analyzer).
-func TestSolveEndEventFields(t *testing.T) {
-	sink := &sinkLog{}
-	o := &obs.Obs{Events: sink}
-	res, err := Solve(tinyGP(), nil, Options{Obs: o})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := sink.last(obs.EvSolveEnd)
-	if ev == nil {
-		t.Fatal("no solve_end emitted")
-	}
-	if ev["gap"] != res.Gap {
-		t.Fatalf("solve_end gap = %v, want %v", ev["gap"], res.Gap)
-	}
-	if ev["phase1"] != res.PhaseI {
-		t.Fatalf("solve_end phase1 = %v, want %v", ev["phase1"], res.PhaseI)
-	}
-	spec, ok := events.Schema()[obs.EvSolveEnd]
-	if !ok {
-		t.Fatal("solve_end missing from schema")
-	}
-	for field := range ev {
-		if _, ok := spec.Kind(field); !ok {
-			t.Errorf("solve_end field %q not declared in events.Schema()", field)
-		}
-	}
-	for field := range spec.Required {
-		if _, ok := ev[field]; !ok {
-			t.Errorf("solve_end missing required field %q", field)
-		}
 	}
 }
 

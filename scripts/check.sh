@@ -1,11 +1,13 @@
 #!/bin/sh
 # check.sh runs the repository's pre-merge gate: gofmt, build, vet, the
-# tlvet static-analysis suite (project-specific invariants: event
-# schema conformance, dropped errors, package layering, plus the
-# flow-aware wallclock/maprange/ctxprop/goscheduler analyzers), which
-# fails on any finding not suppressed by a reasoned //tlvet:ignore, the
-# short test suite, 10 s fuzzes of yamlite.Parse and of the
-# /v1/optimize request decoder, the bench/ module's smoke test (every
+# tlvet static-analysis suite (project-specific invariants: dropped
+# errors, package layering, plus the flow-aware
+# wallclock/maprange/ctxprop/goscheduler analyzers), which fails on any
+# finding not suppressed by a reasoned //tlvet:ignore, the short test
+# suite, 10 s fuzzes of yamlite.Parse, of the /v1/optimize request
+# decoder and of the event-stream validator (each with a 1 s minimize
+# budget, so minimizing a new input cannot stall the run), the bench/
+# module's smoke test (every
 # benchmark workload at toy scale), a race-detector pass over the
 # concurrent packages (mapper worker pool, the pipeline scheduler and
 # its staged GP flow, the core whole-network batch, solver hooks, obs,
@@ -57,12 +59,17 @@ go test -short ./...
 echo "== fuzz yamlite.Parse (10 s; the parser of thistled's problem_yaml/arch_yaml)"
 # A crasher is written to internal/yamlite/testdata/fuzz/FuzzParse;
 # commit it as a regression input with the fix.
-go test -run '^$' -fuzz=FuzzParse -fuzztime=10s ./internal/yamlite
+go test -run '^$' -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=1s ./internal/yamlite
 
 echo "== fuzz the /v1/optimize request decoder (10 s; decodeRequest + resolve)"
 # A crasher is written to internal/serve/testdata/fuzz/FuzzDecodeRequest;
 # commit it as a regression input with the fix.
-go test -run '^$' -fuzz=FuzzDecodeRequest -fuzztime=10s ./internal/serve
+go test -run '^$' -fuzz=FuzzDecodeRequest -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+
+echo "== fuzz the event-stream validator (10 s; events.Validate behind tlreport validate)"
+# A crasher is written to internal/obs/events/testdata/fuzz/FuzzValidate;
+# commit it as a regression input with the fix.
+go test -run '^$' -fuzz=FuzzValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/events
 
 echo "== bench smoke test (every workload at toy scale, every design checked)"
 # bench/ is its own module, so go test ./... above does not reach it.
