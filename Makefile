@@ -29,7 +29,7 @@ race:
 	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
 
 # The full pre-merge gate: scripts/check.sh runs gofmt, build, vet,
-# lint, the short tests, three fuzz legs, the bench/ smoke test, the
+# lint, the short tests, four fuzz legs, the bench/ smoke test, the
 # race leg above, and the end-to-end run-report, determinism, disk-cache
 # and serve gates.
 check:

@@ -51,7 +51,7 @@ func main() {
 	}
 	fmt.Println()
 
-	design, err := hierarchy.OptimizeEnergy(prob, cfg, hierarchy.OptimizeOptions{})
+	design, err := hierarchy.OptimizeEnergy(prob, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

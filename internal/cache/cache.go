@@ -21,7 +21,8 @@ type Options struct {
 	// Dir, when non-empty, enables the persistent tier: each entry is
 	// written as a schema-versioned JSON record under this directory
 	// and consulted on in-memory misses. Records with a stale schema
-	// tag are ignored; corrupt records are skipped with a warning.
+	// tag are ignored; corrupt records (see Usable) are skipped with a
+	// warning and rewritten by the next solve.
 	Dir string
 	// Component namespaces the on-disk file names and metric labels
 	// ("optimize", "mapper", "model"). Default "solve".
@@ -309,6 +310,17 @@ func (c *Cache[V]) WriteStats(w io.Writer) {
 	}
 }
 
+// Usable is implemented by cached value types that can tell a complete
+// value from a hollow one. A disk record that decodes cleanly but whose
+// value is not usable — "value": null, or {} where the type needs
+// nested fields — is corrupt like one with bad JSON: skipped with a
+// warning, counted in Stats.CorruptSkipped, and treated as a miss, so
+// the caller re-solves and rewrites it. Values of other types are
+// taken as decoded.
+type Usable interface {
+	Usable() bool
+}
+
 // record is the on-disk JSON envelope. The schema tag gates decoding:
 // records written by an incompatible format are ignored, not decoded.
 type record[V any] struct {
@@ -324,8 +336,9 @@ func (c *Cache[V]) path(sig Signature) string {
 }
 
 // loadDisk reads a persistent record. Any failure — unreadable file,
-// bad JSON, stale schema, signature mismatch — degrades to a miss;
-// corruption (as opposed to absence or staleness) is logged at Warn.
+// bad JSON, stale schema, signature mismatch, unusable value — degrades
+// to a miss; corruption (as opposed to absence or staleness) is logged
+// at Warn.
 func (c *Cache[V]) loadDisk(sig Signature) (V, bool) {
 	var zero V
 	if c.dir == "" {
@@ -347,6 +360,10 @@ func (c *Cache[V]) loadDisk(sig Signature) (V, bool) {
 	}
 	if rec.Signature != sig.String() || rec.Component != c.component {
 		c.corrupt(path, "signature/component mismatch")
+		return zero, false
+	}
+	if u, ok := any(rec.Value).(Usable); ok && !u.Usable() {
+		c.corrupt(path, "no usable value")
 		return zero, false
 	}
 	return rec.Value, true

@@ -188,7 +188,7 @@ func TestSolveSignatureOptionSensitivity(t *testing.T) {
 
 	explicit := base
 	explicit.NDiv = 2 // the MinEnergy default
-	explicit.TopClasses = 3
+	explicit.AreaBudget = arch.EyerissAreaBudget()
 	if SolveSignature(p, explicit) != s0 {
 		t.Error("explicitly spelling out defaults changed the signature")
 	}

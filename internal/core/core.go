@@ -367,44 +367,29 @@ func CacheFromContext(ctx context.Context) *SolveCache {
 // SolveSignature returns the content signature OptimizeContext memoizes
 // under: a stable hash of the canonicalized problem (shape and kernel
 // roles, not names), the architecture's configuration and technology
-// constants (not its name), and every result-affecting option —
-// criterion, mode, area budget, integerization widths, candidate caps,
-// nest structure, RS placements, pruning ablation, and solver
-// tolerances. Worker counts and telemetry handles are excluded: they
-// cannot change the result. Options are resolved to their defaults
-// first, so an explicit default and a zero value hash equal. Callers
-// use it to group problems that a shared cache would deduplicate.
+// constants (not its name), every result-affecting option — criterion,
+// mode, area budget, divisor width, pruning ablation — and the
+// pipeline's search constants (see pipeline.Options.SignatureParams).
+// Worker counts and telemetry handles are excluded: they cannot change
+// the result. Options are resolved to their defaults first, so an
+// explicit default and a zero value hash equal. Callers use it to group
+// problems that a shared cache would deduplicate.
 func SolveSignature(p *loopnest.Problem, opts Options) cache.Signature {
 	return solveKey(p, opts.WithDefaults()).Signature()
 }
 
 // solveKey flattens resolved options into a cache key. opts must
-// already have defaults applied.
+// already have defaults applied. The nest options and the placement
+// list hash as the zero values they held when they were options: every
+// run tries the automatic placements.
 func solveKey(p *loopnest.Problem, opts Options) cache.Key {
-	s := opts.Solver
 	return cache.Key{
 		Component:    "optimize",
 		Problem:      p,
 		Arch:         opts.Arch,
 		Criterion:    opts.Criterion,
-		Nest:         opts.Nest,
-		RSPlacements: opts.RSPlacements,
-		Params: []cache.Param{
-			cache.ParamString("mode", opts.Mode.String()),
-			cache.ParamFloat("area_budget", opts.AreaBudget),
-			cache.ParamInt("ndiv", int64(opts.NDiv)),
-			cache.ParamInt("npow2", int64(opts.NPow2)),
-			cache.ParamFloat("min_utilization", opts.MinUtilization),
-			cache.ParamInt("max_candidates", int64(opts.MaxCandidates)),
-			cache.ParamInt("top_classes", int64(opts.TopClasses)),
-			cache.ParamBool("disable_pruning", opts.DisablePruning),
-			cache.ParamFloat("solver.tol", s.Tol),
-			cache.ParamFloat("solver.newton_tol", s.NewtonTol),
-			cache.ParamFloat("solver.mu", s.Mu),
-			cache.ParamFloat("solver.t0", s.T0),
-			cache.ParamInt("solver.max_newton", int64(s.MaxNewton)),
-			cache.ParamInt("solver.max_centering", int64(s.MaxCentering)),
-			cache.ParamFloat("solver.box", s.Box),
-		},
+		Nest:         dataflow.StandardOptions{},
+		RSPlacements: nil,
+		Params:       opts.SignatureParams(),
 	}
 }

@@ -49,20 +49,23 @@ func TestOptimalityAgainstExhaustive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Ground truth: complete enumeration. The exhaustive
-				// oracle uses the register placement of the kernel loops,
-				// so pin Thistle to the same sub-space for a fair
-				// optimality comparison.
+				// Ground truth: complete enumeration of the register
+				// placement of the kernel loops. Thistle also tries the
+				// level-1 placement, as every run does; for conv_tiny
+				// (the one case with kernel loops) that space's optimum
+				// is no better (energy 125,675 vs 125,121 pJ, delay 324
+				// vs 324 cycles), so the oracle still bounds Thistle from
+				// below. The level-1 enumeration takes ~20 s per
+				// criterion, too long to run here.
 				exh, err := mapper.Exhaustive(p, &tc.a, crit, dataflow.StandardOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				res, err := Optimize(p, Options{
-					Criterion:    crit,
-					Mode:         FixedArch,
-					Arch:         &tc.a,
-					RSPlacements: []dataflow.RSPlacement{dataflow.RSAtRegister},
-					NDiv:         3,
+					Criterion: crit,
+					Mode:      FixedArch,
+					Arch:      &tc.a,
+					NDiv:      3,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -73,6 +73,37 @@ func TestSolveSignatureGolden(t *testing.T) {
 	}
 }
 
+// TestSolveSignaturePinned pins SolveSignature of resnet18_L12 under
+// option sets beyond TestSolveSignatureGolden's two: the EDP criterion,
+// a non-default divisor width and the pruning ablation hash options and
+// search constants that the default runs hash only at their defaults.
+// The energy default names the record check.sh's disk-cache gate
+// requires.
+func TestSolveSignaturePinned(t *testing.T) {
+	l, _ := workloads.ByName("resnet18_L12")
+	p, err := l.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"energy default", Options{}, "ccc75e2428d582b536c642664b29979adc958a326ff22249be02d4a9476d8291"},
+		{"delay co-design", Options{Criterion: model.MinDelay, Mode: CoDesign}, "50a40eee550ab2a0c6657ed4550232d6a1d45e1b7f64993caf81d8f4cff66220"},
+		{"edp", Options{Criterion: model.MinEDP}, "0772a90eed9e939ddbcee2ebbd665ef80f9e2c9a4d800b39535d4fbcad21076d"},
+		{"edp co-design", Options{Criterion: model.MinEDP, Mode: CoDesign}, "99dfea339eb78ce4ea1b62d0d2c4afa1fc0900fa363283488392d7fece9c1cbd"},
+		{"energy ndiv 3", Options{NDiv: 3}, "23b856a62a07de5962dc283669b29052e8467a21ba69b26406a80fc58d6d13dd"},
+		{"delay ndiv 2", Options{Criterion: model.MinDelay, NDiv: 2}, "77d7ebe120336c425a63b7129b3906412025afaaf3681d75d7fdffccd2eeddd4"},
+		{"no pruning", Options{DisablePruning: true}, "b5d56492df8ba600569c206732bb6b8ea39c83940ab5be59cecde4cfa598d672"},
+	} {
+		if got := SolveSignature(p, c.opts).String(); got != c.want {
+			t.Errorf("%s: signature %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 // TestSolveSignatureAllocs bounds the allocations of one signature: a
 // warm thistled request computes one per layer.
 func TestSolveSignatureAllocs(t *testing.T) {

@@ -180,7 +180,7 @@ func TestDeepEvaluateConservation(t *testing.T) {
 func TestOptimizeEnergyDeep(t *testing.T) {
 	p := loopnest.MatMul(128, 128, 128)
 	cfg := deep3()
-	d, err := OptimizeEnergy(p, cfg, OptimizeOptions{})
+	d, err := OptimizeEnergy(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestOptimizeEnergyDeepConv(t *testing.T) {
 	}
 	cfg := deep3()
 	cfg.Buffers[0].Words = 64 // room for the 3×3 window
-	d, err := OptimizeEnergy(p, cfg, OptimizeOptions{})
+	d, err := OptimizeEnergy(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

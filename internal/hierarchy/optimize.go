@@ -12,40 +12,19 @@ import (
 	"repro/internal/solver"
 )
 
-// OptimizeOptions tunes OptimizeEnergy.
-type OptimizeOptions struct {
-	// NDiv is the divisor-ladder width per tile variable (default 2).
-	NDiv int
-	// TopClasses is how many best class combinations are integerized
-	// (default 3).
-	TopClasses int
-	// MaxCombos caps the permutation-class cross product (default 4096).
-	MaxCombos int
-	// MaxEvals caps integer-candidate evaluations per combination
-	// (default 1<<18).
-	MaxEvals int
-	// Solver tunes the interior-point backend.
-	Solver solver.Options
-}
-
-func (o OptimizeOptions) withDefaults() OptimizeOptions {
-	if o.NDiv == 0 {
-		o.NDiv = 2
-	}
-	if o.TopClasses == 0 {
-		o.TopClasses = 3
-	}
-	if o.MaxCombos == 0 {
-		o.MaxCombos = 4096
-	}
-	if o.MaxEvals == 0 {
-		o.MaxEvals = 1 << 18
-	}
-	if o.Solver.Tol == 0 {
-		o.Solver.Tol = 1e-6
-	}
-	return o
-}
+// The search constants of OptimizeEnergy.
+const (
+	// nDiv is the divisor-ladder width per tile variable.
+	nDiv = 2
+	// topClasses is how many best class combinations are integerized.
+	topClasses = 3
+	// maxCombos caps the permutation-class cross product.
+	maxCombos = 4096
+	// maxEvals caps integer-candidate evaluations per combination.
+	maxEvals = 1 << 18
+	// solverTol is the interior-point method's relative duality gap.
+	solverTol = 1e-6
+)
 
 // Design is an optimized deep-hierarchy design point.
 type Design struct {
@@ -61,8 +40,7 @@ type Design struct {
 // hierarchy: one geometric program per combination of permutation
 // classes across all copy levels, then divisor-ladder integerization
 // validated by Evaluate.
-func OptimizeEnergy(p *loopnest.Problem, c *Config, opts OptimizeOptions) (*Design, error) {
-	opts = opts.withDefaults()
+func OptimizeEnergy(p *loopnest.Problem, c *Config) (*Design, error) {
 	nest, err := BuildNest(p, c)
 	if err != nil {
 		return nil, err
@@ -81,8 +59,8 @@ func OptimizeEnergy(p *loopnest.Problem, c *Config, opts OptimizeOptions) (*Desi
 		classes[i] = cs
 		combos *= len(cs)
 	}
-	if combos > opts.MaxCombos {
-		return nil, fmt.Errorf("hierarchy: %d permutation-class combinations exceed the %d cap", combos, opts.MaxCombos)
+	if combos > maxCombos {
+		return nil, fmt.Errorf("hierarchy: %d permutation-class combinations exceed the %d cap", combos, maxCombos)
 	}
 
 	type solved struct {
@@ -101,7 +79,7 @@ func OptimizeEnergy(p *loopnest.Problem, c *Config, opts OptimizeOptions) (*Desi
 		if err != nil {
 			return nil, err
 		}
-		res, err := f.Solve(hintFor(nest), opts.Solver)
+		res, err := f.Solve(hintFor(nest), solver.Options{Tol: solverTol})
 		if err != nil {
 			return nil, err
 		}
@@ -126,14 +104,11 @@ func OptimizeEnergy(p *loopnest.Problem, c *Config, opts OptimizeOptions) (*Desi
 		return nil, fmt.Errorf("hierarchy: all %d class combinations infeasible", combos)
 	}
 	sort.Slice(sols, func(i, j int) bool { return sols[i].objective < sols[j].objective })
-	top := opts.TopClasses
-	if top > len(sols) {
-		top = len(sols)
-	}
+	top := min(topClasses, len(sols))
 
 	var best *Design
 	for _, s := range sols[:top] {
-		trips, rep := integerizeDeep(nest, c, s.perms, s.x, opts)
+		trips, rep := integerizeDeep(nest, c, s.perms, s.x)
 		if rep == nil {
 			continue
 		}
@@ -237,7 +212,7 @@ func hintFor(nest *dataflow.Nest) []float64 {
 // integerizeDeep converts the relaxed solution to integer trips via a
 // generalized divisor ladder (outermost cumulative tile inward), streams
 // the cross product through Evaluate, and returns the best valid design.
-func integerizeDeep(nest *dataflow.Nest, c *Config, perms [][]int, x []float64, opts OptimizeOptions) ([][]int64, *Report) {
+func integerizeDeep(nest *dataflow.Nest, c *Config, perms [][]int, x []float64) ([][]int64, *Report) {
 	type dimChoice struct {
 		iter   int
 		levels []int     // nest levels with free trips, inner to outer
@@ -272,7 +247,7 @@ func integerizeDeep(nest *dataflow.Nest, c *Config, perms [][]int, x []float64, 
 			prod *= x[nest.Levels[li].Trips[it]]
 			real[i] = prod
 		}
-		cands := ladder(nest.Prob.Iters[it].Extent, real[:len(real)-1], opts.NDiv)
+		cands := ladder(nest.Prob.Iters[it].Extent, real[:len(real)-1], nDiv)
 		dims = append(dims, dimChoice{iter: it, levels: levels, trips: cands})
 	}
 
@@ -314,7 +289,7 @@ func integerizeDeep(nest *dataflow.Nest, c *Config, perms [][]int, x []float64, 
 				bestTrips, bestRep = trips, rep
 			}
 		}
-		if evals >= opts.MaxEvals {
+		if evals >= maxEvals {
 			break
 		}
 		k := 0

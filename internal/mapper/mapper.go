@@ -47,8 +47,6 @@ type Options struct {
 	Victory int
 	// Seed makes the search deterministic (default 1).
 	Seed int64
-	// Nest customization.
-	NestOptions dataflow.StandardOptions
 	// Constraints pin parts of the mapping (trip counts, permutations);
 	// the search explores only the remaining freedom.
 	Constraints *Constraints
@@ -86,6 +84,12 @@ type Result struct {
 	Valid  int64
 }
 
+// Usable reports whether r holds a mapping and its report: a Result
+// decoded from a damaged cache record may lack them (see cache.Usable).
+func (r *Result) Usable() bool {
+	return r != nil && r.Mapping != nil && r.Report != nil
+}
+
 // Score extracts the objective value from a report.
 func Score(c Criterion, r *model.Report) float64 { return model.Score(c, r) }
 
@@ -95,7 +99,7 @@ func Search(p *loopnest.Problem, a *arch.Arch, opts Options) (*Result, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	nest, err := dataflow.StandardNest(p, opts.NestOptions)
+	nest, err := dataflow.StandardNest(p, dataflow.StandardOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -136,6 +136,11 @@ type Report struct {
 // Valid reports whether the mapping satisfied all constraints.
 func (r *Report) Valid() bool { return len(r.Violations) == 0 }
 
+// Usable reports whether r is a report of some evaluation: every
+// problem has at least one operation, so a report decoded from a
+// damaged cache record as null or {} is not (see cache.Usable).
+func (r *Report) Usable() bool { return r != nil && r.Ops > 0 }
+
 // Clone returns a deep copy of r. Session-owned reports are only valid
 // until the session's next Evaluate call; keep a Clone instead.
 func (r *Report) Clone() *Report {

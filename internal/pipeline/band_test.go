@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dataflow"
 	"repro/internal/model"
 	"repro/internal/workloads"
 )
@@ -46,7 +47,7 @@ func perturbed(rng *rand.Rand, pairs []solvedPair) []solvedPair {
 // shuffle nor a few ulps of noise on any objective changes the set or
 // its order.
 func TestTopBand(t *testing.T) {
-	const k, tol, kth = 3, 1e-6, 3.52954e8
+	const k, tol, kth = topClasses, solverTol, 3.52954e8
 	pair := func(l1, sram int, obj float64) solvedPair {
 		return solvedPair{permL1: []int{l1, 0}, permSRAM: []int{sram, 1}, objective: obj}
 	}
@@ -60,23 +61,23 @@ func TestTopBand(t *testing.T) {
 		pair(3, 3, 9e8),
 	}
 	want := [][2][]int{{{0, 0}, {1, 1}}, {{0, 0}, {3, 1}}, {{2, 0}, {1, 1}}, {{3, 0}, {0, 1}}, {{4, 0}, {2, 1}}}
-	if got := bandKeys(topBand(slices.Clone(solved), k, tol)); !reflect.DeepEqual(got, want) {
+	if got := bandKeys(topBand(slices.Clone(solved))); !reflect.DeepEqual(got, want) {
 		t.Fatalf("band %v, want %v", got, want)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		if got := bandKeys(topBand(perturbed(rng, solved), k, tol)); !reflect.DeepEqual(got, want) {
+		if got := bandKeys(topBand(perturbed(rng, solved))); !reflect.DeepEqual(got, want) {
 			t.Fatalf("perturbed input %d: band %v, want %v", i, got, want)
 		}
 	}
 	// The band's edge: a pair at kth·(1+tol) is in, the next float out.
 	limit := bandLimit(kth, tol)
 	edge := []solvedPair{solved[2], solved[5], solved[1], pair(5, 0, limit), pair(6, 0, math.Nextafter(limit, math.Inf(1)))}
-	if got := bandKeys(topBand(edge, k, tol)); len(got) != 4 || got[3][0][0] != 5 {
+	if got := bandKeys(topBand(edge)); len(got) != 4 || got[3][0][0] != 5 {
 		t.Errorf("edge band %v, want the first four pairs, ending with L1 5", got)
 	}
 	// Fewer pairs than k: all of them.
-	if got := topBand(slices.Clone(solved[:2]), k, tol); len(got) != 2 {
+	if got := topBand(slices.Clone(solved[:2])); len(got) != 2 {
 		t.Errorf("band of 2 pairs with k=3 has %d", len(got))
 	}
 }
@@ -94,7 +95,7 @@ func TestTieBandDesignRobust(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Criterion: model.MinEnergy, Mode: FixedArch, Parallel: 1}.WithDefaults()
-	r, err := newRun(context.Background(), p, opts, NewScheduler(1))
+	r, err := newRun(context.Background(), p, opts, dataflow.RSAtRegister, NewScheduler(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestTieBandDesignRobust(t *testing.T) {
 		candidates  int
 	}
 	finish := func(pairs []solvedPair) outcome {
-		r.solved, r.cands, r.best, r.stats = topBand(pairs, opts.TopClasses, opts.Solver.Tol), nil, nil, Stats{}
+		r.solved, r.cands, r.best, r.stats = topBand(pairs), nil, nil, Stats{}
 		for _, st := range []stage{integerizeStage{}, validateStage{}, selectStage{}} {
 			if err := st.Run(r); err != nil {
 				t.Fatal(err)
@@ -128,7 +129,7 @@ func TestTieBandDesignRobust(t *testing.T) {
 		return outcome{bandKeys(r.solved), cands, best, r.stats.Candidates}
 	}
 	want := finish(slices.Clone(solved))
-	if len(want.band) <= opts.TopClasses {
+	if len(want.band) <= topClasses {
 		t.Fatalf("band of %d pairs: no tie of the k-th to exercise", len(want.band))
 	}
 	rng := rand.New(rand.NewSource(3))

@@ -7,10 +7,35 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/dataflow"
 	"repro/internal/loopnest"
 	"repro/internal/model"
 	"repro/internal/workloads"
 )
+
+// TestOptimizeRSAtLevel1 runs the level-1 placement of the kernel loops
+// alone, the pass Execute adds for layers with untiled r/s loops: it
+// must find a valid design whose recorded nest options name the
+// placement, so the mapping re-evaluates on the nest it was built for.
+func TestOptimizeRSAtLevel1(t *testing.T) {
+	l, _ := workloads.ByName("resnet18_L12")
+	p, err := l.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.Eyeriss()
+	opts := Options{Criterion: model.MinEnergy, Mode: FixedArch, Arch: &a}.WithDefaults()
+	res, err := executeOne(context.Background(), p, opts, dataflow.RSAtLevel1, NewScheduler(opts.Parallel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Best.Report.Valid() {
+		t.Fatalf("violations: %v", res.Best.Report.Violations)
+	}
+	if want := (dataflow.StandardOptions{RS: dataflow.RSAtLevel1}); res.Best.NestOptions != want {
+		t.Errorf("nest options %+v, want %+v", res.Best.NestOptions, want)
+	}
+}
 
 // TestExecuteSchedulingIndependent is the refactor's core promise: the
 // selected design point is a pure function of (problem, options), not

@@ -221,8 +221,7 @@ func tableIIRuns(t testing.TB, mode Mode) []*Run {
 		}
 		for _, rs := range []dataflow.RSPlacement{dataflow.RSAtRegister, dataflow.RSAtLevel1} {
 			opts := Options{Criterion: model.MinEnergy, Mode: mode, Parallel: 1}.WithDefaults()
-			opts.Nest.RS = rs
-			r, err := newRun(context.Background(), p, opts, NewScheduler(1))
+			r, err := newRun(context.Background(), p, opts, rs, NewScheduler(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +247,7 @@ func TestClassVolumesMatchPerPair(t *testing.T) {
 	}
 	for _, mode := range []Mode{FixedArch, CoDesign} {
 		for _, r := range tableIIRuns(t, mode) {
-			name := r.prob.Name + " " + r.opts.Nest.RS.String()
+			name := r.prob.Name + " " + r.rs.String()
 			if len(r.jobs) != len(r.classesL1)*len(r.classesSRAM) {
 				t.Fatalf("%s: %d jobs for %d×%d classes", name, len(r.jobs), len(r.classesL1), len(r.classesSRAM))
 			}

@@ -12,28 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// intOptions tunes the real-to-integer conversion (Section IV of the
-// paper: N closest powers of two for memory capacities, n closest
-// divisors per tile-size variable level by level, cross product, filter,
-// evaluate with the model).
-type intOptions struct {
-	nDiv    int     // divisor candidates per variable (paper's n, 2–3)
-	nPow2   int     // power-of-two candidates per capacity
-	minUtil float64 // minimum PE utilization for fixed-arch candidates
-	maxCand int     // cap on the leaves one search evaluates
-}
-
-// newIntOptions takes the integerization settings from resolved run
-// options.
-func newIntOptions(o Options) intOptions {
-	return intOptions{
-		nDiv:    o.NDiv,
-		nPow2:   o.NPow2,
-		minUtil: o.MinUtilization,
-		maxCand: o.MaxCandidates,
-	}
-}
-
 // integerizeStage converts the solve stage's tie band to integer
 // designs. Each pair's divisor-ladder search is a leaf compute job
 // admitted through the shared scheduler; results land in per-pair slots
@@ -42,14 +20,12 @@ func newIntOptions(o Options) intOptions {
 // ladder shrinks the relaxed solutions geometrically toward the
 // all-ones tiling (x^λ stays ≥ 1) and retries.
 //
-// The band is searched in two rounds: its first TopClasses pairs, then
+// The band is searched in two rounds: its first topClasses pairs, then
 // the rest. For delay, each second-round search starts from the first
 // round's best Cycles as its incumbent and returns only a strictly
 // better design. Second-round pairs come later in selectStage's strict
 // order, so a design that merely tied the first round could never have
-// won, and the seed only lets the branch and bound skip more. The seed
-// needs MinUtilization 0: with a utilization filter a search falls back
-// to unfiltered leaves when it finds none, which a seed would trigger.
+// won, and the seed only lets the branch and bound skip more.
 type integerizeStage struct{}
 
 func (integerizeStage) Name() string { return "integerize" }
@@ -58,9 +34,8 @@ func (integerizeStage) Run(r *Run) error {
 	// One evaluator shared by every job: model.Evaluator is documented
 	// safe for concurrent use (its volume cache is internally locked).
 	ev := model.NewEvaluator(r.nest)
-	iopt := newIntOptions(r.opts)
 	candC := r.obs.Counter("core.int_candidates")
-	seeded := r.opts.Criterion == model.MinDelay && iopt.minUtil == 0
+	seeded := r.opts.Criterion == model.MinDelay
 
 	// integerizePass converts each pair under shrink(x), keeping only
 	// designs that score strictly below seed, and returns the surviving
@@ -70,7 +45,7 @@ func (integerizeStage) Run(r *Run) error {
 		var mu sync.Mutex
 		err := r.sched.ForEach(r.ctx, len(pairs), func(i int) error {
 			sp := pairs[i]
-			c, rep, visited := r.integerizeOne(ev, iopt, candC, shrink(sp.x), sp, seed)
+			c, rep, visited := r.integerizeOne(ev, candC, shrink(sp.x), sp, seed)
 			mu.Lock()
 			r.stats.Candidates += visited
 			mu.Unlock()
@@ -86,7 +61,7 @@ func (integerizeStage) Run(r *Run) error {
 	}
 	// integerizeBand runs the two rounds over the whole band.
 	integerizeBand := func(shrink func([]float64) []float64) ([]*integerized, error) {
-		k := min(r.opts.TopClasses, len(r.solved))
+		k := min(topClasses, len(r.solved))
 		cands, err := integerizePass(r.solved[:k], shrink, math.Inf(1))
 		if err != nil || k == len(r.solved) {
 			return cands, err
@@ -136,7 +111,7 @@ func (integerizeStage) Run(r *Run) error {
 // integerizeOne converts one relaxed solution to the best integer
 // design scoring strictly below seed, recording an integerize span whose
 // model-eval child covers the streamed candidate evaluation.
-func (r *Run) integerizeOne(ev *model.Evaluator, iopt intOptions, candC *obs.Counter, x []float64, sp solvedPair, seed float64) (*candidate, *model.Report, int) {
+func (r *Run) integerizeOne(ev *model.Evaluator, candC *obs.Counter, x []float64, sp solvedPair, seed float64) (*candidate, *model.Report, int) {
 	o := r.obs
 	var ispan *obs.Span
 	if o.TracingEnabled() {
@@ -144,7 +119,7 @@ func (r *Run) integerizeOne(ev *model.Evaluator, iopt intOptions, candC *obs.Cou
 	}
 	evalSpan := o.StartSpan(ispan, "model-eval")
 	perms := dataflow.StandardPerms(sp.permL1, sp.permSRAM)
-	c, rep, visited := searchIntegerCandidates(ev, r.nest, perms, x, r.av, iopt, r.opts.Criterion, seed)
+	c, rep, visited := searchIntegerCandidates(ev, r.nest, perms, x, r.av, r.opts.NDiv, r.opts.Criterion, seed)
 	candC.Add(int64(visited))
 	if evalSpan != nil {
 		evalSpan.SetAttr("candidates", int64(visited))
@@ -193,12 +168,12 @@ func pow2Candidates(target float64, n int) []int64 {
 	return out
 }
 
-// dimCandidates generates up to n³ integer tilings for one free iterator
-// following the paper's divisor ladder: SRAM tile candidates from the
-// divisors of the extent, per-PE tile candidates from the divisors of
-// each SRAM candidate, register tile candidates from the divisors of each
-// per-PE candidate.
-func dimCandidates(n *dataflow.Nest, it int, x []float64, opt intOptions) []dimCandidate {
+// dimCandidates generates up to nDiv³ integer tilings for one free
+// iterator following the paper's divisor ladder: SRAM tile candidates
+// from the nDiv divisors of the extent nearest the relaxed tile, per-PE
+// tile candidates from the divisors of each SRAM candidate, register
+// tile candidates from the divisors of each per-PE candidate.
+func dimCandidates(n *dataflow.Nest, it int, x []float64, nDiv int) []dimCandidate {
 	extent := n.Prob.Iters[it].Extent
 	lv := make([]float64, 0, 4)
 	for _, v := range n.DimTripVars(it) {
@@ -211,9 +186,9 @@ func dimCandidates(n *dataflow.Nest, it int, x []float64, opt intOptions) []dimC
 	realPE := lv[0] * lv[1]
 	realSRAM := lv[0] * lv[1] * lv[2]
 	var out []dimCandidate
-	for _, s := range loopnest.NearestDivisors(extent, realSRAM, opt.nDiv) {
-		for _, q := range loopnest.NearestDivisors(s, realPE, opt.nDiv) {
-			for _, r := range loopnest.NearestDivisors(q, realReg, opt.nDiv) {
+	for _, s := range loopnest.NearestDivisors(extent, realSRAM, nDiv) {
+		for _, q := range loopnest.NearestDivisors(s, realPE, nDiv) {
+			for _, r := range loopnest.NearestDivisors(q, realReg, nDiv) {
 				out = append(out, dimCandidate{iter: it, regTile: r, peTile: q, sramT: s})
 			}
 		}
@@ -285,13 +260,11 @@ type candidate struct {
 //
 // seed is the score to beat: the search keeps only designs scoring
 // strictly below it, and for delay it is the incumbent from the start
-// (+Inf for none). It returns nil when no leaf beats it. A finite seed
-// needs opt.minUtil 0, because a search that keeps nothing under the
-// utilization filter retries without it.
+// (+Inf for none). It returns nil when no leaf beats it.
 //
 // visited counts the leaves evaluated; pruned leaves are not counted,
-// and only evaluated leaves count toward the maxCand cap.
-func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion, seed float64) (best *candidate, bestRep *model.Report, visited int) {
+// and only evaluated leaves count toward the maxCandidates cap.
+func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]int, x []float64, av *archVars, nDiv int, crit model.Criterion, seed float64) (best *candidate, bestRep *model.Report, visited int) {
 	var freeIters []int
 	for it := range n.Prob.Iters {
 		if len(n.DimTripVars(it)) == 4 {
@@ -300,15 +273,15 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 	}
 	perDim := make([][]dimCandidate, len(freeIters))
 	for i, it := range freeIters {
-		perDim[i] = dimCandidates(n, it, x, opt)
+		perDim[i] = dimCandidates(n, it, x, nDiv)
 		if len(perDim[i]) == 0 {
 			return nil, nil, 0
 		}
 	}
 	var archs []arch.Arch
 	if av.mode == CoDesign {
-		for _, r := range pow2Candidates(x[av.varR], opt.nPow2) {
-			for _, s := range pow2Candidates(x[av.varS], opt.nPow2) {
+		for _, r := range pow2Candidates(x[av.varR], nPow2) {
+			for _, s := range pow2Candidates(x[av.varS], nPow2) {
 				archs = append(archs, arch.Arch{
 					Name: "codesign", Regs: r, SRAM: s, PEs: 1, Tech: av.tech,
 				})
@@ -335,12 +308,9 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 	m := buildMapping(n, perms, nil)
 
 	bestScore := seed
-	consider := func(c *candidate, minUtil float64) {
+	consider := func(c *candidate) {
 		rep, err := sess.Evaluate(&c.archCfg, c.mapping)
 		if err != nil || !rep.Valid() {
-			return
-		}
-		if av.mode == FixedArch && rep.Utilization < minUtil {
 			return
 		}
 		if score := model.Score(crit, rep); score < bestScore {
@@ -380,41 +350,34 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 		return maxPEs != nil && ops/float64(min(pes*maxPEs[i], peCap)) >= bestScore
 	}
 
-	run := func(minUtil float64) {
-		dims := make([]dimCandidate, 0, len(perDim))
-		var rec func(i int, pes int64)
-		rec = func(i int, pes int64) {
-			if visited >= opt.maxCand || cannotWin(i, pes) {
-				return
-			}
-			if i == len(perDim) {
-				applyDims(n, m, dims)
-				for _, a := range archs {
-					ac := a
-					if av.mode == CoDesign {
-						ac.PEs = pes
-						if ac.Area() > av.budget {
-							continue
-						}
-					}
-					visited++
-					consider(&candidate{archCfg: ac, mapping: m}, minUtil)
-				}
-				return
-			}
-			for _, c := range perDim[i] {
-				dims = append(dims, c)
-				rec(i+1, pes*(c.sramT/c.peTile))
-				dims = dims[:len(dims)-1]
-			}
+	dims := make([]dimCandidate, 0, len(perDim))
+	var rec func(i int, pes int64)
+	rec = func(i int, pes int64) {
+		if visited >= maxCandidates || cannotWin(i, pes) {
+			return
 		}
-		rec(0, 1)
+		if i == len(perDim) {
+			applyDims(n, m, dims)
+			for _, a := range archs {
+				ac := a
+				if av.mode == CoDesign {
+					ac.PEs = pes
+					if ac.Area() > av.budget {
+						continue
+					}
+				}
+				visited++
+				consider(&candidate{archCfg: ac, mapping: m})
+			}
+			return
+		}
+		for _, c := range perDim[i] {
+			dims = append(dims, c)
+			rec(i+1, pes*(c.sramT/c.peTile))
+			dims = dims[:len(dims)-1]
+		}
 	}
-	run(opt.minUtil)
-	if best == nil && opt.minUtil > 0 {
-		visited = 0
-		run(0)
-	}
+	rec(0, 1)
 	return best, bestRep, visited
 }
 

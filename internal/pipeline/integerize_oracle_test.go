@@ -20,13 +20,13 @@ import (
 // fastest), not by recursion, so it shares no control flow with the
 // search under test. leaves counts the leaves whose PE product fits a
 // fixed architecture (all of them in co-design), all counts every leaf.
-func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *archVars, opt intOptions, crit model.Criterion) (best *candidate, bestRep *model.Report, leaves, all int) {
+func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *archVars, nDiv int, crit model.Criterion) (best *candidate, bestRep *model.Report, leaves, all int) {
 	var perDim [][]dimCandidate
 	for it := range n.Prob.Iters {
 		if len(n.DimTripVars(it)) != 4 {
 			continue
 		}
-		d := dimCandidates(n, it, x, opt)
+		d := dimCandidates(n, it, x, nDiv)
 		if len(d) == 0 {
 			return nil, nil, 0, 0
 		}
@@ -35,8 +35,8 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 	archs := []arch.Arch{av.fixed}
 	if av.mode == CoDesign {
 		archs = nil
-		for _, r := range pow2Candidates(x[av.varR], opt.nPow2) {
-			for _, s := range pow2Candidates(x[av.varS], opt.nPow2) {
+		for _, r := range pow2Candidates(x[av.varR], nPow2) {
+			for _, s := range pow2Candidates(x[av.varS], nPow2) {
 				archs = append(archs, arch.Arch{Name: "codesign", Regs: r, SRAM: s, PEs: 1, Tech: av.tech})
 			}
 		}
@@ -45,54 +45,46 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 	if err != nil {
 		return nil, nil, 0, 0
 	}
-	pass := func(minUtil float64) {
-		idx := make([]int, len(perDim))
-		for {
-			m := buildMapping(n, perms, nil)
-			pes := int64(1)
-			for i, j := range idx {
-				c := perDim[i][j]
-				applyDims(n, m, []dimCandidate{c})
-				pes *= c.sramT / c.peTile
-			}
-			for _, a := range archs {
-				if av.mode == CoDesign {
-					a.PEs = pes
-					if a.Area() > av.budget {
-						continue
-					}
-				}
-				all++
-				if pes <= a.PEs {
-					leaves++
-				}
-				rep, err := sess.Evaluate(&a, m)
-				if err != nil || !rep.Valid() || (av.mode == FixedArch && rep.Utilization < minUtil) {
+	idx := make([]int, len(perDim))
+	for {
+		m := buildMapping(n, perms, nil)
+		pes := int64(1)
+		for i, j := range idx {
+			c := perDim[i][j]
+			applyDims(n, m, []dimCandidate{c})
+			pes *= c.sramT / c.peTile
+		}
+		for _, a := range archs {
+			if av.mode == CoDesign {
+				a.PEs = pes
+				if a.Area() > av.budget {
 					continue
 				}
-				if bestRep == nil || model.Score(crit, rep) < model.Score(crit, bestRep) {
-					best = &candidate{archCfg: a, mapping: m.Clone()}
-					bestRep = rep.Clone()
-				}
 			}
-			i := len(idx) - 1
-			for ; i >= 0; i-- {
-				if idx[i]++; idx[i] < len(perDim[i]) {
-					break
-				}
-				idx[i] = 0
+			all++
+			if pes <= a.PEs {
+				leaves++
 			}
-			if i < 0 {
-				return
+			rep, err := sess.Evaluate(&a, m)
+			if err != nil || !rep.Valid() {
+				continue
+			}
+			if bestRep == nil || model.Score(crit, rep) < model.Score(crit, bestRep) {
+				best = &candidate{archCfg: a, mapping: m.Clone()}
+				bestRep = rep.Clone()
 			}
 		}
+		i := len(idx) - 1
+		for ; i >= 0; i-- {
+			if idx[i]++; idx[i] < len(perDim[i]) {
+				break
+			}
+			idx[i] = 0
+		}
+		if i < 0 {
+			return best, bestRep, leaves, all
+		}
 	}
-	pass(opt.minUtil)
-	if best == nil && opt.minUtil > 0 {
-		leaves, all = 0, 0
-		pass(0)
-	}
-	return best, bestRep, leaves, all
 }
 
 // randomOracleProblem draws a small conv or matmul with prime extents,
@@ -138,7 +130,7 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 			if trial%2 == 1 {
 				fixed = &small
 			}
-			r, err := newRun(context.Background(), p, Options{Mode: mode, Arch: fixed}.WithDefaults(), nil)
+			r, err := newRun(context.Background(), p, Options{Mode: mode, Arch: fixed}.WithDefaults(), dataflow.RSAtRegister, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,16 +169,13 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 				sram[i] = n.Levels[dataflow.StandardLevelSRAM].Active[j]
 			}
 			perms := dataflow.StandardPerms(l1, sram)
-			opt := intOptions{nDiv: 2 + trial%2, nPow2: 2, maxCand: 1 << 20}
-			if trial%3 == 2 {
-				opt.minUtil = 0.5
-			}
+			nDiv := 2 + trial%2
 			for _, crit := range []model.Criterion{model.MinDelay, model.MinEnergy} {
 				search := func(seed float64) (*candidate, *model.Report, int) {
-					return searchIntegerCandidates(model.NewEvaluator(n), n, perms, x, av, opt, crit, seed)
+					return searchIntegerCandidates(model.NewEvaluator(n), n, perms, x, av, nDiv, crit, seed)
 				}
 				got, gotRep, visited := search(math.Inf(1))
-				want, wantRep, leaves, all := bruteForceIntegerize(n, perms, x, av, opt, crit)
+				want, wantRep, leaves, all := bruteForceIntegerize(n, perms, x, av, nDiv, crit)
 				name := p.Name + " " + mode.String() + " " + crit.String()
 				sameDesign(t, name, got, gotRep, want, wantRep)
 				switch {
@@ -202,7 +191,7 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 				}
 				delayVisited += visited
 				delayLeaves += leaves
-				if want == nil || opt.minUtil > 0 {
+				if want == nil {
 					continue
 				}
 				seeded++

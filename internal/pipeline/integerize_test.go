@@ -40,7 +40,7 @@ func BenchmarkIntegerizeSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := Options{Criterion: model.MinDelay, Mode: CoDesign, Parallel: 1}.WithDefaults()
-	r, err := newRun(context.Background(), p, opts, NewScheduler(1))
+	r, err := newRun(context.Background(), p, opts, dataflow.RSAtRegister, NewScheduler(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -51,12 +51,11 @@ func BenchmarkIntegerizeSearch(b *testing.B) {
 	}
 	sp := r.solved[0]
 	perms := dataflow.StandardPerms(sp.permL1, sp.permSRAM)
-	iopt := newIntOptions(opts)
 	b.ResetTimer()
 	var visited int
 	for i := 0; i < b.N; i++ {
 		var c *candidate
-		c, _, visited = searchIntegerCandidates(model.NewEvaluator(r.nest), r.nest, perms, sp.x, r.av, iopt, opts.Criterion, math.Inf(1))
+		c, _, visited = searchIntegerCandidates(model.NewEvaluator(r.nest), r.nest, perms, sp.x, r.av, opts.NDiv, opts.Criterion, math.Inf(1))
 		if c == nil {
 			b.Fatal("no integer design")
 		}

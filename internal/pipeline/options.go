@@ -8,7 +8,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/dataflow"
 	"repro/internal/model"
-	"repro/internal/solver"
 )
 
 // ErrNoDesign is returned when no feasible design point was found.
@@ -37,6 +36,29 @@ func (m Mode) String() string {
 	return "fixedarch"
 }
 
+// The search constants of the integerization (Section IV of the paper:
+// N powers of two per capacity, the top-k relaxed class pairs) and of
+// the relaxation. Only the divisor width n is a run option (NDiv).
+const (
+	// nPow2 is the paper's N: power-of-two candidates per capacity
+	// variable in co-design.
+	nPow2 = 2
+	// topClasses is how many best GP class pairs are integerized, at
+	// least: ties of the last of them within solverTol join them (see
+	// topBand).
+	topClasses = 3
+	// maxCandidates caps the leaves one integerization search
+	// evaluates. Leaves the PE cap or the delay bound prunes are not
+	// evaluated and do not count toward it. Evaluations are
+	// microseconds each; a generous cap lets the width-3 delay ladder
+	// cover its full cross product.
+	maxCandidates = 1 << 20
+	// solverTol is the interior-point method's relative duality gap.
+	// Integerization only needs ~2 significant digits from the
+	// relaxation; a loose gap keeps thousands of solves fast.
+	solverTol = 1e-6
+)
+
 // Options configures an Optimize run. Zero values select defaults.
 type Options struct {
 	// Criterion is energy or delay minimization.
@@ -50,22 +72,8 @@ type Options struct {
 	// Eyeriss-equal area of the paper's evaluation.
 	AreaBudget float64
 	// NDiv is the paper's n: divisor candidates per tile variable
-	// (default 2).
+	// (default 2 for energy, 3 for delay and EDP).
 	NDiv int
-	// NPow2 is the paper's N: power-of-two candidates per capacity
-	// variable (default 2).
-	NPow2 int
-	// MinUtilization filters fixed-arch integer candidates (default 0,
-	// i.e. disabled; the paper mentions a threshold without a value).
-	MinUtilization float64
-	// MaxCandidates caps the leaves each integerization search
-	// evaluates (default 1<<20). Leaves the PE cap or the delay bound
-	// prunes are not evaluated and do not count toward it.
-	MaxCandidates int
-	// TopClasses is how many best GP class pairs are integerized
-	// (default 3): at least k, plus ties within Solver.Tol of the k-th
-	// relaxed optimum.
-	TopClasses int
 	// Parallel sizes the run's bounded scheduler: the maximum number of
 	// leaf compute jobs (GP solves, integerization searches) in flight
 	// at once (default NumCPU). When a scheduler is attached to the
@@ -73,17 +81,6 @@ type Options struct {
 	// batch drivers submitting many layers concurrently share one bound
 	// instead of multiplying it.
 	Parallel int
-	// Nest customizes the tiling structure. Nest.RS is ignored when
-	// RSPlacements is nil (the default), which tries both placements.
-	Nest dataflow.StandardOptions
-	// RSPlacements lists the placements of the untiled kernel loops to
-	// try, keeping the best feasible design. Nil tries both the register
-	// tile and the level-1 loops (layers with tiny register budgets are
-	// only feasible with the latter); problems without untiled kernel
-	// loops run once.
-	RSPlacements []dataflow.RSPlacement
-	// Solver tunes the interior-point method.
-	Solver solver.Options
 	// DisablePruning turns off hoist-prefix/symmetry class dedup and
 	// enumerates raw permutations (for the pruning ablation).
 	DisablePruning bool
@@ -133,26 +130,38 @@ func (o Options) WithDefaults() Options {
 			o.NDiv = 3
 		}
 	}
-	if o.NPow2 == 0 {
-		o.NPow2 = 2
-	}
-	if o.MaxCandidates == 0 {
-		// Evaluations are microseconds each; a generous cap lets the
-		// width-3 delay ladder cover its full cross product.
-		o.MaxCandidates = 1 << 20
-	}
-	if o.TopClasses == 0 {
-		o.TopClasses = 3
-	}
 	if o.Parallel == 0 {
 		o.Parallel = runtime.NumCPU()
 	}
-	if o.Solver.Tol == 0 {
-		// The integerization step only needs ~2 significant digits from
-		// the relaxation; a loose gap keeps thousands of solves fast.
-		o.Solver.Tol = 1e-6
-	}
 	return o
+}
+
+// SignatureParams lists the result-affecting options and search
+// constants under the names and in the order the solve signature
+// (core.SolveSignature) hashes them; o must have defaults applied.
+// Signatures name the disk-cache records, so the list must not move:
+// the constants keep the names of the options they replaced,
+// "min_utilization" hashes the 0 of the retired utilization filter, and
+// the six solver parameters besides the tolerance hash 0, as they did
+// when they were unset options.
+func (o Options) SignatureParams() []cache.Param {
+	return []cache.Param{
+		cache.ParamString("mode", o.Mode.String()),
+		cache.ParamFloat("area_budget", o.AreaBudget),
+		cache.ParamInt("ndiv", int64(o.NDiv)),
+		cache.ParamInt("npow2", nPow2),
+		cache.ParamFloat("min_utilization", 0),
+		cache.ParamInt("max_candidates", maxCandidates),
+		cache.ParamInt("top_classes", topClasses),
+		cache.ParamBool("disable_pruning", o.DisablePruning),
+		cache.ParamFloat("solver.tol", solverTol),
+		cache.ParamFloat("solver.newton_tol", 0),
+		cache.ParamFloat("solver.mu", 0),
+		cache.ParamFloat("solver.t0", 0),
+		cache.ParamInt("solver.max_newton", 0),
+		cache.ParamInt("solver.max_centering", 0),
+		cache.ParamFloat("solver.box", 0),
+	}
 }
 
 // DesignPoint is one complete optimized design.
@@ -213,6 +222,12 @@ type Result struct {
 	// sink). It is not serialized: cache records are already named by
 	// it.
 	Signature cache.Signature `json:"-"`
+}
+
+// Usable reports whether r holds a complete design: a Result decoded
+// from a damaged cache record may lack one (see cache.Usable).
+func (r *Result) Usable() bool {
+	return r != nil && r.Best != nil && r.Best.Mapping != nil && r.Best.Report != nil
 }
 
 // solvedPair records one GP solution.

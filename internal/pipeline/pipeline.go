@@ -50,6 +50,7 @@ type Run struct {
 	ctx   context.Context
 	prob  *loopnest.Problem
 	opts  Options // defaults applied
+	rs    dataflow.RSPlacement
 	obs   *obs.Obs
 	sched *Scheduler
 	// parent is the enclosing placement span; stage spans hang off it.
@@ -131,12 +132,14 @@ var stages = []stage{
 	selectStage{},
 }
 
-// Execute runs the full flow for one problem: one staged pass per
-// configured RS placement (all placements in flight concurrently,
-// drawing leaf work from one scheduler), keeping the best design and
+// Execute runs the full flow for one problem: one staged pass per RS
+// placement (the register tile, plus the level-1 loops when the problem
+// has untiled kernel loops: layers with tiny register budgets are only
+// feasible with the latter), all placements in flight concurrently and
+// drawing leaf work from one scheduler, keeping the best design and
 // accumulating search-effort stats across placements. Selection is
 // deterministic and scheduling-independent: placements are merged in
-// configuration order and candidate ties are broken by permutation
+// that order and candidate ties are broken by permutation
 // order, so the same inputs produce byte-identical results at any
 // scheduler width.
 func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, error) {
@@ -147,12 +150,9 @@ func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, e
 		sched = NewScheduler(opts.Parallel)
 		ctx = ContextWithScheduler(ctx, sched)
 	}
-	placements := opts.RSPlacements
-	if placements == nil {
-		placements = []dataflow.RSPlacement{dataflow.RSAtRegister}
-		if hasUntiledKernelLoops(p) {
-			placements = append(placements, dataflow.RSAtLevel1)
-		}
+	placements := []dataflow.RSPlacement{dataflow.RSAtRegister}
+	if hasUntiledKernelLoops(p) {
+		placements = append(placements, dataflow.RSAtLevel1)
 	}
 	if o.Enabled(obs.Info) {
 		o.Logf(obs.Info, "optimize %s: criterion=%v mode=%v placements=%d",
@@ -169,13 +169,11 @@ func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, e
 	outs := make([]placementOut, len(placements))
 	var wg sync.WaitGroup
 	for i, rs := range placements {
-		po := opts
-		po.Nest.RS = rs
 		wg.Add(1)
-		go func(i int, rs dataflow.RSPlacement, po Options) {
+		go func(i int, rs dataflow.RSPlacement) {
 			defer wg.Done()
 			pctx, pspan := obs.StartSpan(ctx, "rs-placement", obs.String("rs", rs.String()))
-			res, err := executeOne(pctx, p, po, sched)
+			res, err := executeOne(pctx, p, opts, rs, sched)
 			if res != nil {
 				pspan.Annotate(
 					obs.Int("classes_l1", res.Stats.ClassesL1),
@@ -185,7 +183,7 @@ func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, e
 			}
 			pspan.End()
 			outs[i] = placementOut{res, err}
-		}(i, rs, po)
+		}(i, rs)
 	}
 	wg.Wait()
 
@@ -231,9 +229,9 @@ func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, e
 	return best, nil
 }
 
-// executeOne runs the staged pipeline for one fixed nest configuration.
-func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, sched *Scheduler) (*Result, error) {
-	r, err := newRun(ctx, p, opts, sched)
+// executeOne runs the staged pipeline for one RS placement.
+func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, rs dataflow.RSPlacement, sched *Scheduler) (*Result, error) {
+	r, err := newRun(ctx, p, opts, rs, sched)
 	if err != nil {
 		return nil, err
 	}
@@ -274,13 +272,13 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, sched *S
 	return &Result{Best: r.best, Stats: r.stats}, nil
 }
 
-// newRun builds the per-run context of one fixed nest configuration:
-// the standard nest, the architecture variables and the delay variable.
-func newRun(ctx context.Context, p *loopnest.Problem, opts Options, sched *Scheduler) (*Run, error) {
+// newRun builds the per-run context of one RS placement: the standard
+// nest, the architecture variables and the delay variable.
+func newRun(ctx context.Context, p *loopnest.Problem, opts Options, rs dataflow.RSPlacement, sched *Scheduler) (*Run, error) {
 	if err := opts.Arch.Validate(); err != nil {
 		return nil, err
 	}
-	nest, err := dataflow.StandardNest(p, opts.Nest)
+	nest, err := dataflow.StandardNest(p, dataflow.StandardOptions{RS: rs})
 	if err != nil {
 		return nil, err
 	}
@@ -298,6 +296,7 @@ func newRun(ctx context.Context, p *loopnest.Problem, opts Options, sched *Sched
 		ctx:    ctx,
 		prob:   p,
 		opts:   opts,
+		rs:     rs,
 		obs:    obs.FromContext(ctx),
 		sched:  sched,
 		parent: obs.SpanFromContext(ctx),
@@ -346,7 +345,7 @@ func (enumerateStage) Run(r *Run) error {
 	}
 	if o.MetricsEnabled() {
 		// Per-placement class counts, plus running totals across the run.
-		rs := r.opts.Nest.RS.String()
+		rs := r.rs.String()
 		o.Gauge("core.classes_l1." + rs).Set(int64(len(classesL1)))
 		o.Gauge("core.classes_sram." + rs).Set(int64(len(classesSRAM)))
 		o.Counter("core.classes_l1").Add(int64(len(classesL1)))
@@ -354,7 +353,7 @@ func (enumerateStage) Run(r *Run) error {
 	}
 	if o.Enabled(obs.Debug) {
 		o.Logf(obs.Debug, "optimize %s: placement %v: %d x %d permutation classes",
-			r.prob.Name, r.opts.Nest.RS, len(classesL1), len(classesSRAM))
+			r.prob.Name, r.rs, len(classesL1), len(classesSRAM))
 	}
 	r.classesL1, r.classesSRAM = classesL1, classesSRAM
 	r.stats.ClassesL1 = len(classesL1)

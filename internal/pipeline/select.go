@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 
+	"repro/internal/dataflow"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -61,7 +62,7 @@ func (selectStage) Run(r *Run) error {
 				Report:      c.rep,
 				PermL1:      c.pair.permL1,
 				PermSRAM:    c.pair.permSRAM,
-				NestOptions: r.opts.Nest,
+				NestOptions: dataflow.StandardOptions{RS: r.rs},
 				GPObjective: c.pair.objective,
 			}
 		}

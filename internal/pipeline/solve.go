@@ -15,7 +15,7 @@ import (
 // When every strict GP is infeasible (tiny capacities plus the
 // posynomial overestimate), a second pass loosens the capacity bounds
 // by the relaxation's worst-case slack (see buildGP). It keeps the tie
-// band of the TopClasses best relaxed optima (see topBand), so the set
+// band of the topClasses best relaxed optima (see topBand), so the set
 // handed to integerization — and therefore the final design — is the
 // same across runs regardless of scheduler width, completion order or
 // the last bits of each solve (cached and uncached runs must produce
@@ -38,25 +38,26 @@ func (solveStage) Run(r *Run) error {
 	if len(solved) == 0 {
 		return fmt.Errorf("%w: all %d permutation classes infeasible", ErrNoDesign, len(r.jobs))
 	}
-	r.solved = topBand(solved, r.opts.TopClasses, r.opts.Solver.Tol)
+	r.solved = topBand(solved)
 	return nil
 }
 
-// topBand returns the pairs to integerize: at least the k best relaxed
-// optima, plus every pair that ties the k-th within the solver's
-// relative gap tol, in permutation-key order (L1, then SRAM). Relaxed
-// optima of different pairs can be equal, and a solve resolves them
-// only to tol, so ranking them by their last bits would let rounding
-// pick the design; inside the band the exact integer score decides.
-// Neither the set nor its order depends on the input order or on
-// objective differences below tol·kth. It reorders solved in place.
-func topBand(solved []solvedPair, k int, tol float64) []solvedPair {
+// topBand returns the pairs to integerize: at least the topClasses
+// best relaxed optima, plus every pair that ties the last of them, kth,
+// within the solver's relative gap solverTol, in permutation-key order
+// (L1, then SRAM). Relaxed optima of different pairs can be equal, and
+// a solve resolves them only to solverTol, so ranking them by their
+// last bits would let rounding pick the design; inside the band the
+// exact integer score decides. Neither the set nor its order depends
+// on the input order or on objective differences below solverTol·kth.
+// It reorders solved in place.
+func topBand(solved []solvedPair) []solvedPair {
 	objs := make([]float64, len(solved))
 	for i, sp := range solved {
 		objs[i] = sp.objective
 	}
 	slices.Sort(objs)
-	limit := bandLimit(objs[min(k, len(objs))-1], tol)
+	limit := bandLimit(objs[min(topClasses, len(objs))-1], solverTol)
 	band := slices.DeleteFunc(solved, func(sp solvedPair) bool { return sp.objective > limit })
 	slices.SortFunc(band, func(a, b solvedPair) int {
 		if c := slices.Compare(a.permL1, b.permL1); c != 0 {
@@ -81,7 +82,7 @@ func prunable(lower, threshold, tol float64) bool { return lower > bandLimit(thr
 //
 // The job list is the L1×SRAM class cross product, laid out as
 // contiguous groups of len(classesSRAM) jobs sharing one L1 class.
-// Phase A cold-solves the first job of every group; the TopClasses-th
+// Phase A cold-solves the first job of every group; the topClasses-th
 // smallest feasible seed objective becomes the global prune threshold.
 // Phase B walks each group sequentially, warm-starting every solve from
 // the group's previous solution and skipping pairs whose objective
@@ -90,7 +91,7 @@ func prunable(lower, threshold, tol float64) bool { return lower > bandLimit(thr
 // Both optimizations preserve the exact result set. Warm starts only
 // move the interior-point starting iterate. Pruning is conservative: a
 // pruned pair's true optimum exceeds bandLimit(threshold), and at least
-// TopClasses deterministically-chosen solves sit at or below the
+// topClasses deterministically-chosen solves sit at or below the
 // threshold, so the pruned pair could never have entered the tie band.
 // The threshold tightens per group using only that group's own solves
 // plus the global seeds, keeping every decision independent of
@@ -164,12 +165,13 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 			// the neighbor's point can skip.
 			xHint = nil
 		}
-		sopts := r.opts.Solver
-		sopts.Obs = o
-		sopts.Span = pairSpan
-		sopts.Workspace = ws
-		sopts.WarmStart = xHint != nil
-		res, err := f.solveFrom(xHint, sopts)
+		res, err := f.solveFrom(xHint, solver.Options{
+			Tol:       solverTol,
+			Obs:       o,
+			Span:      pairSpan,
+			Workspace: ws,
+			WarmStart: xHint != nil,
+		})
 		pairsC.Inc()
 		var sp *solvedPair
 		mu.Lock()
@@ -228,15 +230,14 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 		return nil, err
 	}
 
-	// Prune threshold: with k = TopClasses, only the k smallest
-	// objectives and their ties within Solver.Tol survive into
+	// Prune threshold: with k = topClasses, only the k smallest
+	// objectives and their ties within solverTol survive into
 	// integerization, and the seeds already supply candidates at or
 	// below their k-th smallest — any pair whose objective provably
 	// exceeds bandLimit of it is skippable. Fewer than k feasible
 	// seeds means no pruning (threshold +Inf), which also keeps the
 	// capSlack retry exact: a pass with zero feasible solves never
 	// pruned anything.
-	k, tol := r.opts.TopClasses, r.opts.Solver.Tol
 	var seedObjs []float64
 	if prune {
 		seedObjs = make([]float64, 0, nGroups)
@@ -264,8 +265,8 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 		threshold := math.Inf(1)
 		if prune {
 			known = append(make([]float64, 0, len(seedObjs)+groupSize-1), seedObjs...)
-			if len(known) >= k {
-				threshold = known[k-1]
+			if len(known) >= topClasses {
+				threshold = known[topClasses-1]
 			}
 		}
 		var hint []float64
@@ -276,7 +277,7 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 			var bound func(*formulation) bool
 			if prune {
 				bound = func(f *formulation) bool {
-					return prunable(bc.lowerBound(f.objective), threshold, tol)
+					return prunable(bc.lowerBound(f.objective), threshold, solverTol)
 				}
 			}
 			sp, err := solveJob(g*groupSize+idx, ws, hint, bound)
@@ -294,8 +295,8 @@ func (r *Run) solvePass(capSlack bool) ([]solvedPair, error) {
 				known = append(known, 0)
 				copy(known[pos+1:], known[pos:])
 				known[pos] = sp.objective
-				if len(known) >= k {
-					threshold = known[k-1]
+				if len(known) >= topClasses {
+					threshold = known[topClasses-1]
 				}
 			}
 		}

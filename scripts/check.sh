@@ -5,7 +5,8 @@
 # wallclock/maprange/ctxprop/goscheduler analyzers), which fails on any
 # finding not suppressed by a reasoned //tlvet:ignore, the short test
 # suite, 10 s fuzzes of yamlite.Parse, of the /v1/optimize request
-# decoder and of the event-stream validator (each with a 1 s minimize
+# decoder, of the event-stream validator and of the disk-cache record
+# decoder (each with a 1 s minimize
 # budget, so minimizing a new input cannot stall the run), the bench/
 # module's smoke test (every
 # benchmark workload at toy scale), a race-detector pass over the
@@ -70,6 +71,11 @@ echo "== fuzz the event-stream validator (10 s; events.Validate behind tlreport 
 # A crasher is written to internal/obs/events/testdata/fuzz/FuzzValidate;
 # commit it as a regression input with the fix.
 go test -run '^$' -fuzz=FuzzValidate -fuzztime=10s -fuzzminimizetime=1s ./internal/obs/events
+
+echo "== fuzz the disk-cache record decoder (10 s; a hit only ever returns a usable design)"
+# A crasher is written to internal/core/testdata/fuzz/FuzzDiskRecord;
+# commit it as a regression input with the fix.
+go test -run '^$' -fuzz=FuzzDiskRecord -fuzztime=10s -fuzzminimizetime=1s ./internal/core
 
 echo "== bench smoke test (every workload at toy scale, every design checked)"
 # bench/ is its own module, so go test ./... above does not reach it.
