@@ -22,11 +22,12 @@ test:
 
 # Race-detector run over the concurrent packages: the mapper's worker
 # pool, the pipeline scheduler and its workspace pool, the solver
-# telemetry hooks, the obs registry itself, cache singleflight, the
-# thistled admission path, and the core whole-network batch. Same
+# telemetry hooks, the obs registry itself, the model evaluator's
+# shared table cache, cache singleflight, the thistled admission path,
+# and the core whole-network batch. Same
 # package list as scripts/check.sh's race leg.
 race:
-	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
+	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/model/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
 
 # The full pre-merge gate: scripts/check.sh runs gofmt, build, vet,
 # lint, the short tests, four fuzz legs, the bench/ smoke test, the

@@ -56,18 +56,51 @@ func withValue(tb testing.TB, record []byte, value string) []byte {
 	return out
 }
 
+// withTrips returns the record with its design's Mapping.Trips replaced
+// by raw JSON.
+func withTrips(tb testing.TB, record []byte, trips string) []byte {
+	tb.Helper()
+	// set replaces key in the JSON object data, descending the path
+	// first.
+	var set func(data []byte, path []string, value json.RawMessage) []byte
+	set = func(data []byte, path []string, value json.RawMessage) []byte {
+		var obj map[string]json.RawMessage
+		if err := json.Unmarshal(data, &obj); err != nil {
+			tb.Fatal(err)
+		}
+		if len(path) > 1 {
+			value = set(obj[path[0]], path[1:], value)
+		}
+		obj[path[0]] = value
+		out, err := json.Marshal(obj)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return out
+	}
+	return set(record, []string{"value", "Best", "Mapping", "Trips"}, json.RawMessage(trips))
+}
+
 // TestCorruptDiskRecordIsMiss: a disk record that decodes but holds no
-// design — "value": null or {} — must not reach the caller. The run
-// logs it as corrupt, counts it, solves afresh with the same result,
-// and rewrites the record, which the next process is served from.
+// usable design — "value": null or {}, or a design whose mapping has no
+// trip rows — must not reach the caller. The run logs it as corrupt,
+// counts it, solves afresh with the same result, and rewrites the
+// record, which the next process is served from.
 func TestCorruptDiskRecordIsMiss(t *testing.T) {
 	p, opts := diskRecordProblem()
 	want, good := solveRecord(t, p, opts)
 	sig := SolveSignature(p, opts)
-	for _, value := range []string{"null", "{}"} {
-		t.Run(value, func(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		record []byte
+	}{
+		{"null", withValue(t, good, "null")},
+		{"{}", withValue(t, good, "{}")},
+		{"hollow_trips", withTrips(t, good, "[]")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(recordPath(dir, sig), withValue(t, good, value), 0o644); err != nil {
+			if err := os.WriteFile(recordPath(dir, sig), c.record, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var logBuf strings.Builder
@@ -106,13 +139,15 @@ func TestCorruptDiskRecordIsMiss(t *testing.T) {
 // FuzzDiskRecord feeds arbitrary bytes to the disk tier as the record
 // of a fixed solve signature. Decoding must never panic, and a hit must
 // only ever return a usable design (see Result.Usable). The seeds are a
-// real record and the same record with "value": null and {}.
+// real record, the same record with "value": null and {}, and with its
+// mapping's trips [].
 func FuzzDiskRecord(f *testing.F) {
 	p, opts := diskRecordProblem()
 	_, good := solveRecord(f, p, opts)
 	f.Add(good)
 	f.Add(withValue(f, good, "null"))
 	f.Add(withValue(f, good, "{}"))
+	f.Add(withTrips(f, good, "[]"))
 	sig := SolveSignature(p, opts)
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, record []byte) {

@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"repro/internal/arch"
@@ -151,80 +151,102 @@ func (r *Report) Clone() *Report {
 	return &c
 }
 
-// Evaluator evaluates mappings of one nest, caching the symbolic volume
-// expressions per permutation choice (they are trip-value independent).
-// It is safe for concurrent use.
+// Evaluator evaluates mappings of one nest, caching per permutation
+// choice the symbolic volumes compiled into a factor table (they are
+// trip-value independent). It is safe for concurrent use.
 type Evaluator struct {
 	Nest *dataflow.Nest
 
 	mu    sync.Mutex
-	cache map[string]*dataflow.Volumes // guarded by mu
+	cache map[string]*factorTable // guarded by mu
 }
 
 // NewEvaluator wraps a nest.
 func NewEvaluator(n *dataflow.Nest) *Evaluator {
-	return &Evaluator{Nest: n, cache: map[string]*dataflow.Volumes{}}
+	return &Evaluator{Nest: n, cache: map[string]*factorTable{}}
 }
 
-func permKey(perms [][]int) string {
-	var b strings.Builder
+// appendPermKey appends the cache key of a permutation choice to dst:
+// each level's iterators, comma-terminated, then ';'.
+func appendPermKey(dst []byte, perms [][]int) []byte {
 	for _, p := range perms {
 		for _, it := range p {
-			fmt.Fprintf(&b, "%d,", it)
+			dst = strconv.AppendInt(dst, int64(it), 10)
+			dst = append(dst, ',')
 		}
-		b.WriteByte(';')
+		dst = append(dst, ';')
 	}
-	return b.String()
+	return dst
 }
 
-// volumes returns (possibly cached) symbolic volumes for a permutation
-// choice.
-func (e *Evaluator) volumes(perms [][]int) (*dataflow.Volumes, error) {
-	key := permKey(perms)
+// table returns the (possibly cached) factor table of a permutation
+// choice, running Algorithm 1 and compiling its volumes on a miss.
+func (e *Evaluator) table(perms [][]int) (*factorTable, error) {
+	var buf [64]byte
+	key := appendPermKey(buf[:0], perms)
 	e.mu.Lock()
-	v, ok := e.cache[key]
+	t, ok := e.cache[string(key)]
 	e.mu.Unlock()
 	if ok {
-		return v, nil
+		return t, nil
 	}
 	v, err := e.Nest.ComputeVolumes(perms)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
 	}
+	t = newFactorTable(v, e.Nest.Vars.Len())
 	e.mu.Lock()
-	e.cache[key] = v
+	e.cache[string(key)] = t
 	e.mu.Unlock()
-	return v, nil
+	return t, nil
 }
 
 // Evaluate computes the report for a mapping on the architecture. The
 // nest must be a standard 3-level-memory nest (two copy boundaries:
 // registers and SRAM). Mappings that violate capacities still produce a
 // full report, with Violations populated, so searches can reject them.
+//
+// Each call is a fresh session: every factor is evaluated.
 func (e *Evaluator) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
-	v, err := e.volumes(m.Perms)
+	s, err := e.Session(m.Perms)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
+		return nil, err
 	}
-	s := EvalSession{e: e, vols: v}
 	return s.Evaluate(a, m)
 }
 
 // EvalSession evaluates many mappings that share one permutation choice
 // — the shape of the integerization search, which streams thousands of
 // trip-count variants of a single relaxed solution. The session pins the
-// (cached) symbolic volumes once and reuses its assignment buffer and
-// Report across calls, so steady-state evaluation does not allocate.
+// permutation's factor table once and reuses its buffers and Report
+// across calls, so steady-state evaluation does not allocate.
+//
+// The session memoizes factor values. It keeps the assignment of the
+// last mapping it accepted and the value of every traffic and footprint
+// factor under it; Evaluate re-evaluates only the factors that read a
+// variable whose value changed (all of them on the first call), then
+// forms each product and each sum over tensors in the order of
+// dataflow.Volumes.EvalTraffic and EvalFootprint. A factor is a pure
+// function of the variables it reads, so every Report field is
+// bit-identical to a fresh evaluation. A mapping rejected with an error
+// leaves the memo as it was.
 //
 // The returned *Report is owned by the session and overwritten by the
 // next Evaluate call; callers that keep one must Clone it. A session is
-// not safe for concurrent use (create one per goroutine; they share the
-// evaluator's locked volume cache).
+// single-goroutine: it is not safe for concurrent use (create one per
+// goroutine; they share the evaluator's locked table cache).
 type EvalSession struct {
-	e    *Evaluator
-	vols *dataflow.Volumes
-	x    []float64
-	rep  Report
+	e   *Evaluator
+	tab *factorTable
+	// x is the assignment of the last accepted mapping and val[f] the
+	// value of factor f under it; both are nil before the first call.
+	// next, dirty and stale are update's scratch.
+	x, next, val []float64
+	dirty        []bool
+	stale        []int32
+	rep          Report
+	// viols backs rep.Violations, kept across valid reports.
+	viols []string
 	// Quick elides the formatted violation messages: an invalid mapping
 	// gets a static placeholder instead. Validity (Report.Valid) is
 	// unchanged; searches that only filter on it avoid the fmt cost.
@@ -238,19 +260,19 @@ var (
 	violPEQuick   = "PEs used over capacity"
 )
 
-// Session pins the symbolic volumes for one permutation choice,
-// computing (or fetching from the evaluator's cache) them once.
+// Session pins the factor table of one permutation choice, building (or
+// fetching from the evaluator's cache) it once.
 func (e *Evaluator) Session(perms [][]int) (*EvalSession, error) {
-	v, err := e.volumes(perms)
+	t, err := e.table(perms)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
+		return nil, err
 	}
-	return &EvalSession{e: e, vols: v}, nil
+	return &EvalSession{e: e, tab: t}, nil
 }
 
 // Evaluate computes the report for a mapping whose Perms match the
 // session's. See Evaluator.Evaluate for semantics and EvalSession for
-// the ownership rules of the returned Report.
+// the memo contract and the ownership rules of the returned Report.
 func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	e := s.e
 	if err := a.Validate(); err != nil {
@@ -259,24 +281,19 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	if err := e.Nest.CheckTrips(m.Trips); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
 	}
-	v := s.vols
-	if len(v.Boundaries) != 2 {
-		return nil, fmt.Errorf("%w: need exactly 2 memory boundaries, nest has %d", ErrBadMapping, len(v.Boundaries))
+	t := s.tab
+	if len(t.traffic) != 2 {
+		return nil, fmt.Errorf("%w: need exactly 2 memory boundaries, nest has %d", ErrBadMapping, len(t.traffic))
 	}
-	if n := e.Nest.Vars.Len(); cap(s.x) < n {
-		s.x = make([]float64, n)
-	} else {
-		s.x = s.x[:n]
-	}
-	x := e.Nest.AssignmentInto(s.x, m.Trips)
+	s.update(m.Trips)
 
-	viols := s.rep.Violations[:0]
+	viols := s.viols[:0]
 	r := &s.rep
 	*r = Report{Ops: e.Nest.Prob.Ops()}
-	r.TrafficSR = v.EvalTraffic(0, x)
-	r.TrafficDS = v.EvalTraffic(1, x)
-	r.RegFootprint = v.EvalFootprint(0, x)
-	r.SRAMFootprint = v.EvalFootprint(1, x)
+	r.TrafficSR = s.total(t.traffic[0])
+	r.TrafficDS = s.total(t.traffic[1])
+	r.RegFootprint = s.total(t.footprint[0])
+	r.SRAMFootprint = s.total(t.footprint[1])
 
 	// PEs used: product of spatial trips.
 	r.PEsUsed = 1
@@ -339,6 +356,7 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 			viols = append(viols, fmt.Sprintf("PEs used %d > %d", r.PEsUsed, a.PEs))
 		}
 	}
+	s.viols = viols
 	if len(viols) > 0 {
 		r.Violations = viols
 	}

@@ -32,8 +32,12 @@ func (integerizeStage) Name() string { return "integerize" }
 
 func (integerizeStage) Run(r *Run) error {
 	// One evaluator shared by every job: model.Evaluator is documented
-	// safe for concurrent use (its volume cache is internally locked).
+	// safe for concurrent use (its cache of per-permutation factor
+	// tables is internally locked), and each search steps its own
+	// single-goroutine session over one table. The validate stage
+	// reuses it, so a candidate's table is built once per run.
 	ev := model.NewEvaluator(r.nest)
+	r.ev = ev
 	candC := r.obs.Counter("core.int_candidates")
 	seeded := r.opts.Criterion == model.MinDelay
 
@@ -292,8 +296,9 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 	}
 
 	// All candidates of this search share one permutation choice, so pin
-	// the symbolic volumes in a session and stream every mapping through
-	// it. Quick mode skips formatted violation messages — rejected
+	// its factor table in a session and stream every mapping through it:
+	// the session re-evaluates only the factors whose variables the leaf
+	// changed. Quick mode skips formatted violation messages — rejected
 	// reports are discarded, and the winner (valid by construction) has
 	// none.
 	sess, err := ev.Session(perms)

@@ -18,8 +18,10 @@ import (
 // product, in the same order, with no bound, and keeps the first strict
 // minimum. The cross product is walked as an odometer (last dimension
 // fastest), not by recursion, so it shares no control flow with the
-// search under test. leaves counts the leaves whose PE product fits a
-// fixed architecture (all of them in co-design), all counts every leaf.
+// search under test. Each leaf is scored by a fresh Evaluator.Evaluate,
+// not by the memoized session the search steps. leaves counts the
+// leaves whose PE product fits a fixed architecture (all of them in
+// co-design), all counts every leaf.
 func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *archVars, nDiv int, crit model.Criterion) (best *candidate, bestRep *model.Report, leaves, all int) {
 	var perDim [][]dimCandidate
 	for it := range n.Prob.Iters {
@@ -41,10 +43,7 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 			}
 		}
 	}
-	sess, err := model.NewEvaluator(n).Session(perms)
-	if err != nil {
-		return nil, nil, 0, 0
-	}
+	ev := model.NewEvaluator(n)
 	idx := make([]int, len(perDim))
 	for {
 		m := buildMapping(n, perms, nil)
@@ -65,7 +64,7 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 			if pes <= a.PEs {
 				leaves++
 			}
-			rep, err := sess.Evaluate(&a, m)
+			rep, err := ev.Evaluate(&a, m)
 			if err != nil || !rep.Valid() {
 				continue
 			}

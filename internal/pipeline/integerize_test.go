@@ -31,8 +31,8 @@ func TestPow2Candidates(t *testing.T) {
 // on resnet18_L10: the divisor-ladder search of the best relaxed
 // solution, with the GP solves done before the timer starts. Each
 // iteration builds a fresh evaluator, as every search of a run pays for
-// its own permutation's symbolic volumes. It reports the leaves
-// evaluated per search as "candidates".
+// its own permutation's symbolic volumes and factor table. It reports
+// the leaves evaluated per search as "candidates".
 func BenchmarkIntegerizeSearch(b *testing.B) {
 	l, _ := workloads.ByName("resnet18_L10")
 	p, err := l.Problem()

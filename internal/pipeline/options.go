@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"runtime"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -225,9 +226,26 @@ type Result struct {
 }
 
 // Usable reports whether r holds a complete design: a Result decoded
-// from a damaged cache record may lack one (see cache.Usable).
+// from a damaged cache record may lack one, or hold a mapping no
+// standard nest accepts (see cache.Usable).
 func (r *Result) Usable() bool {
-	return r != nil && r.Best != nil && r.Best.Mapping != nil && r.Best.Report != nil
+	return r != nil && r.Best != nil && r.Best.Report != nil && standardShaped(r.Best.Mapping)
+}
+
+// standardShaped reports whether m has a perm slot and a trip row for
+// each of the standard nest's levels, trip rows of one non-zero length,
+// and no trip below 1.
+func standardShaped(m *model.Mapping) bool {
+	const levels = dataflow.StandardLevelSRAM + 1
+	if m == nil || len(m.Perms) != levels || len(m.Trips) != levels || len(m.Trips[0]) == 0 {
+		return false
+	}
+	for _, row := range m.Trips {
+		if len(row) != len(m.Trips[0]) || slices.Min(row) < 1 {
+			return false
+		}
+	}
+	return true
 }
 
 // solvedPair records one GP solution.

@@ -66,6 +66,7 @@ type Run struct {
 	vols                   *classVolumes        // Formulate
 	jobs                   []pairJob            // Formulate
 	solved                 []solvedPair         // Solve (the tie band, in permutation-key order)
+	ev                     *model.Evaluator     // Integerize; Validate re-evaluates through its cached tables
 	cands                  []*integerized       // Integerize, filtered by Validate
 	best                   *DesignPoint         // Select
 

@@ -24,7 +24,9 @@ func (validateStage) Run(r *Run) error {
 		return nil
 	}
 	o := r.obs
-	ev := model.NewEvaluator(r.nest)
+	// The integerize stage's evaluator already holds every candidate's
+	// factor table; Evaluate still scores each mapping afresh.
+	ev := r.ev
 	kept := r.cands[:0]
 	for _, c := range r.cands {
 		rep, err := ev.Evaluate(&c.cand.archCfg, c.cand.mapping)
