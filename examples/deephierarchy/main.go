@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/arch"
 	"repro/internal/hierarchy"
@@ -20,15 +22,22 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run optimizes the example stage and prints the design to w.
+func run(w io.Writer) error {
 	// A mid-size ResNet-like stage.
 	prob, err := loopnest.Conv2D(loopnest.Conv2DConfig{
 		Name: "stage", N: 1, K: 64, C: 64, H: 28, W: 28, R: 3, S: 3,
 		StrideX: 1, StrideY: 1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("problem: %s (%d MACs)\n\n", prob.String(), prob.Ops())
+	fmt.Fprintf(w, "problem: %s (%d MACs)\n\n", prob.String(), prob.Ops())
 
 	// Four-level memory: small register files, a 2K-word per-PE
 	// scratchpad (absorbing reuse the registers cannot), and the shared
@@ -47,33 +56,34 @@ func main() {
 		MACEnergy:    e.Tech.EnergyMAC,
 	}
 	for _, b := range cfg.Buffers {
-		fmt.Printf("buffer %-10s %6d words, %.3f pJ/word\n", b.Name, b.Words, b.Energy)
+		fmt.Fprintf(w, "buffer %-10s %6d words, %.3f pJ/word\n", b.Name, b.Words, b.Energy)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	design, err := hierarchy.OptimizeEnergy(prob, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("optimized energy: %.3f pJ/MAC (GP bound %.3f) across %d permutation-class combos\n",
+	fmt.Fprintf(w, "optimized energy: %.3f pJ/MAC (GP bound %.3f) across %d permutation-class combos\n",
 		design.Report.EnergyPerMAC, design.GPObjective/float64(prob.Ops()), design.Combos)
-	fmt.Printf("delay: %.4g cycles (IPC %.1f with %d PEs)\n\n",
+	fmt.Fprintf(w, "delay: %.4g cycles (IPC %.1f with %d PEs)\n\n",
 		design.Report.Cycles, design.Report.IPC, design.Report.PEsUsed)
 
 	names := []string{"register tile", "reg-tile loops", "spad-tile loops", "PE grid", "SRAM-tile loops"}
 	for li, name := range names {
-		fmt.Printf("%-18s", name)
+		fmt.Fprintf(w, "%-18s", name)
 		for it, iter := range prob.Iters {
 			trip := int64(1)
 			if li < len(design.Trips) && it < len(design.Trips[li]) && design.Trips[li][it] > 0 {
 				trip = design.Trips[li][it]
 			}
 			if trip > 1 {
-				fmt.Printf("  %s=%d", iter.Name, trip)
+				fmt.Fprintf(w, "  %s=%d", iter.Name, trip)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("\nboundary traffic (words): registers %.3g, spad %.3g, sram %.3g\n",
+	_, err = fmt.Fprintf(w, "\nboundary traffic (words): registers %.3g, spad %.3g, sram %.3g\n",
 		design.Report.Traffic[0], design.Report.Traffic[1], design.Report.Traffic[2])
+	return err
 }

@@ -92,7 +92,9 @@ type Nest struct {
 	// (including level-0 placeholders pinned to 1).
 	Pins []Pin
 
-	iterOfVar []int // VarID → iterator index (−1 for foreign vars)
+	// VarID → iterator index and level index of the nest's trip
+	// variables (see IterOfVar, LevelOfVar).
+	iterOfVar, levelOfVar []int
 }
 
 // NewNest builds a nest over the problem with the given level
@@ -133,6 +135,7 @@ func NewNest(p *loopnest.Problem, cfgs []LevelConfig) (*Nest, error) {
 			v := n.Vars.NewVar(fmt.Sprintf("%s_%s", cfg.Name, p.Iters[it].Name))
 			lvl.Trips[it] = v
 			n.iterOfVar = append(n.iterOfVar, it)
+			n.levelOfVar = append(n.levelOfVar, li)
 			if fixed, ok := cfg.Fixed[it]; ok {
 				if !active[it] {
 					return nil, fmt.Errorf("%w: level %s fixes inactive iterator %d", ErrBadNest, cfg.Name, it)

@@ -39,7 +39,7 @@ func randomTrips(rng *rand.Rand, n *Nest) [][]int64 {
 	}
 	for _, pin := range n.Pins {
 		it := n.IterOfVar(pin.Var)
-		li := n.levelOfVar(pin.Var)
+		li := n.LevelOfVar(pin.Var)
 		trips[li][it] = int64(pin.Value)
 		pinned[it] *= int64(pin.Value)
 	}
@@ -52,7 +52,7 @@ func randomTrips(rng *rand.Rand, n *Nest) [][]int64 {
 			}
 			already := false
 			for _, pin := range n.Pins {
-				if n.IterOfVar(pin.Var) == it && n.levelOfVar(pin.Var) == li {
+				if n.IterOfVar(pin.Var) == it && n.LevelOfVar(pin.Var) == li {
 					already = true
 				}
 			}

@@ -205,7 +205,7 @@ func (n *Nest) CheckTrips(trips [][]int64) error {
 	}
 	for _, pin := range n.Pins {
 		it := n.IterOfVar(pin.Var)
-		li := n.levelOfVar(pin.Var)
+		li := n.LevelOfVar(pin.Var)
 		tv := int64(1)
 		if li >= 0 && li < len(trips) && it < len(trips[li]) && trips[li][it] > 0 {
 			tv = trips[li][it]
@@ -218,14 +218,50 @@ func (n *Nest) CheckTrips(trips [][]int64) error {
 	return nil
 }
 
-// levelOfVar finds the level owning a trip variable, or −1.
-func (n *Nest) levelOfVar(v expr.VarID) int {
+// LevelOfVar maps a trip variable to the level owning it, or −1 for
+// variables not owned by the nest.
+func (n *Nest) LevelOfVar(v expr.VarID) int {
+	if v >= 0 && int(v) < len(n.levelOfVar) {
+		return n.levelOfVar[v]
+	}
+	return -1
+}
+
+// pinned reports whether v is one of the nest's pinned trips.
+func (n *Nest) pinned(v expr.VarID) bool {
+	for _, pin := range n.Pins {
+		if pin.Var == v {
+			return true
+		}
+	}
+	return false
+}
+
+// FreeLevels returns the levels, inner to outer, at which iterator it
+// has a free (not pinned) trip: the levels a tiling of it chooses.
+func (n *Nest) FreeLevels(it int) []int {
+	var out []int
 	for li := range n.Levels {
-		for _, tv := range n.Levels[li].Trips {
-			if tv == v {
-				return li
+		if v := n.Levels[li].Trips[it]; v != expr.NoVar && !n.pinned(v) {
+			out = append(out, li)
+		}
+	}
+	return out
+}
+
+// PEsUsed returns the number of PEs a mapping occupies: the product of
+// its trips at the spatial levels (entries below 1 count as 1).
+func (n *Nest) PEsUsed(trips [][]int64) int64 {
+	pes := int64(1)
+	for li := range n.Levels {
+		if n.Levels[li].Kind != Spatial || li >= len(trips) {
+			continue
+		}
+		for _, it := range n.Levels[li].Active {
+			if it < len(trips[li]) && trips[li][it] > 1 {
+				pes *= trips[li][it]
 			}
 		}
 	}
-	return -1
+	return pes
 }

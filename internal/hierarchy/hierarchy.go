@@ -6,19 +6,29 @@
 // dataflow with one geometric program per combination of per-level
 // permutation classes.
 //
+// It runs on the engine the pipeline runs, at depth N: per-boundary
+// traffic and footprint come from a model.EvalSession, integer tilings
+// from loopnest.Ladder, and the trip-count constraints and starting
+// point of each program from dataflow. What is its own is what depends
+// on N buffers: the Config, the nest builder, the energy and delay
+// formulas over N boundaries, and the search over combinations of
+// permutation classes.
+//
 // The three-level memory of the paper's evaluation remains the job of
 // internal/core (which also implements co-design and the Eyeriss
-// studies); this package is the depth-generic engine used to validate
-// that nothing in the formulation is specific to two copy boundaries.
+// studies); this package shows that nothing in the formulation is
+// specific to two copy boundaries.
 package hierarchy
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataflow"
 	"repro/internal/loopnest"
+	"repro/internal/model"
 )
 
 // ErrBadConfig reports an invalid hierarchy description.
@@ -160,42 +170,36 @@ func Evaluate(c *Config, n *dataflow.Nest, trips [][]int64, perms [][]int) (*Rep
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if err := n.CheckTrips(trips); err != nil {
+	s, err := model.NewEvaluator(n).Session(perms)
+	if err != nil {
 		return nil, err
 	}
-	v, err := n.ComputeVolumes(perms)
+	return evaluate(c, n, s, trips)
+}
+
+// evaluate reports trips under the permutation choice of s, a session
+// over nest n: the boundary sums come from the session's factor memo,
+// so a stream of mappings of one choice runs Algorithm 1 once.
+func evaluate(c *Config, n *dataflow.Nest, s *model.EvalSession, trips [][]int64) (*Report, error) {
+	traffic, footprint, err := s.Sums(trips)
 	if err != nil {
 		return nil, err
 	}
 	nb := len(c.Buffers)
-	if len(v.Boundaries) != nb {
-		return nil, fmt.Errorf("%w: nest has %d boundaries, hierarchy %d", ErrBadConfig, len(v.Boundaries), nb)
+	if len(traffic) != nb {
+		return nil, fmt.Errorf("%w: nest has %d boundaries, hierarchy %d", ErrBadConfig, len(traffic), nb)
 	}
-	x := n.Assignment(n.Vars.Len(), trips)
-	r := &Report{Ops: n.Prob.Ops()}
+	r := &Report{
+		Ops:       n.Prob.Ops(),
+		Traffic:   slices.Clone(traffic),
+		Footprint: slices.Clone(footprint),
+		PEsUsed:   n.PEsUsed(trips),
+	}
 	ops := float64(r.Ops)
-
-	r.Traffic = make([]float64, nb)
-	r.Footprint = make([]float64, nb)
 	for b := 0; b < nb; b++ {
-		r.Traffic[b] = v.EvalTraffic(b, x)
-		r.Footprint[b] = v.EvalFootprint(b, x)
 		if r.Footprint[b] > float64(c.Buffers[b].Words) {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"%s footprint %.0f > %d", c.Buffers[b].Name, r.Footprint[b], c.Buffers[b].Words))
-		}
-	}
-
-	// PEs used.
-	r.PEsUsed = 1
-	for li := range n.Levels {
-		if n.Levels[li].Kind != dataflow.Spatial {
-			continue
-		}
-		for _, it := range n.Levels[li].Active {
-			if li < len(trips) && it < len(trips[li]) && trips[li][it] > 1 {
-				r.PEsUsed *= trips[li][it]
-			}
 		}
 	}
 	if r.PEsUsed > c.PEs {

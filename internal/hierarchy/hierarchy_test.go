@@ -258,25 +258,3 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLadder(t *testing.T) {
-	// One intermediate cumulative tile: extent 8, target 4 → candidates
-	// {4, 2} (n=2), trips (inner, outer) = (4, 2) and (2, 4).
-	got := ladder(8, []float64{4}, 2)
-	if len(got) != 2 {
-		t.Fatalf("ladder = %v", got)
-	}
-	for _, trip := range got {
-		prod := int64(1)
-		for _, v := range trip {
-			prod *= v
-		}
-		if prod != 8 {
-			t.Fatalf("trips %v do not multiply to 8", trip)
-		}
-	}
-	// Degenerate: no intermediate levels.
-	if got := ladder(6, nil, 2); len(got) != 1 || got[0][0] != 6 {
-		t.Fatalf("trivial ladder = %v", got)
-	}
-}

@@ -2,13 +2,13 @@ package hierarchy
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/gp"
 	"repro/internal/loopnest"
+	"repro/internal/model"
 	"repro/internal/solver"
 )
 
@@ -47,6 +47,10 @@ func OptimizeEnergy(p *loopnest.Problem, c *Config) (*Design, error) {
 	}
 	copyLevels := CopyLevels(nest)
 	syms := dataflow.SymmetricInvolutions(p)
+	// One evaluator for the nest: each combination's Algorithm 1 run
+	// feeds both its geometric program and, through the cached factor
+	// table, every integer candidate evaluated under it.
+	ev := model.NewEvaluator(nest)
 
 	// Permutation classes per copy level, then their cross product.
 	classes := make([][]dataflow.PermClass, len(copyLevels))
@@ -75,11 +79,15 @@ func OptimizeEnergy(p *loopnest.Problem, c *Config) (*Design, error) {
 		for i, li := range copyLevels {
 			perms[li] = classes[i][choice[i]].Perm
 		}
-		f, err := buildDeepGP(nest, perms, c)
+		vols, err := ev.Volumes(perms)
 		if err != nil {
 			return nil, err
 		}
-		res, err := f.Solve(hintFor(nest), solver.Options{Tol: solverTol})
+		f, err := buildDeepGP(nest, vols, c)
+		if err != nil {
+			return nil, err
+		}
+		res, err := f.Solve(nest.TripHint(), solver.Options{Tol: solverTol})
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +116,11 @@ func OptimizeEnergy(p *loopnest.Problem, c *Config) (*Design, error) {
 
 	var best *Design
 	for _, s := range sols[:top] {
-		trips, rep := integerizeDeep(nest, c, s.perms, s.x)
+		sess, err := ev.Session(s.perms)
+		if err != nil {
+			return nil, err
+		}
+		trips, rep := integerizeDeep(nest, c, sess, s.x)
 		if rep == nil {
 			continue
 		}
@@ -122,17 +134,13 @@ func OptimizeEnergy(p *loopnest.Problem, c *Config) (*Design, error) {
 	if best == nil {
 		return nil, fmt.Errorf("hierarchy: no integer candidate satisfied the constraints")
 	}
-	best.Combos = combos
 	return best, nil
 }
 
-// buildDeepGP assembles the energy GP for the deep nest (the Eq. 3
-// pattern generalized over N boundaries).
-func buildDeepGP(nest *dataflow.Nest, perms [][]int, c *Config) (*gp.Program, error) {
-	vols, err := nest.ComputeVolumes(perms)
-	if err != nil {
-		return nil, err
-	}
+// buildDeepGP assembles the energy GP for the deep nest from the
+// volumes of one permutation choice (the Eq. 3 pattern generalized over
+// N boundaries).
+func buildDeepGP(nest *dataflow.Nest, vols *dataflow.Volumes, c *Config) (*gp.Program, error) {
 	folded := vols.Folded()
 	prog := gp.New(nest.Vars)
 	ops := float64(nest.Prob.Ops())
@@ -152,141 +160,63 @@ func buildDeepGP(nest *dataflow.Nest, perms [][]int, c *Config) (*gp.Program, er
 			return nil, err
 		}
 	}
-	peProd := expr.Const(1)
-	for _, pv := range nest.SpatialTripVars() {
-		peProd = peProd.Mul(expr.MonoPow(1, pv, 1))
-	}
-	if err := prog.AddLessEq("cap:pes", expr.PolyFrom(peProd), expr.Const(float64(c.PEs))); err != nil {
+	if err := prog.AddLessEq("cap:pes", expr.PolyFrom(nest.SpatialProduct()), expr.Const(float64(c.PEs))); err != nil {
 		return nil, err
 	}
-	for _, eq := range nest.DimEqualities() {
-		lhs := expr.Const(1)
-		for _, v := range eq.Vars {
-			lhs = lhs.Mul(expr.MonoPow(1, v, 1))
-		}
-		if err := prog.AddMonoEq("extent", lhs, expr.Const(float64(eq.Extent))); err != nil {
-			return nil, err
-		}
-	}
-	pinned := map[expr.VarID]bool{}
-	for _, pin := range nest.Pins {
-		pinned[pin.Var] = true
-		if err := prog.AddMonoEq("pin", expr.MonoPow(1, pin.Var, 1), expr.Const(pin.Value)); err != nil {
-			return nil, err
-		}
-	}
-	for it := range nest.Prob.Iters {
-		for _, v := range nest.DimTripVars(it) {
-			if pinned[v] {
-				continue
-			}
-			if err := prog.AddLowerBound("trip>=1", v, 1); err != nil {
-				return nil, err
-			}
-		}
+	if err := nest.AddTripConstraints(prog); err != nil {
+		return nil, err
 	}
 	return prog, nil
 }
 
-func hintFor(nest *dataflow.Nest) []float64 {
-	x := make([]float64, nest.Vars.Len())
-	for i := range x {
-		x[i] = 1
-	}
-	for it, iter := range nest.Prob.Iters {
-		vars := nest.DimTripVars(it)
-		if len(vars) == 0 {
-			continue
-		}
-		per := math.Pow(float64(iter.Extent), 1/float64(len(vars)))
-		for _, v := range vars {
-			x[v] = per
-		}
-	}
-	for _, pin := range nest.Pins {
-		x[pin.Var] = pin.Value
-	}
-	return x
-}
-
-// integerizeDeep converts the relaxed solution to integer trips via a
-// generalized divisor ladder (outermost cumulative tile inward), streams
-// the cross product through Evaluate, and returns the best valid design.
-func integerizeDeep(nest *dataflow.Nest, c *Config, perms [][]int, x []float64) ([][]int64, *Report) {
+// integerizeDeep converts the relaxed solution to integer trips: each
+// free iterator's candidates are the divisor ladder (loopnest.Ladder)
+// around its relaxed cumulative tiles, in generation order. It streams
+// their cross product through the session of the permutation choice
+// and returns the best valid design.
+func integerizeDeep(nest *dataflow.Nest, c *Config, sess *model.EvalSession, x []float64) ([][]int64, *Report) {
 	type dimChoice struct {
 		iter   int
 		levels []int     // nest levels with free trips, inner to outer
-		trips  [][]int64 // candidate trip vectors (parallel to levels)
+		tiles  [][]int64 // candidate cumulative tiles below the outermost level
 	}
 	var dims []dimChoice
-	for it := range nest.Prob.Iters {
-		var levels []int
-		pinnedLevels := map[int]bool{}
-		for _, pin := range nest.Pins {
-			if nest.IterOfVar(pin.Var) == it {
-				for li := range nest.Levels {
-					if nest.Levels[li].Trips[it] == pin.Var {
-						pinnedLevels[li] = true
-					}
-				}
-			}
-		}
-		for li := range nest.Levels {
-			if nest.Levels[li].Trips[it] != expr.NoVar && !pinnedLevels[li] {
-				levels = append(levels, li)
-			}
-		}
+	for it, iter := range nest.Prob.Iters {
+		levels := nest.FreeLevels(it)
 		if len(levels) < 2 {
 			continue
 		}
-		// Real cumulative tiles, inner to outer (excluding the outermost
-		// level, whose trip is determined by the extent).
-		real := make([]float64, len(levels))
+		// Relaxed cumulative tiles, inner to outer (excluding the
+		// outermost level, whose trip is determined by the extent).
+		cum := make([]float64, len(levels)-1)
 		prod := 1.0
-		for i, li := range levels {
+		for i, li := range levels[:len(cum)] {
 			prod *= x[nest.Levels[li].Trips[it]]
-			real[i] = prod
+			cum[i] = prod
 		}
-		cands := ladder(nest.Prob.Iters[it].Extent, real[:len(real)-1], nDiv)
-		dims = append(dims, dimChoice{iter: it, levels: levels, trips: cands})
+		dims = append(dims, dimChoice{iter: it, levels: levels, tiles: loopnest.Ladder(iter.Extent, cum, nDiv)})
 	}
 
-	base := make([][]int64, len(nest.Levels))
-	for li := range base {
-		base[li] = make([]int64, len(nest.Prob.Iters))
-		for i := range base[li] {
-			base[li][i] = 1
-		}
-	}
-	for _, pin := range nest.Pins {
-		it := nest.IterOfVar(pin.Var)
-		for li := range nest.Levels {
-			if nest.Levels[li].Trips[it] == pin.Var {
-				base[li][it] = int64(pin.Value)
-			}
-		}
-	}
-
+	// Pins and unit trips; every free trip is written per candidate.
+	m := model.UniformMapping(nest)
 	var bestTrips [][]int64
 	var bestRep *Report
 	evals := 0
 	idx := make([]int, len(dims))
 	for {
-		trips := make([][]int64, len(base))
-		for li := range base {
-			trips[li] = append([]int64(nil), base[li]...)
-		}
 		for di, d := range dims {
-			f := d.trips[idx[di]]
-			for i, li := range d.levels {
-				trips[li][d.iter] = f[i]
+			prev := int64(1)
+			for i, cum := range d.tiles[idx[di]] {
+				m.Trips[d.levels[i]][d.iter] = cum / prev
+				prev = cum
 			}
+			m.Trips[d.levels[len(d.levels)-1]][d.iter] = nest.Prob.Iters[d.iter].Extent / prev
 		}
-		rep, err := Evaluate(c, nest, trips, perms)
+		rep, err := evaluate(c, nest, sess, m.Trips)
 		evals++
 		if err == nil && rep.Valid() {
 			if bestRep == nil || rep.Energy < bestRep.Energy {
-				bestTrips, bestRep = trips, rep
+				bestTrips, bestRep = m.Clone().Trips, rep
 			}
 		}
 		if evals >= maxEvals {
@@ -295,7 +225,7 @@ func integerizeDeep(nest *dataflow.Nest, c *Config, perms [][]int, x []float64) 
 		k := 0
 		for k < len(dims) {
 			idx[k]++
-			if idx[k] < len(dims[k].trips) {
+			if idx[k] < len(dims[k].tiles) {
 				break
 			}
 			idx[k] = 0
@@ -306,47 +236,4 @@ func integerizeDeep(nest *dataflow.Nest, c *Config, perms [][]int, x []float64) 
 		}
 	}
 	return bestTrips, bestRep
-}
-
-// ladder generates candidate trip vectors for one iterator: cumulative
-// tile sizes are chosen from divisors (outermost inward, each dividing
-// the previous), n nearest to the relaxed cumulative tiles; the returned
-// vectors hold the per-level trips.
-func ladder(extent int64, realCum []float64, n int) [][]int64 {
-	var out [][]int64
-	var rec func(pos int, remaining int64, chosen []int64)
-	rec = func(pos int, remaining int64, chosen []int64) {
-		if pos < 0 {
-			trips := make([]int64, len(realCum)+1)
-			prev := int64(1)
-			for i, cum := range chosen {
-				trips[i] = cum / prev
-				prev = cum
-			}
-			trips[len(realCum)] = extent / prev
-			out = append(out, trips)
-			return
-		}
-		// Choose the cumulative tile at position pos (inner to outer):
-		// must divide the next-outer cumulative tile (remaining).
-		for _, d := range loopnest.NearestDivisors(remaining, realCum[pos], n) {
-			chosen[pos] = d
-			rec(pos-1, d, chosen)
-		}
-	}
-	if len(realCum) == 0 {
-		return [][]int64{{extent}}
-	}
-	rec(len(realCum)-1, extent, make([]int64, len(realCum)))
-	// Deduplicate.
-	seen := map[string]bool{}
-	ded := out[:0]
-	for _, t := range out {
-		key := fmt.Sprint(t)
-		if !seen[key] {
-			seen[key] = true
-			ded = append(ded, t)
-		}
-	}
-	return ded
 }

@@ -68,3 +68,30 @@ func NearestDivisors(n int64, target float64, k int) []int64 {
 	}
 	return ds[:min(k, len(ds))]
 }
+
+// Ladder returns the divisor-ladder tilings of one iterator of extent n
+// over len(target)+1 levels: vectors of cumulative tiles, inner to
+// outer, in which the outermost tile is one of the k divisors of n
+// nearest target[len(target)-1] and each inner tile one of the k
+// divisors of the next-outer tile nearest its own target[i]
+// (NearestDivisors). The vectors come in generation order, the
+// outermost tile varying slowest, and are distinct: each level's
+// candidates are distinct divisors. With no targets the ladder is one
+// empty vector.
+func Ladder(n int64, target []float64, k int) [][]int64 {
+	var out [][]int64
+	tile := make([]int64, len(target))
+	var rec func(pos int, outer int64)
+	rec = func(pos int, outer int64) {
+		if pos < 0 {
+			out = append(out, slices.Clone(tile))
+			return
+		}
+		for _, d := range NearestDivisors(outer, target[pos], k) {
+			tile[pos] = d
+			rec(pos-1, d)
+		}
+	}
+	rec(len(target)-1, n)
+	return out
+}

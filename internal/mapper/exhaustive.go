@@ -45,7 +45,7 @@ func Exhaustive(p *loopnest.Problem, a *arch.Arch, crit model.Criterion, nestOpt
 	var dims []dimChoice
 	total := int64(1)
 	for it := range p.Iters {
-		levels := gen.tiledLevels(it)
+		levels := gen.levels[it]
 		if len(levels) == 0 {
 			continue
 		}
@@ -101,7 +101,7 @@ func Exhaustive(p *loopnest.Problem, a *arch.Arch, crit model.Criterion, nestOpt
 	iterOfDim := make([]int, len(dims))
 	di := 0
 	for it := range p.Iters {
-		if len(gen.tiledLevels(it)) == 0 {
+		if len(gen.levels[it]) == 0 {
 			continue
 		}
 		iterOfDim[di] = it

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/dataflow"
-	"repro/internal/expr"
 	"repro/internal/loopnest"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -208,7 +207,11 @@ type generator struct {
 	// extent (after pinned factors).
 	divisors [][]int64
 	free     []int64 // tileable extent per iterator
-	base     *model.Mapping
+	// levels[it] are the nest levels at which iterator it takes a free
+	// trip, inner to outer (dataflow.Nest.FreeLevels), and drawn[it]
+	// those of them the constraints leave to the random draw.
+	levels, drawn [][]int
+	base          *model.Mapping
 }
 
 func newGenerator(n *dataflow.Nest, a *arch.Arch, cons *Constraints) (*generator, error) {
@@ -216,6 +219,8 @@ func newGenerator(n *dataflow.Nest, a *arch.Arch, cons *Constraints) (*generator
 	ni := len(n.Prob.Iters)
 	g.free = make([]int64, ni)
 	g.divisors = make([][]int64, ni)
+	g.levels = make([][]int, ni)
+	g.drawn = make([][]int, ni)
 	pinned := make([]int64, ni)
 	for i := range pinned {
 		pinned[i] = 1
@@ -230,6 +235,12 @@ func newGenerator(n *dataflow.Nest, a *arch.Arch, cons *Constraints) (*generator
 		}
 		g.free[it] = iter.Extent / pinned[it]
 		g.divisors[it] = loopnest.Divisors(g.free[it])
+		g.levels[it] = n.FreeLevels(it)
+		for _, li := range g.levels[it] {
+			if cons.tripAt(li, it) == 0 {
+				g.drawn[it] = append(g.drawn[it], li)
+			}
+		}
 	}
 	if err := cons.Validate(n, g.free); err != nil {
 		return nil, err
@@ -241,7 +252,7 @@ func newGenerator(n *dataflow.Nest, a *arch.Arch, cons *Constraints) (*generator
 		for it := range n.Prob.Iters {
 			prod := int64(1)
 			freeLevels := 0
-			for _, li := range g.tiledLevels(it) {
+			for _, li := range g.levels[it] {
 				if v := cons.tripAt(li, it); v > 0 {
 					prod *= v
 				} else {
@@ -258,42 +269,6 @@ func newGenerator(n *dataflow.Nest, a *arch.Arch, cons *Constraints) (*generator
 	return g, nil
 }
 
-// tiledLevels returns the levels at which the iterator may take a free
-// (non-pinned) trip, inner to outer.
-func (g *generator) tiledLevels(it int) []int {
-	var out []int
-	pinnedLevels := map[int]bool{}
-	for _, pin := range g.nest.Pins {
-		if g.nest.IterOfVar(pin.Var) == it {
-			pinnedLevels[levelOfTrip(g.nest, pin.Var)] = true
-		}
-	}
-	for li := range g.nest.Levels {
-		lvl := &g.nest.Levels[li]
-		active := false
-		for _, a := range lvl.Active {
-			if a == it {
-				active = true
-			}
-		}
-		if active && !pinnedLevels[li] {
-			out = append(out, li)
-		}
-	}
-	return out
-}
-
-func levelOfTrip(n *dataflow.Nest, v expr.VarID) int {
-	for li := range n.Levels {
-		for _, tv := range n.Levels[li].Trips {
-			if tv == v {
-				return li
-			}
-		}
-	}
-	return -1
-}
-
 // random generates one candidate mapping: a random divisor chain per
 // iterator (guided to keep the spatial product within the PE budget) and
 // random copy-level permutations.
@@ -301,27 +276,21 @@ func (g *generator) random(rng *rand.Rand) *model.Mapping {
 	m := g.base.Clone()
 	peBudget := g.a.PEs
 	for it := range g.nest.Prob.Iters {
-		levels := g.tiledLevels(it)
-		if len(levels) == 0 {
-			continue
-		}
 		rest := g.free[it]
 		// Apply pinned trips first; they are not part of the random
 		// choice but consume extent (and PE budget at spatial levels).
-		freeLevels := levels[:0:0]
-		for _, li := range levels {
+		for _, li := range g.levels[it] {
 			if v := g.cons.tripAt(li, it); v > 0 {
 				m.Trips[li][it] = v
 				rest /= v
 				if g.nest.Levels[li].Kind == dataflow.Spatial {
 					peBudget /= v
 				}
-				continue
 			}
-			freeLevels = append(freeLevels, li)
 		}
-		for pos, li := range freeLevels {
-			if pos == len(freeLevels)-1 {
+		drawn := g.drawn[it]
+		for pos, li := range drawn {
+			if pos == len(drawn)-1 {
 				m.Trips[li][it] = rest
 				break
 			}

@@ -91,10 +91,14 @@ func newFactorTable(v *dataflow.Volumes, nvars int) *factorTable {
 func (s *EvalSession) update(trips [][]int64) {
 	n, t := s.e.Nest, s.tab
 	if s.val == nil {
-		nv := n.Vars.Len()
-		buf := make([]float64, nv+len(t.factors))
+		// One array: the assignment, the factor values, and the
+		// per-boundary sums.
+		nv, nf, nb := n.Vars.Len(), len(t.factors), len(t.traffic)
+		buf := make([]float64, nv+nf+2*nb)
 		s.x = n.AssignmentInto(buf[:nv:nv], trips)
-		s.val = buf[nv:]
+		s.val = buf[nv : nv+nf : nv+nf]
+		s.traffic = buf[nv+nf : nv+nf+nb : nv+nf+nb]
+		s.footprint = buf[nv+nf+nb:]
 		for f, p := range t.factors {
 			s.val[f] = p.Eval(s.x)
 		}

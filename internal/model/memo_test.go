@@ -25,9 +25,40 @@ func walkProblems(t *testing.T) []*loopnest.Problem {
 	return append(probs, loopnest.MatMul(24, 36, 60))
 }
 
-// tripWalk mutates one mapping of a standard nest the way a tiling
-// search does: each free iterator (four trip variables) gets a divisor
-// chain R | Q | S | N written over its four standard levels.
+// deepNest builds a nest of three copy levels over p, the shape of a
+// four-level memory (registers, per-PE scratchpad, shared SRAM, DRAM)
+// with the PE grid above the scratchpad: register tile, register-tile
+// loops, scratchpad-tile loops, PE grid, SRAM-tile loops. Kernel loops
+// r and s are pinned in the register tile.
+func deepNest(p *loopnest.Problem) (*dataflow.Nest, error) {
+	var tiled []int
+	fixed := map[int]int64{}
+	for i, it := range p.Iters {
+		switch {
+		case it.Extent == 1:
+		case it.Name == "r" || it.Name == "s":
+			fixed[i] = it.Extent
+		default:
+			tiled = append(tiled, i)
+		}
+	}
+	l0 := slices.Clone(tiled)
+	for it := range fixed {
+		l0 = append(l0, it)
+	}
+	slices.Sort(l0)
+	return dataflow.NewNest(p, []dataflow.LevelConfig{
+		{Name: "t0", Kind: dataflow.Temporal, Active: l0, Fixed: fixed},
+		{Name: "c0", Kind: dataflow.Temporal, Copy: true, Active: tiled},
+		{Name: "c1", Kind: dataflow.Temporal, Copy: true, Active: tiled},
+		{Name: "pe", Kind: dataflow.Spatial, Active: tiled},
+		{Name: "c2", Kind: dataflow.Temporal, Copy: true, Active: tiled},
+	})
+}
+
+// tripWalk mutates one mapping of a nest the way a tiling search does:
+// each free iterator gets a divisor chain over its free levels (on the
+// standard nest, R | Q | S | N over its four levels).
 type tripWalk struct {
 	n    *dataflow.Nest
 	rng  *rand.Rand
@@ -38,11 +69,14 @@ type tripWalk struct {
 func newTripWalk(n *dataflow.Nest, rng *rand.Rand) *tripWalk {
 	w := &tripWalk{n: n, rng: rng, m: UniformMapping(n)}
 	for it := range n.Prob.Iters {
-		if len(n.DimTripVars(it)) == 4 {
+		if len(n.FreeLevels(it)) > 1 {
 			w.free = append(w.free, it)
 		}
 	}
-	for _, li := range []int{dataflow.StandardLevelL1, dataflow.StandardLevelSRAM} {
+	for li := range n.Levels {
+		if !n.Levels[li].Copy {
+			continue
+		}
 		act := n.Levels[li].Active
 		perm := make([]int, len(act))
 		for i, j := range rng.Perm(len(act)) {
@@ -58,17 +92,23 @@ func (w *tripWalk) divisor(n int64) int64 {
 	return ds[w.rng.Intn(len(ds))]
 }
 
-// retile gives free iterator it a random divisor chain.
+// retile gives free iterator it a random divisor chain, drawing the
+// cumulative tiles outermost first.
 func (w *tripWalk) retile(it int) {
-	extent := w.n.Prob.Iters[it].Extent
-	s := w.divisor(extent)
-	q := w.divisor(s)
-	r := w.divisor(q)
-	tr := w.m.Trips
-	tr[dataflow.StandardLevelReg][it] = r
-	tr[dataflow.StandardLevelL1][it] = q / r
-	tr[dataflow.StandardLevelSpatial][it] = s / q
-	tr[dataflow.StandardLevelSRAM][it] = extent / s
+	levels := w.n.FreeLevels(it)
+	outer := w.n.Prob.Iters[it].Extent
+	for i := len(levels) - 1; i > 0; i-- {
+		tile := w.divisor(outer)
+		w.m.Trips[levels[i]][it] = outer / tile
+		outer = tile
+	}
+	w.m.Trips[levels[0]][it] = outer
+}
+
+// outermost returns the outermost free level of iterator it.
+func (w *tripWalk) outermost(it int) int {
+	levels := w.n.FreeLevels(it)
+	return levels[len(levels)-1]
 }
 
 // walkArchs are the architectures a walk switches between: fixed ones
@@ -123,99 +163,146 @@ func sameReport(got, want *Report) error {
 	return nil
 }
 
-// TestEvalSessionMatchesFresh walks a memoized session through seeded
-// random sequences of mappings of one permutation choice — innermost
-// retilings, outer jumps, returns to an earlier tiling, mappings
-// CheckTrips rejects, and architecture changes — and checks after every
-// step that each Report field equals, bit for bit, a fresh
-// Evaluator.Evaluate and the traffic and footprint sums of
-// dataflow.Volumes.
-func TestEvalSessionMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	archs := walkArchs()
-	steps := 0
+// walkNest is one input of the memo's walks: a nest and, for the
+// standard (two-boundary) ones, that Evaluate applies.
+type walkNest struct {
+	name     string
+	n        *dataflow.Nest
+	standard bool
+}
+
+// walkNests returns the standard nests of every walk problem under
+// both r/s placements, then a three-copy-level nest of a strided
+// Table II layer.
+func walkNests(t *testing.T) []walkNest {
+	t.Helper()
+	var out []walkNest
 	for _, p := range walkProblems(t) {
 		for _, rs := range []dataflow.RSPlacement{dataflow.RSAtRegister, dataflow.RSAtLevel1} {
 			n, err := dataflow.StandardNest(p, dataflow.StandardOptions{RS: rs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := newTripWalk(n, rng)
-			if len(w.free) < 2 {
-				t.Fatalf("%s: %d free iterators, the walk needs an inner and an outer one", p.Name, len(w.free))
+			out = append(out, walkNest{fmt.Sprintf("%s %v", p.Name, rs), n, true})
+		}
+	}
+	l, _ := workloads.ByName("resnet18_L4")
+	p, err := l.Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := deepNest(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, walkNest{p.Name + " deep", n, false})
+}
+
+// TestEvalSessionMatchesFresh walks a memoized session through seeded
+// random sequences of mappings of one permutation choice — innermost
+// retilings, outer jumps, returns to an earlier tiling, mappings
+// CheckTrips rejects, and architecture changes — and checks after every
+// step that the session's per-boundary sums equal, bit for bit, the
+// traffic and footprint sums of dataflow.Volumes, and on standard nests
+// that each Report field equals a fresh Evaluator.Evaluate. The last
+// nest has three boundaries, so the memo is checked beyond two.
+func TestEvalSessionMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	archs := walkArchs()
+	steps := 0
+	for _, in := range walkNests(t) {
+		n := in.n
+		w := newTripWalk(n, rng)
+		if len(w.free) < 2 {
+			t.Fatalf("%s: %d free iterators, the walk needs an inner and an outer one", in.name, len(w.free))
+		}
+		ev := NewEvaluator(n)
+		sess, err := ev.Session(w.m.Perms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vols, err := n.ComputeVolumes(w.m.Perms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !in.standard && len(vols.Boundaries) != 3 {
+			t.Fatalf("%s: %d boundaries, want 3", in.name, len(vols.Boundaries))
+		}
+		// step moves the session to w.m and returns its per-boundary
+		// sums: on a standard nest through Evaluate (checked against a
+		// fresh evaluation) and read from the Report, else from Sums.
+		step := func(a *arch.Arch) (traffic, footprint []float64, err error) {
+			if !in.standard {
+				return sess.Sums(w.m.Trips)
 			}
-			ev := NewEvaluator(n)
-			sess, err := ev.Session(w.m.Perms)
+			got, err := sess.Evaluate(a, w.m)
+			if err != nil {
+				return nil, nil, err
+			}
+			want, err := ev.Evaluate(a, w.m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vols, err := n.ComputeVolumes(w.m.Perms)
-			if err != nil {
-				t.Fatal(err)
+			if err := sameReport(got, want); err != nil {
+				return nil, nil, fmt.Errorf("on %s: session differs from fresh: %v", a.Name, err)
 			}
-			inner := w.free[len(w.free)-1]
-			var history []*Mapping
-			for step := 0; step < 60; step++ {
-				a := &archs[rng.Intn(len(archs))]
-				var kind string
-				switch k := rng.Intn(10); {
-				case k < 5:
-					kind = "innermost"
-					w.retile(inner)
-				case k < 7:
-					kind = "outer jump"
-					for _, it := range w.free[:len(w.free)-1] {
-						if rng.Intn(2) == 0 {
-							w.retile(it)
-						}
+			return []float64{got.TrafficSR, got.TrafficDS}, []float64{got.RegFootprint, got.SRAMFootprint}, nil
+		}
+		inner := w.free[len(w.free)-1]
+		var history []*Mapping
+		for i := 0; i < 60; i++ {
+			a := &archs[rng.Intn(len(archs))]
+			var kind string
+			switch k := rng.Intn(10); {
+			case k < 5:
+				kind = "innermost"
+				w.retile(inner)
+			case k < 7:
+				kind = "outer jump"
+				for _, it := range w.free[:len(w.free)-1] {
+					if rng.Intn(2) == 0 {
+						w.retile(it)
 					}
-					w.retile(w.free[rng.Intn(len(w.free)-1)])
-				case k < 9 && len(history) > 0:
-					kind = "return"
-					w.m = history[rng.Intn(len(history))].Clone()
-				default:
-					// A rejected mapping retiles the innermost iterator
-					// and breaks an outer one's extent. The next step
-					// keeps the new innermost tiling and repairs the
-					// outer one, so a memo that took the rejected
-					// assignment would skip the innermost factors.
-					kind = "rejected"
-					w.retile(inner)
-					outer := w.free[0]
-					w.m.Trips[dataflow.StandardLevelSRAM][outer] *= 2
-					if _, err := sess.Evaluate(a, w.m); err == nil {
-						t.Fatalf("%s step %d: a mapping with a broken extent was accepted", p.Name, step)
-					}
-					w.m.Trips[dataflow.StandardLevelSRAM][outer] /= 2
 				}
-				got, err := sess.Evaluate(a, w.m)
-				if err != nil {
-					t.Fatalf("%s step %d (%s): %v", p.Name, step, kind, err)
+				w.retile(w.free[rng.Intn(len(w.free)-1)])
+			case k < 9 && len(history) > 0:
+				kind = "return"
+				w.m = history[rng.Intn(len(history))].Clone()
+			default:
+				// A rejected mapping retiles the innermost iterator
+				// and breaks an outer one's extent. The next step
+				// keeps the new innermost tiling and repairs the
+				// outer one, so a memo that took the rejected
+				// assignment would skip the innermost factors.
+				kind = "rejected"
+				w.retile(inner)
+				outer := w.free[0]
+				w.m.Trips[w.outermost(outer)][outer] *= 2
+				if _, _, err := step(a); err == nil {
+					t.Fatalf("%s step %d: a mapping with a broken extent was accepted", in.name, i)
 				}
-				want, err := ev.Evaluate(a, w.m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sameReport(got, want); err != nil {
-					t.Fatalf("%s %v step %d (%s) on %s: session differs from fresh: %v", p.Name, rs, step, kind, a.Name, err)
-				}
-				x := n.Assignment(n.Vars.Len(), w.m.Trips)
+				w.m.Trips[w.outermost(outer)][outer] /= 2
+			}
+			traffic, footprint, err := step(a)
+			if err != nil {
+				t.Fatalf("%s step %d (%s): %v", in.name, i, kind, err)
+			}
+			x := n.Assignment(n.Vars.Len(), w.m.Trips)
+			for b := range vols.Boundaries {
 				for _, c := range []struct {
 					name     string
 					got, wnt float64
 				}{
-					{"TrafficSR", got.TrafficSR, vols.EvalTraffic(0, x)},
-					{"TrafficDS", got.TrafficDS, vols.EvalTraffic(1, x)},
-					{"RegFootprint", got.RegFootprint, vols.EvalFootprint(0, x)},
-					{"SRAMFootprint", got.SRAMFootprint, vols.EvalFootprint(1, x)},
+					{"traffic", traffic[b], vols.EvalTraffic(b, x)},
+					{"footprint", footprint[b], vols.EvalFootprint(b, x)},
 				} {
 					if math.Float64bits(c.got) != math.Float64bits(c.wnt) {
-						t.Fatalf("%s %v step %d (%s): %s = %v, Volumes gives %v", p.Name, rs, step, kind, c.name, c.got, c.wnt)
+						t.Fatalf("%s step %d (%s): boundary %d %s = %v, Volumes gives %v", in.name, i, kind, b, c.name, c.got, c.wnt)
 					}
 				}
-				history = append(history, w.m.Clone())
-				steps++
 			}
+			history = append(history, w.m.Clone())
+			steps++
 		}
 	}
 	t.Logf("%d steps", steps)

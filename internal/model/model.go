@@ -190,15 +190,31 @@ func (e *Evaluator) table(perms [][]int) (*factorTable, error) {
 	if ok {
 		return t, nil
 	}
+	_, t, err := e.compile(key, perms)
+	return t, err
+}
+
+// Volumes runs Algorithm 1 for a permutation choice and returns its
+// symbolic volumes (for a formulation to lower), caching their factor
+// table so that sessions of the same choice do not run it again.
+func (e *Evaluator) Volumes(perms [][]int) (*dataflow.Volumes, error) {
+	var buf [64]byte
+	v, _, err := e.compile(appendPermKey(buf[:0], perms), perms)
+	return v, err
+}
+
+// compile runs Algorithm 1 for perms and caches the factor table of
+// its volumes under key.
+func (e *Evaluator) compile(key []byte, perms [][]int) (*dataflow.Volumes, *factorTable, error) {
 	v, err := e.Nest.ComputeVolumes(perms)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
 	}
-	t = newFactorTable(v, e.Nest.Vars.Len())
+	t := newFactorTable(v, e.Nest.Vars.Len())
 	e.mu.Lock()
 	e.cache[string(key)] = t
 	e.mu.Unlock()
-	return t, nil
+	return v, t, nil
 }
 
 // Evaluate computes the report for a mapping on the architecture. The
@@ -244,7 +260,10 @@ type EvalSession struct {
 	x, next, val []float64
 	dirty        []bool
 	stale        []int32
-	rep          Report
+	// traffic[b] and footprint[b] are the sums of boundary b under x
+	// (see Sums).
+	traffic, footprint []float64
+	rep                Report
 	// viols backs rep.Violations, kept across valid reports.
 	viols []string
 	// Quick elides the formatted violation messages: an invalid mapping
@@ -270,6 +289,25 @@ func (e *Evaluator) Session(perms [][]int) (*EvalSession, error) {
 	return &EvalSession{e: e, tab: t}, nil
 }
 
+// Sums moves the session to a mapping's trips and returns the exact
+// traffic and footprint of every memory boundary of the nest, innermost
+// first, at any depth: each bit-identical to dataflow.Volumes'
+// EvalTraffic and EvalFootprint. The slices are owned by the session
+// and overwritten by its next call. Trips that CheckTrips rejects
+// return an error and leave the memo as it was.
+func (s *EvalSession) Sums(trips [][]int64) (traffic, footprint []float64, err error) {
+	if err := s.e.Nest.CheckTrips(trips); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
+	}
+	s.update(trips)
+	t := s.tab
+	for b := range t.traffic {
+		s.traffic[b] = s.total(t.traffic[b])
+		s.footprint[b] = s.total(t.footprint[b])
+	}
+	return s.traffic, s.footprint, nil
+}
+
 // Evaluate computes the report for a mapping whose Perms match the
 // session's. See Evaluator.Evaluate for semantics and EvalSession for
 // the memo contract and the ownership rules of the returned Report.
@@ -278,35 +316,20 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	if err := e.Nest.CheckTrips(m.Trips); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
+	if nb := len(s.tab.traffic); nb != 2 {
+		return nil, fmt.Errorf("%w: need exactly 2 memory boundaries, nest has %d", ErrBadMapping, nb)
 	}
-	t := s.tab
-	if len(t.traffic) != 2 {
-		return nil, fmt.Errorf("%w: need exactly 2 memory boundaries, nest has %d", ErrBadMapping, len(t.traffic))
+	traffic, footprint, err := s.Sums(m.Trips)
+	if err != nil {
+		return nil, err
 	}
-	s.update(m.Trips)
 
 	viols := s.viols[:0]
 	r := &s.rep
 	*r = Report{Ops: e.Nest.Prob.Ops()}
-	r.TrafficSR = s.total(t.traffic[0])
-	r.TrafficDS = s.total(t.traffic[1])
-	r.RegFootprint = s.total(t.footprint[0])
-	r.SRAMFootprint = s.total(t.footprint[1])
-
-	// PEs used: product of spatial trips.
-	r.PEsUsed = 1
-	for li := range e.Nest.Levels {
-		if e.Nest.Levels[li].Kind != dataflow.Spatial {
-			continue
-		}
-		for _, it := range e.Nest.Levels[li].Active {
-			if tv := tripAt(m.Trips, li, it); tv > 1 {
-				r.PEsUsed *= tv
-			}
-		}
-	}
+	r.TrafficSR, r.TrafficDS = traffic[0], traffic[1]
+	r.RegFootprint, r.SRAMFootprint = footprint[0], footprint[1]
+	r.PEsUsed = e.Nest.PEsUsed(m.Trips)
 	r.Utilization = float64(r.PEsUsed) / float64(a.PEs)
 
 	// Energy per Eq. 3 (plus the optional NoC extension).
@@ -363,13 +386,6 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	return r, nil
 }
 
-func tripAt(trips [][]int64, li, it int) int64 {
-	if li < len(trips) && it < len(trips[li]) && trips[li][it] > 0 {
-		return trips[li][it]
-	}
-	return 1
-}
-
 // UniformMapping builds a trivial valid mapping that executes everything
 // sequentially on one PE with unit tiles everywhere except level 0 trips
 // forced by pins. It is the fallback/sanity mapping: the full extent of
@@ -391,7 +407,7 @@ func UniformMapping(n *dataflow.Nest) *Mapping {
 	}
 	for _, pin := range n.Pins {
 		it := n.IterOfVar(pin.Var)
-		li := levelOf(n, pin.Var)
+		li := n.LevelOfVar(pin.Var)
 		m.Trips[li][it] = int64(pin.Value)
 		pinnedTotal[it] *= int64(pin.Value)
 	}
@@ -418,15 +434,4 @@ func UniformMapping(n *dataflow.Nest) *Mapping {
 		}
 	}
 	return m
-}
-
-func levelOf(n *dataflow.Nest, v expr.VarID) int {
-	for li := range n.Levels {
-		for _, tv := range n.Levels[li].Trips {
-			if tv == v {
-				return li
-			}
-		}
-	}
-	return -1
 }

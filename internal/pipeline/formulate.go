@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/arch"
 	"repro/internal/dataflow"
@@ -264,11 +263,7 @@ func (f *formulation) finish(capSlack bool) error {
 		av.sramCapacity().Mul(expr.Const(slackS))); err != nil {
 		return err
 	}
-	peProd := expr.Const(1)
-	for _, pv := range nest.SpatialTripVars() {
-		peProd = peProd.Mul(expr.MonoPow(1, pv, 1))
-	}
-	if err := prog.AddLessEq("cap:pes", expr.PolyFrom(peProd), av.peCapacity()); err != nil {
+	if err := prog.AddLessEq("cap:pes", expr.PolyFrom(nest.SpatialProduct()), av.peCapacity()); err != nil {
 		return err
 	}
 
@@ -290,41 +285,7 @@ func (f *formulation) finish(capSlack bool) error {
 		}
 	}
 
-	// Loop-extent equalities: the trip counts of each iterator multiply
-	// to its full extent.
-	for _, eq := range nest.DimEqualities() {
-		lhs := expr.Const(1)
-		for _, v := range eq.Vars {
-			lhs = lhs.Mul(expr.MonoPow(1, v, 1))
-		}
-		name := fmt.Sprintf("extent:%s", nest.Prob.Iters[eq.Iter].Name)
-		if err := prog.AddMonoEq(name, lhs, expr.Const(float64(eq.Extent))); err != nil {
-			return err
-		}
-	}
-	// Pinned trips (untiled loops, placeholders). Pinned variables are
-	// handled purely by equalities — adding an x ≥ 1 barrier constraint
-	// for a variable pinned to exactly 1 would leave the feasible set
-	// with an empty strict interior, defeating the barrier method.
-	pinned := map[expr.VarID]bool{}
-	for _, pin := range nest.Pins {
-		pinned[pin.Var] = true
-		if err := prog.AddMonoEq("pin", expr.MonoPow(1, pin.Var, 1), expr.Const(pin.Value)); err != nil {
-			return err
-		}
-	}
-	// Free trip counts are at least 1.
-	for it := range nest.Prob.Iters {
-		for _, v := range nest.DimTripVars(it) {
-			if pinned[v] {
-				continue
-			}
-			if err := prog.AddLowerBound("trip>=1", v, 1); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return nest.AddTripConstraints(prog)
 }
 
 // onesAssignment builds the minimal-tiling point: every free trip 1,
@@ -358,23 +319,7 @@ func relaxSlack(vols *dataflow.Volumes, b int, relaxed expr.Poly, ones []float64
 // hint builds an initial guess: extents spread evenly across levels,
 // Eyeriss-like architecture values, and a generous delay.
 func (f *formulation) hint() []float64 {
-	x := make([]float64, f.nest.Vars.Len())
-	for i := range x {
-		x[i] = 1
-	}
-	for it, iter := range f.nest.Prob.Iters {
-		vars := f.nest.DimTripVars(it)
-		if len(vars) == 0 {
-			continue
-		}
-		per := math.Pow(float64(iter.Extent), 1/float64(len(vars)))
-		for _, v := range vars {
-			x[v] = per
-		}
-	}
-	for _, pin := range f.nest.Pins {
-		x[pin.Var] = pin.Value
-	}
+	x := f.nest.TripHint()
 	if f.av.mode == CoDesign {
 		x[f.av.varR] = 64
 		x[f.av.varS] = 16384

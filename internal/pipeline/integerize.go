@@ -173,31 +173,25 @@ func pow2Candidates(target float64, n int) []int64 {
 }
 
 // dimCandidates generates up to nDiv³ integer tilings for one free
-// iterator following the paper's divisor ladder: SRAM tile candidates
+// iterator following the paper's divisor ladder (loopnest.Ladder over
+// the relaxed register, per-PE and SRAM tiles): SRAM tile candidates
 // from the nDiv divisors of the extent nearest the relaxed tile, per-PE
 // tile candidates from the divisors of each SRAM candidate, register
-// tile candidates from the divisors of each per-PE candidate.
+// tile candidates from the divisors of each per-PE candidate. They are
+// sorted by (sramT, peTile, regTile), the search's visit order.
 func dimCandidates(n *dataflow.Nest, it int, x []float64, nDiv int) []dimCandidate {
-	extent := n.Prob.Iters[it].Extent
-	lv := make([]float64, 0, 4)
-	for _, v := range n.DimTripVars(it) {
-		lv = append(lv, x[v])
-	}
-	if len(lv) != 4 {
+	vars := n.DimTripVars(it)
+	if len(vars) != 4 {
 		return nil // pinned or unit iterator: no free tiling
 	}
-	realReg := lv[0]
-	realPE := lv[0] * lv[1]
-	realSRAM := lv[0] * lv[1] * lv[2]
-	var out []dimCandidate
-	for _, s := range loopnest.NearestDivisors(extent, realSRAM, nDiv) {
-		for _, q := range loopnest.NearestDivisors(s, realPE, nDiv) {
-			for _, r := range loopnest.NearestDivisors(q, realReg, nDiv) {
-				out = append(out, dimCandidate{iter: it, regTile: r, peTile: q, sramT: s})
-			}
-		}
+	realReg := x[vars[0]]
+	realPE := realReg * x[vars[1]]
+	realSRAM := realPE * x[vars[2]]
+	ladder := loopnest.Ladder(n.Prob.Iters[it].Extent, []float64{realReg, realPE, realSRAM}, nDiv)
+	out := make([]dimCandidate, len(ladder))
+	for i, tile := range ladder {
+		out[i] = dimCandidate{iter: it, regTile: tile[0], peTile: tile[1], sramT: tile[2]}
 	}
-	// Deduplicate.
 	slices.SortFunc(out, func(a, b dimCandidate) int {
 		if a.sramT != b.sramT {
 			if a.sramT < b.sramT {
@@ -219,13 +213,7 @@ func dimCandidates(n *dataflow.Nest, it int, x []float64, nDiv int) []dimCandida
 		}
 		return 0
 	})
-	ded := out[:0]
-	for i, c := range out {
-		if i == 0 || c != out[i-1] {
-			ded = append(ded, c)
-		}
-	}
-	return ded
+	return out
 }
 
 // candidate is one fully integer design point before model evaluation.
@@ -243,7 +231,7 @@ type candidate struct {
 //
 // The visit order is depth first over the free iterators in iterator
 // order, each dimension's ladder ascending by (sramT, peTile, regTile)
-// as dimCandidates deduplicates it, with the capacity pairs innermost.
+// as dimCandidates sorts it, with the capacity pairs innermost.
 // consider keeps the first of equal scores, so this order is the
 // tie-break and must not change.
 //

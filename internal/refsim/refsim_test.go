@@ -157,27 +157,11 @@ func TestOracleRandomMappings(t *testing.T) {
 func randomMapping(rng *rand.Rand, n *dataflow.Nest) *model.Mapping {
 	m := model.UniformMapping(n)
 	for it, iter := range n.Prob.Iters {
-		// Collect the levels where the iterator is free.
-		var free []int
+		free := n.FreeLevels(it)
 		pinned := int64(1)
-		for li := range n.Levels {
-			if n.Levels[li].Trips[it] == -1 {
-				continue
-			}
-			isPinned := false
-			for _, pin := range n.Pins {
-				if n.IterOfVar(pin.Var) == it {
-					// The pin could be at any level; identify by var.
-					for lj := range n.Levels {
-						if n.Levels[lj].Trips[it] == pin.Var && lj == li {
-							isPinned = true
-							pinned *= int64(pin.Value)
-						}
-					}
-				}
-			}
-			if !isPinned {
-				free = append(free, li)
+		for _, pin := range n.Pins {
+			if n.IterOfVar(pin.Var) == it {
+				pinned *= int64(pin.Value)
 			}
 		}
 		rest := iter.Extent / pinned
