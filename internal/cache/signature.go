@@ -115,8 +115,11 @@ func (k Key) Signature() Signature {
 	h.arch(k.Arch)
 	h.i64("criterion", int64(k.Criterion))
 	h.i64("nest.rs", int64(k.Nest.RS))
-	h.i64("nest.untiled_max", k.Nest.UntiledMax)
-	h.bool("nest.reduction_multicast", k.Nest.ReductionMulticast)
+	// The retired untiled-extent threshold and reduction-multicast nest
+	// options hash the values they always had, so signatures and disk
+	// records made while they existed stay valid.
+	h.i64("nest.untiled_max", 0)
+	h.bool("nest.reduction_multicast", false)
 	h.i64("rs_placements", int64(len(k.RSPlacements)))
 	for _, rs := range k.RSPlacements {
 		h.i64("rs", int64(rs))

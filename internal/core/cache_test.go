@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -151,6 +154,35 @@ func TestOptimizeCacheIdenticalResults(t *testing.T) {
 	}
 	if rec, _ := onDisk.Cache.Get(sig); rec == nil || rec.Signature != (cache.Signature{}) {
 		t.Errorf("disk record value carries signature %v, want none", rec)
+	}
+
+	// A record written while the nest options had an untiled-extent
+	// threshold and reduction multicast carries them, at their only
+	// values, in Best.NestOptions; it is still a hit with the same
+	// design.
+	path := filepath.Join(dir, "optimize-"+sig.String()+".json")
+	record, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nestOpts = `"NestOptions":{"RS":0}`
+	if n := bytes.Count(record, []byte(nestOpts)); n != 1 {
+		t.Fatalf("record holds %s %d times, want once", nestOpts, n)
+	}
+	record = bytes.Replace(record, []byte(nestOpts), []byte(`"NestOptions":{"RS":0,"UntiledMax":0,"ReductionMulticast":false}`), 1)
+	if err := os.WriteFile(path, record, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	onDisk.Cache = NewSolveCache(cache.Options{Dir: dir})
+	fromOld, err := Optimize(p, onDisk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := onDisk.Cache.Stats(); st.DiskHits != 1 || st.CorruptSkipped != 0 {
+		t.Fatalf("record with the retired nest options: %+v, want one disk hit", st)
+	}
+	if !reflect.DeepEqual(&want, fromOld) {
+		t.Errorf("record with the retired nest options: result differs from the cold one:\n%+v\n%+v", fromOld, &want)
 	}
 }
 

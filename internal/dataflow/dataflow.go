@@ -37,7 +37,10 @@ const (
 	Temporal LevelKind = iota
 	// Spatial levels distribute iterations across processing elements.
 	// Data for iterators absent from a tensor's subscripts is multicast
-	// (counted once) for read-only tensors.
+	// (counted once) for read-only tensors; each PE along such an
+	// iterator contributes its own partial-sum traffic for read-write
+	// ones (no free spatial reduction, the paper's conservative
+	// treatment).
 	Spatial
 )
 
@@ -56,12 +59,6 @@ type LevelConfig struct {
 	// (e.g. an untiled full kernel loop). Fixed trip counts of 1 should
 	// instead be expressed by omitting the iterator from Active.
 	Fixed map[int]int64
-	// ReductionMulticast, on spatial levels, extends multicast counting
-	// to read-write tensors (free spatial reduction). When false (the
-	// default, matching the paper's conservative treatment), each PE
-	// along an absent dimension of a read-write tensor contributes its
-	// own partial-sum traffic.
-	ReductionMulticast bool
 }
 
 // Level is a configured tiling level with its trip-count variables.
@@ -259,7 +256,7 @@ func signatureOf(perm []int, t loopnest.Tensor) dvSig {
 // advanceSpatial returns df advanced across a spatial level (present
 // iterators expand the footprint) and the traffic multiplier for volumes
 // recorded at inner levels: present iterators always multiply; absent
-// iterators multiply only when multicast does not apply to the tensor.
+// iterators multiply only for read-write tensors, which get no multicast.
 func (n *Nest) advanceSpatial(level int, t loopnest.Tensor, df expr.Product) (dfOut expr.Product, factor expr.Product) {
 	lvl := &n.Levels[level]
 	dfOut = df.Clone()
@@ -269,7 +266,7 @@ func (n *Nest) advanceSpatial(level int, t loopnest.Tensor, df expr.Product) (df
 		if t.Uses(it) {
 			dfOut.ScaleVarMonomials(n.IterOfVar, it, c)
 			factor.MulVar(c)
-		} else if t.ReadWrite && !lvl.ReductionMulticast {
+		} else if t.ReadWrite {
 			factor.MulVar(c)
 		}
 	}

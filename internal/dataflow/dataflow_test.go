@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/expr"
@@ -161,31 +163,6 @@ func TestMulticastReadWrite(t *testing.T) {
 	// C: absent iterator k at spatial level, read-write ⇒ ×p_k, no
 	// multicast: 2·NiNjNk/(r_k·q_k) with r_k·q_k = 8.
 	wantC := 2 * N * N * N / 8
-	if got := v.Traffic[0][2].Eval(x); got != wantC {
-		t.Fatalf("C S→R = %v, want %v", got, wantC)
-	}
-}
-
-// TestReductionMulticastOption: enabling ReductionMulticast restores
-// multicast counting for read-write tensors.
-func TestReductionMulticastOption(t *testing.T) {
-	p := loopnest.MatMul(64, 64, 64)
-	n, err := StandardNest(p, StandardOptions{ReductionMulticast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := computeMatmulVolumes(t, n)
-	trips := [][]int64{
-		{4, 4, 4},
-		{2, 2, 2},
-		{2, 2, 2},
-		{4, 4, 4},
-	}
-	x := n.Assignment(n.Vars.Len(), trips)
-	N := 64.0
-	// With free spatial reduction, C's S→R volume is 2·NiNjNk/(S_k) with
-	// S_k = r·q·p = 16.
-	wantC := 2 * N * N * N / 16
 	if got := v.Traffic[0][2].Eval(x); got != wantC {
 		t.Fatalf("C S→R = %v, want %v", got, wantC)
 	}
@@ -422,6 +399,38 @@ func TestStandardNestRSAtLevel1(t *testing.T) {
 	}
 	if n.Levels[StandardLevelL1].Fixed[loopnest.ConvR] != 3 {
 		t.Fatal("r should be fixed to its extent at L1")
+	}
+}
+
+// TestThreeLevelNestStructure: a 3-buffer hierarchy with the PE grid
+// above the second buffer builds a 5-level nest, reg, q, q1, p, t, with
+// 3 copy levels and the spatial level between the second and third;
+// BuildNest refuses a depth below 1 and a PE grid outside the copy
+// levels.
+func TestThreeLevelNestStructure(t *testing.T) {
+	p := loopnest.MatMul(64, 64, 64)
+	n, err := BuildNest(p, 3, 1, RSAtRegister)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, lvl := range n.Levels {
+		names = append(names, lvl.Name)
+	}
+	if want := []string{"reg", "q", "q1", "p", "t"}; !slices.Equal(names, want) {
+		t.Fatalf("levels %v, want %v", names, want)
+	}
+	cl := n.CopyLevels()
+	if want := []int{1, 2, 4}; !slices.Equal(cl, want) {
+		t.Fatalf("copy levels %v, want %v", cl, want)
+	}
+	if n.Levels[3].Kind != Spatial {
+		t.Fatalf("level 3 (%s) is not the spatial level", n.Levels[3].Name)
+	}
+	for _, c := range [][2]int{{0, 0}, {2, 2}, {2, -1}} {
+		if _, err := BuildNest(p, c[0], c[1], RSAtRegister); !errors.Is(err, ErrBadNest) {
+			t.Errorf("BuildNest(%d copy levels, PE grid above %d): err = %v, want ErrBadNest", c[0], c[1], err)
+		}
 	}
 }
 

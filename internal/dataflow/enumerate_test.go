@@ -128,6 +128,85 @@ func TestEnumerateClassesMatchesPerPermutation(t *testing.T) {
 	}
 }
 
+// TestBoundaryTrafficFactorsByCopyLevel checks the factoring the class
+// search's per-class volumes rely on: over every tuple of permutation
+// classes, boundary b's folded, relaxed traffic is the same polynomial
+// for every tuple with the same class at copy level b, and each
+// boundary's footprint is the same for all tuples. It covers standard
+// nests of several Table II layers under both RS placements and a
+// 3-copy-level nest (registers, spad and SRAM, the PE grid above the
+// spad).
+func TestBoundaryTrafficFactorsByCopyLevel(t *testing.T) {
+	check := func(name string, n *Nest) {
+		copyLevels := n.CopyLevels()
+		classes := make([][]PermClass, len(copyLevels))
+		// traffic[b][k] is boundary b's traffic in the first tuple with
+		// class k at copy level b; foot[b] its footprint in the first.
+		traffic := make([][]expr.Poly, len(copyLevels))
+		var foot []expr.Poly
+		tuples := 1
+		for b, li := range copyLevels {
+			cs, err := n.EnumerateClasses(li, SymmetricInvolutions(n.Prob))
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes[b], traffic[b] = cs, make([]expr.Poly, len(cs))
+			tuples *= len(cs)
+		}
+		perms := make([][]int, len(n.Levels))
+		tuple := make([]int, len(classes))
+		for i := range tuples {
+			for b, rest := len(classes)-1, i; b >= 0; b-- {
+				tuple[b], rest = rest%len(classes[b]), rest/len(classes[b])
+				perms[copyLevels[b]] = classes[b][tuple[b]].Perm
+			}
+			v, err := n.ComputeVolumes(perms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			folded := v.Folded()
+			for b, k := range tuple {
+				tr, fp := folded.SumTraffic(b, true), folded.SumFootprint(b, true)
+				if traffic[b][k] == nil {
+					traffic[b][k] = tr
+				} else if !reflect.DeepEqual(tr, traffic[b][k]) {
+					t.Fatalf("%s: tuple %v: boundary %d traffic differs from another tuple's with class %d there", name, tuple, b, k)
+				}
+				if i == 0 {
+					foot = append(foot, fp)
+				} else if !reflect.DeepEqual(fp, foot[b]) {
+					t.Fatalf("%s: tuple %v: boundary %d footprint differs from the first tuple's", name, tuple, b)
+				}
+			}
+		}
+	}
+	layers := workloads.All()
+	for _, l := range []workloads.Layer{layers[0], layers[len(layers)/2], layers[len(layers)-1]} {
+		p, err := l.Problem()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rs := range []RSPlacement{RSAtRegister, RSAtLevel1} {
+			n, err := StandardNest(p, StandardOptions{RS: rs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(p.Name+" "+rs.String(), n)
+		}
+	}
+	p, err := loopnest.Conv2D(loopnest.Conv2DConfig{
+		Name: "deep3", N: 1, K: 64, C: 64, H: 28, W: 28, R: 3, S: 3, StrideX: 1, StrideY: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := BuildNest(p, 3, 1, RSAtRegister)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("deep3", n)
+}
+
 // BenchmarkEnumerateClasses times one enumeration sweep: both copy
 // levels of every Table II layer under each RS placement, with symmetry
 // involutions, as the pipeline's enumerate stage runs them.

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/loopnest"
@@ -36,14 +37,6 @@ func (r RSPlacement) String() string {
 type StandardOptions struct {
 	// RS selects the placement of untiled small loops (see RSPlacement).
 	RS RSPlacement
-	// UntiledMax is the extent threshold at or below which an iterator
-	// named "r" or "s" is considered an untiled kernel loop. Iterators
-	// with extent 1 are always dropped everywhere. Default 0 treats all
-	// "r"/"s" iterators as untiled regardless of extent.
-	UntiledMax int64
-	// ReductionMulticast enables free spatial reduction for read-write
-	// tensors at the PE level (off by default; see LevelConfig).
-	ReductionMulticast bool
 }
 
 // StandardLevelReg, StandardLevelL1, StandardLevelSpatial, and
@@ -57,47 +50,80 @@ const (
 
 // StandardNest builds the paper's three-level-memory nest (Fig. 1):
 // register tile, register-tile loops (SRAM→register copies), spatial PE
-// grid, and SRAM-tile loops (DRAM→SRAM copies).
+// grid, and SRAM-tile loops (DRAM→SRAM copies). It is BuildNest's
+// depth-2 case: two buffers, the registers private to each PE.
+func StandardNest(p *loopnest.Problem, opts StandardOptions) (*Nest, error) {
+	return BuildNest(p, 2, 0, opts.RS)
+}
+
+// BuildNest builds the nest of a memory hierarchy of copies buffers,
+// inner to outer: the register tile "reg" (level 0), one temporal copy
+// level per buffer, whose loops surround the copies into it, and the
+// spatial PE grid "p" right above the copy level of buffer
+// spatialAfter, the last buffer private to each PE. The copy levels
+// are "q" (the innermost), "q1", "q2", … and "t" (DRAM → the outermost
+// buffer), so the depth-2 nest is reg, q, p, t.
 //
 // Iterators with extent 1 are inactive at every level. Iterators named
 // "r" or "s" (convolution kernel loops) are untiled: their full extents
-// are pinned at the level chosen by opts.RS.
-func StandardNest(p *loopnest.Problem, opts StandardOptions) (*Nest, error) {
+// are pinned at the register tile, or with RSAtLevel1 at the innermost
+// copy level.
+func BuildNest(p *loopnest.Problem, copies, spatialAfter int, rs RSPlacement) (*Nest, error) {
+	if copies < 1 || spatialAfter < 0 || spatialAfter >= copies {
+		return nil, fmt.Errorf("%w: %d copy levels with the PE grid above copy level %d", ErrBadNest, copies, spatialAfter)
+	}
 	var tiled, untiled []int
 	for i, it := range p.Iters {
 		if it.Extent == 1 {
 			continue
 		}
-		if (it.Name == "r" || it.Name == "s") && (opts.UntiledMax == 0 || it.Extent <= opts.UntiledMax) {
+		if it.Name == "r" || it.Name == "s" {
 			untiled = append(untiled, i)
 		} else {
 			tiled = append(tiled, i)
 		}
 	}
-	fixedFor := func(level int) ([]int, map[int]int64) {
-		active := append([]int(nil), tiled...)
-		fixed := map[int]int64{}
-		place := StandardLevelReg
-		if opts.RS == RSAtLevel1 {
-			place = StandardLevelL1
-		}
-		if level == place {
+	// level configures a level over the tiled iterators, plus the
+	// untiled ones pinned at their extents when pin is set.
+	level := func(name string, kind LevelKind, isCopy, pin bool) LevelConfig {
+		cfg := LevelConfig{Name: name, Kind: kind, Copy: isCopy, Active: slices.Clone(tiled)}
+		if pin {
+			cfg.Fixed = make(map[int]int64, len(untiled))
 			for _, it := range untiled {
-				active = append(active, it)
-				fixed[it] = p.Iters[it].Extent
+				cfg.Active = append(cfg.Active, it)
+				cfg.Fixed[it] = p.Iters[it].Extent
 			}
 		}
-		return active, fixed
+		return cfg
 	}
-	l0Active, l0Fixed := fixedFor(StandardLevelReg)
-	l1Active, l1Fixed := fixedFor(StandardLevelL1)
-	cfgs := []LevelConfig{
-		{Name: "reg", Kind: Temporal, Active: l0Active, Fixed: l0Fixed},
-		{Name: "q", Kind: Temporal, Copy: true, Active: l1Active, Fixed: l1Fixed},
-		{Name: "p", Kind: Spatial, Active: append([]int(nil), tiled...), ReductionMulticast: opts.ReductionMulticast},
-		{Name: "t", Kind: Temporal, Copy: true, Active: append([]int(nil), tiled...)},
+	cfgs := []LevelConfig{level("reg", Temporal, false, rs == RSAtRegister)}
+	for b := range copies {
+		name := "t"
+		switch {
+		case b == 0 && copies > 1:
+			name = "q"
+		case b < copies-1:
+			name = fmt.Sprintf("q%d", b)
+		}
+		cfgs = append(cfgs, level(name, Temporal, true, b == 0 && rs == RSAtLevel1))
+		if b == spatialAfter {
+			cfgs = append(cfgs, level("p", Spatial, false, false))
+		}
 	}
 	return NewNest(p, cfgs)
+}
+
+// CopyLevels returns the nest's copy levels, inner to outer: the loops
+// of copy level b surround the copies into buffer b, across memory
+// boundary b.
+func (n *Nest) CopyLevels() []int {
+	var out []int
+	for li := range n.Levels {
+		if n.Levels[li].Kind == Temporal && n.Levels[li].Copy {
+			out = append(out, li)
+		}
+	}
+	return out
 }
 
 // StandardPerms assembles the per-level permutation slice expected by

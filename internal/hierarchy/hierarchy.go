@@ -3,16 +3,18 @@
 // permutations at each level" — end to end: it models accelerators with
 // N on-chip buffer levels (e.g. DRAM → shared SRAM → per-PE scratchpad →
 // registers), evaluates concrete mappings exactly, and optimizes the
-// dataflow with one geometric program per combination of per-level
+// dataflow with one geometric program per tuple of per-level
 // permutation classes.
 //
-// It runs on the engine the pipeline runs, at depth N: per-boundary
-// traffic and footprint come from a model.EvalSession, integer tilings
-// from loopnest.Ladder, and the trip-count constraints and starting
-// point of each program from dataflow. What is its own is what depends
-// on N buffers: the Config, the nest builder, the energy and delay
-// formulas over N boundaries, and the search over combinations of
-// permutation classes.
+// It runs on the engine the pipeline runs, at depth N: the nest comes
+// from dataflow.BuildNest, the class search (per-class volumes, warm
+// starts, bound pruning and the tie band) from pipeline.SearchClasses,
+// per-boundary traffic and footprint from a model.EvalSession, integer
+// tilings from loopnest.Ladder, and the trip-count constraints and
+// starting point of each program from dataflow. What is its own is
+// what depends on N buffers: the Config, the N-boundary energy program
+// the search solves, the energy and delay evaluation over N
+// boundaries, and the integerization of the search's tie band.
 //
 // The three-level memory of the paper's evaluation remains the job of
 // internal/core (which also implements co-design and the Eyeriss
@@ -27,7 +29,6 @@ import (
 	"slices"
 
 	"repro/internal/dataflow"
-	"repro/internal/loopnest"
 	"repro/internal/model"
 )
 
@@ -87,64 +88,6 @@ func (c *Config) outerEnergy(b int) float64 {
 	return c.DRAMEnergy
 }
 
-// BuildNest constructs the tiling nest for a problem on the hierarchy:
-// one innermost level for the buffer-0 tile, one temporal copy level per
-// buffer, and a spatial level between the per-PE and shared portions.
-// Untiled kernel loops (r/s) are pinned at the innermost level, as in
-// the standard nest.
-func BuildNest(p *loopnest.Problem, c *Config) (*dataflow.Nest, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	var tiled, untiled []int
-	for i, it := range p.Iters {
-		if it.Extent == 1 {
-			continue
-		}
-		if it.Name == "r" || it.Name == "s" {
-			untiled = append(untiled, i)
-		} else {
-			tiled = append(tiled, i)
-		}
-	}
-	l0Active := append(append([]int(nil), tiled...), untiled...)
-	l0Fixed := map[int]int64{}
-	for _, it := range untiled {
-		l0Fixed[it] = p.Iters[it].Extent
-	}
-	cfgs := []dataflow.LevelConfig{{
-		Name: "t0", Kind: dataflow.Temporal, Active: l0Active, Fixed: l0Fixed,
-	}}
-	for b := range c.Buffers {
-		cfgs = append(cfgs, dataflow.LevelConfig{
-			Name:   fmt.Sprintf("c%d", b),
-			Kind:   dataflow.Temporal,
-			Copy:   true,
-			Active: append([]int(nil), tiled...),
-		})
-		if b == c.SpatialAfter {
-			cfgs = append(cfgs, dataflow.LevelConfig{
-				Name:   "pe",
-				Kind:   dataflow.Spatial,
-				Active: append([]int(nil), tiled...),
-			})
-		}
-	}
-	return dataflow.NewNest(p, cfgs)
-}
-
-// CopyLevels returns the nest level index of each copy level, innermost
-// boundary first.
-func CopyLevels(n *dataflow.Nest) []int {
-	var out []int
-	for li := range n.Levels {
-		if n.Levels[li].Kind == dataflow.Temporal && n.Levels[li].Copy {
-			out = append(out, li)
-		}
-	}
-	return out
-}
-
 // Report is the evaluation result of a mapping on a hierarchy.
 type Report struct {
 	Ops          int64
@@ -164,8 +107,24 @@ type Report struct {
 // Valid reports whether all capacity constraints held.
 func (r *Report) Valid() bool { return len(r.Violations) == 0 }
 
+// clone returns a copy of r that shares no slice with it.
+func (r *Report) clone() *Report {
+	c := *r
+	c.Traffic = slices.Clone(r.Traffic)
+	c.Footprint = slices.Clone(r.Footprint)
+	c.Violations = slices.Clone(r.Violations)
+	return &c
+}
+
+// Quick-mode violation placeholders (see evaluate).
+var (
+	violFootprintQuick = "footprint over capacity"
+	violPEQuick        = "PEs used over capacity"
+)
+
 // Evaluate computes the exact report of a mapping (per-level trips and
-// copy-level permutations as in model.Mapping) on the hierarchy.
+// copy-level permutations as in model.Mapping) on the hierarchy, whose
+// nest is dataflow.BuildNest(p, len(c.Buffers), c.SpatialAfter, rs).
 func Evaluate(c *Config, n *dataflow.Nest, trips [][]int64, perms [][]int) (*Report, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -174,36 +133,51 @@ func Evaluate(c *Config, n *dataflow.Nest, trips [][]int64, perms [][]int) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	return evaluate(c, n, s, trips)
+	r := &Report{}
+	if err := evaluate(c, n, s, trips, r, false); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// evaluate reports trips under the permutation choice of s, a session
-// over nest n: the boundary sums come from the session's factor memo,
-// so a stream of mappings of one choice runs Algorithm 1 once.
-func evaluate(c *Config, n *dataflow.Nest, s *model.EvalSession, trips [][]int64) (*Report, error) {
+// evaluate writes into r the report of trips under the permutation
+// choice of s, a session over nest n: the boundary sums come from the
+// session's factor memo, so a stream of mappings of one choice runs
+// Algorithm 1 once. It reuses r's slices, so a search that streams
+// mappings through one Report allocates nothing per mapping; quick
+// replaces the formatted violation messages with static placeholders,
+// as model.EvalSession.Quick does, for searches that only filter on
+// validity.
+func evaluate(c *Config, n *dataflow.Nest, s *model.EvalSession, trips [][]int64, r *Report, quick bool) error {
 	traffic, footprint, err := s.Sums(trips)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nb := len(c.Buffers)
 	if len(traffic) != nb {
-		return nil, fmt.Errorf("%w: nest has %d boundaries, hierarchy %d", ErrBadConfig, len(traffic), nb)
+		return fmt.Errorf("%w: nest has %d boundaries, hierarchy %d", ErrBadConfig, len(traffic), nb)
 	}
-	r := &Report{
-		Ops:       n.Prob.Ops(),
-		Traffic:   slices.Clone(traffic),
-		Footprint: slices.Clone(footprint),
-		PEsUsed:   n.PEsUsed(trips),
-	}
+	r.Ops = n.Prob.Ops()
+	r.Traffic = append(r.Traffic[:0], traffic...)
+	r.Footprint = append(r.Footprint[:0], footprint...)
+	r.PEsUsed = n.PEsUsed(trips)
+	r.Violations = r.Violations[:0]
 	ops := float64(r.Ops)
 	for b := 0; b < nb; b++ {
 		if r.Footprint[b] > float64(c.Buffers[b].Words) {
-			r.Violations = append(r.Violations, fmt.Sprintf(
-				"%s footprint %.0f > %d", c.Buffers[b].Name, r.Footprint[b], c.Buffers[b].Words))
+			v := violFootprintQuick
+			if !quick {
+				v = fmt.Sprintf("%s footprint %.0f > %d", c.Buffers[b].Name, r.Footprint[b], c.Buffers[b].Words)
+			}
+			r.Violations = append(r.Violations, v)
 		}
 	}
 	if r.PEsUsed > c.PEs {
-		r.Violations = append(r.Violations, fmt.Sprintf("PEs used %d > %d", r.PEsUsed, c.PEs))
+		v := violPEQuick
+		if !quick {
+			v = fmt.Sprintf("PEs used %d > %d", r.PEsUsed, c.PEs)
+		}
+		r.Violations = append(r.Violations, v)
 	}
 
 	// Energy: MAC + innermost-buffer operand accesses, plus per-boundary
@@ -248,5 +222,5 @@ func evaluate(c *Config, n *dataflow.Nest, s *model.EvalSession, trips [][]int64
 	}
 	r.Cycles = cycles
 	r.IPC = ops / cycles
-	return r, nil
+	return nil
 }

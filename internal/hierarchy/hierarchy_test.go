@@ -1,13 +1,19 @@
 package hierarchy
 
 import (
+	"context"
+	"fmt"
+	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/dataflow"
 	"repro/internal/loopnest"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 )
 
 // eyerissAsHierarchy expresses the paper's three-level memory in the
@@ -45,44 +51,117 @@ func deep3() *Config {
 	}
 }
 
-// TestTwoLevelMatchesStandardModel: the generic evaluator on a 2-buffer
-// hierarchy must agree exactly with the paper-specific model package.
-func TestTwoLevelMatchesStandardModel(t *testing.T) {
-	p := loopnest.MatMul(64, 64, 64)
-	cfg := eyerissAsHierarchy()
-	nest, err := BuildNest(p, cfg)
+// nestFor builds the hierarchy's nest, as OptimizeEnergy does.
+func nestFor(t *testing.T, p *loopnest.Problem, c *Config) *dataflow.Nest {
+	t.Helper()
+	nest, err := dataflow.BuildNest(p, len(c.Buffers), c.SpatialAfter, dataflow.RSAtRegister)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copyLevels := CopyLevels(nest)
-	if len(copyLevels) != 2 {
-		t.Fatalf("copy levels = %v, want 2", copyLevels)
+	return nest
+}
+
+// sameStructure reports how two nests differ in levels (names, kinds,
+// active sets, pins and trip variables), pins or variable count, or "".
+func sameStructure(a, b *dataflow.Nest) string {
+	if len(a.Levels) != len(b.Levels) {
+		return fmt.Sprintf("%d levels vs %d", len(a.Levels), len(b.Levels))
 	}
+	for li := range a.Levels {
+		la, lb := &a.Levels[li], &b.Levels[li]
+		if la.Name != lb.Name || la.Kind != lb.Kind || la.Copy != lb.Copy ||
+			!slices.Equal(la.Active, lb.Active) || !maps.Equal(la.Fixed, lb.Fixed) || !slices.Equal(la.Trips, lb.Trips) {
+			return fmt.Sprintf("level %d: %+v vs %+v", li, *la, *lb)
+		}
+	}
+	if !slices.Equal(a.Pins, b.Pins) {
+		return fmt.Sprintf("pins %v vs %v", a.Pins, b.Pins)
+	}
+	if a.Vars.Len() != b.Vars.Len() {
+		return fmt.Sprintf("%d variables vs %d", a.Vars.Len(), b.Vars.Len())
+	}
+	return ""
+}
+
+// TestTwoLevelMatchesStandardModel: a 2-buffer hierarchy's nest is the
+// standard nest — the same levels, active sets, pins and variables as
+// the paper's Fig. 1 nest written out level by level, for both kernel
+// placements — and the generic evaluator agrees exactly with the
+// paper-specific model package on it.
+func TestTwoLevelMatchesStandardModel(t *testing.T) {
+	conv, err := loopnest.Conv2D(loopnest.Conv2DConfig{
+		Name: "conv", N: 1, K: 8, C: 4, H: 6, W: 6, R: 3, S: 3, StrideX: 1, StrideY: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := eyerissAsHierarchy()
+	for _, p := range []*loopnest.Problem{loopnest.MatMul(64, 64, 64), conv} {
+		for _, rs := range []dataflow.RSPlacement{dataflow.RSAtRegister, dataflow.RSAtLevel1} {
+			// Fig. 1: register tile, SRAM→register copies, PE grid,
+			// DRAM→SRAM copies; r/s pinned at their placement.
+			var tiled, kernel []int
+			pinned := map[int]int64{}
+			for it, iter := range p.Iters {
+				switch {
+				case iter.Extent == 1:
+				case iter.Name == "r" || iter.Name == "s":
+					kernel = append(kernel, it)
+					pinned[it] = iter.Extent
+				default:
+					tiled = append(tiled, it)
+				}
+			}
+			ref := []dataflow.LevelConfig{
+				{Name: "reg", Kind: dataflow.Temporal, Active: tiled},
+				{Name: "q", Kind: dataflow.Temporal, Copy: true, Active: tiled},
+				{Name: "p", Kind: dataflow.Spatial, Active: tiled},
+				{Name: "t", Kind: dataflow.Temporal, Copy: true, Active: tiled},
+			}
+			place := dataflow.StandardLevelReg
+			if rs == dataflow.RSAtLevel1 {
+				place = dataflow.StandardLevelL1
+			}
+			ref[place].Active = append(slices.Clone(tiled), kernel...)
+			ref[place].Fixed = pinned
+			want, err := dataflow.NewNest(p, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := dataflow.BuildNest(p, len(cfg.Buffers), cfg.SpatialAfter, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			std, err := dataflow.StandardNest(p, dataflow.StandardOptions{RS: rs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, n := range map[string]*dataflow.Nest{"depth-2 nest": got, "standard nest": std} {
+				if diff := sameStructure(n, want); diff != "" {
+					t.Fatalf("%s %v: %s differs from Fig. 1: %s", p.Name, rs, name, diff)
+				}
+			}
+		}
+	}
+
+	p := loopnest.MatMul(64, 64, 64)
+	nest := nestFor(t, p, cfg)
 	trips := [][]int64{
 		{4, 4, 4},
 		{2, 2, 4},
 		{2, 2, 1},
 		{4, 4, 4},
 	}
-	perms := make([][]int, len(nest.Levels))
-	perms[copyLevels[0]] = []int{0, 1, 2}
-	perms[copyLevels[1]] = []int{0, 2, 1}
+	perms := dataflow.StandardPerms([]int{0, 1, 2}, []int{0, 2, 1})
 	rep, err := Evaluate(cfg, nest, trips, perms)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Reference: the standard model on the same mapping.
-	stdNest, err := dataflow.StandardNest(p, dataflow.StandardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := model.NewEvaluator(stdNest)
+	ev := model.NewEvaluator(nest)
 	a := arch.Eyeriss()
-	ref, err := ev.Evaluate(&a, &model.Mapping{
-		Perms: dataflow.StandardPerms([]int{0, 1, 2}, []int{0, 2, 1}),
-		Trips: trips,
-	})
+	ref, err := ev.Evaluate(&a, &model.Mapping{Perms: perms, Trips: trips})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,36 +179,6 @@ func TestTwoLevelMatchesStandardModel(t *testing.T) {
 	}
 }
 
-// TestThreeLevelNestStructure: a 3-buffer hierarchy builds a 5-level nest
-// with 3 boundaries, and the spatial level sits above the per-PE spad.
-func TestThreeLevelNestStructure(t *testing.T) {
-	p := loopnest.MatMul(64, 64, 64)
-	cfg := deep3()
-	nest, err := BuildNest(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nest.Levels) != 6 { // t0, c0, c1, pe, c2 → 5? plus spatial = 6 with 3 copies
-		// levels: t0, c0, c1, pe, c2 — that's 5.
-		if len(nest.Levels) != 5 {
-			t.Fatalf("levels = %d", len(nest.Levels))
-		}
-	}
-	cl := CopyLevels(nest)
-	if len(cl) != 3 {
-		t.Fatalf("copy levels = %v, want 3", cl)
-	}
-	spatial := -1
-	for li := range nest.Levels {
-		if nest.Levels[li].Kind == dataflow.Spatial {
-			spatial = li
-		}
-	}
-	if spatial < cl[1] || spatial > cl[2] {
-		t.Fatalf("spatial level %d not between copy levels %v", spatial, cl)
-	}
-}
-
 // TestDeepEvaluateConservation: traffic through an intermediate buffer
 // can never be less than the traffic of the boundary above it divided by
 // reuse — but at minimum, inner boundaries carry at least the compulsory
@@ -139,11 +188,8 @@ func TestThreeLevelNestStructure(t *testing.T) {
 func TestDeepEvaluateConservation(t *testing.T) {
 	p := loopnest.MatMul(32, 32, 32)
 	cfg := deep3()
-	nest, err := BuildNest(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := CopyLevels(nest)
+	nest := nestFor(t, p, cfg)
+	cl := nest.CopyLevels()
 	// trips: t0=2, c0=2, c1=2, pe=2, c2=2 → product 32 per dim.
 	trips := make([][]int64, len(nest.Levels))
 	for li := range trips {
@@ -190,12 +236,19 @@ func TestOptimizeEnergyDeep(t *testing.T) {
 	t.Logf("deep design: %.3f pJ/MAC over %d class combos (GP bound %.3f)",
 		d.Report.EnergyPerMAC, d.Combos, d.GPObjective/float64(p.Ops()))
 
-	// Naive reference: everything sequential at the outermost level.
-	nest, err := BuildNest(p, cfg)
+	// The kept report is the one a fresh evaluation of the design gives:
+	// the search's reused report does not leak into it.
+	nest := nestFor(t, p, cfg)
+	fresh, err := Evaluate(cfg, nest, d.Trips, d.Perms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := CopyLevels(nest)
+	if !reflect.DeepEqual(fresh, d.Report) {
+		t.Fatalf("kept report %+v, fresh evaluation %+v", d.Report, fresh)
+	}
+
+	// Naive reference: everything sequential at the outermost level.
+	cl := nest.CopyLevels()
 	naive := make([][]int64, len(nest.Levels))
 	for li := range naive {
 		naive[li] = []int64{1, 1, 1}
@@ -239,6 +292,24 @@ func TestOptimizeEnergyDeepConv(t *testing.T) {
 		t.Fatalf("violations: %v", d.Report.Violations)
 	}
 	t.Logf("deep conv design: %.3f pJ/MAC", d.Report.EnergyPerMAC)
+}
+
+// TestOptimizeEnergyDeepWidths: the deep search returns the same design
+// at scheduler widths 1 and 4.
+func TestOptimizeEnergyDeepWidths(t *testing.T) {
+	p := loopnest.MatMul(128, 128, 128)
+	var designs []*Design
+	for _, width := range []int{1, 4} {
+		ctx := pipeline.ContextWithScheduler(context.Background(), pipeline.NewScheduler(width))
+		d, err := optimizeEnergy(ctx, p, deep3())
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs = append(designs, d)
+	}
+	if !reflect.DeepEqual(designs[0], designs[1]) {
+		t.Fatalf("width 1 design %+v, width 4 design %+v", designs[0], designs[1])
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

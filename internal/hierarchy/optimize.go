@@ -1,29 +1,23 @@
 package hierarchy
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/gp"
 	"repro/internal/loopnest"
 	"repro/internal/model"
-	"repro/internal/solver"
+	"repro/internal/pipeline"
 )
 
-// The search constants of OptimizeEnergy.
+// The search constants of OptimizeEnergy's integerization.
 const (
 	// nDiv is the divisor-ladder width per tile variable.
 	nDiv = 2
-	// topClasses is how many best class combinations are integerized.
-	topClasses = 3
-	// maxCombos caps the permutation-class cross product.
-	maxCombos = 4096
-	// maxEvals caps integer-candidate evaluations per combination.
+	// maxEvals caps integer-candidate evaluations per class tuple.
 	maxEvals = 1 << 18
-	// solverTol is the interior-point method's relative duality gap.
-	solverTol = 1e-6
 )
 
 // Design is an optimized deep-hierarchy design point.
@@ -32,102 +26,51 @@ type Design struct {
 	Perms       [][]int
 	Report      *Report
 	GPObjective float64
-	// Combos counts the permutation-class combinations solved.
+	// Combos counts the permutation-class tuples searched.
 	Combos int
 }
 
 // OptimizeEnergy minimizes energy for a problem on a fixed deep
-// hierarchy: one geometric program per combination of permutation
-// classes across all copy levels, then divisor-ladder integerization
-// validated by Evaluate.
+// hierarchy: the pipeline's class search (pipeline.SearchClasses) over
+// the tuples of permutation classes across all copy levels, with the
+// N-boundary energy program as its formulation, then divisor-ladder
+// integerization of its tie band validated by Evaluate.
 func OptimizeEnergy(p *loopnest.Problem, c *Config) (*Design, error) {
-	nest, err := BuildNest(p, c)
+	return optimizeEnergy(context.Background(), p, c)
+}
+
+// optimizeEnergy is OptimizeEnergy with its solves admitted through the
+// scheduler of ctx (pipeline.ContextWithScheduler), when it has one.
+func optimizeEnergy(ctx context.Context, p *loopnest.Problem, c *Config) (*Design, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	nest, err := dataflow.BuildNest(p, len(c.Buffers), c.SpatialAfter, dataflow.RSAtRegister)
 	if err != nil {
 		return nil, err
 	}
-	copyLevels := CopyLevels(nest)
-	syms := dataflow.SymmetricInvolutions(p)
-	// One evaluator for the nest: each combination's Algorithm 1 run
-	// feeds both its geometric program and, through the cached factor
-	// table, every integer candidate evaluated under it.
+	band, tuples, err := pipeline.SearchClasses(ctx, nest, &energyProgram{c: c, nest: nest})
+	if err != nil {
+		return nil, fmt.Errorf("hierarchy: %w", err)
+	}
+
+	// One evaluator for the nest: the integer candidates of a tuple
+	// share its factor table through one session.
 	ev := model.NewEvaluator(nest)
-
-	// Permutation classes per copy level, then their cross product.
-	classes := make([][]dataflow.PermClass, len(copyLevels))
-	combos := 1
-	for i, li := range copyLevels {
-		cs, err := nest.EnumerateClasses(li, syms)
-		if err != nil {
-			return nil, err
-		}
-		classes[i] = cs
-		combos *= len(cs)
-	}
-	if combos > maxCombos {
-		return nil, fmt.Errorf("hierarchy: %d permutation-class combinations exceed the %d cap", combos, maxCombos)
-	}
-
-	type solved struct {
-		perms     [][]int
-		x         []float64
-		objective float64
-	}
-	var sols []solved
-	choice := make([]int, len(copyLevels))
-	for {
-		perms := make([][]int, len(nest.Levels))
-		for i, li := range copyLevels {
-			perms[li] = classes[i][choice[i]].Perm
-		}
-		vols, err := ev.Volumes(perms)
-		if err != nil {
-			return nil, err
-		}
-		f, err := buildDeepGP(nest, vols, c)
-		if err != nil {
-			return nil, err
-		}
-		res, err := f.Solve(nest.TripHint(), solver.Options{Tol: solverTol})
-		if err != nil {
-			return nil, err
-		}
-		if res.Status != solver.Infeasible {
-			sols = append(sols, solved{perms: perms, x: res.X, objective: res.Objective})
-		}
-		// Odometer.
-		k := 0
-		for k < len(choice) {
-			choice[k]++
-			if choice[k] < len(classes[k]) {
-				break
-			}
-			choice[k] = 0
-			k++
-		}
-		if k == len(choice) {
-			break
-		}
-	}
-	if len(sols) == 0 {
-		return nil, fmt.Errorf("hierarchy: all %d class combinations infeasible", combos)
-	}
-	sort.Slice(sols, func(i, j int) bool { return sols[i].objective < sols[j].objective })
-	top := min(topClasses, len(sols))
-
 	var best *Design
-	for _, s := range sols[:top] {
-		sess, err := ev.Session(s.perms)
+	for _, s := range band {
+		sess, err := ev.Session(s.Perms)
 		if err != nil {
 			return nil, err
 		}
-		trips, rep := integerizeDeep(nest, c, sess, s.x)
+		trips, rep := integerizeDeep(nest, c, sess, s.X)
 		if rep == nil {
 			continue
 		}
 		if best == nil || rep.Energy < best.Report.Energy {
 			best = &Design{
-				Trips: trips, Perms: s.perms, Report: rep,
-				GPObjective: s.objective, Combos: combos,
+				Trips: trips, Perms: s.Perms, Report: rep,
+				GPObjective: s.Objective, Combos: tuples,
 			}
 		}
 	}
@@ -137,37 +80,50 @@ func OptimizeEnergy(p *loopnest.Problem, c *Config) (*Design, error) {
 	return best, nil
 }
 
-// buildDeepGP assembles the energy GP for the deep nest from the
-// volumes of one permutation choice (the Eq. 3 pattern generalized over
-// N boundaries).
-func buildDeepGP(nest *dataflow.Nest, vols *dataflow.Volumes, c *Config) (*gp.Program, error) {
-	folded := vols.Folded()
-	prog := gp.New(nest.Vars)
-	ops := float64(nest.Prob.Ops())
+// energyProgram is the class search's formulation on a hierarchy: the
+// energy program over N boundaries (the Eq. 3 pattern generalized).
+type energyProgram struct {
+	c    *Config
+	nest *dataflow.Nest
+}
 
-	obj := expr.PolyConst((4*c.Buffers[0].Energy + c.MACEnergy) * ops)
-	for b := range c.Buffers {
-		traffic := folded.SumTraffic(b, true)
-		obj = obj.Add(traffic.Scale(c.Buffers[b].Energy + c.outerEnergy(b)))
+// Objective is the energy: MAC and innermost-buffer operand accesses,
+// plus each boundary's traffic at the inner-write + outer-read cost.
+func (e *energyProgram) Objective(traffic []expr.Poly) (expr.Poly, error) {
+	c := e.c
+	obj := expr.PolyConst((4*c.Buffers[0].Energy + c.MACEnergy) * float64(e.nest.Prob.Ops()))
+	for b, t := range traffic {
+		obj = obj.Add(t.Scale(c.Buffers[b].Energy + c.outerEnergy(b)))
 	}
-	if err := prog.SetObjective(obj); err != nil {
+	return obj, nil
+}
+
+// Program holds each buffer's footprint to its capacity and the PE
+// product to the PE count, with the nest's trip-count constraints.
+func (e *energyProgram) Program(objective expr.Poly, _, footprint []expr.Poly, slack []float64) (*gp.Program, error) {
+	c, nest := e.c, e.nest
+	prog := gp.New(nest.Vars)
+	if err := prog.SetObjective(objective); err != nil {
 		return nil, err
 	}
-	for b := range c.Buffers {
-		foot := folded.SumFootprint(b, true)
-		name := fmt.Sprintf("cap:%s", c.Buffers[b].Name)
-		if err := prog.AddLessEq(name, foot, expr.Const(float64(c.Buffers[b].Words))); err != nil {
+	for b, foot := range footprint {
+		words := float64(c.Buffers[b].Words) * slack[b]
+		if err := prog.AddLessEq("cap:"+c.Buffers[b].Name, foot, expr.Const(words)); err != nil {
 			return nil, err
 		}
 	}
 	if err := prog.AddLessEq("cap:pes", expr.PolyFrom(nest.SpatialProduct()), expr.Const(float64(c.PEs))); err != nil {
 		return nil, err
 	}
-	if err := nest.AddTripConstraints(prog); err != nil {
-		return nil, err
-	}
-	return prog, nil
+	return prog, nest.AddTripConstraints(prog)
 }
+
+// Hint is the nest's even spread of the extents across levels.
+func (e *energyProgram) Hint() []float64 { return e.nest.TripHint() }
+
+// Bounds leaves every range at its default: the program has no
+// variable besides the trip counts.
+func (e *energyProgram) Bounds(lo, hi []float64) {}
 
 // integerizeDeep converts the relaxed solution to integer trips: each
 // free iterator's candidates are the divisor ladder (loopnest.Ladder)
@@ -197,8 +153,10 @@ func integerizeDeep(nest *dataflow.Nest, c *Config, sess *model.EvalSession, x [
 		dims = append(dims, dimChoice{iter: it, levels: levels, tiles: loopnest.Ladder(iter.Extent, cum, nDiv)})
 	}
 
-	// Pins and unit trips; every free trip is written per candidate.
+	// Pins and unit trips; every free trip is written per candidate,
+	// and rep is rewritten per candidate: both are cloned on keep.
 	m := model.UniformMapping(nest)
+	var rep Report
 	var bestTrips [][]int64
 	var bestRep *Report
 	evals := 0
@@ -212,11 +170,11 @@ func integerizeDeep(nest *dataflow.Nest, c *Config, sess *model.EvalSession, x [
 			}
 			m.Trips[d.levels[len(d.levels)-1]][d.iter] = nest.Prob.Iters[d.iter].Extent / prev
 		}
-		rep, err := evaluate(c, nest, sess, m.Trips)
+		err := evaluate(c, nest, sess, m.Trips, &rep, true)
 		evals++
 		if err == nil && rep.Valid() {
 			if bestRep == nil || rep.Energy < bestRep.Energy {
-				bestTrips, bestRep = m.Clone().Trips, rep
+				bestTrips, bestRep = m.Clone().Trips, rep.clone()
 			}
 		}
 		if evals >= maxEvals {

@@ -190,31 +190,15 @@ func (e *Evaluator) table(perms [][]int) (*factorTable, error) {
 	if ok {
 		return t, nil
 	}
-	_, t, err := e.compile(key, perms)
-	return t, err
-}
-
-// Volumes runs Algorithm 1 for a permutation choice and returns its
-// symbolic volumes (for a formulation to lower), caching their factor
-// table so that sessions of the same choice do not run it again.
-func (e *Evaluator) Volumes(perms [][]int) (*dataflow.Volumes, error) {
-	var buf [64]byte
-	v, _, err := e.compile(appendPermKey(buf[:0], perms), perms)
-	return v, err
-}
-
-// compile runs Algorithm 1 for perms and caches the factor table of
-// its volumes under key.
-func (e *Evaluator) compile(key []byte, perms [][]int) (*dataflow.Volumes, *factorTable, error) {
 	v, err := e.Nest.ComputeVolumes(perms)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
 	}
-	t := newFactorTable(v, e.Nest.Vars.Len())
+	t = newFactorTable(v, e.Nest.Vars.Len())
 	e.mu.Lock()
 	e.cache[string(key)] = t
 	e.mu.Unlock()
-	return v, t, nil
+	return t, nil
 }
 
 // Evaluate computes the report for a mapping on the architecture. The

@@ -13,18 +13,19 @@ import (
 	"repro/internal/workloads"
 )
 
-// bandKeys lists the permutation keys of a pair set, in order.
-func bandKeys(pairs []solvedPair) [][2][]int {
+// bandKeys lists the permutation keys (L1, SRAM) of a tuple set of the
+// standard nest, in order.
+func bandKeys(pairs []Solved) [][2][]int {
 	keys := make([][2][]int, len(pairs))
 	for i, sp := range pairs {
-		keys[i] = [2][]int{sp.permL1, sp.permSRAM}
+		keys[i] = [2][]int{sp.Perms[dataflow.StandardLevelL1], sp.Perms[dataflow.StandardLevelSRAM]}
 	}
 	return keys
 }
 
 // perturbed returns a shuffled copy of pairs with every objective moved
 // by up to four ulps.
-func perturbed(rng *rand.Rand, pairs []solvedPair) []solvedPair {
+func perturbed(rng *rand.Rand, pairs []Solved) []Solved {
 	out := slices.Clone(pairs)
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	for i := range out {
@@ -35,7 +36,7 @@ func perturbed(rng *rand.Rand, pairs []solvedPair) []solvedPair {
 			} else {
 				s--
 			}
-			out[i].objective = math.Nextafter(out[i].objective, dir)
+			out[i].Objective = math.Nextafter(out[i].Objective, dir)
 		}
 	}
 	return out
@@ -48,10 +49,10 @@ func perturbed(rng *rand.Rand, pairs []solvedPair) []solvedPair {
 // its order.
 func TestTopBand(t *testing.T) {
 	const k, tol, kth = topClasses, solverTol, 3.52954e8
-	pair := func(l1, sram int, obj float64) solvedPair {
-		return solvedPair{permL1: []int{l1, 0}, permSRAM: []int{sram, 1}, objective: obj}
+	pair := func(l1, sram int, obj float64) Solved {
+		return Solved{Perms: dataflow.StandardPerms([]int{l1, 0}, []int{sram, 1}), Objective: obj}
 	}
-	solved := []solvedPair{
+	solved := []Solved{
 		pair(4, 2, kth*(1+1e-9)), // ties the k-th
 		pair(0, 3, kth),          // the k-th
 		pair(2, 1, 1e8),
@@ -72,13 +73,26 @@ func TestTopBand(t *testing.T) {
 	}
 	// The band's edge: a pair at kth·(1+tol) is in, the next float out.
 	limit := bandLimit(kth, tol)
-	edge := []solvedPair{solved[2], solved[5], solved[1], pair(5, 0, limit), pair(6, 0, math.Nextafter(limit, math.Inf(1)))}
+	edge := []Solved{solved[2], solved[5], solved[1], pair(5, 0, limit), pair(6, 0, math.Nextafter(limit, math.Inf(1)))}
 	if got := bandKeys(topBand(edge)); len(got) != 4 || got[3][0][0] != 5 {
 		t.Errorf("edge band %v, want the first four pairs, ending with L1 5", got)
 	}
 	// Fewer pairs than k: all of them.
 	if got := topBand(slices.Clone(solved[:2])); len(got) != 2 {
 		t.Errorf("band of 2 pairs with k=3 has %d", len(got))
+	}
+	// Three copy levels (reg, q, q1, p, t): ordered by the innermost
+	// copy level's permutation first, the outermost's last.
+	deep := func(q, q1, t int) Solved {
+		return Solved{Perms: [][]int{nil, {q}, {q1}, nil, {t}}, Objective: 1}
+	}
+	got := topBand([]Solved{deep(1, 0, 0), deep(0, 1, 0), deep(0, 0, 2), deep(0, 0, 1)})
+	var order [][]int
+	for _, sp := range got {
+		order = append(order, []int{sp.Perms[1][0], sp.Perms[2][0], sp.Perms[4][0]})
+	}
+	if want := [][]int{{0, 0, 1}, {0, 0, 2}, {0, 1, 0}, {1, 0, 0}}; !reflect.DeepEqual(order, want) {
+		t.Errorf("3-level band order %v, want %v", order, want)
 	}
 }
 
@@ -113,7 +127,7 @@ func TestTieBandDesignRobust(t *testing.T) {
 		best        DesignPoint
 		candidates  int
 	}
-	finish := func(pairs []solvedPair) outcome {
+	finish := func(pairs []Solved) outcome {
 		r.solved, r.cands, r.best, r.stats = topBand(pairs), nil, nil, Stats{}
 		for _, st := range []stage{integerizeStage{}, validateStage{}, selectStage{}} {
 			if err := st.Run(r); err != nil {
@@ -122,7 +136,7 @@ func TestTieBandDesignRobust(t *testing.T) {
 		}
 		var cands [][2][]int
 		for _, c := range r.cands {
-			cands = append(cands, [2][]int{c.pair.permL1, c.pair.permSRAM})
+			cands = append(cands, bandKeys([]Solved{c.pair})[0])
 		}
 		best := *r.best
 		best.GPObjective = 0 // carries the perturbation

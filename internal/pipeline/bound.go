@@ -8,38 +8,32 @@ import (
 )
 
 // boundCtx precomputes the class-independent variable ranges used to
-// lower-bound a pair's GP objective before the full program is built.
-// Every permutation pair of one run shares the same loop extents, pins,
-// and architecture envelope; only the traffic polynomials differ. The
+// lower-bound a tuple's GP objective before the full program is built.
+// Every class tuple of one search shares the same loop extents, pins,
+// and variable envelope; only the traffic polynomials differ. The
 // ranges it derives:
 //
 //   - Free trip variables of iterator i multiply to the iterator's free
 //     extent E_i (the extent with pinned trips divided out) and are each
 //     at least 1 (hence at most E_i).
-//   - The delay variable T is at least ops/maxPEs: the compute-delay
-//     constraint forces T ≥ ops/∏P, and the PE product is capped by the
-//     PE capacity (fixed arch) or the area budget (co-design).
-//   - Architecture variables are at least 1; in co-design mode the area
-//     budget caps each one (used only for negative exponents, which the
-//     current objectives do not produce — kept for validity).
+//   - Every other variable lies in [1, +Inf), narrowed by the
+//     formulation (Formulation.Bounds), e.g. the pipeline's delay
+//     variable and architecture envelope.
 //
 // A boundCtx is immutable after construction and safe for concurrent use.
 type boundCtx struct {
 	groupOf   []int     // VarID → iterator group index, or −1
 	groupExt  []float64 // free extent per group
 	groupVars []int     // free trip variables per group
-	tVar      expr.VarID
-	tMin      float64
 	lo        []float64 // per-variable lower bound (default 1)
 	hi        []float64 // per-variable upper bound (default +Inf)
 }
 
-// newBoundCtx derives the variable ranges for one run configuration.
-func newBoundCtx(nest *dataflow.Nest, av *archVars, varT expr.VarID) *boundCtx {
+// newBoundCtx derives the variable ranges for one search.
+func newBoundCtx(nest *dataflow.Nest, form Formulation) *boundCtx {
 	n := nest.Vars.Len()
 	bc := &boundCtx{
 		groupOf: make([]int, n),
-		tVar:    varT,
 		lo:      make([]float64, n),
 		hi:      make([]float64, n),
 	}
@@ -80,24 +74,7 @@ func newBoundCtx(nest *dataflow.Nest, av *archVars, varT expr.VarID) *boundCtx {
 			bc.groupOf[v] = g
 		}
 	}
-	maxPEs := math.Inf(1)
-	if av.mode == CoDesign {
-		if av.tech.AreaMAC > 0 {
-			bc.hi[av.varP] = av.budget / av.tech.AreaMAC
-			maxPEs = bc.hi[av.varP]
-		}
-		if av.tech.AreaRegister > 0 {
-			bc.hi[av.varR] = av.budget / av.tech.AreaRegister
-		}
-		if av.tech.AreaSRAMWord > 0 {
-			bc.hi[av.varS] = av.budget / av.tech.AreaSRAMWord
-		}
-	} else {
-		maxPEs = float64(av.fixed.PEs)
-	}
-	if ops := float64(nest.Prob.Ops()); maxPEs > 0 && !math.IsInf(maxPEs, 1) {
-		bc.tMin = ops / maxPEs
-	}
+	form.Bounds(bc.lo, bc.hi)
 	return bc
 }
 
@@ -137,14 +114,6 @@ func (bc *boundCtx) lowerBound(obj expr.Poly) float64 {
 					cnt[g]++
 					continue
 				}
-			}
-			if v == bc.tVar {
-				if e >= 0 {
-					factor *= math.Pow(bc.tMin, e)
-				} else {
-					factor = 0 // T is unbounded above
-				}
-				continue
 			}
 			lo, hi := 1.0, math.Inf(1)
 			if int(v) < len(bc.lo) {

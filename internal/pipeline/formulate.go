@@ -2,13 +2,13 @@ package pipeline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arch"
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/gp"
 	"repro/internal/model"
-	"repro/internal/solver"
 )
 
 // archVars holds the symbolic or constant architecture parameters of one
@@ -63,152 +63,145 @@ func (av *archVars) sramEnergy() expr.Monomial {
 	return expr.Const(av.fixed.SRAMEnergy())
 }
 
-// classVolumes holds the relaxed, folded Algorithm 1 polynomials of one
-// run, each built once from the only permutation it depends on:
-//
-//   - SRAM↔register (boundary-0) traffic depends on the L1 order alone:
-//     the levels above multiply it by the spatial and SRAM-level trip
-//     factors, which no order changes;
-//   - DRAM↔SRAM (boundary-1) traffic depends on the SRAM order alone: the
-//     footprint leaving the L1 level scales every iterator a tensor uses
-//     exactly once, whatever their order;
-//   - footprints depend on neither.
-//
-// It is read-only once built and shared by every pair job of the run.
-type classVolumes struct {
-	trafficSR, trafficDS []expr.Poly // per L1 class, per SRAM class
-	regFoot, sramFoot    expr.Poly
-	// slackR and slackS are the relaxed footprints' worst-case relative
-	// overestimates, by which the capacity-slack pass scales the
-	// register and SRAM capacities (see finish).
-	slackR, slackS float64
+// Formulation is the cost model of the class search: it turns the
+// relaxed Algorithm 1 polynomials of one class tuple into a geometric
+// program over the nest's variables. The pipeline's Eq. 3/5 program is
+// one; internal/hierarchy's N-boundary energy program is another.
+type Formulation interface {
+	// Objective returns the relaxed objective of the tuple whose
+	// boundary b moves traffic[b]. The search lower-bounds it to prune
+	// the tuple before its program is built.
+	Objective(traffic []expr.Poly) (expr.Poly, error)
+	// Program builds the tuple's constrained program minimizing
+	// objective: footprint[b] is boundary b's relaxed footprint (the
+	// same for every tuple), held below the buffer's capacity scaled by
+	// slack[b] (1 on the strict pass; see classVolumes).
+	Program(objective expr.Poly, traffic, footprint []expr.Poly, slack []float64) (*gp.Program, error)
+	// Hint returns a fresh cold starting point for the solver.
+	Hint() []float64
+	// Bounds narrows, in lo and hi (indexed by variable), the default
+	// range [1, +Inf) of the variables that are not trip counts, for
+	// the pruning bound (see boundCtx).
+	Bounds(lo, hi []float64)
 }
 
-// newClassVolumes runs Algorithm 1 over the L1 and SRAM classes in step —
-// run k takes the k-th class of each list, or its last once a list is
-// exhausted — so max(len(l1), len(sram)) runs cover every class.
-func newClassVolumes(nest *dataflow.Nest, l1, sram []dataflow.PermClass) (*classVolumes, error) {
-	cv := &classVolumes{trafficSR: make([]expr.Poly, len(l1)), trafficDS: make([]expr.Poly, len(sram))}
-	if len(l1) == 0 || len(sram) == 0 {
-		return cv, nil
+// classVolumes holds the relaxed, folded Algorithm 1 polynomials of one
+// search, each built once from the only permutation it depends on:
+//
+//   - boundary b's traffic depends on copy level b's order alone: the
+//     levels above multiply it by trip factors no order changes, and
+//     the footprint entering copy level b scales every iterator a
+//     tensor uses exactly once, whatever the orders below;
+//   - footprints depend on no order.
+//
+// It is read-only once built and shared by every job of the search.
+type classVolumes struct {
+	// traffic[b][k] is boundary b's traffic under class k of copy level b.
+	traffic [][]expr.Poly
+	// footprint[b] is boundary b's footprint, and slack[b] its
+	// relaxation's worst-case relative overestimate, by which the
+	// capacity-slack pass scales the buffer's capacity.
+	footprint []expr.Poly
+	slack     []float64
+}
+
+// newClassVolumes runs Algorithm 1 over the classes of every copy level
+// in step — run k takes the k-th class of each level, or its last once
+// the level's list is exhausted — so the longest list's length in runs
+// covers every class.
+func newClassVolumes(nest *dataflow.Nest, classes [][]dataflow.PermClass) (*classVolumes, error) {
+	cv := &classVolumes{traffic: make([][]expr.Poly, len(classes))}
+	runs := 0
+	for b, cs := range classes {
+		if len(cs) == 0 {
+			return cv, nil // no tuple, no job
+		}
+		cv.traffic[b] = make([]expr.Poly, len(cs))
+		runs = max(runs, len(cs))
 	}
-	for k := range max(len(l1), len(sram)) {
-		vols, err := nest.ComputeVolumes(dataflow.StandardPerms(l1[min(k, len(l1)-1)].Perm, sram[min(k, len(sram)-1)].Perm))
+	copyLevels := nest.CopyLevels()
+	perms := make([][]int, len(nest.Levels))
+	for k := range runs {
+		for b, cs := range classes {
+			perms[copyLevels[b]] = cs[min(k, len(cs)-1)].Perm
+		}
+		vols, err := nest.ComputeVolumes(perms)
 		if err != nil {
 			return nil, err
-		}
-		if len(vols.Boundaries) != 2 {
-			return nil, fmt.Errorf("core: nest must have exactly 2 memory boundaries, got %d", len(vols.Boundaries))
 		}
 		// Constant-fold pinned trips before relaxing: stride-1 kernel
 		// extents become exact posynomials (see Volumes.Folded).
 		folded := vols.Folded()
-		if k < len(l1) {
-			cv.trafficSR[k] = folded.SumTraffic(0, true)
-		}
-		if k < len(sram) {
-			cv.trafficDS[k] = folded.SumTraffic(1, true)
+		for b, cs := range classes {
+			if k < len(cs) {
+				cv.traffic[b][k] = folded.SumTraffic(b, true)
+			}
 		}
 		if k == 0 {
-			cv.regFoot = folded.SumFootprint(0, true)
-			cv.sramFoot = folded.SumFootprint(1, true)
-			ones := onesAssignment(nest)
-			cv.slackR = relaxSlack(vols, 0, cv.regFoot, ones)
-			cv.slackS = relaxSlack(vols, 1, cv.sramFoot, ones)
+			// The minimal-tiling point: free trips 1, pins at their values.
+			ones := nest.Assignment(nest.Vars.Len(), nil)
+			for b := range classes {
+				foot := folded.SumFootprint(b, true)
+				cv.footprint = append(cv.footprint, foot)
+				cv.slack = append(cv.slack, relaxSlack(vols, b, foot, ones))
+			}
 		}
 	}
 	return cv, nil
 }
 
-// formulation is one geometric program for one permutation-class pair.
-// It is built in two steps: newFormulation assembles the objective from
-// the run's per-class polynomials (enough to evaluate the cheap pruning
-// bound, see boundCtx), and finish lowers everything into the
-// constrained program. Pruned pairs never pay for finish.
+// formulation is the pipeline's Formulation: the paper's Eq. 3 / Eq. 5
+// program over the standard nest's two boundaries, generalized to CNNs
+// via the Algorithm-1 expressions, on a fixed architecture or with the
+// co-design variables.
 type formulation struct {
 	nest *dataflow.Nest
-	cv   *classVolumes
-	prog *gp.Program
 	av   *archVars
 	crit model.Criterion
-	varT expr.VarID // delay variable (MinDelay only)
-
-	// The relaxed traffic of the pair's classes (shared with the run's
-	// other pairs: read-only) and the objective, used by the pruning
-	// bound and the program.
-	trafficSR, trafficDS expr.Poly
-	objective            expr.Poly
-	ops                  float64
+	varT expr.VarID // delay variable (MinDelay and MinEDP only)
+	ops  float64
 }
 
-// buildGP constructs the constrained geometric program for one choice of
-// copy-level permutations (the paper's Eq. 3 / Eq. 5 generalized to CNNs
-// via the Algorithm-1 expressions). varT is the delay variable, used only
-// for the MinDelay criterion.
-func buildGP(nest *dataflow.Nest, l1, sram []int, av *archVars, crit model.Criterion, varT expr.VarID, capSlack bool) (*formulation, error) {
-	cv, err := newClassVolumes(nest, []dataflow.PermClass{{Perm: l1}}, []dataflow.PermClass{{Perm: sram}})
-	if err != nil {
-		return nil, err
-	}
-	f, err := newFormulation(nest, cv, 0, 0, av, crit, varT)
-	if err != nil {
-		return nil, err
-	}
-	if err := f.finish(capSlack); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// newFormulation builds the objective of the pair (L1 class l1, SRAM
-// class sram) from the run's per-class polynomials, without building the
-// full program.
-func newFormulation(nest *dataflow.Nest, cv *classVolumes, l1, sram int, av *archVars, crit model.Criterion, varT expr.VarID) (*formulation, error) {
-	f := &formulation{
-		nest: nest, cv: cv, av: av, crit: crit, varT: varT,
-		trafficSR: cv.trafficSR[l1], trafficDS: cv.trafficDS[sram],
-		ops: float64(nest.Prob.Ops()),
-	}
-
+// Objective builds the tuple's objective from the relaxed
+// SRAM↔register and DRAM↔SRAM traffic, traffic[0] and traffic[1].
+func (f *formulation) Objective(traffic []expr.Poly) (expr.Poly, error) {
+	av, sr, ds := f.av, traffic[0], traffic[1]
 	// Total energy per Eq. 3:
 	//   (4ε_R + ε_op)·N_ops + (ε_R + ε_S)·DVol^{S↔R} + (ε_S + ε_D)·DVol^{D↔S}
 	// plus the optional NoC term (see Tech.EnergyNoCHop).
 	energy := expr.PolyConst(av.tech.EnergyMAC * f.ops)
 	energy = energy.AddMono(av.regEnergy().Mul(expr.Const(4 * f.ops)))
-	energy = energy.Add(f.trafficSR.MulMono(av.regEnergy()))
-	energy = energy.Add(f.trafficSR.MulMono(av.sramEnergy()))
-	energy = energy.Add(f.trafficDS.MulMono(av.sramEnergy()))
-	energy = energy.Add(f.trafficDS.Scale(av.tech.EnergyDRAM))
+	energy = energy.Add(sr.MulMono(av.regEnergy()))
+	energy = energy.Add(sr.MulMono(av.sramEnergy()))
+	energy = energy.Add(ds.MulMono(av.sramEnergy()))
+	energy = energy.Add(ds.Scale(av.tech.EnergyDRAM))
 	if av.tech.EnergyNoCHop > 0 {
 		// Mesh traversal: each SRAM↔register word travels ≈ √P hops.
 		hop := expr.Const(av.tech.EnergyNoCHop)
-		for _, pv := range nest.SpatialTripVars() {
+		for _, pv := range f.nest.SpatialTripVars() {
 			hop = hop.Mul(expr.MonoPow(1, pv, 0.5))
 		}
-		energy = energy.Add(f.trafficSR.MulMono(hop))
+		energy = energy.Add(sr.MulMono(hop))
 	}
 
-	switch crit {
+	switch f.crit {
 	case model.MinEnergy:
-		f.objective = energy
+		return energy, nil
 	case model.MinDelay:
 		// minimize T subject to each component delay ≤ T.
-		f.objective = expr.PolyFrom(expr.MonoPow(1, varT, 1))
+		return expr.PolyFrom(expr.MonoPow(1, f.varT, 1)), nil
 	case model.MinEDP:
 		// minimize energy·T — a posynomial times a monomial is still a
 		// posynomial, so the energy-delay product stays DGP-valid.
-		f.objective = energy.MulMono(expr.MonoPow(1, varT, 1))
-	default:
-		return nil, fmt.Errorf("core: unknown criterion %v", crit)
+		return energy.MulMono(expr.MonoPow(1, f.varT, 1)), nil
 	}
-	return f, nil
+	return nil, fmt.Errorf("core: unknown criterion %v", f.crit)
 }
 
-// finish lowers the formulation into its constrained geometric program.
-func (f *formulation) finish(capSlack bool) error {
+// Program lowers the tuple into its constrained geometric program.
+func (f *formulation) Program(objective expr.Poly, traffic, footprint []expr.Poly, slack []float64) (*gp.Program, error) {
 	nest, av, varT := f.nest, f.av, f.varT
 	prog := gp.New(nest.Vars)
-	f.prog = prog
 
 	// Delay components ≤ T (Section V.B), used by the delay and EDP
 	// objectives.
@@ -225,21 +218,21 @@ func (f *formulation) finish(capSlack bool) error {
 		if err := prog.AddLessEq("delay:regfile", expr.PolyFrom(regPort), tMono); err != nil {
 			return err
 		}
-		sramTraffic := f.trafficSR.Add(f.trafficDS)
+		sramTraffic := traffic[0].Add(traffic[1])
 		if err := prog.AddLessEq("delay:sram", sramTraffic, tMono.Mul(expr.Const(av.tech.BWSRAM))); err != nil {
 			return err
 		}
-		return prog.AddLessEq("delay:dram", f.trafficDS, tMono.Mul(expr.Const(av.tech.BWDRAM)))
+		return prog.AddLessEq("delay:dram", traffic[1], tMono.Mul(expr.Const(av.tech.BWDRAM)))
 	}
 
-	// Objective (built by newFormulation), then the delay coupling
-	// constraints for the criteria that reference T.
-	if err := prog.SetObjective(f.objective); err != nil {
-		return err
+	// Objective, then the delay coupling constraints for the criteria
+	// that reference T.
+	if err := prog.SetObjective(objective); err != nil {
+		return nil, err
 	}
 	if f.crit == model.MinDelay || f.crit == model.MinEDP {
 		if err := addDelay(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -247,24 +240,20 @@ func (f *formulation) finish(capSlack bool) error {
 	// convolution footprints (it drops the negative extent constants), so
 	// a strict relaxed bound can render the GP infeasible even when
 	// minimal integer tilings fit — e.g. stride-2 layers on tiny register
-	// files. With capSlack (used as a second pass when every strict GP is
-	// infeasible), the capacities are scaled by the worst-case relative
+	// files. The capacity-slack pass (run when every strict GP is
+	// infeasible) scales the capacities by the worst-case relative
 	// overestimate, which occurs at the all-ones point; exact footprints
 	// are re-enforced during integerization either way.
-	slackR, slackS := 1.0, 1.0
-	if capSlack {
-		slackR, slackS = f.cv.slackR, f.cv.slackS
+	if err := prog.AddLessEq("cap:registers", footprint[0],
+		av.regCapacity().Mul(expr.Const(slack[0]))); err != nil {
+		return nil, err
 	}
-	if err := prog.AddLessEq("cap:registers", f.cv.regFoot,
-		av.regCapacity().Mul(expr.Const(slackR))); err != nil {
-		return err
-	}
-	if err := prog.AddLessEq("cap:sram", f.cv.sramFoot,
-		av.sramCapacity().Mul(expr.Const(slackS))); err != nil {
-		return err
+	if err := prog.AddLessEq("cap:sram", footprint[1],
+		av.sramCapacity().Mul(expr.Const(slack[1]))); err != nil {
+		return nil, err
 	}
 	if err := prog.AddLessEq("cap:pes", expr.PolyFrom(nest.SpatialProduct()), av.peCapacity()); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Co-design: the Eq. 5 area constraint and positivity of the
@@ -276,33 +265,50 @@ func (f *formulation) finish(capSlack bool) error {
 			expr.MonoPow(av.tech.AreaSRAMWord, av.varS, 1),
 		)
 		if err := prog.AddLessEq("area", area, expr.Const(av.budget)); err != nil {
-			return err
+			return nil, err
 		}
 		for _, v := range []expr.VarID{av.varR, av.varS, av.varP} {
 			if err := prog.AddLowerBound("arch>=1", v, 1); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 
-	return nest.AddTripConstraints(prog)
+	return prog, nest.AddTripConstraints(prog)
 }
 
-// onesAssignment builds the minimal-tiling point: every free trip 1,
-// pinned trips at their values.
-func onesAssignment(nest *dataflow.Nest) []float64 {
-	x := make([]float64, nest.Vars.Len())
-	for i := range x {
-		x[i] = 1
+// Bounds gives the pruning bound the architecture envelope. The delay
+// variable T is at least ops/maxPEs: the compute-delay constraint
+// forces T ≥ ops/∏P, and the PE product is capped by the PE capacity
+// (fixed arch) or the area budget (co-design). In co-design mode the
+// area budget also caps each architecture variable (used only for
+// negative exponents, which the current objectives do not produce —
+// kept for validity).
+func (f *formulation) Bounds(lo, hi []float64) {
+	av := f.av
+	maxPEs := math.Inf(1)
+	if av.mode == CoDesign {
+		if av.tech.AreaMAC > 0 {
+			hi[av.varP] = av.budget / av.tech.AreaMAC
+			maxPEs = hi[av.varP]
+		}
+		if av.tech.AreaRegister > 0 {
+			hi[av.varR] = av.budget / av.tech.AreaRegister
+		}
+		if av.tech.AreaSRAMWord > 0 {
+			hi[av.varS] = av.budget / av.tech.AreaSRAMWord
+		}
+	} else {
+		maxPEs = float64(av.fixed.PEs)
 	}
-	for _, pin := range nest.Pins {
-		x[pin.Var] = pin.Value
+	lo[f.varT] = 0
+	if maxPEs > 0 && !math.IsInf(maxPEs, 1) {
+		lo[f.varT] = f.ops / maxPEs
 	}
-	return x
 }
 
 // relaxSlack returns relaxed/exact footprint at the minimal-tiling point
-// for boundary b (≥ 1), the worst-case relative overestimate of the
+// for boundary b, the worst-case relative overestimate of the
 // posynomial relaxation.
 func relaxSlack(vols *dataflow.Volumes, b int, relaxed expr.Poly, ones []float64) float64 {
 	exact := vols.EvalFootprint(b, ones)
@@ -316,9 +322,9 @@ func relaxSlack(vols *dataflow.Volumes, b int, relaxed expr.Poly, ones []float64
 	return r
 }
 
-// hint builds an initial guess: extents spread evenly across levels,
+// Hint builds an initial guess: extents spread evenly across levels,
 // Eyeriss-like architecture values, and a generous delay.
-func (f *formulation) hint() []float64 {
+func (f *formulation) Hint() []float64 {
 	x := f.nest.TripHint()
 	if f.av.mode == CoDesign {
 		x[f.av.varR] = 64
@@ -326,22 +332,7 @@ func (f *formulation) hint() []float64 {
 		x[f.av.varP] = 128
 	}
 	if int(f.varT) < len(x) && f.varT >= 0 {
-		x[f.varT] = float64(f.nest.Prob.Ops())
+		x[f.varT] = f.ops
 	}
 	return x
-}
-
-// solve runs the GP from the cold analytic hint.
-func (f *formulation) solve(opts solver.Options) (gp.Result, error) {
-	return f.solveFrom(nil, opts)
-}
-
-// solveFrom runs the GP starting from xHint (a point in the original
-// positive variables, typically a neighboring pair's solution); nil
-// falls back to the cold analytic hint.
-func (f *formulation) solveFrom(xHint []float64, opts solver.Options) (gp.Result, error) {
-	if xHint == nil {
-		xHint = f.hint()
-	}
-	return f.prog.Solve(xHint, opts)
 }

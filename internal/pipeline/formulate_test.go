@@ -9,13 +9,41 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/dataflow"
+	"repro/internal/expr"
+	"repro/internal/gp"
 	"repro/internal/loopnest"
 	"repro/internal/model"
 	"repro/internal/solver"
 	"repro/internal/workloads"
 )
 
-func buildTestFormulation(t *testing.T, mode Mode, crit model.Criterion) (*formulation, *dataflow.Nest, *archVars) {
+// testGP is one class pair's program and its formulation, built as the
+// solve stage's strict pass builds them.
+type testGP struct {
+	prog *gp.Program
+	form *formulation
+}
+
+// buildGP builds the program of the copy-level orders l1 and sram.
+func buildGP(nest *dataflow.Nest, l1, sram []int, av *archVars, crit model.Criterion, varT expr.VarID) (*testGP, error) {
+	cv, err := newClassVolumes(nest, [][]dataflow.PermClass{{{Perm: l1}}, {{Perm: sram}}})
+	if err != nil {
+		return nil, err
+	}
+	form := &formulation{nest: nest, av: av, crit: crit, varT: varT, ops: float64(nest.Prob.Ops())}
+	traffic := []expr.Poly{cv.traffic[0][0], cv.traffic[1][0]}
+	objective, err := form.Objective(traffic)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := form.Program(objective, traffic, cv.footprint, []float64{1, 1})
+	if err != nil {
+		return nil, err
+	}
+	return &testGP{prog: prog, form: form}, nil
+}
+
+func buildTestFormulation(t *testing.T, mode Mode, crit model.Criterion) (*testGP, *dataflow.Nest, *archVars) {
 	t.Helper()
 	p := loopnest.MatMul(64, 64, 64)
 	nest, err := dataflow.StandardNest(p, dataflow.StandardOptions{})
@@ -30,7 +58,7 @@ func buildTestFormulation(t *testing.T, mode Mode, crit model.Criterion) (*formu
 		av.varP = nest.Vars.NewVar("arch_P")
 	}
 	varT := nest.Vars.NewVar("delay_T")
-	f, err := buildGP(nest, []int{0, 1, 2}, []int{0, 2, 1}, av, crit, varT, false)
+	f, err := buildGP(nest, []int{0, 1, 2}, []int{0, 2, 1}, av, crit, varT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +112,7 @@ func TestBuildGPDelayStructure(t *testing.T) {
 func TestGPSolutionFeasibleExactly(t *testing.T) {
 	for _, mode := range []Mode{FixedArch, CoDesign} {
 		f, _, _ := buildTestFormulation(t, mode, model.MinEnergy)
-		res, err := f.solve(solver.Options{Tol: 1e-6})
+		res, err := f.prog.Solve(f.form.Hint(), solver.Options{Tol: 1e-6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +151,7 @@ func TestGPEnergyDecreasesWithLooserArea(t *testing.T) {
 // every variable.
 func TestHintWithinDomain(t *testing.T) {
 	f, nest, _ := buildTestFormulation(t, CoDesign, model.MinDelay)
-	h := f.hint()
+	h := f.form.Hint()
 	if len(h) != nest.Vars.Len() {
 		t.Fatalf("hint length %d != vars %d", len(h), nest.Vars.Len())
 	}
@@ -237,10 +265,11 @@ func tableIIRuns(t testing.TB, mode Mode) []*Run {
 }
 
 // TestClassVolumesMatchPerPair checks that the formulate stage's
-// per-class polynomials are, for every pair of every Table II layer
-// under both placements, in fixed and co-design mode, exactly what
-// Algorithm 1 builds for the pair itself: the relaxed, folded traffic
-// at both boundaries, the relaxed footprints, and the capacity slacks.
+// per-class polynomials are, for every class tuple (L1 × SRAM pair) of
+// every Table II layer under both placements, in fixed and co-design
+// mode, exactly what Algorithm 1 builds for the tuple itself: the
+// relaxed, folded traffic and footprint of both boundaries, and the
+// capacity slacks.
 func TestClassVolumesMatchPerPair(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs Algorithm 1 for every pair of 23 layers")
@@ -248,30 +277,30 @@ func TestClassVolumesMatchPerPair(t *testing.T) {
 	for _, mode := range []Mode{FixedArch, CoDesign} {
 		for _, r := range tableIIRuns(t, mode) {
 			name := r.prob.Name + " " + r.rs.String()
-			if len(r.jobs) != len(r.classesL1)*len(r.classesSRAM) {
-				t.Fatalf("%s: %d jobs for %d×%d classes", name, len(r.jobs), len(r.classesL1), len(r.classesSRAM))
+			if want := len(r.classes[0]) * len(r.classes[1]); len(r.classes) != 2 || r.jobs != want {
+				t.Fatalf("%s: %d jobs for %d copy levels' classes, want %d", name, r.jobs, len(r.classes), want)
 			}
 			cv := r.vols
-			for _, j := range r.jobs {
-				l1, sram := r.classesL1[j.l1].Perm, r.classesSRAM[j.sram].Perm
-				vols, err := r.nest.ComputeVolumes(dataflow.StandardPerms(l1, sram))
+			ones := r.nest.Assignment(r.nest.Vars.Len(), nil)
+			for i := range r.jobs {
+				perms, traffic := r.job(i)
+				vols, err := r.nest.ComputeVolumes(perms)
 				if err != nil {
 					t.Fatal(err)
 				}
 				folded := vols.Folded()
-				for _, c := range []struct {
-					what      string
-					got, want any
-				}{
-					{"trafficSR", cv.trafficSR[j.l1], folded.SumTraffic(0, true)},
-					{"trafficDS", cv.trafficDS[j.sram], folded.SumTraffic(1, true)},
-					{"regFoot", cv.regFoot, folded.SumFootprint(0, true)},
-					{"sramFoot", cv.sramFoot, folded.SumFootprint(1, true)},
-					{"register slack", cv.slackR, relaxSlack(vols, 0, folded.SumFootprint(0, true), onesAssignment(r.nest))},
-					{"SRAM slack", cv.slackS, relaxSlack(vols, 1, folded.SumFootprint(1, true), onesAssignment(r.nest))},
-				} {
-					if !reflect.DeepEqual(c.got, c.want) {
-						t.Fatalf("%s %v, pair %v × %v: %s differs from the pair's own", name, mode, l1, sram, c.what)
+				for b := range traffic {
+					for _, c := range []struct {
+						what      string
+						got, want any
+					}{
+						{"traffic", traffic[b], folded.SumTraffic(b, true)},
+						{"footprint", cv.footprint[b], folded.SumFootprint(b, true)},
+						{"slack", cv.slack[b], relaxSlack(vols, b, folded.SumFootprint(b, true), ones)},
+					} {
+						if !reflect.DeepEqual(c.got, c.want) {
+							t.Fatalf("%s %v, job %d (%v): boundary %d %s differs from the tuple's own", name, mode, i, perms, b, c.what)
+						}
 					}
 				}
 			}
@@ -281,7 +310,7 @@ func TestClassVolumesMatchPerPair(t *testing.T) {
 
 // BenchmarkFormulate times the formulate rung of every Table II layer
 // (fixed Eyeriss, energy, both placements): the formulate stage plus
-// each pair's objective, as the solve stage assembles it.
+// each tuple's objective, as the solve stage assembles it.
 func BenchmarkFormulate(b *testing.B) {
 	runs := tableIIRuns(b, FixedArch)
 	b.ResetTimer()
@@ -290,8 +319,9 @@ func BenchmarkFormulate(b *testing.B) {
 			if err := (formulateStage{}).Run(r); err != nil {
 				b.Fatal(err)
 			}
-			for _, j := range r.jobs {
-				if _, err := newFormulation(r.nest, r.vols, j.l1, j.sram, r.av, r.opts.Criterion, r.varT); err != nil {
+			for j := range r.jobs {
+				_, traffic := r.job(j)
+				if _, err := r.form.Objective(traffic); err != nil {
 					b.Fatal(err)
 				}
 			}

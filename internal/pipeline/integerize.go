@@ -44,12 +44,12 @@ func (integerizeStage) Run(r *Run) error {
 	// integerizePass converts each pair under shrink(x), keeping only
 	// designs that score strictly below seed, and returns the surviving
 	// candidates in pair order.
-	integerizePass := func(pairs []solvedPair, shrink func([]float64) []float64, seed float64) ([]*integerized, error) {
+	integerizePass := func(pairs []Solved, shrink func([]float64) []float64, seed float64) ([]*integerized, error) {
 		out := make([]*integerized, len(pairs))
 		var mu sync.Mutex
 		err := r.sched.ForEach(r.ctx, len(pairs), func(i int) error {
 			sp := pairs[i]
-			c, rep, visited := r.integerizeOne(ev, candC, shrink(sp.x), sp, seed)
+			c, rep, visited := r.integerizeOne(ev, candC, shrink(sp.X), sp, seed)
 			mu.Lock()
 			r.stats.Candidates += visited
 			mu.Unlock()
@@ -115,15 +115,14 @@ func (integerizeStage) Run(r *Run) error {
 // integerizeOne converts one relaxed solution to the best integer
 // design scoring strictly below seed, recording an integerize span whose
 // model-eval child covers the streamed candidate evaluation.
-func (r *Run) integerizeOne(ev *model.Evaluator, candC *obs.Counter, x []float64, sp solvedPair, seed float64) (*candidate, *model.Report, int) {
+func (r *Run) integerizeOne(ev *model.Evaluator, candC *obs.Counter, x []float64, sp Solved, seed float64) (*candidate, *model.Report, int) {
 	o := r.obs
 	var ispan *obs.Span
 	if o.TracingEnabled() {
-		ispan = o.StartSpan(r.parent, "integerize", obs.Float("gp_objective", sp.objective))
+		ispan = o.StartSpan(r.parent, "integerize", obs.Float("gp_objective", sp.Objective))
 	}
 	evalSpan := o.StartSpan(ispan, "model-eval")
-	perms := dataflow.StandardPerms(sp.permL1, sp.permSRAM)
-	c, rep, visited := searchIntegerCandidates(ev, r.nest, perms, x, r.av, r.opts.NDiv, r.opts.Criterion, seed)
+	c, rep, visited := searchIntegerCandidates(ev, r.nest, sp.Perms, x, r.av, r.opts.NDiv, r.opts.Criterion, seed)
 	candC.Add(int64(visited))
 	if evalSpan != nil {
 		evalSpan.SetAttr("candidates", int64(visited))

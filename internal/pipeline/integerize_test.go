@@ -50,12 +50,11 @@ func BenchmarkIntegerizeSearch(b *testing.B) {
 		}
 	}
 	sp := r.solved[0]
-	perms := dataflow.StandardPerms(sp.permL1, sp.permSRAM)
 	b.ResetTimer()
 	var visited int
 	for i := 0; i < b.N; i++ {
 		var c *candidate
-		c, _, visited = searchIntegerCandidates(model.NewEvaluator(r.nest), r.nest, perms, sp.x, r.av, opts.NDiv, opts.Criterion, math.Inf(1))
+		c, _, visited = searchIntegerCandidates(model.NewEvaluator(r.nest), r.nest, sp.Perms, sp.X, r.av, opts.NDiv, opts.Criterion, math.Inf(1))
 		if c == nil {
 			b.Fatal("no integer design")
 		}

@@ -38,13 +38,13 @@ func (m Mode) String() string {
 }
 
 // The search constants of the integerization (Section IV of the paper:
-// N powers of two per capacity, the top-k relaxed class pairs) and of
+// N powers of two per capacity, the top-k relaxed class tuples) and of
 // the relaxation. Only the divisor width n is a run option (NDiv).
 const (
 	// nPow2 is the paper's N: power-of-two candidates per capacity
 	// variable in co-design.
 	nPow2 = 2
-	// topClasses is how many best GP class pairs are integerized, at
+	// topClasses is how many best GP class tuples are integerized, at
 	// least: ties of the last of them within solverTol join them (see
 	// topBand).
 	topClasses = 3
@@ -248,9 +248,12 @@ func standardShaped(m *model.Mapping) bool {
 	return true
 }
 
-// solvedPair records one GP solution.
-type solvedPair struct {
-	permL1, permSRAM []int
-	x                []float64
-	objective        float64
+// Solved is one class tuple's relaxed optimum.
+type Solved struct {
+	// Perms is the tuple's permutation at every level of the nest, nil
+	// at the levels that are not copy levels (see model.Mapping).
+	Perms [][]int
+	// X is the optimal point and Objective its value.
+	X         []float64
+	Objective float64
 }

@@ -3,15 +3,22 @@
 //
 //	Enumerate → Formulate → Solve → Integerize → Validate → Select
 //
-// Enumerate produces the pruned tile-loop permutation classes at both
-// copy levels; Formulate builds one job per class pair over the shared
-// geometric-program variable set; Solve runs the interior-point backend
-// over the jobs (with a capacity-slack retry pass when every strict GP
-// is infeasible); Integerize converts the best relaxed solutions to
-// integer mappings via divisor-ladder candidate generation; Validate
-// re-checks the surviving candidates against the analytical model; and
-// Select picks the winner with a deterministic, scheduling-independent
-// tie-break.
+// Enumerate produces the pruned tile-loop permutation classes at every
+// copy level; Formulate runs Algorithm 1 once per class index and makes
+// one job per class tuple (one class at each copy level) over the
+// shared geometric-program variable set; Solve runs the interior-point
+// backend over the jobs (with a capacity-slack retry pass when every
+// strict GP is infeasible); Integerize converts the best relaxed
+// solutions to integer mappings via divisor-ladder candidate
+// generation; Validate re-checks the surviving candidates against the
+// analytical model; and Select picks the winner with a deterministic,
+// scheduling-independent tie-break.
+//
+// The first three stages, the class search, run at any depth: the
+// cost model is a Formulation, and SearchClasses runs them over the
+// copy levels of any nest (internal/hierarchy's N-buffer nests use it).
+// The pipeline runs them on the standard nest's two copy levels with
+// the paper's Eq. 3/5 formulation.
 //
 // Leaf compute — GP solves and integerization searches — is admitted
 // through a single bounded Scheduler shared by every placement (and,
@@ -58,19 +65,20 @@ type Run struct {
 
 	// Built by the executor before the first stage.
 	nest *dataflow.Nest
-	av   *archVars
-	varT expr.VarID
+	form Formulation // the class search's cost model
+	av   *archVars   // the architecture of form, for Integerize
 
 	// Stage products, in pipeline order.
-	classesL1, classesSRAM []dataflow.PermClass // Enumerate
-	vols                   *classVolumes        // Formulate
-	jobs                   []pairJob            // Formulate
-	solved                 []solvedPair         // Solve (the tie band, in permutation-key order)
-	ev                     *model.Evaluator     // Integerize; Validate re-evaluates through its cached tables
-	cands                  []*integerized       // Integerize, filtered by Validate
-	best                   *DesignPoint         // Select
+	copyLevels []int                  // Enumerate: the nest's copy levels, inner to outer
+	classes    [][]dataflow.PermClass // Enumerate: per copy level
+	vols       *classVolumes          // Formulate
+	jobs       int                    // Formulate: the number of class tuples (see job)
+	solved     []Solved               // Solve (the tie band, in class-key order)
+	ev         *model.Evaluator       // Integerize; Validate re-evaluates through its cached tables
+	cands      []*integerized         // Integerize, filtered by Validate
+	best       *DesignPoint           // Select
 
-	// Solver-workspace pool for the solve stage: every pair GP of a run
+	// Solver-workspace pool for the solve stage: every tuple GP of a run
 	// shares one equality system, so a recycled workspace almost always
 	// hits its equality-elimination cache. Sized implicitly by the
 	// scheduler width (a workspace is only out of the pool while a job
@@ -100,15 +108,27 @@ func (r *Run) putWS(ws *solver.Workspace) {
 	r.wsMu.Unlock()
 }
 
-// pairJob is one permutation-class pair to be solved as a GP: indices
-// into the run's L1 and SRAM classes.
-type pairJob struct {
-	l1, sram int
+// job returns the class tuple of job i — one class per copy level — as
+// its permutation at every level of the nest (nil at the levels that
+// are not copy levels) and its per-boundary relaxed traffic. Jobs are
+// laid out lexicographically, the inner copy level most significant,
+// so the jobs that share every class but the outermost level's are
+// contiguous.
+func (r *Run) job(i int) (perms [][]int, traffic []expr.Poly) {
+	perms = make([][]int, len(r.nest.Levels))
+	traffic = make([]expr.Poly, len(r.classes))
+	for b := len(r.classes) - 1; b >= 0; b-- {
+		k := i % len(r.classes[b])
+		i /= len(r.classes[b])
+		perms[r.copyLevels[b]] = r.classes[b][k].Perm
+		traffic[b] = r.vols.traffic[b][k]
+	}
+	return perms, traffic
 }
 
-// integerized is one pair's best integer design, in band order.
+// integerized is one tuple's best integer design, in band order.
 type integerized struct {
-	pair solvedPair
+	pair Solved
 	cand *candidate
 	rep  *model.Report
 }
@@ -236,8 +256,46 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, rs dataf
 	if err != nil {
 		return nil, err
 	}
+	if err := r.runStages(stages); err != nil {
+		if errors.Is(err, ErrNoDesign) {
+			// The search effort behind a no-design outcome still
+			// counts toward the cross-placement totals.
+			return &Result{Stats: r.stats}, err
+		}
+		return nil, err
+	}
+	return &Result{Best: r.best, Stats: r.stats}, nil
+}
+
+// SearchClasses runs the class search — the enumerate, formulate and
+// solve stages — over every copy level of nest with form as the cost
+// model, and returns the tie band of the relaxed optima in class-key
+// order (see topBand) and the number of class tuples. The solves are
+// admitted through the context's scheduler (ContextWithScheduler), or
+// through a new one of NumCPU slots.
+func SearchClasses(ctx context.Context, nest *dataflow.Nest, form Formulation) ([]Solved, int, error) {
+	sched := SchedulerFromContext(ctx)
+	if sched == nil {
+		sched = NewScheduler(0)
+	}
+	r := &Run{
+		ctx:    ctx,
+		prob:   nest.Prob,
+		obs:    obs.FromContext(ctx),
+		sched:  sched,
+		parent: obs.SpanFromContext(ctx),
+		nest:   nest,
+		form:   form,
+	}
+	err := r.runStages([]stage{enumerateStage{}, formulateStage{}, solveStage{}})
+	return r.solved, r.jobs, err
+}
+
+// runStages runs sts in order, each under its own span and duration
+// histogram, stopping at the first error.
+func (r *Run) runStages(sts []stage) error {
 	o := r.obs
-	for _, st := range stages {
+	for _, st := range sts {
 		//tlvet:ignore wallclock -- telemetry: stage duration feeds the pipeline.stage.* histogram only
 		start := time.Now()
 		// Each stage runs under its own "stage:<name>" span: spans the
@@ -262,19 +320,15 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, rs dataf
 			o.Histogram("pipeline.stage." + st.Name()).Observe(time.Since(start))
 		}
 		if err != nil {
-			if errors.Is(err, ErrNoDesign) {
-				// The search effort behind a no-design outcome still
-				// counts toward the cross-placement totals.
-				return &Result{Stats: r.stats}, err
-			}
-			return nil, err
+			return err
 		}
 	}
-	return &Result{Best: r.best, Stats: r.stats}, nil
+	return nil
 }
 
 // newRun builds the per-run context of one RS placement: the standard
-// nest, the architecture variables and the delay variable.
+// nest and its formulation over the architecture variables and the
+// delay variable.
 func newRun(ctx context.Context, p *loopnest.Problem, opts Options, rs dataflow.RSPlacement, sched *Scheduler) (*Run, error) {
 	if err := opts.Arch.Validate(); err != nil {
 		return nil, err
@@ -302,8 +356,11 @@ func newRun(ctx context.Context, p *loopnest.Problem, opts Options, rs dataflow.
 		sched:  sched,
 		parent: obs.SpanFromContext(ctx),
 		nest:   nest,
-		av:     av,
-		varT:   varT,
+		form: &formulation{
+			nest: nest, av: av, crit: opts.Criterion, varT: varT,
+			ops: float64(p.Ops()),
+		},
+		av: av,
 	}, nil
 }
 
@@ -318,7 +375,7 @@ func hasUntiledKernelLoops(p *loopnest.Problem) bool {
 	return false
 }
 
-// enumerateStage produces the permutation classes at both copy levels.
+// enumerateStage produces the permutation classes of every copy level.
 type enumerateStage struct{}
 
 func (enumerateStage) Name() string { return "enumerate" }
@@ -330,35 +387,38 @@ func (enumerateStage) Run(r *Run) error {
 	if !r.opts.DisablePruning {
 		syms = dataflow.SymmetricInvolutions(r.prob)
 	}
-	classesL1, err := enumerate(r.nest, dataflow.StandardLevelL1, syms, r.opts.DisablePruning)
-	if err != nil {
-		enumSpan.End()
-		return err
+	copyLevels := r.nest.CopyLevels()
+	classes := make([][]dataflow.PermClass, len(copyLevels))
+	for b, li := range copyLevels {
+		cs, err := enumerate(r.nest, li, syms, r.opts.DisablePruning)
+		if err != nil {
+			enumSpan.End()
+			return err
+		}
+		classes[b] = cs
 	}
-	classesSRAM, err := enumerate(r.nest, dataflow.StandardLevelSRAM, syms, r.opts.DisablePruning)
-	if err != nil {
-		enumSpan.End()
-		return err
-	}
+	// The telemetry and Stats name the innermost copy level L1 and the
+	// outermost SRAM, as in the standard nest.
+	inner, outer := len(classes[0]), len(classes[len(classes)-1])
 	if enumSpan != nil {
-		enumSpan.Annotate(obs.Int("classes_l1", len(classesL1)), obs.Int("classes_sram", len(classesSRAM)))
+		enumSpan.Annotate(obs.Int("classes_l1", inner), obs.Int("classes_sram", outer))
 		enumSpan.End()
 	}
 	if o.MetricsEnabled() {
 		// Per-placement class counts, plus running totals across the run.
 		rs := r.rs.String()
-		o.Gauge("core.classes_l1." + rs).Set(int64(len(classesL1)))
-		o.Gauge("core.classes_sram." + rs).Set(int64(len(classesSRAM)))
-		o.Counter("core.classes_l1").Add(int64(len(classesL1)))
-		o.Counter("core.classes_sram").Add(int64(len(classesSRAM)))
+		o.Gauge("core.classes_l1." + rs).Set(int64(inner))
+		o.Gauge("core.classes_sram." + rs).Set(int64(outer))
+		o.Counter("core.classes_l1").Add(int64(inner))
+		o.Counter("core.classes_sram").Add(int64(outer))
 	}
 	if o.Enabled(obs.Debug) {
 		o.Logf(obs.Debug, "optimize %s: placement %v: %d x %d permutation classes",
-			r.prob.Name, r.rs, len(classesL1), len(classesSRAM))
+			r.prob.Name, r.rs, inner, outer)
 	}
-	r.classesL1, r.classesSRAM = classesL1, classesSRAM
-	r.stats.ClassesL1 = len(classesL1)
-	r.stats.ClassesSRAM = len(classesSRAM)
+	r.copyLevels, r.classes = copyLevels, classes
+	r.stats.ClassesL1 = inner
+	r.stats.ClassesSRAM = outer
 	return nil
 }
 
@@ -378,8 +438,8 @@ func enumerate(nest *dataflow.Nest, level int, syms []dataflow.Involution, raw b
 	return out, nil
 }
 
-// formulateStage runs Algorithm 1 once per class (see classVolumes) and
-// turns the class cross product into the GP job list. Each pair's
+// formulateStage runs Algorithm 1 once per class index (see
+// classVolumes) and counts the class tuples, the GP jobs. Each tuple's
 // program stays lazy — its solve job assembles the objective from the
 // per-class polynomials and builds (and discards) the program right
 // before solving, keeping peak memory proportional to the scheduler
@@ -389,16 +449,14 @@ type formulateStage struct{}
 func (formulateStage) Name() string { return "formulate" }
 
 func (formulateStage) Run(r *Run) error {
-	vols, err := newClassVolumes(r.nest, r.classesL1, r.classesSRAM)
+	vols, err := newClassVolumes(r.nest, r.classes)
 	if err != nil {
 		return err
 	}
 	r.vols = vols
-	r.jobs = make([]pairJob, 0, len(r.classesL1)*len(r.classesSRAM))
-	for i := range r.classesL1 {
-		for j := range r.classesSRAM {
-			r.jobs = append(r.jobs, pairJob{i, j})
-		}
+	r.jobs = 1
+	for _, cs := range r.classes {
+		r.jobs *= len(cs)
 	}
 	return nil
 }

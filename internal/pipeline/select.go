@@ -34,7 +34,7 @@ func (validateStage) Run(r *Run) error {
 			o.Counter("core.validate_dropped").Inc()
 			if o.Enabled(obs.Warn) {
 				o.Logf(obs.Warn, "optimize %s: dropping invalid integer candidate (perms %v/%v): err=%v",
-					r.prob.Name, c.pair.permL1, c.pair.permSRAM, err)
+					r.prob.Name, c.pair.Perms[dataflow.StandardLevelL1], c.pair.Perms[dataflow.StandardLevelSRAM], err)
 			}
 			continue
 		}
@@ -62,10 +62,10 @@ func (selectStage) Run(r *Run) error {
 				Arch:        c.cand.archCfg,
 				Mapping:     c.cand.mapping,
 				Report:      c.rep,
-				PermL1:      c.pair.permL1,
-				PermSRAM:    c.pair.permSRAM,
+				PermL1:      c.pair.Perms[dataflow.StandardLevelL1],
+				PermSRAM:    c.pair.Perms[dataflow.StandardLevelSRAM],
 				NestOptions: dataflow.StandardOptions{RS: r.rs},
-				GPObjective: c.pair.objective,
+				GPObjective: c.pair.Objective,
 			}
 		}
 	}
