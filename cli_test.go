@@ -320,8 +320,9 @@ func TestCLIRunRecords(t *testing.T) {
 	}
 }
 
-// TestCLIEventStreamMatchesFixture reruns the run that recorded the
-// events package's fixture stream and requires the same events: apart
+// TestCLIEventStreamMatchesFixture reruns the run that recorded
+// internal/obs/events/testdata/resnet18_L12.cli.events.jsonl and
+// requires the same events: apart
 // from the framing (seq, t_us) and the fields that name the run, the
 // build or the clock, every event's fields must equal one recorded
 // event's. Zero values are
@@ -329,6 +330,12 @@ func TestCLIRunRecords(t *testing.T) {
 // from the stream (Validate checks the required ones are present).
 // The events are compared as a multiset: even at -parallel 1 the GP
 // solves' solve_end and centering events interleave run to run.
+//
+// The recording follows the solver: a change that moves its iterates
+// on purpose re-records it (from that directory, with a binary built
+// with -buildvcs=false, so no revision is stamped in). The events
+// package's own resnet18_L12.events.jsonl is an older stream, kept
+// as it was written to pin Validate's verdict on streams on disk.
 func TestCLIEventStreamMatchesFixture(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test skipped in -short mode")
@@ -380,7 +387,7 @@ func TestCLIEventStreamMatchesFixture(t *testing.T) {
 		t.Fatalf("validate: %v %+v", err, sum)
 	}
 	got := canonical(path)
-	want := canonical("internal/obs/events/testdata/resnet18_L12.events.jsonl")
+	want := canonical("internal/obs/events/testdata/resnet18_L12.cli.events.jsonl")
 	if len(got) != len(want) {
 		t.Fatalf("%d events, fixture has %d", len(got), len(want))
 	}

@@ -13,12 +13,22 @@ import (
 // Newton iterate or the integerized pair set must update these values
 // and say why.
 //
-// The values moved last when Newton began stopping once its Armijo
-// decrease fell below float64 resolution: the rounding-level steps a
-// centering used to take are gone (resnet18_L3 3369 → 1394 iterations,
-// its 10 Suboptimal centerings now converge), which moves the last bits
-// of every relaxed optimum (resnet18_L10's GPObjective). In the same
-// change integerization took every pair that ties the k-th relaxed
+// The values moved last when each barrier solve began its path at the
+// duality gap its objective lower bound certifies instead of at t = 1,
+// and the line search began ending wherever its Armijo decrease falls
+// below float64 resolution, not only at the first step: fewer
+// centerings and no rounding-level steps (resnet18_L3 1394 → 1260
+// Newton iterations, resnet18_L10 6704 → 4915). Both designs are the
+// same; each GPObjective moved in its last bits, within the solver's
+// gap (352954191.5458501 → 352954159.73540854 and 160928.0005028209 →
+// 160928.00084340226).
+//
+// Before that, they moved when Newton began stopping once its Armijo
+// decrease fell below float64 resolution at the first step: the
+// rounding-level steps a centering used to take were gone (resnet18_L3
+// 3369 → 1394 iterations, its 10 Suboptimal centerings converged),
+// which moved the last bits of every relaxed optimum (resnet18_L10's
+// GPObjective). In the same change integerization took every pair that ties the k-th relaxed
 // optimum within the solver's gap, in permutation-key order, and a
 // fixed-arch prefix over the PE count stopped being searched.
 // resnet18_L3's SRAM orders [5 1 2 6] and [1 2 5 6] tie at 3.52954e8, so
@@ -41,8 +51,8 @@ func TestGoldenIterates(t *testing.T) {
 			layer: "resnet18_L3",
 			opts:  Options{Criterion: model.MinEnergy, Mode: FixedArch, Parallel: 1},
 			stats: Stats{ClassesL1: 5, ClassesSRAM: 5, PairsSolved: 25,
-				Candidates: 20208, NewtonIters: 1394, FreshSolves: 25},
-			gpObjective: 0x41b509a74f8bbcd5, // 352954191.5458501
+				Candidates: 20208, NewtonIters: 1260, FreshSolves: 25},
+			gpObjective: 0x41b509a72fbc43bc, // 352954159.73540854
 			energy:      0x41b509ec000e17c6, // 27.479193244081635 pJ/MAC
 			cycles:      0x40f8800000000000, // 100352
 		},
@@ -50,8 +60,8 @@ func TestGoldenIterates(t *testing.T) {
 			layer: "resnet18_L10",
 			opts:  Options{Criterion: model.MinDelay, Mode: CoDesign, Parallel: 1},
 			stats: Stats{ClassesL1: 17, ClassesSRAM: 10, PairsSolved: 85,
-				Candidates: 103445, NewtonIters: 6704, FreshSolves: 85},
-			gpObjective: 0x4103a50001079f7b, // 160928.0005028209
+				Candidates: 103445, NewtonIters: 4915, FreshSolves: 85},
+			gpObjective: 0x4103a50001ba2f89, // 160928.00084340226
 			energy:      0x41be2d4efc49e2f2, // 506285820.28861916 pJ
 			cycles:      0x4103a50000000000, // 160928: IPC 359.1839331875124
 		},

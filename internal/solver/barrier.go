@@ -51,25 +51,37 @@ type Problem struct {
 	Beq []float64
 }
 
+// The interior-point method's fixed settings.
+const (
+	// defaultTol is the target duality gap m/t when Options.Tol is 0.
+	defaultTol = 1e-8
+	// newtonTol is the Newton-decrement²/2 tolerance of a centering.
+	newtonTol = 1e-10
+	// mu multiplies t between centerings.
+	mu = 20
+	// maxNewton bounds the Newton iterations of one centering.
+	maxNewton = 200
+	// maxCentering bounds the outer barrier updates.
+	maxCentering = 100
+	// maxBacktracks bounds the halvings of one line search.
+	maxBacktracks = 60
+	// boxBound bounds every coordinate, |y_i| ≤ boxBound, added as
+	// constraints: generous for log-space trip counts, and it keeps
+	// phase I bounded when the feasible set is unbounded.
+	boxBound = 60
+)
+
 // Options tunes the interior-point method. Zero values select defaults.
 type Options struct {
 	// Tol is the target duality gap m/t. Default 1e-8.
 	Tol float64
-	// NewtonTol is the Newton-decrement^2/2 tolerance per centering step.
-	// Default 1e-10.
-	NewtonTol float64
-	// Mu is the barrier parameter multiplier. Default 20.
-	Mu float64
-	// T0 is the initial barrier parameter. Default 1.
-	T0 float64
-	// MaxNewton bounds Newton iterations per centering step. Default 200.
-	MaxNewton int
-	// MaxCentering bounds outer barrier updates. Default 100.
-	MaxCentering int
-	// Box bounds every coordinate: |y_i| ≤ Box, added as constraints.
-	// This keeps phase I bounded when the feasible set is unbounded.
-	// Default 60 (generous for log-space trip counts); negative disables.
-	Box float64
+	// LowerBound is a lower bound on exp(f0) over the feasible set: on
+	// the objective of the GP in its positive variables. Phase II starts
+	// its barrier path at the duality gap this bound certifies at its
+	// starting point z, t0 = m / (f0(z) − log LowerBound), clamped as
+	// startT says. Zero means no bound and starts at t0 = 1, as does a
+	// bound that is negative, NaN, +Inf or above f0(z).
+	LowerBound float64
 	// Obs receives solver telemetry: phase spans, Newton-iteration and
 	// line-search-backtrack counters, and Trace-level stall diagnostics.
 	// Nil disables all of it at the cost of a few nil checks.
@@ -89,31 +101,6 @@ type Options struct {
 	// solver.warmstart.hit / solver.warmstart.miss counters (hit means
 	// the hint was already strictly feasible, so phase I was skipped).
 	WarmStart bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.Tol == 0 {
-		o.Tol = 1e-8
-	}
-	if o.NewtonTol == 0 {
-		o.NewtonTol = 1e-10
-	}
-	if o.Mu == 0 {
-		o.Mu = 20
-	}
-	if o.T0 == 0 {
-		o.T0 = 1
-	}
-	if o.MaxNewton == 0 {
-		o.MaxNewton = 200
-	}
-	if o.MaxCentering == 0 {
-		o.MaxCentering = 100
-	}
-	if o.Box == 0 {
-		o.Box = 60
-	}
-	return o
 }
 
 // Result reports the solution of a Solve call, including the
@@ -139,7 +126,9 @@ type Result struct {
 // the equality manifold; pass nil for the origin). The returned point is
 // strictly feasible unless Status == Infeasible.
 func Solve(p *Problem, yHint []float64, opts Options) (Result, error) {
-	opts = opts.withDefaults()
+	if opts.Tol == 0 {
+		opts.Tol = defaultTol
+	}
 	o := opts.Obs
 	span := o.StartSpan(opts.Span, "solve")
 	opts.Span = span // parent for the phase spans
@@ -207,7 +196,7 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	if p.Aeq != nil && p.Aeq.Rows > 0 && (p.Aeq.Cols != p.N || len(p.Beq) != p.Aeq.Rows) {
 		return Result{}, fmt.Errorf("%w: equality dimensions", ErrBadProblem)
 	}
-	yPart, zBasis, box, elimErr := ws.eliminate(p, opts.Box)
+	yPart, zBasis, box, elimErr := ws.eliminate(p)
 	if elimErr != nil {
 		return Result{Status: Infeasible}, nil
 	}
@@ -274,50 +263,42 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 		}
 	}
 
-	// Phase II: barrier path following.
+	// Phase II: barrier path following. The box constraints make m at
+	// least 2·N, so every solve has a barrier.
 	ph2 := opts.Obs.StartSpan(opts.Span, "phase-ii")
 	ph2Newton := totalNewton
-	m := fs.count() - 1
-	t := opts.T0
+	m := float64(fs.count() - 1)
+	t := startT(m, fs.value(0, z), opts)
 	centerings := 0
 	status := Optimal
 	finalGap := 0.0
 	emit := opts.Obs.EventsEnabled()
-	if m == 0 {
-		// Unconstrained: single Newton minimization of the objective.
-		n, _, converged := newtonMinimize(ws, fs, 1, z, opts, nil)
+	for centerings < maxCentering {
+		n, bt, converged := newtonMinimize(ws, fs, t, z, opts, nil)
 		totalNewton += n
+		centerings++
 		if !converged {
 			status = Suboptimal
 		}
-	} else {
-		for centerings < opts.MaxCentering {
-			n, bt, converged := newtonMinimize(ws, fs, t, z, opts, nil)
-			totalNewton += n
-			centerings++
-			if !converged {
-				status = Suboptimal
-			}
-			gap := float64(m) / t
-			finalGap = gap
-			if emit {
-				opts.Obs.Emit(&obs.Centering{
-					Step:       centerings,
-					T:          t,
-					Gap:        gap,
-					Newton:     n,
-					Backtracks: bt,
-					Converged:  converged,
-				})
-			}
-			if gap < opts.Tol {
-				break
-			}
-			t *= opts.Mu
+		gap := m / t
+		finalGap = gap
+		if emit {
+			opts.Obs.Emit(&obs.Centering{
+				Step:       centerings,
+				T:          t,
+				Gap:        gap,
+				Newton:     n,
+				Backtracks: bt,
+				Converged:  converged,
+			})
 		}
-		if float64(m)/t >= opts.Tol {
-			status = Suboptimal
+		if gap < opts.Tol {
+			break
 		}
+		t *= mu
+	}
+	if m/t >= opts.Tol {
+		status = Suboptimal
 	}
 	if ph2 != nil {
 		ph2.Annotate(obs.Int("newton", totalNewton-ph2Newton), obs.Int("centerings", centerings))
@@ -336,16 +317,41 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	}, nil
 }
 
-// boxConstraints returns the 2n constraints |y_i| ≤ box.
-func boxConstraints(n int, box float64) []LSE {
+// startT returns phase II's initial barrier parameter: m over the
+// duality gap that opts.LowerBound certifies at the starting point,
+// f0 − log LowerBound, where f0 is the objective there (Boyd &
+// Vandenberghe §11.3.1), clamped to [1, m/(√mu·Tol)].
+//
+// The upper end keeps the last centering starting from a central point.
+// A start at m/Tol would center twice anyway, since m/t = Tol does not
+// pass the strict stop: the first time from the uncentered start at the
+// path's largest t, where the barrier value is largest and its rounding
+// can outweigh the Newton decrement (2 of the 254 such solves of the
+// fixed-delay sweep over the Table II layers wandered for a whole
+// maxNewton budget there). From m/(√mu·Tol) the path also stops after
+// two centerings, the second at gap Tol/√mu.
+//
+// The clamp also decides every degenerate bound: a gap of zero or below
+// Tol starts at the upper end; a bound of zero (none), +Inf or above f0
+// gives a gap of +Inf or below zero and starts at 1, as does a NaN gap.
+func startT(m, f0 float64, opts Options) float64 {
+	gap := f0 - math.Log(opts.LowerBound)
+	if math.IsNaN(gap) {
+		return 1
+	}
+	return max(1, min(m/gap, m/(math.Sqrt(mu)*opts.Tol)))
+}
+
+// boxConstraints returns the 2n constraints |y_i| ≤ boxBound.
+func boxConstraints(n int) []LSE {
 	out := make([]LSE, 0, 2*n)
 	for i := 0; i < n; i++ {
 		hi := make([]float64, n)
 		hi[i] = 1
-		out = append(out, Linear(hi, -box))
+		out = append(out, Linear(hi, -boxBound))
 		lo := make([]float64, n)
 		lo[i] = -1
-		out = append(out, Linear(lo, -box))
+		out = append(out, Linear(lo, -boxBound))
 	}
 	return out
 }
@@ -407,15 +413,17 @@ func phaseI(ws *Workspace, z0 []float64, opts Options) ([]float64, bool, int) {
 	copy(x, z0)
 	x[dim-1] = fs.maxIneq(z0) + 1
 
+	// Start the path at m/s0: the slack's distance to the stopping
+	// point s < 0 is the duality gap phase I has to close.
+	m := float64(ext.count() - 1)
+	t := max(1, m/x[dim-1])
 	total := 0
-	t := opts.T0
 	// Stop a centering step as soon as the slack is clearly negative and
 	// the underlying point is strictly feasible.
 	stop := func(x []float64) bool {
 		return x[dim-1] < -1e-6 && fs.maxIneq(x[:nz]) <= 0
 	}
-	m := ext.count() - 1
-	for c := 0; c < opts.MaxCentering; c++ {
+	for c := 0; c < maxCentering; c++ {
 		n, _, _ := newtonMinimize(ws, ext, t, x, opts, stop)
 		total += n
 		if x[dim-1] < -1e-7 {
@@ -424,10 +432,10 @@ func phaseI(ws *Workspace, z0 []float64, opts Options) ([]float64, bool, int) {
 				return out, true, total
 			}
 		}
-		if float64(m)/t < opts.Tol {
+		if m/t < opts.Tol {
 			break
 		}
-		t *= opts.Mu
+		t *= mu
 	}
 	out := append([]float64(nil), x[:nz]...)
 	return out, fs.maxIneq(out) <= 0, total
@@ -529,7 +537,7 @@ func newtonMinimize(ws *Workspace, fs *sparseLSEs, t float64, z []float64, opts 
 	negG := growF(&ws.negG, n)
 	dir := growF(&ws.dir, n)
 	var val, lambda2 float64
-	for it := 0; it < opts.MaxNewton; it++ {
+	for it := 0; it < maxNewton; it++ {
 		var ok bool
 		val, ok = eval(z, true)
 		if !ok {
@@ -552,41 +560,37 @@ func newtonMinimize(ws *Workspace, fs *sparseLSEs, t float64, z []float64, opts 
 			d = negG
 			lambda2 = linalg.Dot(g, g)
 		}
-		if lambda2/2 <= opts.NewtonTol {
-			return it + 1, bt, true
-		}
-		// The Armijo test at step 1 asks for a decrease of 0.25·λ². Once
-		// that is below float64's resolution of val, the line search
-		// compares values that differ only by rounding: the point is as
-		// centered as this precision can tell, the same verdict a
-		// stalled line search reaches after 60 halvings.
-		if 0.25*lambda2 <= math.Abs(val)*0x1p-52 {
+		if lambda2/2 <= newtonTol {
 			return it + 1, bt, true
 		}
 		// Backtracking line search (Armijo, alpha=0.25, beta=0.5), with
-		// implicit feasibility filtering via +Inf values.
+		// implicit feasibility filtering via +Inf values. The Armijo test
+		// at a step asks for a decrease of 0.25·step·λ². Once that is
+		// below float64's resolution of val, val minus it rounds to val,
+		// and the test compares values that differ only by rounding: a
+		// trial that changes nothing passes. The point is then as
+		// centered as this precision can tell, at the first step or after
+		// halvings, the same verdict a line search that fails
+		// maxBacktracks times reaches.
 		step := 1.0
-		improved := false
-		for ls := 0; ls < 60; ls++ {
+		for ls := 0; ; ls++ {
+			if ls == maxBacktracks || 0.25*step*lambda2 <= math.Abs(val)*0x1p-52 {
+				bt += ls
+				backtracks.Add(int64(ls))
+				if ls == maxBacktracks && log.Enabled(obs.Trace) {
+					log.Tracef("solver: line search stalled at iter %d t=%g val=%g lambda2=%g", it, t, val, lambda2)
+				}
+				return it + 1, bt, true
+			}
 			copy(zTrial, z)
 			linalg.AXPY(step, d, zTrial)
 			if tv, tok := eval(zTrial, false); tok && tv <= val-0.25*step*lambda2 {
 				copy(z, zTrial)
-				improved = true
 				bt += ls
 				backtracks.Add(int64(ls))
 				break
 			}
 			step *= 0.5
-		}
-		if !improved {
-			bt += 60
-			backtracks.Add(60)
-			// No progress possible at machine precision.
-			if log.Enabled(obs.Trace) {
-				log.Tracef("solver: line search stalled at iter %d t=%g val=%g lambda2=%g", it, t, val, lambda2)
-			}
-			return it + 1, bt, true
 		}
 		if stop != nil && stop(z) {
 			return it + 1, bt, true
@@ -594,7 +598,7 @@ func newtonMinimize(ws *Workspace, fs *sparseLSEs, t float64, z []float64, opts 
 	}
 	if log.Enabled(obs.Trace) {
 		log.Tracef("solver: newton budget of %d iterations exhausted t=%g lambda2/2=%g |val|=%g",
-			opts.MaxNewton, t, lambda2/2, math.Abs(val))
+			maxNewton, t, lambda2/2, math.Abs(val))
 	}
-	return opts.MaxNewton, bt, false
+	return maxNewton, bt, false
 }

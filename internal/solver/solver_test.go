@@ -401,13 +401,21 @@ func TestSolveTinyGP(t *testing.T) {
 
 // TestSolveStopsAtFloat64Resolution solves a GP whose objective carries
 // a constant factor of 1e300, so the t-scaled barrier value is large and
-// the Newton decrement stays above NewtonTol long after the Armijo
+// the Newton decrement stays above newtonTol long after the Armijo
 // decrease it predicts drops below float64's resolution of that value.
 // The line search then only compares rounding noise: without the
-// resolution stop a centering spends its whole MaxNewton budget there
+// resolution stop a centering spends its whole maxNewton budget there
 // and the solve ends Suboptimal. It must end Optimal in fewer Newton
 // iterations than one centering's budget, at the optimum of the
 // unscaled problem shifted by log(1e300).
+//
+// A test at step 1 alone is not enough. When 0.25·λ² lies just above
+// the resolution, the Armijo test at step 1 fails on rounding, and after
+// some halvings val − 0.25·step·λ² rounds to val: a trial that changes
+// nothing then passes, and the next Newton iteration repeats it until
+// the budget is spent. The random GPs of the second part (drawn by
+// randGP) reach that point; the line search must end there, at
+// whatever step, with the same verdict.
 func TestSolveStopsAtFloat64Resolution(t *testing.T) {
 	gp := func(offset float64) *Problem {
 		rng := rand.New(rand.NewSource(0))
@@ -435,20 +443,34 @@ func TestSolveStopsAtFloat64Resolution(t *testing.T) {
 		}
 		return p
 	}
-	opts := Options{}.withDefaults()
-	ref, err := Solve(gp(0), nil, opts)
+	ref, err := Solve(gp(0), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := Solve(gp(math.Log(1e300)), nil, opts)
+	big, err := Solve(gp(math.Log(1e300)), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.Status != Optimal || big.Newton >= opts.MaxNewton {
-		t.Fatalf("status %v after %d Newton iterations (budget %d per centering)", big.Status, big.Newton, opts.MaxNewton)
+	if big.Status != Optimal || big.Newton >= maxNewton {
+		t.Fatalf("status %v after %d Newton iterations (budget %d per centering)", big.Status, big.Newton, maxNewton)
 	}
 	if d := big.Objective - ref.Objective - math.Log(1e300); math.Abs(d) > 1e-7 {
 		t.Errorf("objective %v, want the unscaled optimum %v + log(1e300) (off by %g)", big.Objective, ref.Objective, d)
+	}
+
+	for _, c := range []struct {
+		seed int64
+		n    int
+	}{{48, 4}, {151, 4}, {17, 6}, {131, 6}} {
+		p := randGP(rand.New(rand.NewSource(c.seed)), c.n, 6, c.n)
+		res, err := Solve(p, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != Optimal || res.Newton >= maxNewton {
+			t.Errorf("randGP(%d, %d): status %v after %d Newton iterations (budget %d per centering)",
+				c.seed, c.n, res.Status, res.Newton, maxNewton)
+		}
 	}
 }
 

@@ -22,11 +22,10 @@ type Workspace struct {
 	// nullspace elimination) shared by every solve on this workspace.
 	Lin linalg.Workspace
 
-	// Equality-elimination cache, keyed by problem dimension, equality
-	// content, and box bound.
+	// Equality-elimination cache, keyed by problem dimension and
+	// equality content.
 	eqValid   bool
 	cachedN   int
-	cachedBox float64
 	cachedAeq *linalg.Dense // deep copy; nil means "no equalities"
 	cachedBeq []float64
 	yPart     []float64
@@ -91,12 +90,12 @@ func sameFloats(a, b []float64) bool {
 
 // eliminate returns the equality elimination for p — the particular
 // solution yPart, nullspace basis zBasis, and the box constraints
-// |y_i| ≤ box composed against that basis — from cache when p carries
-// the same equalities, dimension, and box bound as the previous solve.
+// |y_i| ≤ boxBound composed against that basis — from cache when p
+// carries the same equalities and dimension as the previous solve.
 // The returned values are workspace-owned and must be treated read-only.
-func (ws *Workspace) eliminate(p *Problem, box float64) (yPart []float64, zBasis *linalg.Dense, boxFns *sparseLSEs, err error) {
+func (ws *Workspace) eliminate(p *Problem) (yPart []float64, zBasis *linalg.Dense, boxFns *sparseLSEs, err error) {
 	hasEq := p.Aeq != nil && p.Aeq.Rows > 0
-	if ws.eqValid && ws.cachedN == p.N && sameBox(ws.cachedBox, box) {
+	if ws.eqValid && ws.cachedN == p.N {
 		switch {
 		case !hasEq && ws.cachedAeq == nil:
 			return ws.yPart, ws.zBasis, &ws.box, nil
@@ -136,21 +135,12 @@ func (ws *Workspace) eliminate(p *Problem, box float64) (yPart []float64, zBasis
 	// Compose the box constraints once per cache fill; every solve that
 	// hits the cache reuses them read-only.
 	ws.box.reset(ws.zBasis.Cols)
-	if box > 0 {
-		raw := boxConstraints(p.N, box)
-		row := growF(&ws.row, ws.zBasis.Cols)
-		for i := range raw {
-			ws.box.compose(&raw[i], ws.yPart, ws.zBasis, row)
-		}
+	raw := boxConstraints(p.N)
+	row := growF(&ws.row, ws.zBasis.Cols)
+	for i := range raw {
+		ws.box.compose(&raw[i], ws.yPart, ws.zBasis, row)
 	}
 	ws.cachedN = p.N
-	ws.cachedBox = box
 	ws.eqValid = true
 	return ws.yPart, ws.zBasis, &ws.box, nil
-}
-
-// sameBox compares box bounds for cache keying.
-func sameBox(a, b float64) bool {
-	// Exact float compare on purpose: the box bound is a configuration constant, compared for identity.
-	return a == b
 }
