@@ -27,7 +27,7 @@ test:
 # and the core whole-network batch. Same
 # package list as scripts/check.sh's race leg.
 race:
-	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/model/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/... ./internal/hierarchy/...
+	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/model/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
 
 # The full pre-merge gate: scripts/check.sh runs gofmt, build, vet,
 # lint, the short tests, four fuzz legs, the bench/ smoke test, the

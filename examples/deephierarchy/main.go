@@ -2,8 +2,11 @@
 // of tiling levels"; this example exercises that generality on a
 // four-level memory (DRAM → shared SRAM → per-PE scratchpad →
 // registers) that the paper's three-level evaluation never touches. The
-// optimizer solves one geometric program per combination of permutation
-// classes across all three copy levels and prints the winning tiling.
+// scratchpad is an intermediate buffer of the architecture
+// (arch.Arch.Mid), and core.Optimize runs the same flow as at depth 2:
+// one geometric program per combination of permutation classes across
+// all three copy levels, for each placement of the kernel loops, then
+// the integer search. It prints the winning tiling.
 //
 // Run with:
 //
@@ -17,7 +20,7 @@ import (
 	"os"
 
 	"repro/internal/arch"
-	"repro/internal/hierarchy"
+	"repro/internal/core"
 	"repro/internal/loopnest"
 )
 
@@ -42,48 +45,42 @@ func run(w io.Writer) error {
 	// Four-level memory: small register files, a 2K-word per-PE
 	// scratchpad (absorbing reuse the registers cannot), and the shared
 	// SRAM. Energy constants follow the paper's Eq. 4 shapes.
-	e := arch.Eyeriss()
-	cfg := &hierarchy.Config{
-		Buffers: []hierarchy.BufferSpec{
-			{Name: "registers", Words: 48, Energy: e.Tech.SigmaR * 48, BW: 4},
-			{Name: "spad", Words: 2048, Energy: e.Tech.SigmaS * 45, BW: 8}, // σ_S·√2048
-			{Name: "sram", Words: 65536, Energy: e.SRAMEnergy(), BW: 80},
-		},
-		SpatialAfter: 1, // registers + spad are per-PE
-		PEs:          256,
-		DRAMEnergy:   e.Tech.EnergyDRAM,
-		DRAMBW:       e.Tech.BWDRAM,
-		MACEnergy:    e.Tech.EnergyMAC,
+	a := arch.Eyeriss()
+	a.Name = "deep"
+	a.Regs = 48
+	a.PEs = 256
+	a.Mid = []arch.Buffer{
+		{Name: "spad", Words: 2048, Energy: a.Tech.SigmaS * 45, BW: 8, PerPE: true}, // σ_S·√2048
 	}
-	for _, b := range cfg.Buffers {
+	fmt.Fprintf(w, "buffer %-10s %6d words, %.3f pJ/word\n", "registers", a.Regs, a.RegEnergy())
+	for _, b := range a.Mid {
 		fmt.Fprintf(w, "buffer %-10s %6d words, %.3f pJ/word\n", b.Name, b.Words, b.Energy)
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "buffer %-10s %6d words, %.3f pJ/word\n\n", "sram", a.SRAM, a.SRAMEnergy())
 
-	design, err := hierarchy.OptimizeEnergy(prob, cfg)
+	res, err := core.Optimize(prob, core.Options{Arch: &a})
 	if err != nil {
 		return err
 	}
+	design, st := res.Best, res.Stats
 	fmt.Fprintf(w, "optimized energy: %.3f pJ/MAC (GP bound %.3f) across %d permutation-class combos\n",
-		design.Report.EnergyPerMAC, design.GPObjective/float64(prob.Ops()), design.Combos)
+		design.Report.EnergyPerMAC, design.GPObjective/float64(prob.Ops()), st.PairsSolved+st.Pruned)
+	fmt.Fprintf(w, "kernel loops: %v\n", design.NestOptions.RS)
 	fmt.Fprintf(w, "delay: %.4g cycles (IPC %.1f with %d PEs)\n\n",
 		design.Report.Cycles, design.Report.IPC, design.Report.PEsUsed)
 
+	trips := design.Mapping.Trips
 	names := []string{"register tile", "reg-tile loops", "spad-tile loops", "PE grid", "SRAM-tile loops"}
 	for li, name := range names {
 		fmt.Fprintf(w, "%-18s", name)
 		for it, iter := range prob.Iters {
-			trip := int64(1)
-			if li < len(design.Trips) && it < len(design.Trips[li]) && design.Trips[li][it] > 0 {
-				trip = design.Trips[li][it]
-			}
-			if trip > 1 {
-				fmt.Fprintf(w, "  %s=%d", iter.Name, trip)
+			if trips[li][it] > 1 {
+				fmt.Fprintf(w, "  %s=%d", iter.Name, trips[li][it])
 			}
 		}
 		fmt.Fprintln(w)
 	}
 	_, err = fmt.Fprintf(w, "\nboundary traffic (words): registers %.3g, spad %.3g, sram %.3g\n",
-		design.Report.Traffic[0], design.Report.Traffic[1], design.Report.Traffic[2])
+		design.Report.TrafficSR, design.Report.Mid[0].Traffic, design.Report.TrafficDS)
 	return err
 }

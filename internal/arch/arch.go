@@ -64,13 +64,30 @@ func Tech45nm() Tech {
 }
 
 // Arch is a concrete accelerator configuration: P processing elements,
-// R registers per PE, and an SRAM scratchpad of S words.
+// R registers per PE, and an SRAM scratchpad of S words, with optional
+// buffers between the registers and the SRAM.
 type Arch struct {
 	Name string
 	PEs  int64 // P
 	Regs int64 // R, words per PE
 	SRAM int64 // S, words (shared scratchpad)
 	Tech Tech
+	// Mid lists the buffers between the register file and the SRAM,
+	// innermost first. The per-PE ones come first (see Validate); the
+	// PE grid sits above the last of them. Nil is the paper's
+	// three-level memory.
+	Mid []Buffer `json:",omitempty"`
+}
+
+// Buffer is one on-chip buffer between the register file and the SRAM.
+type Buffer struct {
+	Name   string
+	Words  int64   // capacity in words, per instance
+	Energy float64 // pJ per word access
+	BW     float64 // words per cycle, per instance
+	// PerPE makes the buffer private to each PE, like the registers;
+	// otherwise one instance is shared by all PEs, like the SRAM.
+	PerPE bool
 }
 
 // Validate checks that the configuration is physically meaningful.
@@ -78,7 +95,28 @@ func (a *Arch) Validate() error {
 	if a.PEs < 1 || a.Regs < 1 || a.SRAM < 1 {
 		return fmt.Errorf("%w: P=%d R=%d S=%d", ErrBadArch, a.PEs, a.Regs, a.SRAM)
 	}
+	for i, b := range a.Mid {
+		if b.Words < 1 || b.Energy < 0 || b.BW <= 0 {
+			return fmt.Errorf("%w: buffer %s: %d words, %g pJ/word, %g words/cycle", ErrBadArch, b.Name, b.Words, b.Energy, b.BW)
+		}
+		if b.PerPE && i > 0 && !a.Mid[i-1].PerPE {
+			return fmt.Errorf("%w: per-PE buffer %s above shared buffer %s", ErrBadArch, b.Name, a.Mid[i-1].Name)
+		}
+	}
 	return nil
+}
+
+// SpatialAfter returns the index, in the memory's buffers innermost
+// first (registers, then Mid), of the last buffer private to each PE:
+// the PE grid sits between it and the next buffer out.
+func (a *Arch) SpatialAfter() int {
+	n := 0
+	for _, b := range a.Mid {
+		if b.PerPE {
+			n++
+		}
+	}
+	return n
 }
 
 // RegEnergy returns the per-access register-file energy ε_R = σ_R·R (pJ).

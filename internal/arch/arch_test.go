@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -60,14 +61,15 @@ func TestEyerissArea(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	bad := []Arch{
-		{PEs: 0, Regs: 1, SRAM: 1},
-		{PEs: 1, Regs: 0, SRAM: 1},
-		{PEs: 1, Regs: 1, SRAM: 0},
+	bad := map[string]Arch{
+		"empty":        {},
+		"no PEs":       {PEs: 0, Regs: 1, SRAM: 1},
+		"no registers": {PEs: 1, Regs: 0, SRAM: 1},
+		"no SRAM":      {PEs: 1, Regs: 1, SRAM: 0},
 	}
-	for _, a := range bad {
-		if err := a.Validate(); err == nil {
-			t.Fatalf("Validate(%+v) should fail", a)
+	for name, a := range bad {
+		if err := a.Validate(); !errors.Is(err, ErrBadArch) {
+			t.Errorf("%s: Validate(%+v) = %v, want ErrBadArch", name, a, err)
 		}
 	}
 	good := Arch{PEs: 1, Regs: 1, SRAM: 1, Tech: Tech45nm()}
@@ -76,6 +78,52 @@ func TestValidate(t *testing.T) {
 	}
 	if good.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// The buffers between the registers and the global SRAM: each needs
+// words, bandwidth and a non-negative energy, and the per-PE ones must
+// form a prefix of the list.
+func TestValidateBuffers(t *testing.T) {
+	spad := Buffer{Name: "spad", Words: 2048, Energy: 0.8, BW: 8, PerPE: true}
+	buf := Buffer{Name: "l2", Words: 8192, Energy: 1.6, BW: 16}
+	with := func(mid ...Buffer) Arch { return Arch{PEs: 1, Regs: 1, SRAM: 1, Tech: Tech45nm(), Mid: mid} }
+	zeroWords, negEnergy, zeroBW := spad, spad, spad
+	zeroWords.Words = 0
+	negEnergy.Energy = -1
+	zeroBW.BW = 0
+	bad := map[string]Arch{
+		"buffer of no words":    with(zeroWords),
+		"negative energy":       with(negEnergy),
+		"no bandwidth":          with(zeroBW),
+		"per-PE above shared":   with(buf, spad),
+		"per-PE between shared": with(spad, buf, spad),
+	}
+	for name, a := range bad {
+		if err := a.Validate(); !errors.Is(err, ErrBadArch) {
+			t.Errorf("%s: Validate(%+v) = %v, want ErrBadArch", name, a, err)
+		}
+	}
+	good := map[string]Arch{
+		"paper":         with(),
+		"per-PE":        with(spad),
+		"shared":        with(buf),
+		"per-PE prefix": with(spad, spad, buf, buf),
+	}
+	for name, a := range good {
+		if err := a.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if a.String() == "" {
+			t.Fatal("empty String")
+		}
+	}
+	deep, paper := with(spad, spad, buf), with()
+	if got := deep.SpatialAfter(); got != 2 {
+		t.Errorf("SpatialAfter with two per-PE buffers = %d, want 2", got)
+	}
+	if got := paper.SpatialAfter(); got != 0 {
+		t.Errorf("SpatialAfter of the paper's memory = %d, want 0", got)
 	}
 }
 

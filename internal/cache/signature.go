@@ -90,8 +90,8 @@ type Key struct {
 	// Problem is hashed in canonical form (see package comment). May be
 	// nil when the component does not solve a loop-nest problem.
 	Problem *loopnest.Problem
-	// Arch is hashed without its Name; all technology constants are
-	// included. May be nil.
+	// Arch is hashed without its Name (or its buffers' names); all
+	// technology constants are included. May be nil.
 	Arch *arch.Arch
 	// Criterion is the optimization objective.
 	Criterion model.Criterion
@@ -297,4 +297,17 @@ func (w *hasher) arch(a *arch.Arch) {
 	w.f64("tech.bw_sram", t.BWSRAM)
 	w.f64("tech.bw_reg", t.BWReg)
 	w.i64("tech.word_bits", int64(t.WordBits))
+	// The intermediate buffers, without their names, only when there
+	// are some: a three-level memory hashes as it did before they
+	// existed.
+	if len(a.Mid) == 0 {
+		return
+	}
+	w.i64("arch.mid", int64(len(a.Mid)))
+	for _, b := range a.Mid {
+		w.i64("mid.words", b.Words)
+		w.f64("mid.energy", b.Energy)
+		w.f64("mid.bw", b.BW)
+		w.bool("mid.per_pe", b.PerPE)
+	}
 }

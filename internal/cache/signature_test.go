@@ -234,3 +234,42 @@ func TestSignatureCrossLayerDedup(t *testing.T) {
 		t.Error("different-shape layers must not share a signature")
 	}
 }
+
+// TestSignatureIntermediateBuffers: an architecture's intermediate
+// buffers are semantics, each of their figures, but not their names;
+// adding one changes the signature, and a key without any hashes as the
+// paper's memory always has (TestSignatureSemanticChanges' base).
+func TestSignatureIntermediateBuffers(t *testing.T) {
+	withMid := func(b arch.Buffer) Key {
+		k := baseKey(t)
+		a := *k.Arch
+		a.Mid = []arch.Buffer{b}
+		k.Arch = &a
+		return k
+	}
+	spad := arch.Buffer{Name: "spad", Words: 2048, Energy: 0.8, BW: 8, PerPE: true}
+	base := withMid(spad).Signature()
+	if base == baseKey(t).Signature() {
+		t.Error("adding an intermediate buffer left the signature unchanged")
+	}
+	renamed := spad
+	renamed.Name = "scratchpad"
+	if withMid(renamed).Signature() != base {
+		t.Error("renaming an intermediate buffer changed the signature")
+	}
+	seen := map[Signature]string{base: "base"}
+	for label, change := range map[string]func(*arch.Buffer){
+		"words":  func(b *arch.Buffer) { b.Words = 4096 },
+		"energy": func(b *arch.Buffer) { b.Energy = 0.9 },
+		"bw":     func(b *arch.Buffer) { b.BW = 16 },
+		"per-PE": func(b *arch.Buffer) { b.PerPE = false },
+	} {
+		b := spad
+		change(&b)
+		sig := withMid(b).Signature()
+		if prev, dup := seen[sig]; dup {
+			t.Errorf("a buffer %s change collides with %s", label, prev)
+		}
+		seen[sig] = label
+	}
+}

@@ -118,7 +118,7 @@ func TestOptimizeCacheIdenticalResults(t *testing.T) {
 		if !reflect.DeepEqual(off.Best.Mapping, tc.got.Best.Mapping) {
 			t.Errorf("%s: mapping differs", tc.name)
 		}
-		if off.Best.Arch != tc.got.Best.Arch {
+		if !reflect.DeepEqual(off.Best.Arch, tc.got.Best.Arch) {
 			t.Errorf("%s: arch differs: %v vs %v", tc.name, off.Best.Arch, tc.got.Best.Arch)
 		}
 	}
@@ -183,6 +183,33 @@ func TestOptimizeCacheIdenticalResults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&want, fromOld) {
 		t.Errorf("record with the retired nest options: result differs from the cold one:\n%+v\n%+v", fromOld, &want)
+	}
+
+	// A design on a four-level memory (registers, a per-PE scratchpad,
+	// SRAM) round-trips through its disk record too: its mapping has
+	// the five levels of its architecture's nest.
+	deep := base
+	da := deep3()
+	deep.Arch = &da
+	deepDir := t.TempDir()
+	deep.Cache = NewSolveCache(cache.Options{Dir: deepDir})
+	coldDeep, err := Optimize(p, deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep.Cache = NewSolveCache(cache.Options{Dir: deepDir})
+	deepFromDisk, err := Optimize(p, deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := deep.Cache.Stats(); st.DiskHits != 1 || st.CorruptSkipped != 0 {
+		t.Fatalf("depth-3 record: %+v, want one disk hit", st)
+	}
+	wantDeep := *coldDeep
+	wantDeep.Stats.FreshSolves = 0
+	wantDeep.Stats.FromCache = true
+	if !reflect.DeepEqual(&wantDeep, deepFromDisk) {
+		t.Errorf("depth-3 disk-tier result differs from the cold one:\n%+v\n%+v", deepFromDisk, &wantDeep)
 	}
 }
 

@@ -34,6 +34,10 @@ import (
 // ErrNoDesign is returned when no feasible design point was found.
 var ErrNoDesign = pipeline.ErrNoDesign
 
+// ErrDeepCoDesign is returned for a co-design run on an architecture
+// with intermediate buffers (arch.Arch.Mid).
+var ErrDeepCoDesign = pipeline.ErrDeepCoDesign
+
 // Mode selects between dataflow-only optimization on a fixed architecture
 // and full architecture-dataflow co-design.
 type Mode = pipeline.Mode
@@ -314,10 +318,11 @@ func optimize(ctx context.Context, p *loopnest.Problem, opts Options, sig cache.
 // EvaluateOn re-evaluates a design point's mapping on a different
 // architecture (used by the single-architecture-for-all-layers
 // experiments, where a layer's mapping must be re-optimized for a fixed
-// architecture chosen from another layer). The nest is rebuilt from the
-// design point's recorded options.
+// architecture chosen from another layer). The nest is rebuilt on a
+// with the design point's kernel-loop placement, so a must have the
+// buffers of the design's architecture (Arch.Mid) in number and kind.
 func EvaluateOn(p *loopnest.Problem, a *arch.Arch, dp *DesignPoint) (*model.Report, error) {
-	nest, err := dataflow.StandardNest(p, dp.NestOptions)
+	nest, err := pipeline.BuildNest(p, a, dp.NestOptions.RS)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +333,7 @@ func EvaluateOn(p *loopnest.Problem, a *arch.Arch, dp *DesignPoint) (*model.Repo
 // NestFor rebuilds the nest a design point's mapping refers to (for spec
 // export or inspection).
 func NestFor(p *loopnest.Problem, dp *DesignPoint) (*dataflow.Nest, error) {
-	return dataflow.StandardNest(p, dp.NestOptions)
+	return pipeline.BuildNest(p, &dp.Arch, dp.NestOptions.RS)
 }
 
 // SolveCache memoizes complete Optimize results keyed by content

@@ -140,7 +140,8 @@ func TestCorruptDiskRecordIsMiss(t *testing.T) {
 // of a fixed solve signature. Decoding must never panic, and a hit must
 // only ever return a usable design (see Result.Usable). The seeds are a
 // real record, the same record with "value": null and {}, and with its
-// mapping's trips [].
+// mapping's trips [], and a real record of a design on a four-level
+// memory.
 func FuzzDiskRecord(f *testing.F) {
 	p, opts := diskRecordProblem()
 	_, good := solveRecord(f, p, opts)
@@ -148,6 +149,11 @@ func FuzzDiskRecord(f *testing.F) {
 	f.Add(withValue(f, good, "null"))
 	f.Add(withValue(f, good, "{}"))
 	f.Add(withTrips(f, good, "[]"))
+	deep := opts
+	da := deep3()
+	deep.Arch = &da
+	_, deepRecord := solveRecord(f, p, deep)
+	f.Add(deepRecord)
 	sig := SolveSignature(p, opts)
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, record []byte) {

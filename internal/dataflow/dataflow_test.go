@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"errors"
+	"maps"
 	"slices"
 	"testing"
 
@@ -399,6 +400,67 @@ func TestStandardNestRSAtLevel1(t *testing.T) {
 	}
 	if n.Levels[StandardLevelL1].Fixed[loopnest.ConvR] != 3 {
 		t.Fatal("r should be fixed to its extent at L1")
+	}
+}
+
+// TestStandardNestIsFig1: the depth-2 nest is the paper's Fig. 1 nest
+// written out level by level — register tile, SRAM→register copies, PE
+// grid, DRAM→SRAM copies, r/s pinned at their placement — with the
+// same levels, active sets, pins and variables, for both kernel
+// placements.
+func TestStandardNestIsFig1(t *testing.T) {
+	conv, err := loopnest.Conv2D(loopnest.Conv2DConfig{
+		Name: "conv", N: 1, K: 8, C: 4, H: 6, W: 6, R: 3, S: 3, StrideX: 1, StrideY: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*loopnest.Problem{loopnest.MatMul(64, 64, 64), conv} {
+		for _, rs := range []RSPlacement{RSAtRegister, RSAtLevel1} {
+			var tiled, kernel []int
+			pinned := map[int]int64{}
+			for it, iter := range p.Iters {
+				switch {
+				case iter.Extent == 1:
+				case iter.Name == "r" || iter.Name == "s":
+					kernel = append(kernel, it)
+					pinned[it] = iter.Extent
+				default:
+					tiled = append(tiled, it)
+				}
+			}
+			ref := []LevelConfig{
+				{Name: "reg", Kind: Temporal, Active: tiled},
+				{Name: "q", Kind: Temporal, Copy: true, Active: tiled},
+				{Name: "p", Kind: Spatial, Active: tiled},
+				{Name: "t", Kind: Temporal, Copy: true, Active: tiled},
+			}
+			place := StandardLevelReg
+			if rs == RSAtLevel1 {
+				place = StandardLevelL1
+			}
+			ref[place].Active = append(slices.Clone(tiled), kernel...)
+			ref[place].Fixed = pinned
+			want, err := NewNest(p, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := StandardNest(p, StandardOptions{RS: rs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Levels) != len(want.Levels) || !slices.Equal(got.Pins, want.Pins) || got.Vars.Len() != want.Vars.Len() {
+				t.Fatalf("%s %v: %d levels, pins %v, %d variables; Fig. 1 has %d, %v, %d", p.Name, rs,
+					len(got.Levels), got.Pins, got.Vars.Len(), len(want.Levels), want.Pins, want.Vars.Len())
+			}
+			for li := range want.Levels {
+				g, w := &got.Levels[li], &want.Levels[li]
+				if g.Name != w.Name || g.Kind != w.Kind || g.Copy != w.Copy || !slices.Equal(g.Active, w.Active) ||
+					!maps.Equal(g.Fixed, w.Fixed) || !slices.Equal(g.Trips, w.Trips) {
+					t.Fatalf("%s %v: level %d %+v, Fig. 1 %+v", p.Name, rs, li, *g, *w)
+				}
+			}
+		}
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 	"repro/internal/gp"
 )
 
-// The geometric-program side of a nest, shared by every formulation
-// over one (the standard nest's in internal/pipeline, any depth's in
-// internal/hierarchy): the PE-count monomial, the trip-count
-// constraints, and the trip part of the cold starting point.
+// The geometric-program side of a nest, at any depth, for the
+// formulation in internal/pipeline: the PE-count monomial, the
+// trip-count constraints, and the trip part of the cold starting point.
 
 // SpatialProduct returns the product of the spatial level's trip
 // variables: the number of PEs a mapping occupies.

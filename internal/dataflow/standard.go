@@ -132,8 +132,8 @@ func StandardPerms(l1, sram []int) [][]int {
 	return [][]int{nil, l1, nil, sram}
 }
 
-// SpatialTripVars returns the trip variables of the spatial level of a
-// standard nest (the PE-grid extents the paper calls P_i).
+// SpatialTripVars returns the trip variables of the nest's spatial
+// level (the PE-grid extents the paper calls P_i).
 func (n *Nest) SpatialTripVars() []expr.VarID {
 	for li := range n.Levels {
 		if n.Levels[li].Kind == Spatial {

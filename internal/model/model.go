@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -92,18 +93,26 @@ func (m *Mapping) Clone() *Mapping {
 	return c
 }
 
-// EnergyBreakdown itemizes the Eq. 3 energy components (pJ).
+// EnergyBreakdown itemizes the Eq. 3 energy components (pJ). With
+// intermediate buffers (arch.Arch.Mid), "S↔R" is the boundary into the
+// registers and "D↔S" the one into the SRAM.
 type EnergyBreakdown struct {
 	Compute float64 // (4ε_R + ε_op)·N_ops
 	RegFile float64 // ε_R · S↔R traffic
-	SRAM    float64 // ε_S · (S↔R + D↔S traffic)
+	SRAM    float64 // ε_S · (traffic into and out of the SRAM)
 	DRAM    float64 // ε_D · D↔S traffic
-	NoC     float64 // ε_hop · √P · S↔R traffic (optional extension)
+	NoC     float64 // ε_hop · √P · traffic across the PE grid (optional extension)
+	// Mid[i] is ε·(traffic into and out of) intermediate buffer i.
+	Mid []float64 `json:",omitempty"`
 }
 
 // Total sums the components.
 func (b EnergyBreakdown) Total() float64 {
-	return b.Compute + b.RegFile + b.SRAM + b.DRAM + b.NoC
+	t := b.Compute + b.RegFile + b.SRAM + b.DRAM + b.NoC
+	for _, e := range b.Mid {
+		t += e
+	}
+	return t
 }
 
 // Report is the evaluation result for one mapping on one architecture.
@@ -121,16 +130,27 @@ type Report struct {
 
 	// TrafficSR and TrafficDS are total words moved across the
 	// SRAM↔register and DRAM↔SRAM boundaries (read-write tensors
-	// counted twice per the paper).
+	// counted twice per the paper); with intermediate buffers, across
+	// the boundaries into the registers and into the SRAM.
 	TrafficSR float64
 	TrafficDS float64
 	// RegFootprint and SRAMFootprint are the exact buffer requirements.
 	RegFootprint  float64
 	SRAMFootprint float64
+	// Mid[i] is intermediate buffer i's traffic and footprint.
+	Mid []BufferUse `json:",omitempty"`
 
 	// Violations lists capacity/shape constraint failures; empty means
 	// the mapping is valid for the architecture.
 	Violations []string
+}
+
+// BufferUse is an intermediate buffer's share of a Report.
+type BufferUse struct {
+	// Traffic is the words moved into the buffer from the one above it.
+	Traffic float64
+	// Footprint is the exact requirement, per instance.
+	Footprint float64
 }
 
 // Valid reports whether the mapping satisfied all constraints.
@@ -148,6 +168,8 @@ func (r *Report) Clone() *Report {
 	if r.Violations != nil {
 		c.Violations = append([]string(nil), r.Violations...)
 	}
+	c.Mid = slices.Clone(r.Mid)
+	c.Breakdown.Mid = slices.Clone(r.Breakdown.Mid)
 	return &c
 }
 
@@ -202,9 +224,10 @@ func (e *Evaluator) table(perms [][]int) (*factorTable, error) {
 }
 
 // Evaluate computes the report for a mapping on the architecture. The
-// nest must be a standard 3-level-memory nest (two copy boundaries:
-// registers and SRAM). Mappings that violate capacities still produce a
-// full report, with Violations populated, so searches can reject them.
+// nest must have one copy boundary per buffer of the architecture:
+// registers, each intermediate buffer (arch.Arch.Mid), and SRAM.
+// Mappings that violate capacities still produce a full report, with
+// Violations populated, so searches can reject them.
 //
 // Each call is a fresh session: every factor is evaluated.
 func (e *Evaluator) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
@@ -248,8 +271,11 @@ type EvalSession struct {
 	// (see Sums).
 	traffic, footprint []float64
 	rep                Report
-	// viols backs rep.Violations, kept across valid reports.
-	viols []string
+	// viols backs rep.Violations, kept across valid reports; mid and
+	// midEnergy back rep.Mid and rep.Breakdown.Mid.
+	viols     []string
+	mid       []BufferUse
+	midEnergy []float64
 	// Quick elides the formatted violation messages: an invalid mapping
 	// gets a static placeholder instead. Validity (Report.Valid) is
 	// unchanged; searches that only filter on it avoid the fmt cost.
@@ -259,6 +285,7 @@ type EvalSession struct {
 // Quick-mode violation placeholders (see EvalSession.Quick).
 var (
 	violRegQuick  = "register footprint over capacity"
+	violMidQuick  = "buffer footprint over capacity"
 	violSRAMQuick = "SRAM footprint over capacity"
 	violPEQuick   = "PEs used over capacity"
 )
@@ -300,23 +327,26 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	if nb := len(s.tab.traffic); nb != 2 {
-		return nil, fmt.Errorf("%w: need exactly 2 memory boundaries, nest has %d", ErrBadMapping, nb)
+	nb := len(s.tab.traffic)
+	if nb != 2+len(a.Mid) {
+		return nil, fmt.Errorf("%w: %d buffers, nest has %d memory boundaries", ErrBadMapping, 2+len(a.Mid), nb)
 	}
 	traffic, footprint, err := s.Sums(m.Trips)
 	if err != nil {
 		return nil, err
 	}
+	last := nb - 1
 
 	viols := s.viols[:0]
 	r := &s.rep
 	*r = Report{Ops: e.Nest.Prob.Ops()}
-	r.TrafficSR, r.TrafficDS = traffic[0], traffic[1]
-	r.RegFootprint, r.SRAMFootprint = footprint[0], footprint[1]
+	r.TrafficSR, r.TrafficDS = traffic[0], traffic[last]
+	r.RegFootprint, r.SRAMFootprint = footprint[0], footprint[last]
 	r.PEsUsed = e.Nest.PEsUsed(m.Trips)
 	r.Utilization = float64(r.PEsUsed) / float64(a.PEs)
 
-	// Energy per Eq. 3 (plus the optional NoC extension).
+	// Energy per Eq. 3 (plus the optional NoC extension): each buffer
+	// is charged for the traffic into it and out of it.
 	epsR := a.RegEnergy()
 	epsS := a.SRAMEnergy()
 	epsD := a.Tech.EnergyDRAM
@@ -324,21 +354,40 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	r.Breakdown = EnergyBreakdown{
 		Compute: (4*epsR + a.Tech.EnergyMAC) * ops,
 		RegFile: epsR * r.TrafficSR,
-		SRAM:    epsS * (r.TrafficSR + r.TrafficDS),
+		SRAM:    epsS * (traffic[last-1] + r.TrafficDS),
 		DRAM:    epsD * r.TrafficDS,
 	}
 	if a.Tech.EnergyNoCHop > 0 {
-		r.Breakdown.NoC = a.Tech.EnergyNoCHop * math.Sqrt(float64(r.PEsUsed)) * r.TrafficSR
+		// The mesh carries the traffic across the PE grid.
+		r.Breakdown.NoC = a.Tech.EnergyNoCHop * math.Sqrt(float64(r.PEsUsed)) * traffic[a.SpatialAfter()]
+	}
+	if len(a.Mid) > 0 {
+		s.mid, s.midEnergy = s.mid[:0], s.midEnergy[:0]
+		for i, b := range a.Mid {
+			s.mid = append(s.mid, BufferUse{Traffic: traffic[i+1], Footprint: footprint[i+1]})
+			s.midEnergy = append(s.midEnergy, b.Energy*(traffic[i]+traffic[i+1]))
+		}
+		r.Mid, r.Breakdown.Mid = s.mid, s.midEnergy
 	}
 	r.Energy = r.Breakdown.Total()
 	r.EnergyPerMAC = r.Energy / ops
 
-	// Delay: max over component throughputs (Section V.B).
-	compute := ops / float64(r.PEsUsed)
-	regPort := 4 * ops / (float64(r.PEsUsed) * a.Tech.BWReg)
-	sram := (r.TrafficSR + r.TrafficDS) / a.Tech.BWSRAM
+	// Delay: max over component throughputs (Section V.B). Each
+	// buffer's port carries the traffic into and out of it; a per-PE
+	// buffer's load is shared by the PEs.
+	pes := float64(r.PEsUsed)
+	compute := ops / pes
+	regPort := 4 * ops / (pes * a.Tech.BWReg)
+	sram := (traffic[last-1] + r.TrafficDS) / a.Tech.BWSRAM
 	dram := r.TrafficDS / a.Tech.BWDRAM
 	r.Cycles = math.Max(math.Max(compute, regPort), math.Max(sram, dram))
+	for i, b := range a.Mid {
+		port := (traffic[i] + traffic[i+1]) / b.BW
+		if b.PerPE {
+			port /= pes
+		}
+		r.Cycles = math.Max(r.Cycles, port)
+	}
 	r.IPC = ops / r.Cycles
 
 	// Capacity constraints.
@@ -347,6 +396,15 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 			viols = append(viols, violRegQuick)
 		} else {
 			viols = append(viols, fmt.Sprintf("register footprint %.0f > %d", r.RegFootprint, a.Regs))
+		}
+	}
+	for i, b := range a.Mid {
+		if footprint[i+1] > float64(b.Words) {
+			if s.Quick {
+				viols = append(viols, violMidQuick)
+			} else {
+				viols = append(viols, fmt.Sprintf("%s footprint %.0f > %d", b.Name, footprint[i+1], b.Words))
+			}
 		}
 	}
 	if r.SRAMFootprint > float64(a.SRAM) {

@@ -227,3 +227,81 @@ func TestEnergyMonotoneInTraffic(t *testing.T) {
 		t.Fatalf("energy not monotone: %v vs %v", rb.Energy, rg.Energy)
 	}
 }
+
+// TestEvaluateDeep: on a four-level memory (registers, a per-PE
+// scratchpad, the SRAM) each buffer is charged for the traffic into and
+// out of it, each port for the same traffic (shared by the PEs when
+// per-PE), and each capacity is checked. The nest must have one
+// boundary per buffer of the architecture.
+func TestEvaluateDeep(t *testing.T) {
+	p := loopnest.MatMul(32, 32, 32)
+	nest, err := dataflow.BuildNest(p, 3, 1, dataflow.RSAtRegister)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := arch.Eyeriss()
+	a.Regs, a.PEs = 32, 256
+	a.Mid = []arch.Buffer{{Name: "spad", Words: 2048, Energy: 0.8, BW: 0.01, PerPE: true}}
+	// Every trip 2: 2⁵ = 32 per iterator, 8 PEs.
+	m := UniformMapping(nest)
+	for li := range m.Trips {
+		m.Trips[li] = []int64{2, 2, 2}
+	}
+	ev := NewEvaluator(nest)
+	s, err := ev.Session(m.Perms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic, footprint, err := s.Sums(m.Trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic, footprint = append([]float64(nil), traffic...), append([]float64(nil), footprint...)
+	r, err := ev.Evaluate(&a, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Valid() || r.PEsUsed != 8 {
+		t.Fatalf("violations %v, %d PEs used, want none and 8", r.Violations, r.PEsUsed)
+	}
+	for b, tr := range traffic {
+		if tr <= 0 {
+			t.Fatalf("boundary %d traffic %v", b, tr)
+		}
+	}
+	want := Report{
+		TrafficSR: traffic[0], TrafficDS: traffic[2],
+		RegFootprint: footprint[0], SRAMFootprint: footprint[2],
+		Mid: []BufferUse{{Traffic: traffic[1], Footprint: footprint[1]}},
+	}
+	if r.TrafficSR != want.TrafficSR || r.TrafficDS != want.TrafficDS || r.RegFootprint != want.RegFootprint ||
+		r.SRAMFootprint != want.SRAMFootprint || len(r.Mid) != 1 || r.Mid[0] != want.Mid[0] {
+		t.Fatalf("report %+v, want the boundary sums %+v", r, want)
+	}
+	bd := r.Breakdown
+	if bd.RegFile != a.RegEnergy()*traffic[0] || bd.SRAM != a.SRAMEnergy()*(traffic[1]+traffic[2]) ||
+		bd.DRAM != a.Tech.EnergyDRAM*traffic[2] || len(bd.Mid) != 1 || bd.Mid[0] != 0.8*(traffic[0]+traffic[1]) {
+		t.Fatalf("breakdown %+v", bd)
+	}
+	if r.Energy != bd.Total() || r.Energy <= bd.Compute {
+		t.Fatalf("energy %v, breakdown total %v, compute floor %v", r.Energy, bd.Total(), bd.Compute)
+	}
+	// The scratchpad's narrow port bounds the delay.
+	if spad := (traffic[0] + traffic[1]) / 0.01 / 8; r.Cycles != spad {
+		t.Fatalf("cycles %v, want the scratchpad port's %v", r.Cycles, spad)
+	}
+	// A clone keeps its buffer figures when the session moves on.
+	clone := r.Clone()
+	a.Mid[0].Words = 1
+	m.Trips[1][0], m.Trips[2][0] = 1, 4
+	if r, err = ev.Evaluate(&a, m); err != nil || r.Valid() || r.Mid[0] == want.Mid[0] {
+		t.Fatalf("1-word scratchpad: err %v, violations %v, buffer %+v", err, r.Violations, r.Mid)
+	}
+	if clone.Mid[0] != want.Mid[0] || clone.Breakdown.Mid[0] != bd.Mid[0] {
+		t.Fatalf("clone's buffer figures moved with the session: %+v, %v", clone.Mid, clone.Breakdown.Mid)
+	}
+	a.Mid = nil
+	if _, err := ev.Evaluate(&a, m); err == nil {
+		t.Fatal("a depth-2 architecture evaluated a depth-3 nest")
+	}
+}

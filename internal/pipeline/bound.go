@@ -17,8 +17,8 @@ import (
 //     extent E_i (the extent with pinned trips divided out) and are each
 //     at least 1 (hence at most E_i).
 //   - Every other variable lies in [1, +Inf), narrowed by the
-//     formulation (Formulation.Bounds), e.g. the pipeline's delay
-//     variable and architecture envelope.
+//     formulation (formulation.Bounds): the delay variable and the
+//     architecture envelope.
 //
 // A boundCtx is immutable after construction and safe for concurrent use.
 type boundCtx struct {
@@ -30,7 +30,7 @@ type boundCtx struct {
 }
 
 // newBoundCtx derives the variable ranges for one search.
-func newBoundCtx(nest *dataflow.Nest, form Formulation) *boundCtx {
+func newBoundCtx(nest *dataflow.Nest, form *formulation) *boundCtx {
 	n := nest.Vars.Len()
 	bc := &boundCtx{
 		groupOf: make([]int, n),

@@ -63,26 +63,16 @@ func (av *archVars) sramEnergy() expr.Monomial {
 	return expr.Const(av.fixed.SRAMEnergy())
 }
 
-// Formulation is the cost model of the class search: it turns the
-// relaxed Algorithm 1 polynomials of one class tuple into a geometric
-// program over the nest's variables. The pipeline's Eq. 3/5 program is
-// one; internal/hierarchy's N-boundary energy program is another.
-type Formulation interface {
-	// Objective returns the relaxed objective of the tuple whose
-	// boundary b moves traffic[b]. The search lower-bounds it to prune
-	// the tuple before its program is built.
-	Objective(traffic []expr.Poly) (expr.Poly, error)
-	// Program builds the tuple's constrained program minimizing
-	// objective: footprint[b] is boundary b's relaxed footprint (the
-	// same for every tuple), held below the buffer's capacity scaled by
-	// slack[b] (1 on the strict pass; see classVolumes).
-	Program(objective expr.Poly, traffic, footprint []expr.Poly, slack []float64) (*gp.Program, error)
-	// Hint returns a fresh cold starting point for the solver.
-	Hint() []float64
-	// Bounds narrows, in lo and hi (indexed by variable), the default
-	// range [1, +Inf) of the variables that are not trip counts, for
-	// the pruning bound (see boundCtx).
-	Bounds(lo, hi []float64)
+// bufferEnergy returns the per-word energy of buffer b, innermost
+// first: the registers, the intermediate buffers, then the SRAM.
+func (av *archVars) bufferEnergy(b int) expr.Monomial {
+	switch b {
+	case 0:
+		return av.regEnergy()
+	case len(av.fixed.Mid) + 1:
+		return av.sramEnergy()
+	}
+	return expr.Const(av.fixed.Mid[b-1].Energy)
 }
 
 // classVolumes holds the relaxed, folded Algorithm 1 polynomials of one
@@ -150,10 +140,13 @@ func newClassVolumes(nest *dataflow.Nest, classes [][]dataflow.PermClass) (*clas
 	return cv, nil
 }
 
-// formulation is the pipeline's Formulation: the paper's Eq. 3 / Eq. 5
-// program over the standard nest's two boundaries, generalized to CNNs
-// via the Algorithm-1 expressions, on a fixed architecture or with the
-// co-design variables.
+// formulation is the class search's cost model: it turns the relaxed
+// Algorithm 1 polynomials of one class tuple into the paper's Eq. 3 /
+// Eq. 5 geometric program, generalized to CNNs via the Algorithm-1
+// expressions, on a fixed architecture or with the co-design
+// variables. It has one energy term pair, one delay port and one
+// capacity per memory boundary, so it serves any number of
+// intermediate buffers (arch.Arch.Mid).
 type formulation struct {
 	nest *dataflow.Nest
 	av   *archVars
@@ -162,26 +155,33 @@ type formulation struct {
 	ops  float64
 }
 
-// Objective builds the tuple's objective from the relaxed
-// SRAM↔register and DRAM↔SRAM traffic, traffic[0] and traffic[1].
+// Objective returns the relaxed objective of the tuple whose boundary
+// b moves traffic[b], innermost first. The search lower-bounds it to
+// prune the tuple before its program is built.
 func (f *formulation) Objective(traffic []expr.Poly) (expr.Poly, error) {
-	av, sr, ds := f.av, traffic[0], traffic[1]
-	// Total energy per Eq. 3:
+	av := f.av
+	// Total energy per Eq. 3, each boundary's words charged to the
+	// buffers on both of its sides:
 	//   (4ε_R + ε_op)·N_ops + (ε_R + ε_S)·DVol^{S↔R} + (ε_S + ε_D)·DVol^{D↔S}
-	// plus the optional NoC term (see Tech.EnergyNoCHop).
+	// at depth 2, plus the optional NoC term (see Tech.EnergyNoCHop).
 	energy := expr.PolyConst(av.tech.EnergyMAC * f.ops)
 	energy = energy.AddMono(av.regEnergy().Mul(expr.Const(4 * f.ops)))
-	energy = energy.Add(sr.MulMono(av.regEnergy()))
-	energy = energy.Add(sr.MulMono(av.sramEnergy()))
-	energy = energy.Add(ds.MulMono(av.sramEnergy()))
-	energy = energy.Add(ds.Scale(av.tech.EnergyDRAM))
+	for b, t := range traffic {
+		energy = energy.Add(t.MulMono(av.bufferEnergy(b)))
+		if b+1 < len(traffic) {
+			energy = energy.Add(t.MulMono(av.bufferEnergy(b + 1)))
+		} else {
+			energy = energy.Add(t.Scale(av.tech.EnergyDRAM))
+		}
+	}
 	if av.tech.EnergyNoCHop > 0 {
-		// Mesh traversal: each SRAM↔register word travels ≈ √P hops.
+		// Mesh traversal: each word across the PE grid travels ≈ √P
+		// hops.
 		hop := expr.Const(av.tech.EnergyNoCHop)
 		for _, pv := range f.nest.SpatialTripVars() {
 			hop = hop.Mul(expr.MonoPow(1, pv, 0.5))
 		}
-		energy = energy.Add(sr.MulMono(hop))
+		energy = energy.Add(traffic[av.fixed.SpatialAfter()].MulMono(hop))
 	}
 
 	switch f.crit {
@@ -198,13 +198,18 @@ func (f *formulation) Objective(traffic []expr.Poly) (expr.Poly, error) {
 	return nil, fmt.Errorf("core: unknown criterion %v", f.crit)
 }
 
-// Program lowers the tuple into its constrained geometric program.
+// Program builds the tuple's constrained program minimizing
+// objective: footprint[b] is boundary b's relaxed footprint (the same
+// for every tuple), held below the buffer's capacity scaled by
+// slack[b] (1 on the strict pass; see classVolumes).
 func (f *formulation) Program(objective expr.Poly, traffic, footprint []expr.Poly, slack []float64) (*gp.Program, error) {
 	nest, av, varT := f.nest, f.av, f.varT
 	prog := gp.New(nest.Vars)
+	mid, last := av.fixed.Mid, len(traffic)-1
 
 	// Delay components ≤ T (Section V.B), used by the delay and EDP
-	// objectives.
+	// objectives: compute, then each memory's port, which carries the
+	// traffic into and out of it (shared by the PEs when per-PE).
 	addDelay := func() error {
 		tMono := expr.MonoPow(1, varT, 1)
 		peInv := expr.Const(f.ops)
@@ -218,11 +223,22 @@ func (f *formulation) Program(objective expr.Poly, traffic, footprint []expr.Pol
 		if err := prog.AddLessEq("delay:regfile", expr.PolyFrom(regPort), tMono); err != nil {
 			return err
 		}
-		sramTraffic := traffic[0].Add(traffic[1])
+		for i, buf := range mid {
+			port := traffic[i].Add(traffic[i+1])
+			if buf.PerPE {
+				for _, pv := range nest.SpatialTripVars() {
+					port = port.MulMono(expr.MonoPow(1, pv, -1))
+				}
+			}
+			if err := prog.AddLessEq("delay:"+buf.Name, port, tMono.Mul(expr.Const(buf.BW))); err != nil {
+				return err
+			}
+		}
+		sramTraffic := traffic[last-1].Add(traffic[last])
 		if err := prog.AddLessEq("delay:sram", sramTraffic, tMono.Mul(expr.Const(av.tech.BWSRAM))); err != nil {
 			return err
 		}
-		return prog.AddLessEq("delay:dram", traffic[1], tMono.Mul(expr.Const(av.tech.BWDRAM)))
+		return prog.AddLessEq("delay:dram", traffic[last], tMono.Mul(expr.Const(av.tech.BWDRAM)))
 	}
 
 	// Objective, then the delay coupling constraints for the criteria
@@ -248,8 +264,14 @@ func (f *formulation) Program(objective expr.Poly, traffic, footprint []expr.Pol
 		av.regCapacity().Mul(expr.Const(slack[0]))); err != nil {
 		return nil, err
 	}
-	if err := prog.AddLessEq("cap:sram", footprint[1],
-		av.sramCapacity().Mul(expr.Const(slack[1]))); err != nil {
+	for i, buf := range mid {
+		if err := prog.AddLessEq("cap:"+buf.Name, footprint[i+1],
+			expr.Const(float64(buf.Words)*slack[i+1])); err != nil {
+			return nil, err
+		}
+	}
+	if err := prog.AddLessEq("cap:sram", footprint[last],
+		av.sramCapacity().Mul(expr.Const(slack[last]))); err != nil {
 		return nil, err
 	}
 	if err := prog.AddLessEq("cap:pes", expr.PolyFrom(nest.SpatialProduct()), av.peCapacity()); err != nil {
@@ -277,7 +299,9 @@ func (f *formulation) Program(objective expr.Poly, traffic, footprint []expr.Pol
 	return prog, nest.AddTripConstraints(prog)
 }
 
-// Bounds gives the pruning bound the architecture envelope. The delay
+// Bounds narrows, in lo and hi (indexed by variable), the default range
+// [1, +Inf) of the variables that are not trip counts, for the pruning
+// bound (see boundCtx): the architecture envelope. The delay
 // variable T is at least ops/maxPEs: the compute-delay constraint
 // forces T ≥ ops/∏P, and the PE product is capped by the PE capacity
 // (fixed arch) or the area budget (co-design). In co-design mode the
@@ -322,8 +346,9 @@ func relaxSlack(vols *dataflow.Volumes, b int, relaxed expr.Poly, ones []float64
 	return r
 }
 
-// Hint builds an initial guess: extents spread evenly across levels,
-// Eyeriss-like architecture values, and a generous delay.
+// Hint builds a fresh cold starting point for the solver: extents
+// spread evenly across levels, Eyeriss-like architecture values, and a
+// generous delay.
 func (f *formulation) Hint() []float64 {
 	x := f.nest.TripHint()
 	if f.av.mode == CoDesign {

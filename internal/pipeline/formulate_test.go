@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,6 +105,63 @@ func TestBuildGPDelayStructure(t *testing.T) {
 	}
 	if !f.prog.Objective.IsMonomial() {
 		t.Fatal("delay objective should be the single variable T")
+	}
+}
+
+// TestBuildGPDeepStructure: with an intermediate buffer the program has
+// one capacity and one delay port per buffer, innermost first, and its
+// energy charges each boundary's traffic to the buffers on both sides.
+func TestBuildGPDeepStructure(t *testing.T) {
+	a := arch.Eyeriss()
+	a.Mid = []arch.Buffer{{Name: "spad", Words: 2048, Energy: 0.8, BW: 8, PerPE: true}}
+	opts := Options{Criterion: model.MinEDP, Arch: &a, Parallel: 1}.WithDefaults()
+	r, err := newRun(context.Background(), loopnest.MatMul(64, 64, 64), opts, dataflow.RSAtRegister, NewScheduler(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []stage{enumerateStage{}, formulateStage{}} {
+		if err := st.Run(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, traffic := r.job(0)
+	if len(traffic) != 3 {
+		t.Fatalf("%d boundaries, want 3", len(traffic))
+	}
+	objective, err := r.form.Objective(traffic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := r.form.Program(objective, traffic, r.vols.footprint, []float64{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, name := range prog.ConstraintNames() {
+		if strings.HasPrefix(name, "delay:") || strings.HasPrefix(name, "cap:") {
+			got = append(got, name)
+		}
+	}
+	want := []string{"delay:compute", "delay:regfile", "delay:spad", "delay:sram", "delay:dram",
+		"cap:registers", "cap:spad", "cap:sram", "cap:pes"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("constraints %v, want %v", got, want)
+	}
+	// At the all-ones point the energy is the compute term plus each
+	// boundary's traffic at both of its sides' per-word energies.
+	x := r.form.Hint()
+	for i := range x {
+		x[i] = 1
+	}
+	ops := float64(r.prob.Ops())
+	energy := (4*a.RegEnergy() + a.Tech.EnergyMAC) * ops
+	eps := []float64{a.RegEnergy(), 0.8, a.SRAMEnergy(), a.Tech.EnergyDRAM}
+	for b, tr := range traffic {
+		energy += (eps[b] + eps[b+1]) * tr.Eval(x)
+	}
+	// EDP at T = 1 is the energy.
+	if got := objective.Eval(x); math.Abs(got-energy) > 1e-9*energy {
+		t.Fatalf("objective at the all-ones point %v, want %v", got, energy)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -133,13 +134,14 @@ func (r *Run) integerizeOne(ev *model.Evaluator, candC *obs.Counter, x []float64
 	return c, rep, visited
 }
 
-// dimCandidate is one integer tiling of a single iterator: SRAM tile S,
-// per-PE tile Q, register tile R (S = N/t·..., with R | Q | S | N).
+// dimCandidate is one integer tiling of a free iterator: its trip at
+// each of its free levels (dataflow.Nest.FreeLevels), inner to outer,
+// and pes, its trip at the spatial level.
 type dimCandidate struct {
-	iter    int
-	regTile int64 // R
-	peTile  int64 // Q
-	sramT   int64 // S
+	iter   int
+	levels []int // shared by the iterator's candidates
+	trips  []int64
+	pes    int64
 }
 
 // pow2Candidates returns the n powers of two nearest to target (at least
@@ -171,47 +173,48 @@ func pow2Candidates(target float64, n int) []int64 {
 	return out
 }
 
-// dimCandidates generates up to nDiv³ integer tilings for one free
-// iterator following the paper's divisor ladder (loopnest.Ladder over
-// the relaxed register, per-PE and SRAM tiles): SRAM tile candidates
-// from the nDiv divisors of the extent nearest the relaxed tile, per-PE
-// tile candidates from the divisors of each SRAM candidate, register
-// tile candidates from the divisors of each per-PE candidate. They are
-// sorted by (sramT, peTile, regTile), the search's visit order.
-func dimCandidates(n *dataflow.Nest, it int, x []float64, nDiv int) []dimCandidate {
-	vars := n.DimTripVars(it)
-	if len(vars) != 4 {
-		return nil // pinned or unit iterator: no free tiling
+// dimCandidates generates up to nDiv^(L−1) integer tilings of iterator
+// it over its L free levels following the paper's divisor ladder
+// (loopnest.Ladder over the relaxed cumulative tiles below the
+// outermost level): at depth 2, SRAM tile candidates from the nDiv
+// divisors of the extent nearest the relaxed tile, per-PE tile
+// candidates from the divisors of each SRAM candidate, register tile
+// candidates from the divisors of each per-PE candidate. They are
+// sorted by their cumulative tiles, outermost first (at depth 2 by
+// SRAM, per-PE, register tile), the search's visit order.
+func dimCandidates(n *dataflow.Nest, it int, levels []int, x []float64, nDiv int) []dimCandidate {
+	extent := n.Prob.Iters[it].Extent
+	cum := make([]float64, len(levels)-1)
+	prod := 1.0
+	for i, li := range levels[:len(cum)] {
+		prod *= x[n.Levels[li].Trips[it]]
+		cum[i] = prod
 	}
-	realReg := x[vars[0]]
-	realPE := realReg * x[vars[1]]
-	realSRAM := realPE * x[vars[2]]
-	ladder := loopnest.Ladder(n.Prob.Iters[it].Extent, []float64{realReg, realPE, realSRAM}, nDiv)
-	out := make([]dimCandidate, len(ladder))
-	for i, tile := range ladder {
-		out[i] = dimCandidate{iter: it, regTile: tile[0], peTile: tile[1], sramT: tile[2]}
-	}
-	slices.SortFunc(out, func(a, b dimCandidate) int {
-		if a.sramT != b.sramT {
-			if a.sramT < b.sramT {
-				return -1
+	ladder := loopnest.Ladder(extent, cum, nDiv)
+	slices.SortFunc(ladder, func(a, b []int64) int {
+		for i := len(a) - 1; i >= 0; i-- {
+			if c := cmp.Compare(a[i], b[i]); c != 0 {
+				return c
 			}
-			return 1
-		}
-		if a.peTile != b.peTile {
-			if a.peTile < b.peTile {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.regTile < b.regTile:
-			return -1
-		case a.regTile > b.regTile:
-			return 1
 		}
 		return 0
 	})
+	spatial := slices.IndexFunc(levels, func(li int) bool { return n.Levels[li].Kind == dataflow.Spatial })
+	out := make([]dimCandidate, len(ladder))
+	trips := make([]int64, len(ladder)*len(levels))
+	for i, tiles := range ladder {
+		t := trips[i*len(levels) : (i+1)*len(levels)]
+		prev := int64(1)
+		for j, tile := range tiles {
+			t[j] = tile / prev
+			prev = tile
+		}
+		t[len(tiles)] = extent / prev
+		out[i] = dimCandidate{iter: it, levels: levels, trips: t, pes: 1}
+		if spatial >= 0 {
+			out[i].pes = t[spatial]
+		}
+	}
 	return out
 }
 
@@ -229,21 +232,20 @@ type candidate struct {
 // ladder width 3).
 //
 // The visit order is depth first over the free iterators in iterator
-// order, each dimension's ladder ascending by (sramT, peTile, regTile)
-// as dimCandidates sorts it, with the capacity pairs innermost.
-// consider keeps the first of equal scores, so this order is the
-// tie-break and must not change.
+// order, each dimension's ladder in the order dimCandidates sorts it,
+// with the capacity pairs innermost. consider keeps the first of equal
+// scores, so this order is the tie-break and must not change.
 //
 // Two exact prunes skip leaves that could never be kept. On a fixed
 // architecture, a prefix whose PE product already exceeds the
 // architecture's PEs is skipped in every criterion: the product only
 // grows below it, and a leaf using more PEs than exist is invalid. For
 // the delay criterion the search is also a branch and bound. A leaf's
-// Cycles is at least ops/PEsUsed, and PEsUsed is the product of
-// sramT/peTile over the free iterators (the standard nest's spatial
-// level holds only tiled iterators). Below a partial assignment every
-// leaf therefore uses at most the prefix's PE product times the largest
-// sramT/peTile of each remaining ladder, capped at the fixed
+// Cycles is at least ops/PEsUsed, and PEsUsed is the product of the
+// spatial trips over the free iterators (the nest's spatial level
+// holds only tiled iterators). Below a partial assignment every leaf
+// therefore uses at most the prefix's PE product times the largest
+// spatial trip of each remaining ladder, capped at the fixed
 // architecture's PE count. A subtree whose bound gives ops/PEs ≥ the
 // incumbent's Cycles is skipped: float division is monotone, so none of
 // its leaves could score strictly better. Energy and EDP searches have
@@ -256,18 +258,17 @@ type candidate struct {
 // visited counts the leaves evaluated; pruned leaves are not counted,
 // and only evaluated leaves count toward the maxCandidates cap.
 func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]int, x []float64, av *archVars, nDiv int, crit model.Criterion, seed float64) (best *candidate, bestRep *model.Report, visited int) {
-	var freeIters []int
+	var perDim [][]dimCandidate
 	for it := range n.Prob.Iters {
-		if len(n.DimTripVars(it)) == 4 {
-			freeIters = append(freeIters, it)
+		levels := n.FreeLevels(it)
+		if len(levels) < 2 {
+			continue // pinned or unit iterator: no free tiling
 		}
-	}
-	perDim := make([][]dimCandidate, len(freeIters))
-	for i, it := range freeIters {
-		perDim[i] = dimCandidates(n, it, x, nDiv)
-		if len(perDim[i]) == 0 {
+		d := dimCandidates(n, it, levels, x, nDiv)
+		if len(d) == 0 {
 			return nil, nil, 0
 		}
+		perDim = append(perDim, d)
 	}
 	var archs []arch.Arch
 	if av.mode == CoDesign {
@@ -294,21 +295,20 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 	}
 	sess.Quick = true
 
-	// One mapping, mutated per leaf: every leaf overwrites all four trip
-	// levels of every free iterator, and consider() clones on keep, so
-	// reuse cannot leak state between candidates.
-	m := buildMapping(n, perms, nil)
+	// One mapping, mutated along the search: each depth writes its
+	// iterator's free trips as it picks a tiling, so a leaf's mapping
+	// holds exactly the leaf's choices, and consider() clones on keep.
+	m := buildMapping(n, perms)
 
 	bestScore := seed
-	consider := func(c *candidate) {
-		rep, err := sess.Evaluate(&c.archCfg, c.mapping)
+	consider := func(a *arch.Arch) {
+		rep, err := sess.Evaluate(a, m)
 		if err != nil || !rep.Valid() {
 			return
 		}
 		if score := model.Score(crit, rep); score < bestScore {
-			cc := *c
-			cc.mapping = c.mapping.Clone()
-			best, bestRep, bestScore = &cc, rep.Clone(), score
+			best = &candidate{archCfg: *a, mapping: m.Clone()}
+			bestRep, bestScore = rep.Clone(), score
 		}
 	}
 
@@ -328,7 +328,7 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 		for i := len(perDim) - 1; i >= 0; i-- {
 			widest := int64(1)
 			for _, c := range perDim[i] {
-				widest = max(widest, c.sramT/c.peTile)
+				widest = max(widest, c.pes)
 			}
 			maxPEs[i] = maxPEs[i+1] * widest
 		}
@@ -342,40 +342,38 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 		return maxPEs != nil && ops/float64(min(pes*maxPEs[i], peCap)) >= bestScore
 	}
 
-	dims := make([]dimCandidate, 0, len(perDim))
 	var rec func(i int, pes int64)
 	rec = func(i int, pes int64) {
 		if visited >= maxCandidates || cannotWin(i, pes) {
 			return
 		}
 		if i == len(perDim) {
-			applyDims(n, m, dims)
-			for _, a := range archs {
-				ac := a
+			for k := range archs {
+				a := &archs[k]
 				if av.mode == CoDesign {
-					ac.PEs = pes
-					if ac.Area() > av.budget {
+					a.PEs = pes
+					if a.Area() > av.budget {
 						continue
 					}
 				}
 				visited++
-				consider(&candidate{archCfg: ac, mapping: m})
+				consider(a)
 			}
 			return
 		}
-		for _, c := range perDim[i] {
-			dims = append(dims, c)
-			rec(i+1, pes*(c.sramT/c.peTile))
-			dims = dims[:len(dims)-1]
+		for k := range perDim[i] {
+			c := &perDim[i][k]
+			c.apply(m)
+			rec(i+1, pes*c.pes)
 		}
 	}
 	rec(0, 1)
 	return best, bestRep, visited
 }
 
-// buildMapping converts per-iterator tiling choices into a Mapping over
-// the standard nest, starting from the pinned base.
-func buildMapping(n *dataflow.Nest, perms [][]int, dims []dimCandidate) *model.Mapping {
+// buildMapping returns the pinned base Mapping over the nest (see
+// model.UniformMapping) with the given permutations.
+func buildMapping(n *dataflow.Nest, perms [][]int) *model.Mapping {
 	m := model.UniformMapping(n)
 	m.Perms = make([][]int, len(perms))
 	for i, p := range perms {
@@ -383,18 +381,12 @@ func buildMapping(n *dataflow.Nest, perms [][]int, dims []dimCandidate) *model.M
 			m.Perms[i] = append([]int(nil), p...)
 		}
 	}
-	applyDims(n, m, dims)
 	return m
 }
 
-// applyDims writes per-iterator tiling choices into an existing mapping
-// (all four standard levels of each chosen iterator are overwritten).
-func applyDims(n *dataflow.Nest, m *model.Mapping, dims []dimCandidate) {
-	for _, d := range dims {
-		extent := n.Prob.Iters[d.iter].Extent
-		m.Trips[dataflow.StandardLevelReg][d.iter] = d.regTile
-		m.Trips[dataflow.StandardLevelL1][d.iter] = d.peTile / d.regTile
-		m.Trips[dataflow.StandardLevelSpatial][d.iter] = d.sramT / d.peTile
-		m.Trips[dataflow.StandardLevelSRAM][d.iter] = extent / d.sramT
+// apply writes the tiling into m: every free trip of its iterator.
+func (d *dimCandidate) apply(m *model.Mapping) {
+	for i, li := range d.levels {
+		m.Trips[li][d.iter] = d.trips[i]
 	}
 }

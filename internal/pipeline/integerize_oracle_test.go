@@ -25,10 +25,11 @@ import (
 func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *archVars, nDiv int, crit model.Criterion) (best *candidate, bestRep *model.Report, leaves, all int) {
 	var perDim [][]dimCandidate
 	for it := range n.Prob.Iters {
-		if len(n.DimTripVars(it)) != 4 {
+		levels := n.FreeLevels(it)
+		if len(levels) < 2 {
 			continue
 		}
-		d := dimCandidates(n, it, x, nDiv)
+		d := dimCandidates(n, it, levels, x, nDiv)
 		if len(d) == 0 {
 			return nil, nil, 0, 0
 		}
@@ -46,12 +47,12 @@ func bruteForceIntegerize(n *dataflow.Nest, perms [][]int, x []float64, av *arch
 	ev := model.NewEvaluator(n)
 	idx := make([]int, len(perDim))
 	for {
-		m := buildMapping(n, perms, nil)
+		m := buildMapping(n, perms)
 		pes := int64(1)
 		for i, j := range idx {
 			c := perDim[i][j]
-			applyDims(n, m, []dimCandidate{c})
-			pes *= c.sramT / c.peTile
+			c.apply(m)
+			pes *= c.pes
 		}
 		for _, a := range archs {
 			if av.mode == CoDesign {
@@ -109,9 +110,9 @@ func randomOracleProblem(t *testing.T, rng *rand.Rand) *loopnest.Problem {
 
 // TestIntegerizeMatchesBruteForce checks that the integerize search's
 // prunes skip only leaves that could never be kept: on seeded random
-// small problems, in both modes, searchIntegerCandidates must return the
-// same architecture, mapping and report, bit for bit, as evaluating
-// every leaf. Energy searches have only the PE cap, so they must
+// small problems, in both modes and on a fixed four-level memory,
+// searchIntegerCandidates must return the same architecture, mapping
+// and report, bit for bit, as evaluating every leaf. Energy searches have only the PE cap, so they must
 // evaluate exactly the oracle's leaves whose PE product fits. A delay
 // search seeded with the oracle's best Cycles must find nothing, and
 // one seeded just above must still find the oracle's design.
@@ -121,7 +122,87 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 	// for most of these shapes.
 	small := arch.Arch{Name: "small", PEs: 12, Regs: 64, SRAM: 2048, Tech: arch.Tech45nm()}
 	eyeriss := arch.Eyeriss()
+	// A four-level memory: a per-PE scratchpad between registers and
+	// SRAM adds a free level to every tiled iterator.
+	deep := small
+	deep.Mid = []arch.Buffer{{Name: "spad", Words: 256, Energy: 0.3, BW: 2, PerPE: true}}
 	var delayVisited, delayLeaves, fitLeaves, allLeaves, seeded int
+	check := func(rng *rand.Rand, p *loopnest.Problem, mode Mode, fixed *arch.Arch, trial int) {
+		r, err := newRun(context.Background(), p, Options{Mode: mode, Arch: fixed}.WithDefaults(), dataflow.RSAtRegister, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, av := r.nest, r.av
+		// A random relaxed point: each free iterator's extent split
+		// over its free trip variables in log space.
+		x := make([]float64, n.Vars.Len())
+		for i := range x {
+			x[i] = 1
+		}
+		for it := range n.Prob.Iters {
+			levels := n.FreeLevels(it)
+			if len(levels) < 2 {
+				continue
+			}
+			w := make([]float64, len(levels))
+			sum := 0.0
+			for i := range w {
+				w[i] = rng.Float64() + 0.05
+				sum += w[i]
+			}
+			for i, li := range levels {
+				x[n.Levels[li].Trips[it]] = math.Pow(float64(n.Prob.Iters[it].Extent), w[i]/sum)
+			}
+		}
+		if mode == CoDesign {
+			x[av.varR] = math.Exp2(2 + 8*rng.Float64())
+			x[av.varS] = math.Exp2(8 + 10*rng.Float64())
+		}
+		// A random order at every copy level, inner to outer.
+		perms := make([][]int, len(n.Levels))
+		for _, li := range n.CopyLevels() {
+			active := n.Levels[li].Active
+			perms[li] = rng.Perm(len(active))
+			for i, j := range perms[li] {
+				perms[li][i] = active[j]
+			}
+		}
+		nDiv := 2 + trial%2
+		for _, crit := range []model.Criterion{model.MinDelay, model.MinEnergy} {
+			search := func(seed float64) (*candidate, *model.Report, int) {
+				return searchIntegerCandidates(model.NewEvaluator(n), n, perms, x, av, nDiv, crit, seed)
+			}
+			got, gotRep, visited := search(math.Inf(1))
+			want, wantRep, leaves, all := bruteForceIntegerize(n, perms, x, av, nDiv, crit)
+			name := p.Name + " " + mode.String() + " " + crit.String()
+			sameDesign(t, name, got, gotRep, want, wantRep)
+			switch {
+			case crit == model.MinEnergy && visited != leaves:
+				t.Errorf("%s: energy search evaluated %d leaves, oracle %d that fit", name, visited, leaves)
+			case visited > leaves:
+				t.Errorf("%s: delay search evaluated %d leaves, more than the oracle's %d that fit", name, visited, leaves)
+			}
+			fitLeaves += leaves
+			allLeaves += all
+			if crit != model.MinDelay {
+				continue
+			}
+			delayVisited += visited
+			delayLeaves += leaves
+			if want == nil {
+				continue
+			}
+			seeded++
+			if c, _, _ := search(wantRep.Cycles); c != nil {
+				t.Errorf("%s: seeded with the oracle's best %v cycles, the search kept %v", name, wantRep.Cycles, c.archCfg)
+			}
+			c, rep, v := search(math.Nextafter(wantRep.Cycles, math.Inf(1)))
+			sameDesign(t, name+" seeded", c, rep, want, wantRep)
+			if v > visited {
+				t.Errorf("%s: seeded search evaluated %d leaves, unseeded %d", name, v, visited)
+			}
+		}
+	}
 	for trial := 0; trial < 24; trial++ {
 		p := randomOracleProblem(t, rng)
 		for _, mode := range []Mode{FixedArch, CoDesign} {
@@ -129,81 +210,12 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 			if trial%2 == 1 {
 				fixed = &small
 			}
-			r, err := newRun(context.Background(), p, Options{Mode: mode, Arch: fixed}.WithDefaults(), dataflow.RSAtRegister, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n, av := r.nest, r.av
-			// A random relaxed point: each free iterator's extent split
-			// over its four trip variables in log space.
-			x := make([]float64, n.Vars.Len())
-			for i := range x {
-				x[i] = 1
-			}
-			for it := range n.Prob.Iters {
-				vars := n.DimTripVars(it)
-				if len(vars) != 4 {
-					continue
-				}
-				w := make([]float64, 4)
-				sum := 0.0
-				for i := range w {
-					w[i] = rng.Float64() + 0.05
-					sum += w[i]
-				}
-				for i, v := range vars {
-					x[v] = math.Pow(float64(n.Prob.Iters[it].Extent), w[i]/sum)
-				}
-			}
-			if mode == CoDesign {
-				x[av.varR] = math.Exp2(2 + 8*rng.Float64())
-				x[av.varS] = math.Exp2(8 + 10*rng.Float64())
-			}
-			l1 := rng.Perm(len(n.Levels[dataflow.StandardLevelL1].Active))
-			sram := rng.Perm(len(n.Levels[dataflow.StandardLevelSRAM].Active))
-			for i, j := range l1 {
-				l1[i] = n.Levels[dataflow.StandardLevelL1].Active[j]
-			}
-			for i, j := range sram {
-				sram[i] = n.Levels[dataflow.StandardLevelSRAM].Active[j]
-			}
-			perms := dataflow.StandardPerms(l1, sram)
-			nDiv := 2 + trial%2
-			for _, crit := range []model.Criterion{model.MinDelay, model.MinEnergy} {
-				search := func(seed float64) (*candidate, *model.Report, int) {
-					return searchIntegerCandidates(model.NewEvaluator(n), n, perms, x, av, nDiv, crit, seed)
-				}
-				got, gotRep, visited := search(math.Inf(1))
-				want, wantRep, leaves, all := bruteForceIntegerize(n, perms, x, av, nDiv, crit)
-				name := p.Name + " " + mode.String() + " " + crit.String()
-				sameDesign(t, name, got, gotRep, want, wantRep)
-				switch {
-				case crit == model.MinEnergy && visited != leaves:
-					t.Errorf("%s: energy search evaluated %d leaves, oracle %d that fit", name, visited, leaves)
-				case visited > leaves:
-					t.Errorf("%s: delay search evaluated %d leaves, more than the oracle's %d that fit", name, visited, leaves)
-				}
-				fitLeaves += leaves
-				allLeaves += all
-				if crit != model.MinDelay {
-					continue
-				}
-				delayVisited += visited
-				delayLeaves += leaves
-				if want == nil {
-					continue
-				}
-				seeded++
-				if c, _, _ := search(wantRep.Cycles); c != nil {
-					t.Errorf("%s: seeded with the oracle's best %v cycles, the search kept %v", name, wantRep.Cycles, c.archCfg)
-				}
-				c, rep, v := search(math.Nextafter(wantRep.Cycles, math.Inf(1)))
-				sameDesign(t, name+" seeded", c, rep, want, wantRep)
-				if v > visited {
-					t.Errorf("%s: seeded search evaluated %d leaves, unseeded %d", name, v, visited)
-				}
-			}
+			check(rng, p, mode, fixed, trial)
 		}
+	}
+	deepRng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 12; trial++ {
+		check(deepRng, randomOracleProblem(t, deepRng), FixedArch, &deep, trial)
 	}
 	t.Logf("delay searches evaluated %d of %d leaves; %d of %d leaves fit the PE cap; %d seeded searches",
 		delayVisited, delayLeaves, fitLeaves, allLeaves, seeded)

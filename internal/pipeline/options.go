@@ -14,6 +14,11 @@ import (
 // ErrNoDesign is returned when no feasible design point was found.
 var ErrNoDesign = errors.New("core: no feasible design point")
 
+// ErrDeepCoDesign is returned for a co-design run whose architecture
+// has intermediate buffers (arch.Arch.Mid): co-design has area and
+// energy models for the registers and the SRAM only.
+var ErrDeepCoDesign = errors.New("core: co-design of intermediate buffers is not supported")
+
 // Mode selects between dataflow-only optimization on a fixed architecture
 // and full architecture-dataflow co-design.
 type Mode int
@@ -170,7 +175,9 @@ type DesignPoint struct {
 	Arch    arch.Arch
 	Mapping *model.Mapping
 	Report  *model.Report
-	// PermL1 and PermSRAM are the copy-level loop orders (outer-to-inner).
+	// PermL1 and PermSRAM are the loop orders (outer-to-inner) of the
+	// innermost and the outermost copy level; Mapping.Perms has every
+	// level's.
 	PermL1, PermSRAM []int
 	// NestOptions records the tiling structure the mapping was built for
 	// (notably the kernel-loop placement); required to re-evaluate or
@@ -226,17 +233,18 @@ type Result struct {
 }
 
 // Usable reports whether r holds a complete design: a Result decoded
-// from a damaged cache record may lack one, or hold a mapping no
-// standard nest accepts (see cache.Usable).
+// from a damaged cache record may lack one, or hold a mapping the nest
+// of its architecture cannot accept (see cache.Usable).
 func (r *Result) Usable() bool {
-	return r != nil && r.Best != nil && r.Best.Report != nil && standardShaped(r.Best.Mapping)
+	return r != nil && r.Best != nil && r.Best.Report != nil && shaped(r.Best.Mapping, &r.Best.Arch)
 }
 
-// standardShaped reports whether m has a perm slot and a trip row for
-// each of the standard nest's levels, trip rows of one non-zero length,
-// and no trip below 1.
-func standardShaped(m *model.Mapping) bool {
-	const levels = dataflow.StandardLevelSRAM + 1
+// shaped reports whether m has a perm slot and a trip row for each
+// level of a's nest (see BuildNest: the register tile, one copy level
+// per buffer and the PE grid), trip rows of one non-zero length, and no
+// trip below 1.
+func shaped(m *model.Mapping, a *arch.Arch) bool {
+	levels := 2 + len(a.Mid) + 2
 	if m == nil || len(m.Perms) != levels || len(m.Trips) != levels || len(m.Trips[0]) == 0 {
 		return false
 	}

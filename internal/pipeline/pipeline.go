@@ -14,11 +14,10 @@
 // analytical model; and Select picks the winner with a deterministic,
 // scheduling-independent tie-break.
 //
-// The first three stages, the class search, run at any depth: the
-// cost model is a Formulation, and SearchClasses runs them over the
-// copy levels of any nest (internal/hierarchy's N-buffer nests use it).
-// The pipeline runs them on the standard nest's two copy levels with
-// the paper's Eq. 3/5 formulation.
+// Every stage runs at any depth: the nest has one copy level per
+// buffer of the architecture (the registers, its intermediate buffers
+// arch.Arch.Mid, and the SRAM), and the paper's three-level memory is
+// its depth-2 case.
 //
 // Leaf compute — GP solves and integerization searches — is admitted
 // through a single bounded Scheduler shared by every placement (and,
@@ -37,9 +36,12 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/dataflow"
 	"repro/internal/expr"
 	"repro/internal/loopnest"
@@ -65,8 +67,8 @@ type Run struct {
 
 	// Built by the executor before the first stage.
 	nest *dataflow.Nest
-	form Formulation // the class search's cost model
-	av   *archVars   // the architecture of form, for Integerize
+	form *formulation // the class search's cost model
+	av   *archVars    // the architecture of form, for Integerize
 
 	// Stage products, in pipeline order.
 	copyLevels []int                  // Enumerate: the nest's copy levels, inner to outer
@@ -165,6 +167,9 @@ var stages = []stage{
 // scheduler width.
 func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, error) {
 	opts = opts.WithDefaults()
+	if opts.Mode == CoDesign && len(opts.Arch.Mid) > 0 {
+		return nil, fmt.Errorf("%w: the architecture has %d intermediate buffers", ErrDeepCoDesign, len(opts.Arch.Mid))
+	}
 	o := obs.FromContext(ctx)
 	sched := SchedulerFromContext(ctx)
 	if sched == nil {
@@ -267,30 +272,6 @@ func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, rs dataf
 	return &Result{Best: r.best, Stats: r.stats}, nil
 }
 
-// SearchClasses runs the class search — the enumerate, formulate and
-// solve stages — over every copy level of nest with form as the cost
-// model, and returns the tie band of the relaxed optima in class-key
-// order (see topBand) and the number of class tuples. The solves are
-// admitted through the context's scheduler (ContextWithScheduler), or
-// through a new one of NumCPU slots.
-func SearchClasses(ctx context.Context, nest *dataflow.Nest, form Formulation) ([]Solved, int, error) {
-	sched := SchedulerFromContext(ctx)
-	if sched == nil {
-		sched = NewScheduler(0)
-	}
-	r := &Run{
-		ctx:    ctx,
-		prob:   nest.Prob,
-		obs:    obs.FromContext(ctx),
-		sched:  sched,
-		parent: obs.SpanFromContext(ctx),
-		nest:   nest,
-		form:   form,
-	}
-	err := r.runStages([]stage{enumerateStage{}, formulateStage{}, solveStage{}})
-	return r.solved, r.jobs, err
-}
-
 // runStages runs sts in order, each under its own span and duration
 // histogram, stopping at the first error.
 func (r *Run) runStages(sts []stage) error {
@@ -326,20 +307,31 @@ func (r *Run) runStages(sts []stage) error {
 	return nil
 }
 
-// newRun builds the per-run context of one RS placement: the standard
-// nest and its formulation over the architecture variables and the
-// delay variable.
+// BuildNest builds the nest of problem p on architecture a: one copy
+// level per buffer, the PE grid above the last per-PE one, and the
+// kernel loops placed by rs. On the paper's three-level memory it is
+// dataflow.StandardNest.
+func BuildNest(p *loopnest.Problem, a *arch.Arch, rs dataflow.RSPlacement) (*dataflow.Nest, error) {
+	return dataflow.BuildNest(p, 2+len(a.Mid), a.SpatialAfter(), rs)
+}
+
+// newRun builds the per-run context of one RS placement: the
+// architecture's nest and its formulation over the architecture
+// variables and the delay variable.
 func newRun(ctx context.Context, p *loopnest.Problem, opts Options, rs dataflow.RSPlacement, sched *Scheduler) (*Run, error) {
 	if err := opts.Arch.Validate(); err != nil {
 		return nil, err
 	}
-	nest, err := dataflow.StandardNest(p, dataflow.StandardOptions{RS: rs})
+	nest, err := BuildNest(p, opts.Arch, rs)
 	if err != nil {
 		return nil, err
 	}
 	// Architecture variables (registered on the shared VarSet so they can
 	// appear in the same GP as the trip counts), and the delay variable.
+	// The fixed architecture owns its buffer list: the design points
+	// keep it.
 	av := &archVars{mode: opts.Mode, tech: opts.Arch.Tech, fixed: *opts.Arch, budget: opts.AreaBudget}
+	av.fixed.Mid = slices.Clone(opts.Arch.Mid)
 	if opts.Mode == CoDesign {
 		av.varR = nest.Vars.NewVar("arch_R")
 		av.varS = nest.Vars.NewVar("arch_S")

@@ -34,7 +34,7 @@ func (validateStage) Run(r *Run) error {
 			o.Counter("core.validate_dropped").Inc()
 			if o.Enabled(obs.Warn) {
 				o.Logf(obs.Warn, "optimize %s: dropping invalid integer candidate (perms %v/%v): err=%v",
-					r.prob.Name, c.pair.Perms[dataflow.StandardLevelL1], c.pair.Perms[dataflow.StandardLevelSRAM], err)
+					r.prob.Name, c.pair.Perms[r.copyLevels[0]], c.pair.Perms[r.copyLevels[len(r.copyLevels)-1]], err)
 			}
 			continue
 		}
@@ -62,8 +62,8 @@ func (selectStage) Run(r *Run) error {
 				Arch:        c.cand.archCfg,
 				Mapping:     c.cand.mapping,
 				Report:      c.rep,
-				PermL1:      c.pair.Perms[dataflow.StandardLevelL1],
-				PermSRAM:    c.pair.Perms[dataflow.StandardLevelSRAM],
+				PermL1:      c.pair.Perms[r.copyLevels[0]],
+				PermSRAM:    c.pair.Perms[r.copyLevels[len(r.copyLevels)-1]],
 				NestOptions: dataflow.StandardOptions{RS: r.rs},
 				GPObjective: c.pair.Objective,
 			}

@@ -130,8 +130,41 @@ func TestOracleDilatedConv(t *testing.T) {
 	}
 }
 
+// checkSums verifies the oracle's per-boundary totals against the
+// evaluator's memoized sums (model.EvalSession.Sums) for one mapping.
+func checkSums(t *testing.T, n *dataflow.Nest, m *model.Mapping) {
+	t.Helper()
+	got, err := Traffic(n, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := model.NewEvaluator(n).Session(m.Perms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic, _, err := s.Sums(m.Trips)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traffic) != len(got) {
+		t.Fatalf("%d boundaries summed, oracle has %d", len(traffic), len(got))
+	}
+	for b := range got {
+		var sum int64
+		for _, words := range got[b] {
+			sum += words
+		}
+		if float64(sum) != traffic[b] {
+			t.Errorf("boundary %d: oracle %d words, EvalSession.Sums %v (trips %v, perms %v)",
+				b, sum, traffic[b], m.Trips, m.Perms)
+		}
+	}
+}
+
 // TestOracleRandomMappings fuzzes mappings of a small conv and a small
-// matmul against the symbolic volumes.
+// matmul against the symbolic volumes, on the standard nest and, for
+// both kernel-loop placements, on a depth-3 nest (registers, a per-PE
+// buffer, the SRAM) against the evaluator's boundary sums.
 func TestOracleRandomMappings(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	probs := []*loopnest.Problem{
@@ -150,6 +183,17 @@ func TestOracleRandomMappings(t *testing.T) {
 		for trial := 0; trial < 12; trial++ {
 			m := randomMapping(rng, n)
 			checkAgainstModel(t, n, m)
+		}
+		for _, rs := range []dataflow.RSPlacement{dataflow.RSAtRegister, dataflow.RSAtLevel1} {
+			deep, err := dataflow.BuildNest(p, 3, 1, rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 12; trial++ {
+				m := randomMapping(rng, deep)
+				checkAgainstModel(t, deep, m)
+				checkSums(t, deep, m)
+			}
 		}
 	}
 }

@@ -330,8 +330,13 @@ var levelTargets = map[int]struct {
 // FromMapping renders a concrete mapping of a standard nest in the
 // Fig. 3(d) style: one block per level with target, type, factors
 // (trip counts, e.g. "K=4 C=1 H=2 W=2"), and permutation (Timeloop's
-// innermost-to-outermost letter order).
+// innermost-to-outermost letter order). The nest of an architecture
+// with intermediate buffers (arch.Arch.Mid) has no spec here: it is
+// refused.
 func FromMapping(n *dataflow.Nest, m *model.Mapping) (*yamlite.Node, error) {
+	if len(n.Levels) != len(levelTargets) {
+		return nil, fmt.Errorf("%w: a mapping spec has the standard nest's %d levels, this nest %d", ErrBadSpec, len(levelTargets), len(n.Levels))
+	}
 	if err := n.CheckTrips(m.Trips); err != nil {
 		return nil, err
 	}

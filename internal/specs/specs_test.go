@@ -1,6 +1,7 @@
 package specs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -204,6 +205,18 @@ func TestDesignBundle(t *testing.T) {
 	// The bundle must be parseable as one document.
 	if _, err := yamlite.Parse(text); err != nil {
 		t.Fatal(err)
+	}
+
+	// A four-level memory's nest (a per-PE buffer between registers and
+	// SRAM) has levels the Fig. 3 spec has no target for: refused, not
+	// written as a three-level design.
+	deep, err := dataflow.BuildNest(p, 3, 1, dataflow.RSAtRegister)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Mid = []arch.Buffer{{Name: "spad", Words: 256, Energy: 0.5, BW: 8, PerPE: true}}
+	if _, err := DesignBundle(p, &e, deep, model.UniformMapping(deep)); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("bundle of a depth-3 design: err = %v, want ErrBadSpec", err)
 	}
 }
 

@@ -82,7 +82,7 @@ echo "== bench smoke test (every workload at toy scale, every design checked)"
 (cd bench && go test .)
 
 echo "== go test -race (concurrent packages)"
-go test -race -timeout 30m ./internal/obs/... ./internal/model/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/... ./internal/hierarchy/...
+go test -race -timeout 30m ./internal/obs/... ./internal/model/... ./internal/core/... ./internal/pipeline/... ./internal/mapper/... ./internal/solver/... ./internal/cache/... ./internal/serve/...
 
 echo "== e2e run-report gate (thistle -events/-manifest + tlreport)"
 go build -o "$tmp/thistle" ./cmd/thistle
