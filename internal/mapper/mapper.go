@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/arch"
@@ -203,10 +204,13 @@ type generator struct {
 	nest *dataflow.Nest
 	a    *arch.Arch
 	cons *Constraints
-	// divisors[it] are the divisors of each iterator's remaining tileable
-	// extent (after pinned factors).
-	divisors [][]int64
-	free     []int64 // tileable extent per iterator
+	// divisors[it] are the divisors of iterator it's tileable extent:
+	// the values its remaining extent takes during a draw.
+	// divisorsOf[it][k] are the divisors of divisors[it][k], the trips
+	// a draw picks from at that remaining extent.
+	divisors   [][]int64
+	divisorsOf [][][]int64
+	free       []int64 // tileable extent per iterator
 	// levels[it] are the nest levels at which iterator it takes a free
 	// trip, inner to outer (dataflow.Nest.FreeLevels), and drawn[it]
 	// those of them the constraints leave to the random draw.
@@ -219,6 +223,7 @@ func newGenerator(n *dataflow.Nest, a *arch.Arch, cons *Constraints) (*generator
 	ni := len(n.Prob.Iters)
 	g.free = make([]int64, ni)
 	g.divisors = make([][]int64, ni)
+	g.divisorsOf = make([][][]int64, ni)
 	g.levels = make([][]int, ni)
 	g.drawn = make([][]int, ni)
 	pinned := make([]int64, ni)
@@ -235,6 +240,9 @@ func newGenerator(n *dataflow.Nest, a *arch.Arch, cons *Constraints) (*generator
 		}
 		g.free[it] = iter.Extent / pinned[it]
 		g.divisors[it] = loopnest.Divisors(g.free[it])
+		for _, d := range g.divisors[it] {
+			g.divisorsOf[it] = append(g.divisorsOf[it], loopnest.Divisors(d))
+		}
 		g.levels[it] = n.FreeLevels(it)
 		for _, li := range g.levels[it] {
 			if cons.tripAt(li, it) == 0 {
@@ -295,11 +303,12 @@ func (g *generator) random(rng *rand.Rand) *model.Mapping {
 				break
 			}
 			var trip int64
+			ds := g.divisorsOfRest(it, rest)
 			if g.nest.Levels[li].Kind == dataflow.Spatial {
-				trip = randomDivisorAtMost(rng, rest, peBudget)
+				trip = randomDivisorAtMost(rng, ds, peBudget)
 				peBudget /= trip
 			} else {
-				trip = randomDivisor(rng, rest)
+				trip = ds[rng.Intn(len(ds))]
 			}
 			m.Trips[li][it] = trip
 			rest /= trip
@@ -322,13 +331,18 @@ func (g *generator) random(rng *rand.Rand) *model.Mapping {
 	return m
 }
 
-func randomDivisor(rng *rand.Rand, n int64) int64 {
-	ds := loopnest.Divisors(n)
-	return ds[rng.Intn(len(ds))]
+// divisorsOfRest returns the divisors of rest, a remaining extent of
+// iterator it. rest always divides the iterator's tileable extent: a
+// draw divides it only by divisors and by pinned trips, whose product
+// Constraints.Validate requires to divide it.
+func (g *generator) divisorsOfRest(it int, rest int64) []int64 {
+	k, _ := slices.BinarySearch(g.divisors[it], rest)
+	return g.divisorsOf[it][k]
 }
 
-func randomDivisorAtMost(rng *rand.Rand, n, maxVal int64) int64 {
-	ds := loopnest.Divisors(n)
+// randomDivisorAtMost draws one of the divisors ds (ascending) that is
+// at most maxVal, or returns 1 when none is.
+func randomDivisorAtMost(rng *rand.Rand, ds []int64, maxVal int64) int64 {
 	hi := 0
 	for hi < len(ds) && ds[hi] <= maxVal {
 		hi++

@@ -28,6 +28,12 @@ type leafWalk struct {
 	archs   []arch.Arch
 	ai      int
 	budget  float64
+	// changed is the shallowest free iterator whose tiling moved since
+	// the last setDelta; levels are the standard nest's four levels of a
+	// free iterator, inner to outer, and trips setDelta's scratch.
+	changed int
+	levels  []int
+	trips   []int64
 }
 
 // newLeafWalk builds the walk of the search around the co-design-delay
@@ -76,6 +82,8 @@ func newLeafWalk() (*leafWalk, error) {
 		}
 	}
 	w.idx = make([]int, len(w.free))
+	w.levels = []int{dataflow.StandardLevelReg, dataflow.StandardLevelL1, dataflow.StandardLevelSpatial, dataflow.StandardLevelSRAM}
+	w.trips = make([]int64, len(w.levels))
 	w.apply()
 	return w, nil
 }
@@ -104,18 +112,40 @@ func (w *leafWalk) next() *arch.Arch {
 	for {
 		if w.ai++; w.ai == len(w.archs) {
 			w.ai = 0
-			for i := len(w.idx) - 1; i >= 0; i-- {
+			i := len(w.idx) - 1
+			for ; i > 0; i-- {
 				if w.idx[i]++; w.idx[i] < len(w.ladders[i]) {
 					break
 				}
 				w.idx[i] = 0
 			}
+			if i == 0 {
+				w.idx[0] = (w.idx[0] + 1) % len(w.ladders[0])
+			}
+			w.changed = min(w.changed, i)
 			w.apply()
 		}
 		if a := &w.archs[w.ai]; a.Area() <= w.budget {
 			return a
 		}
 	}
+}
+
+// setDelta gives the session the tiling's changes through the delta
+// entry, as the search does at a scored leaf: every free iterator from
+// the shallowest one that moved down.
+func (w *leafWalk) setDelta(sess *model.EvalSession) error {
+	for i := w.changed; i < len(w.free); i++ {
+		it := w.free[i]
+		for j, li := range w.levels {
+			w.trips[j] = w.m.Trips[li][it]
+		}
+		if err := sess.SetIter(it, w.levels, w.trips); err != nil {
+			return err
+		}
+	}
+	w.changed = len(w.free)
+	return nil
 }
 
 var evalWalk struct {
@@ -128,31 +158,55 @@ var evalWalk struct {
 // search: one memoized session stepping through resnet18_L10's
 // co-design-delay leaves in the search's order (see leafWalk). One
 // iteration is one leaf; it reports ns/leaf and allocs/leaf, and the
-// steady state allocates nothing.
+// steady state allocates nothing. "generic" gives each leaf's whole
+// mapping to Evaluate; "delta" sets only the iterators whose tiling
+// moved (SetIter), as the search does, and prices each capacity pair.
 func BenchmarkEvalSession(b *testing.B) {
 	evalWalk.Do(func() { evalWalk.w, evalWalk.err = newLeafWalk() })
 	w := evalWalk.w
 	if evalWalk.err != nil {
 		b.Fatal(evalWalk.err)
 	}
-	sess, err := model.NewEvaluator(w.nest).Session(w.m.Perms)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess.Quick = true
-	if _, err := sess.Evaluate(w.next(), w.m); err != nil {
-		b.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Evaluate(w.next(), w.m); err != nil {
-			b.Fatal(err)
+	for _, delta := range []bool{false, true} {
+		name := "generic"
+		if delta {
+			name = "delta"
 		}
+		b.Run(name, func(b *testing.B) {
+			sess, err := model.NewEvaluator(w.nest).Session(w.m.Perms)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess.Quick = true
+			if _, err := sess.Evaluate(w.next(), w.m); err != nil {
+				b.Fatal(err)
+			}
+			w.changed = len(w.free)
+			leaf := func(a *arch.Arch) error {
+				_, err := sess.Evaluate(a, w.m)
+				return err
+			}
+			if delta {
+				leaf = func(a *arch.Arch) error {
+					if err := w.setDelta(sess); err != nil {
+						return err
+					}
+					_, err := sess.Price(a)
+					return err
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := leaf(w.next()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/leaf")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/leaf")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/leaf")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/leaf")
 }

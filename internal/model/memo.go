@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/dataflow"
 	"repro/internal/expr"
@@ -84,48 +86,82 @@ func newFactorTable(v *dataflow.Volumes, nvars int) *factorTable {
 	return t
 }
 
-// update moves the session's memo to the assignment of trips,
-// evaluating every factor on the first call and afterwards only the
-// factors that read a variable whose value changed. trips must have
-// passed CheckTrips.
-func (s *EvalSession) update(trips [][]int64) {
-	n, t := s.e.Nest, s.tab
-	if s.val == nil {
+// load moves the session to the assignment of trips, which must have
+// passed CheckTrips: the first call writes it and leaves every factor to
+// be evaluated, later calls mark dirty the readers of each variable
+// whose value changed.
+func (s *EvalSession) load(trips [][]int64) {
+	n := s.e.Nest
+	if s.x == nil {
 		// One array: the assignment, the factor values, and the
 		// per-boundary sums.
-		nv, nf, nb := n.Vars.Len(), len(t.factors), len(t.traffic)
+		nv, nf, nb := n.Vars.Len(), len(s.tab.factors), len(s.tab.traffic)
 		buf := make([]float64, nv+nf+2*nb)
 		s.x = n.AssignmentInto(buf[:nv:nv], trips)
 		s.val = buf[nv : nv+nf : nv+nf]
 		s.traffic = buf[nv+nf : nv+nf+nb : nv+nf+nb]
 		s.footprint = buf[nv+nf+nb:]
-		for f, p := range t.factors {
-			s.val[f] = p.Eval(s.x)
-		}
+		s.evalAll, s.summed = true, false
 		return
 	}
 	if s.next == nil {
 		s.next = make([]float64, len(s.x))
-		s.dirty = make([]bool, len(t.factors))
 	}
 	next := n.AssignmentInto(s.next, trips)
 	for v, xv := range next {
-		if math.Float64bits(xv) == math.Float64bits(s.x[v]) {
-			continue
+		if math.Float64bits(xv) != math.Float64bits(s.x[v]) {
+			s.markReaders(expr.VarID(v))
 		}
-		for _, f := range t.readers[v] {
-			if !s.dirty[f] {
-				s.dirty[f] = true
-				s.stale = append(s.stale, f)
-			}
+	}
+	s.x, s.next = next, s.x
+}
+
+// markReaders queues for re-evaluation every factor that reads v.
+func (s *EvalSession) markReaders(v expr.VarID) {
+	if s.dirty == nil {
+		s.dirty = make([]bool, len(s.tab.factors))
+	}
+	for _, f := range s.tab.readers[v] {
+		if !s.dirty[f] {
+			s.dirty[f] = true
+			s.stale = append(s.stale, f)
+		}
+	}
+	s.summed = false
+}
+
+// flush brings the memo up to the assignment: it re-evaluates the
+// queued factors (every factor after the first load), then forms each
+// boundary's sums and the PEs used. With nothing changed since the last
+// flush it does nothing.
+func (s *EvalSession) flush() {
+	if s.summed {
+		return
+	}
+	t := s.tab
+	if s.evalAll {
+		for f, p := range t.factors {
+			s.val[f] = p.Eval(s.x)
+		}
+		s.evalAll = false
+	} else {
+		for _, f := range s.stale {
+			s.val[f] = t.factors[f].Eval(s.x)
 		}
 	}
 	for _, f := range s.stale {
-		s.val[f] = t.factors[f].Eval(next)
 		s.dirty[f] = false
 	}
 	s.stale = s.stale[:0]
-	s.x, s.next = next, s.x
+	for b := range t.traffic {
+		s.traffic[b] = s.total(t.traffic[b])
+		s.footprint[b] = s.total(t.footprint[b])
+	}
+	s.pes = 1
+	for _, v := range s.e.spatial {
+		s.pes *= int64(s.x[v])
+	}
+	s.summed = true
 }
 
 // total returns the sum over tensors of the products bounds delimits,
@@ -141,4 +177,51 @@ func (s *EvalSession) total(bounds []int32) float64 {
 		sum += p
 	}
 	return sum
+}
+
+// SetIter is the session's delta entry. It sets iterator it's trip at
+// each of levels to the matching entry of trips, keeps its trips at its
+// other levels, and queues for re-evaluation only the factors that read
+// a trip whose value changed; the next Price or Sums evaluates them. It
+// checks its own input: each level must be a distinct free level of it
+// (dataflow.Nest.FreeLevels), each trip at least 1, and after the set
+// the iterator's trips must multiply to its extent. Bad input returns
+// ErrBadMapping and leaves the memo as it was. A session that has not
+// been given a mapping starts from UniformMapping.
+func (s *EvalSession) SetIter(it int, levels []int, trips []int64) error {
+	e := s.e
+	n := e.Nest
+	if it < 0 || it >= len(e.free) || len(levels) != len(trips) {
+		return fmt.Errorf("%w: iterator %d set at %d levels with %d trips", ErrBadMapping, it, len(levels), len(trips))
+	}
+	if s.x == nil {
+		s.load(UniformMapping(n).Trips)
+	}
+	iter := &n.Prob.Iters[it]
+	prod, set := e.pinned[it], 0
+	for _, li := range e.free[it] {
+		trip := int64(s.x[n.Levels[li].Trips[it]])
+		if k := slices.Index(levels, li); k >= 0 {
+			trip = trips[k]
+			set++
+		}
+		if trip < 1 || prod > iter.Extent/trip {
+			return fmt.Errorf("%w: iterator %s trip %d at level %s leaves no integer product equal to its extent %d", ErrBadMapping, iter.Name, trip, n.Levels[li].Name, iter.Extent)
+		}
+		prod *= trip
+	}
+	if set != len(levels) {
+		return fmt.Errorf("%w: iterator %s set at levels %v, its free levels are %v", ErrBadMapping, iter.Name, levels, e.free[it])
+	}
+	if prod != iter.Extent {
+		return fmt.Errorf("%w: iterator %s trips multiply to %d, want %d", ErrBadMapping, iter.Name, prod, iter.Extent)
+	}
+	for k, li := range levels {
+		v := n.Levels[li].Trips[it]
+		if x := float64(trips[k]); math.Float64bits(x) != math.Float64bits(s.x[v]) {
+			s.x[v] = x
+			s.markReaders(v)
+		}
+	}
+	return nil
 }

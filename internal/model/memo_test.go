@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -128,6 +129,26 @@ func walkArchs() []arch.Arch {
 	return out
 }
 
+// deepArchs are walkArchs with one intermediate buffer each, the
+// architectures of a three-boundary nest: a per-PE scratchpad that
+// holds most tilings, one that rejects many, and a shared one (which
+// moves the PE grid's boundary for NoC energy).
+func deepArchs() []arch.Arch {
+	var out []arch.Arch
+	for i, a := range walkArchs() {
+		buf := arch.Buffer{Name: "spad", Words: 4096, Energy: 0.3, BW: 2, PerPE: true}
+		switch i % 3 {
+		case 1:
+			buf.Words = 24
+		case 2:
+			buf.PerPE = false
+		}
+		a.Mid = []arch.Buffer{buf}
+		out = append(out, a)
+	}
+	return out
+}
+
 // sameReport reports any Report field of got whose bits differ from
 // want's.
 func sameReport(got, want *Report) error {
@@ -151,6 +172,15 @@ func sameReport(got, want *Report) error {
 		{"RegFootprint", got.RegFootprint, want.RegFootprint},
 		{"SRAMFootprint", got.SRAMFootprint, want.SRAMFootprint},
 	}
+	if len(got.Mid) != len(want.Mid) || len(got.Breakdown.Mid) != len(want.Breakdown.Mid) {
+		return fmt.Errorf("%d/%d buffers, want %d/%d", len(got.Mid), len(got.Breakdown.Mid), len(want.Mid), len(want.Breakdown.Mid))
+	}
+	for i := range got.Mid {
+		fs = append(fs,
+			field{fmt.Sprintf("Mid[%d].Traffic", i), got.Mid[i].Traffic, want.Mid[i].Traffic},
+			field{fmt.Sprintf("Mid[%d].Footprint", i), got.Mid[i].Footprint, want.Mid[i].Footprint},
+			field{fmt.Sprintf("Breakdown.Mid[%d]", i), got.Breakdown.Mid[i], want.Breakdown.Mid[i]})
+	}
 	for _, f := range fs {
 		if math.Float64bits(f.got) != math.Float64bits(f.wnt) {
 			return fmt.Errorf("%s = %v, want %v", f.name, f.got, f.wnt)
@@ -163,12 +193,12 @@ func sameReport(got, want *Report) error {
 	return nil
 }
 
-// walkNest is one input of the memo's walks: a nest and, for the
-// standard (two-boundary) ones, that Evaluate applies.
+// walkNest is one input of the memo's walks: a nest and the
+// architectures its mappings are priced on.
 type walkNest struct {
-	name     string
-	n        *dataflow.Nest
-	standard bool
+	name  string
+	n     *dataflow.Nest
+	archs []arch.Arch
 }
 
 // walkNests returns the standard nests of every walk problem under
@@ -183,7 +213,7 @@ func walkNests(t *testing.T) []walkNest {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, walkNest{fmt.Sprintf("%s %v", p.Name, rs), n, true})
+			out = append(out, walkNest{fmt.Sprintf("%s %v", p.Name, rs), n, walkArchs()})
 		}
 	}
 	l, _ := workloads.ByName("resnet18_L4")
@@ -195,21 +225,35 @@ func walkNests(t *testing.T) []walkNest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(out, walkNest{p.Name + " deep", n, false})
+	return append(out, walkNest{p.Name + " deep", n, deepArchs()})
+}
+
+// boundarySums reads a report's per-boundary traffic and footprint,
+// innermost first.
+func boundarySums(r *Report) (traffic, footprint []float64) {
+	traffic, footprint = []float64{r.TrafficSR}, []float64{r.RegFootprint}
+	for _, b := range r.Mid {
+		traffic, footprint = append(traffic, b.Traffic), append(footprint, b.Footprint)
+	}
+	return append(traffic, r.TrafficDS), append(footprint, r.SRAMFootprint)
 }
 
 // TestEvalSessionMatchesFresh walks a memoized session through seeded
 // random sequences of mappings of one permutation choice — innermost
-// retilings, outer jumps, returns to an earlier tiling, mappings
-// CheckTrips rejects, and architecture changes — and checks after every
-// step that the session's per-boundary sums equal, bit for bit, the
-// traffic and footprint sums of dataflow.Volumes, and on standard nests
-// that each Report field equals a fresh Evaluator.Evaluate. The last
-// nest has three boundaries, so the memo is checked beyond two.
+// retilings, outer jumps and returns to an earlier tiling — given to it
+// by either entry: the generic one (Evaluate, or Sums then Price) or
+// the delta one (SetIter on the iterators that changed, sometimes only
+// on their changed levels, sometimes also on unchanged ones, then Price
+// under one to three architectures). After every step each report must
+// equal a fresh Evaluator.Evaluate field by field, bit for bit, and
+// its per-boundary sums must equal those of dataflow.Volumes. Input
+// that either entry must reject — a broken extent, and a delta set at
+// a pinned level — must return ErrBadMapping and leave the memo pricing
+// the last accepted mapping. The last nest has three boundaries, so the
+// memo is checked beyond two.
 func TestEvalSessionMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	archs := walkArchs()
-	steps := 0
+	steps, deltas := 0, 0
 	for _, in := range walkNests(t) {
 		n := in.n
 		w := newTripWalk(n, rng)
@@ -225,33 +269,67 @@ func TestEvalSessionMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !in.standard && len(vols.Boundaries) != 3 {
-			t.Fatalf("%s: %d boundaries, want 3", in.name, len(vols.Boundaries))
+		if want := 2 + len(in.archs[0].Mid); len(vols.Boundaries) != want {
+			t.Fatalf("%s: %d boundaries, want %d", in.name, len(vols.Boundaries), want)
 		}
-		// step moves the session to w.m and returns its per-boundary
-		// sums: on a standard nest through Evaluate (checked against a
-		// fresh evaluation) and read from the Report, else from Sums.
-		step := func(a *arch.Arch) (traffic, footprint []float64, err error) {
-			if !in.standard {
-				return sess.Sums(w.m.Trips)
-			}
-			got, err := sess.Evaluate(a, w.m)
-			if err != nil {
-				return nil, nil, err
-			}
-			want, err := ev.Evaluate(a, w.m)
+		// check compares a session report of m on a with a fresh
+		// evaluation, and its boundary sums with Volumes'.
+		check := func(got *Report, a *arch.Arch, m *Mapping) error {
+			want, err := ev.Evaluate(a, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := sameReport(got, want); err != nil {
-				return nil, nil, fmt.Errorf("on %s: session differs from fresh: %v", a.Name, err)
+				return fmt.Errorf("on %s: session differs from fresh: %v", a.Name, err)
 			}
-			return []float64{got.TrafficSR, got.TrafficDS}, []float64{got.RegFootprint, got.SRAMFootprint}, nil
+			traffic, footprint := boundarySums(got)
+			x := n.Assignment(n.Vars.Len(), m.Trips)
+			for b := range vols.Boundaries {
+				if g, v := traffic[b], vols.EvalTraffic(b, x); math.Float64bits(g) != math.Float64bits(v) {
+					return fmt.Errorf("boundary %d traffic = %v, Volumes gives %v", b, g, v)
+				}
+				if g, v := footprint[b], vols.EvalFootprint(b, x); math.Float64bits(g) != math.Float64bits(v) {
+					return fmt.Errorf("boundary %d footprint = %v, Volumes gives %v", b, g, v)
+				}
+			}
+			return nil
+		}
+		randArch := func() *arch.Arch { return &in.archs[rng.Intn(len(in.archs))] }
+		// A session that has seen no mapping starts from UniformMapping.
+		accepted := w.m.Clone()
+		// setDelta moves the session to m through the delta entry.
+		setDelta := func(m *Mapping) error {
+			for it := range n.Prob.Iters {
+				levels := n.FreeLevels(it)
+				var set []int
+				var trips []int64
+				for _, li := range levels {
+					if m.Trips[li][it] != accepted.Trips[li][it] || rng.Intn(4) == 0 {
+						set = append(set, li)
+						trips = append(trips, m.Trips[li][it])
+					}
+				}
+				if len(set) > 0 && rng.Intn(2) == 0 {
+					// The whole iterator, changed levels or not.
+					set, trips = levels, nil
+					for _, li := range levels {
+						trips = append(trips, m.Trips[li][it])
+					}
+				}
+				if len(set) == 0 {
+					continue
+				}
+				if err := sess.SetIter(it, set, trips); err != nil {
+					return err
+				}
+				deltas++
+			}
+			return nil
 		}
 		inner := w.free[len(w.free)-1]
 		var history []*Mapping
-		for i := 0; i < 60; i++ {
-			a := &archs[rng.Intn(len(archs))]
+		for i := 0; i < 80; i++ {
+			entry := rng.Intn(3)
 			var kind string
 			switch k := rng.Intn(10); {
 			case k < 5:
@@ -270,42 +348,92 @@ func TestEvalSessionMatchesFresh(t *testing.T) {
 				w.m = history[rng.Intn(len(history))].Clone()
 			default:
 				// A rejected mapping retiles the innermost iterator
-				// and breaks an outer one's extent. The next step
+				// and breaks an outer one's extent. The step then
 				// keeps the new innermost tiling and repairs the
 				// outer one, so a memo that took the rejected
 				// assignment would skip the innermost factors.
 				kind = "rejected"
 				w.retile(inner)
 				outer := w.free[0]
-				w.m.Trips[w.outermost(outer)][outer] *= 2
-				if _, _, err := step(a); err == nil {
-					t.Fatalf("%s step %d: a mapping with a broken extent was accepted", in.name, i)
+				ol := w.outermost(outer)
+				w.m.Trips[ol][outer] *= 2
+				var err error
+				switch entry {
+				case 0:
+					_, err = sess.Evaluate(randArch(), w.m)
+				case 1:
+					_, _, err = sess.Sums(w.m.Trips)
+				default:
+					levels := n.FreeLevels(outer)
+					trips := make([]int64, len(levels))
+					for j, li := range levels {
+						trips[j] = w.m.Trips[li][outer]
+					}
+					err = sess.SetIter(outer, levels, trips)
 				}
-				w.m.Trips[w.outermost(outer)][outer] /= 2
-			}
-			traffic, footprint, err := step(a)
-			if err != nil {
-				t.Fatalf("%s step %d (%s): %v", in.name, i, kind, err)
-			}
-			x := n.Assignment(n.Vars.Len(), w.m.Trips)
-			for b := range vols.Boundaries {
-				for _, c := range []struct {
-					name     string
-					got, wnt float64
-				}{
-					{"traffic", traffic[b], vols.EvalTraffic(b, x)},
-					{"footprint", footprint[b], vols.EvalFootprint(b, x)},
-				} {
-					if math.Float64bits(c.got) != math.Float64bits(c.wnt) {
-						t.Fatalf("%s step %d (%s): boundary %d %s = %v, Volumes gives %v", in.name, i, kind, b, c.name, c.got, c.wnt)
+				if !errors.Is(err, ErrBadMapping) {
+					t.Fatalf("%s step %d: entry %d took a mapping with a broken extent: %v", in.name, i, entry, err)
+				}
+				w.m.Trips[ol][outer] /= 2
+				// A delta set at a pinned level is rejected too.
+				for _, pin := range n.Pins {
+					if err := sess.SetIter(n.IterOfVar(pin.Var), []int{n.LevelOfVar(pin.Var)}, []int64{int64(pin.Value)}); !errors.Is(err, ErrBadMapping) {
+						t.Fatalf("%s step %d: a set at pinned level %s was taken: %v", in.name, i, n.Levels[n.LevelOfVar(pin.Var)].Name, err)
+					}
+				}
+				if i > 0 {
+					a := randArch()
+					got, err := sess.Price(a)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := check(got, a, accepted); err != nil {
+						t.Fatalf("%s step %d: after rejected input: %v", in.name, i, err)
 					}
 				}
 			}
-			history = append(history, w.m.Clone())
+			var reps []*Report
+			var archs []*arch.Arch
+			price := func(k int) {
+				for j := 0; j < k; j++ {
+					a := randArch()
+					got, err := sess.Price(a)
+					if err != nil {
+						t.Fatalf("%s step %d (%s): %v", in.name, i, kind, err)
+					}
+					reps, archs = append(reps, got.Clone()), append(archs, a)
+				}
+			}
+			switch entry {
+			case 0:
+				a := randArch()
+				got, err := sess.Evaluate(a, w.m)
+				if err != nil {
+					t.Fatalf("%s step %d (%s): %v", in.name, i, kind, err)
+				}
+				reps, archs = append(reps, got.Clone()), append(archs, a)
+			case 1:
+				if _, _, err := sess.Sums(w.m.Trips); err != nil {
+					t.Fatalf("%s step %d (%s): %v", in.name, i, kind, err)
+				}
+				price(1)
+			default:
+				if err := setDelta(w.m); err != nil {
+					t.Fatalf("%s step %d (%s): %v", in.name, i, kind, err)
+				}
+				price(1 + rng.Intn(3))
+			}
+			for j, got := range reps {
+				if err := check(got, archs[j], w.m); err != nil {
+					t.Fatalf("%s step %d (%s, entry %d): %v", in.name, i, kind, entry, err)
+				}
+			}
+			accepted = w.m.Clone()
+			history = append(history, accepted)
 			steps++
 		}
 	}
-	t.Logf("%d steps", steps)
+	t.Logf("%d steps, %d delta sets", steps, deltas)
 }
 
 // TestEvalSessionSteadyStateAllocs: once a session has seen its first
@@ -337,6 +465,29 @@ func TestEvalSessionSteadyStateAllocs(t *testing.T) {
 	step()
 	if n := testing.AllocsPerRun(100, step); n != 0 {
 		t.Errorf("steady-state Evaluate allocates %v times per call", n)
+	}
+	// The delta entry: set the tiled iterator, price under both archs.
+	levels := ev.Nest.FreeLevels(2)
+	tilings := make([][]int64, 2)
+	for k, mm := range []*Mapping{m, other} {
+		for _, li := range levels {
+			tilings[k] = append(tilings[k], mm.Trips[li][2])
+		}
+	}
+	delta := func() {
+		if err := sess.SetIter(2, levels, tilings[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+		for _, a := range []*arch.Arch{&eyeriss, &tiny} {
+			if _, err := sess.Price(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	delta()
+	if n := testing.AllocsPerRun(100, delta); n != 0 {
+		t.Errorf("a steady-state delta set and two prices allocate %v times", n)
 	}
 	// A cached permutation choice is looked up without allocating, as
 	// the one-shot Evaluator.Evaluate does on every call.

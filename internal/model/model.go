@@ -179,13 +179,39 @@ func (r *Report) Clone() *Report {
 type Evaluator struct {
 	Nest *dataflow.Nest
 
+	// ops is the problem's operation count and spatial the trip
+	// variables of the spatial levels, whose product is the PEs a
+	// mapping uses. free[it] are iterator it's free levels
+	// (Nest.FreeLevels) and pinned[it] the product of its pinned trips.
+	ops     int64
+	spatial []expr.VarID
+	free    [][]int
+	pinned  []int64
+
 	mu    sync.Mutex
 	cache map[string]*factorTable // guarded by mu
 }
 
 // NewEvaluator wraps a nest.
 func NewEvaluator(n *dataflow.Nest) *Evaluator {
-	return &Evaluator{Nest: n, cache: map[string]*factorTable{}}
+	e := &Evaluator{Nest: n, ops: n.Prob.Ops(), cache: map[string]*factorTable{}}
+	for li := range n.Levels {
+		if n.Levels[li].Kind == dataflow.Spatial {
+			for _, it := range n.Levels[li].Active {
+				e.spatial = append(e.spatial, n.Levels[li].Trips[it])
+			}
+		}
+	}
+	e.free = make([][]int, len(n.Prob.Iters))
+	e.pinned = make([]int64, len(n.Prob.Iters))
+	for it := range n.Prob.Iters {
+		e.free[it] = n.FreeLevels(it)
+		e.pinned[it] = 1
+	}
+	for _, pin := range n.Pins {
+		e.pinned[n.IterOfVar(pin.Var)] *= int64(pin.Value)
+	}
+	return e
 }
 
 // appendPermKey appends the cache key of a permutation choice to dst:
@@ -245,31 +271,40 @@ func (e *Evaluator) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 // across calls, so steady-state evaluation does not allocate.
 //
 // The session memoizes factor values. It keeps the assignment of the
-// last mapping it accepted and the value of every traffic and footprint
-// factor under it; Evaluate re-evaluates only the factors that read a
-// variable whose value changed (all of them on the first call), then
-// forms each product and each sum over tensors in the order of
-// dataflow.Volumes.EvalTraffic and EvalFootprint. A factor is a pure
-// function of the variables it reads, so every Report field is
-// bit-identical to a fresh evaluation. A mapping rejected with an error
-// leaves the memo as it was.
+// trips it last accepted and the value of every traffic and footprint
+// factor under it. Trips arrive by two entries: the generic one
+// (Evaluate, Sums) sets every iterator from a whole mapping, checked by
+// CheckTrips; the delta entry (SetIter) sets one iterator and checks
+// only it. Either queues the factors that read a variable whose value
+// changed. Pricing (Price, Evaluate) first flushes: it re-evaluates the
+// queued factors (all of them after the first mapping), forms each
+// product and each sum over tensors in the order of
+// dataflow.Volumes.EvalTraffic and EvalFootprint, and keeps the sums
+// until a trip changes, so pricing one tiling under many architectures
+// sums it once. A factor is a pure function of the variables it reads,
+// so every Report field is bit-identical to a fresh evaluation. Trips
+// rejected with an error leave the memo as it was.
 //
 // The returned *Report is owned by the session and overwritten by the
-// next Evaluate call; callers that keep one must Clone it. A session is
+// next Price or Evaluate call; callers that keep one must Clone it. A session is
 // single-goroutine: it is not safe for concurrent use (create one per
 // goroutine; they share the evaluator's locked table cache).
 type EvalSession struct {
 	e   *Evaluator
 	tab *factorTable
-	// x is the assignment of the last accepted mapping and val[f] the
-	// value of factor f under it; both are nil before the first call.
-	// next, dirty and stale are update's scratch.
+	// x is the assignment of the last accepted trips, nil before the
+	// first. val[f] is the value of factor f under x once flushed: stale
+	// lists the factors queued for re-evaluation (dirty marks them), or
+	// evalAll says that none has a value yet. next is load's scratch.
 	x, next, val []float64
 	dirty        []bool
 	stale        []int32
-	// traffic[b] and footprint[b] are the sums of boundary b under x
-	// (see Sums).
+	evalAll      bool
+	// summed says that traffic[b] and footprint[b], the sums of
+	// boundary b (see Sums), and pes, the PEs used, are those of x.
+	summed             bool
 	traffic, footprint []float64
+	pes                int64
 	rep                Report
 	// viols backs rep.Violations, kept across valid reports; mid and
 	// midEnergy back rep.Mid and rep.Breakdown.Mid.
@@ -310,39 +345,69 @@ func (s *EvalSession) Sums(trips [][]int64) (traffic, footprint []float64, err e
 	if err := s.e.Nest.CheckTrips(trips); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
 	}
-	s.update(trips)
-	t := s.tab
-	for b := range t.traffic {
-		s.traffic[b] = s.total(t.traffic[b])
-		s.footprint[b] = s.total(t.footprint[b])
-	}
+	s.load(trips)
+	s.flush()
 	return s.traffic, s.footprint, nil
 }
 
 // Evaluate computes the report for a mapping whose Perms match the
-// session's. See Evaluator.Evaluate for semantics and EvalSession for
-// the memo contract and the ownership rules of the returned Report.
+// session's: the generic entry, which sets every iterator from m and
+// prices the result. See Evaluator.Evaluate for semantics and
+// EvalSession for the memo contract and the ownership rules of the
+// returned Report.
 func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
-	e := s.e
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	nb := len(s.tab.traffic)
-	if nb != 2+len(a.Mid) {
-		return nil, fmt.Errorf("%w: %d buffers, nest has %d memory boundaries", ErrBadMapping, 2+len(a.Mid), nb)
-	}
-	traffic, footprint, err := s.Sums(m.Trips)
-	if err != nil {
+	if err := s.fits(a); err != nil {
 		return nil, err
 	}
-	last := nb - 1
+	if err := s.e.Nest.CheckTrips(m.Trips); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadMapping, err)
+	}
+	s.load(m.Trips)
+	return s.Price(a)
+}
+
+// fits reports an architecture whose buffers do not match the nest's
+// memory boundaries.
+func (s *EvalSession) fits(a *arch.Arch) error {
+	if nb := len(s.tab.traffic); nb != 2+len(a.Mid) {
+		return fmt.Errorf("%w: %d buffers, nest has %d memory boundaries", ErrBadMapping, 2+len(a.Mid), nb)
+	}
+	return nil
+}
+
+// ComputeEnergy is Breakdown.Compute of ops operations on a: the
+// register reads and write and the MAC of each, (4·ε_R + ε_op)·ops.
+// Every other term of a report's energy is non-negative, so it is a
+// lower bound on Report.Energy.
+func ComputeEnergy(a *arch.Arch, ops float64) float64 {
+	return (4*a.RegEnergy() + a.Tech.EnergyMAC) * ops
+}
+
+// Price returns the report of the session's trips on a, which must have
+// passed arch.Validate: it flushes the memo, then charges the
+// per-boundary sums to the architecture's buffers. Pricing the same
+// trips under several architectures re-evaluates and sums nothing. The
+// session must hold a mapping (Evaluate, Sums or SetIter).
+func (s *EvalSession) Price(a *arch.Arch) (*Report, error) {
+	if s.x == nil {
+		return nil, fmt.Errorf("%w: no mapping to price", ErrBadMapping)
+	}
+	if err := s.fits(a); err != nil {
+		return nil, err
+	}
+	s.flush()
+	traffic, footprint := s.traffic, s.footprint
+	last := len(traffic) - 1
 
 	viols := s.viols[:0]
 	r := &s.rep
-	*r = Report{Ops: e.Nest.Prob.Ops()}
+	*r = Report{Ops: s.e.ops}
 	r.TrafficSR, r.TrafficDS = traffic[0], traffic[last]
 	r.RegFootprint, r.SRAMFootprint = footprint[0], footprint[last]
-	r.PEsUsed = e.Nest.PEsUsed(m.Trips)
+	r.PEsUsed = s.pes
 	r.Utilization = float64(r.PEsUsed) / float64(a.PEs)
 
 	// Energy per Eq. 3 (plus the optional NoC extension): each buffer
@@ -352,7 +417,7 @@ func (s *EvalSession) Evaluate(a *arch.Arch, m *Mapping) (*Report, error) {
 	epsD := a.Tech.EnergyDRAM
 	ops := float64(r.Ops)
 	r.Breakdown = EnergyBreakdown{
-		Compute: (4*epsR + a.Tech.EnergyMAC) * ops,
+		Compute: ComputeEnergy(a, ops),
 		RegFile: epsR * r.TrafficSR,
 		SRAM:    epsS * (traffic[last-1] + r.TrafficDS),
 		DRAM:    epsD * r.TrafficDS,

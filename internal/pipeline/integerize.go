@@ -240,16 +240,20 @@ type candidate struct {
 // architecture, a prefix whose PE product already exceeds the
 // architecture's PEs is skipped in every criterion: the product only
 // grows below it, and a leaf using more PEs than exist is invalid. For
-// the delay criterion the search is also a branch and bound. A leaf's
-// Cycles is at least ops/PEsUsed, and PEsUsed is the product of the
-// spatial trips over the free iterators (the nest's spatial level
+// the delay and EDP criteria the search is also a branch and bound. A
+// leaf's Cycles is at least ops/PEsUsed, and PEsUsed is the product of
+// the spatial trips over the free iterators (the nest's spatial level
 // holds only tiled iterators). Below a partial assignment every leaf
 // therefore uses at most the prefix's PE product times the largest
 // spatial trip of each remaining ladder, capped at the fixed
 // architecture's PE count. A subtree whose bound gives ops/PEs ≥ the
 // incumbent's Cycles is skipped: float division is monotone, so none of
-// its leaves could score strictly better. Energy and EDP searches have
-// only the PE cap.
+// its leaves could score strictly better. EDP uses the same cycles
+// bound times the least compute energy of the search's architectures
+// (model.ComputeEnergy; in co-design, that of the smallest register
+// candidate): every other term of a leaf's energy is non-negative, and
+// float addition and multiplication of non-negatives are monotone.
+// Energy searches have only the PE cap.
 //
 // seed is the score to beat: the search keeps only designs scoring
 // strictly below it, and for delay it is the incumbent from the start
@@ -282,32 +286,53 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 	} else {
 		archs = []arch.Arch{av.fixed}
 	}
+	// The leaves price these archs without validating them (only PEs
+	// changes, to a tiling's PE product, which is at least 1).
+	for k := range archs {
+		if archs[k].Validate() != nil {
+			return nil, nil, 0
+		}
+	}
 
 	// All candidates of this search share one permutation choice, so pin
-	// its factor table in a session and stream every mapping through it:
-	// the session re-evaluates only the factors whose variables the leaf
-	// changed. Quick mode skips formatted violation messages — rejected
-	// reports are discarded, and the winner (valid by construction) has
-	// none.
+	// its factor table in a session and stream every tiling through it.
+	// The recursion records its choice at each depth and, only when a
+	// leaf has a capacity pair to score, sets the session's iterators
+	// from the shallowest depth chosen since the last scored leaf down:
+	// the session re-evaluates only the factors whose variables changed,
+	// and sums the tiling once for all its pairs. Quick mode skips
+	// formatted violation messages — rejected reports are discarded, and
+	// the winner (valid by construction) has none.
 	sess, err := ev.Session(perms)
 	if err != nil {
 		return nil, nil, 0
 	}
 	sess.Quick = true
-
-	// One mapping, mutated along the search: each depth writes its
-	// iterator's free trips as it picks a tiling, so a leaf's mapping
-	// holds exactly the leaf's choices, and consider() clones on keep.
-	m := buildMapping(n, perms)
+	chosen := make([]*dimCandidate, len(perDim))
+	branch := 0 // the shallowest depth chosen since the session was set
+	// setSession sets the chosen tilings from branch down; once they are
+	// set, it does nothing until the recursion chooses again.
+	setSession := func() bool {
+		for ; branch < len(chosen); branch++ {
+			if c := chosen[branch]; sess.SetIter(c.iter, c.levels, c.trips) != nil {
+				return false
+			}
+		}
+		return true
+	}
 
 	bestScore := seed
 	consider := func(a *arch.Arch) {
-		rep, err := sess.Evaluate(a, m)
+		rep, err := sess.Price(a)
 		if err != nil || !rep.Valid() {
 			return
 		}
 		if score := model.Score(crit, rep); score < bestScore {
-			best = &candidate{archCfg: *a, mapping: m.Clone()}
+			m := buildMapping(n, perms)
+			for _, c := range chosen {
+				c.apply(m)
+			}
+			best = &candidate{archCfg: *a, mapping: m}
 			bestRep, bestScore = rep.Clone(), score
 		}
 	}
@@ -318,11 +343,13 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 	if av.mode == FixedArch {
 		peCap = av.fixed.PEs
 	}
-	// Delay bound state: maxPEs[i] is the largest PE product the
-	// dimensions i.. can contribute.
+	// Bound state: maxPEs[i] is the largest PE product the dimensions
+	// i.. can contribute, and minCompute the least compute energy of
+	// any of the search's archs.
 	var maxPEs []int64
 	ops := float64(n.Prob.Ops())
-	if crit == model.MinDelay {
+	minCompute := math.Inf(1)
+	if crit == model.MinDelay || crit == model.MinEDP {
 		maxPEs = make([]int64, len(perDim)+1)
 		maxPEs[len(perDim)] = 1
 		for i := len(perDim) - 1; i >= 0; i-- {
@@ -332,6 +359,9 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 			}
 			maxPEs[i] = maxPEs[i+1] * widest
 		}
+		for k := range archs {
+			minCompute = min(minCompute, model.ComputeEnergy(&archs[k], ops))
+		}
 	}
 	// cannotWin reports whether no leaf below a prefix with PE product
 	// pes can be kept.
@@ -339,7 +369,14 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 		if pes > peCap {
 			return true
 		}
-		return maxPEs != nil && ops/float64(min(pes*maxPEs[i], peCap)) >= bestScore
+		if maxPEs == nil {
+			return false
+		}
+		cycles := ops / float64(min(pes*maxPEs[i], peCap))
+		if crit == model.MinEDP {
+			return minCompute*cycles >= bestScore
+		}
+		return cycles >= bestScore
 	}
 
 	var rec func(i int, pes int64)
@@ -356,6 +393,9 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 						continue
 					}
 				}
+				if !setSession() {
+					return
+				}
 				visited++
 				consider(a)
 			}
@@ -363,7 +403,8 @@ func searchIntegerCandidates(ev *model.Evaluator, n *dataflow.Nest, perms [][]in
 		}
 		for k := range perDim[i] {
 			c := &perDim[i][k]
-			c.apply(m)
+			chosen[i] = c
+			branch = min(branch, i)
 			rec(i+1, pes*c.pes)
 		}
 	}

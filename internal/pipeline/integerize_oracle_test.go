@@ -110,12 +110,14 @@ func randomOracleProblem(t *testing.T, rng *rand.Rand) *loopnest.Problem {
 
 // TestIntegerizeMatchesBruteForce checks that the integerize search's
 // prunes skip only leaves that could never be kept: on seeded random
-// small problems, in both modes and on a fixed four-level memory,
-// searchIntegerCandidates must return the same architecture, mapping
-// and report, bit for bit, as evaluating every leaf. Energy searches have only the PE cap, so they must
-// evaluate exactly the oracle's leaves whose PE product fits. A delay
-// search seeded with the oracle's best Cycles must find nothing, and
-// one seeded just above must still find the oracle's design.
+// small problems, in both modes and on a fixed four-level memory, for
+// delay, energy and EDP, searchIntegerCandidates must return the same
+// architecture, mapping and report, bit for bit, as evaluating every
+// leaf. Energy searches have only the PE cap, so they must evaluate
+// exactly the oracle's leaves whose PE product fits; the delay and EDP
+// bounds must each prune some. A delay search seeded with the oracle's
+// best Cycles must find nothing, and one seeded just above must still
+// find the oracle's design.
 func TestIntegerizeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// A small fixed architecture makes the PE cap bind; Eyeriss does not
@@ -126,7 +128,7 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 	// SRAM adds a free level to every tiled iterator.
 	deep := small
 	deep.Mid = []arch.Buffer{{Name: "spad", Words: 256, Energy: 0.3, BW: 2, PerPE: true}}
-	var delayVisited, delayLeaves, fitLeaves, allLeaves, seeded int
+	var delayVisited, delayLeaves, edpVisited, edpLeaves, fitLeaves, allLeaves, seeded int
 	check := func(rng *rand.Rand, p *loopnest.Problem, mode Mode, fixed *arch.Arch, trial int) {
 		r, err := newRun(context.Background(), p, Options{Mode: mode, Arch: fixed}.WithDefaults(), dataflow.RSAtRegister, nil)
 		if err != nil {
@@ -168,7 +170,7 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 			}
 		}
 		nDiv := 2 + trial%2
-		for _, crit := range []model.Criterion{model.MinDelay, model.MinEnergy} {
+		for _, crit := range []model.Criterion{model.MinDelay, model.MinEnergy, model.MinEDP} {
 			search := func(seed float64) (*candidate, *model.Report, int) {
 				return searchIntegerCandidates(model.NewEvaluator(n), n, perms, x, av, nDiv, crit, seed)
 			}
@@ -180,10 +182,14 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 			case crit == model.MinEnergy && visited != leaves:
 				t.Errorf("%s: energy search evaluated %d leaves, oracle %d that fit", name, visited, leaves)
 			case visited > leaves:
-				t.Errorf("%s: delay search evaluated %d leaves, more than the oracle's %d that fit", name, visited, leaves)
+				t.Errorf("%s: search evaluated %d leaves, more than the oracle's %d that fit", name, visited, leaves)
 			}
 			fitLeaves += leaves
 			allLeaves += all
+			if crit == model.MinEDP {
+				edpVisited += visited
+				edpLeaves += leaves
+			}
 			if crit != model.MinDelay {
 				continue
 			}
@@ -217,10 +223,36 @@ func TestIntegerizeMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		check(deepRng, randomOracleProblem(t, deepRng), FixedArch, &deep, trial)
 	}
-	t.Logf("delay searches evaluated %d of %d leaves; %d of %d leaves fit the PE cap; %d seeded searches",
-		delayVisited, delayLeaves, fitLeaves, allLeaves, seeded)
+	// Compute-bound technologies make the EDP bound nearly tight, so a
+	// bound that over-reaches changes the result. Wide ports leave
+	// Cycles = ops/PEs, and energy is mostly the MAC's (macBound) or the
+	// registers' (regBound, where co-design's register candidates differ
+	// in ε_R).
+	macBound, regBound := small, small
+	macBound.Tech.EnergyMAC = 1e3
+	regBound.Tech.SigmaR *= 100
+	regBound.Tech.EnergyMAC, regBound.Tech.SigmaS, regBound.Tech.EnergyDRAM = 0.01, 1e-4, 0.01
+	for _, a := range []*arch.Arch{&macBound, &regBound} {
+		a.Tech.BWReg, a.Tech.BWSRAM, a.Tech.BWDRAM = 1e3, 1e6, 1e6
+	}
+	tightRng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 12; trial++ {
+		fixed := &macBound
+		if trial%2 == 1 {
+			fixed = &regBound
+		}
+		p := randomOracleProblem(t, tightRng)
+		for _, mode := range []Mode{FixedArch, CoDesign} {
+			check(tightRng, p, mode, fixed, trial)
+		}
+	}
+	t.Logf("delay searches evaluated %d of %d leaves, EDP searches %d of %d; %d of %d leaves fit the PE cap; %d seeded searches",
+		delayVisited, delayLeaves, edpVisited, edpLeaves, fitLeaves, allLeaves, seeded)
 	if delayVisited >= delayLeaves {
 		t.Errorf("the delay bound never pruned: %d of %d leaves evaluated", delayVisited, delayLeaves)
+	}
+	if edpVisited >= edpLeaves {
+		t.Errorf("the EDP bound never pruned: %d of %d leaves evaluated", edpVisited, edpLeaves)
 	}
 	if fitLeaves >= allLeaves || seeded == 0 {
 		t.Errorf("the PE cap or the seed was never exercised: %d of %d leaves fit, %d seeded searches", fitLeaves, allLeaves, seeded)
