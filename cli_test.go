@@ -5,7 +5,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -94,8 +96,9 @@ func TestCLIEndToEnd(t *testing.T) {
 }
 
 // TestCLIObservability runs thistle with the full observability flag
-// set and checks the Chrome trace, metrics snapshots, and profiles it
-// leaves behind.
+// set and checks the Chrome trace, metrics snapshots, event stream and
+// profiles it leaves behind, and that the telemetry derived from each
+// record agrees with it (see checkDerivedTelemetry).
 func TestCLIObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI integration test skipped in -short mode")
@@ -106,11 +109,12 @@ func TestCLIObservability(t *testing.T) {
 	metricsPath := filepath.Join(dir, "metrics.json")
 	cpuPath := filepath.Join(dir, "cpu.pprof")
 	memPath := filepath.Join(dir, "mem.pprof")
+	eventsPath := filepath.Join(dir, "run.events.jsonl")
 
 	cmd := exec.Command(filepath.Join(bin, "thistle"),
 		"-layer", "resnet18_L12", "-specs=false",
 		"-v", "debug", "-trace-out", tracePath, "-metrics",
-		"-metrics-json", metricsPath,
+		"-metrics-json", metricsPath, "-events", eventsPath,
 		"-cpuprofile", cpuPath, "-memprofile", memPath)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
@@ -156,6 +160,10 @@ func TestCLIObservability(t *testing.T) {
 			Name  string `json:"name"`
 			Value int64  `json:"value"`
 		} `json:"counters"`
+		Histograms []struct {
+			Name  string `json:"name"`
+			Count int64  `json:"count"`
+		} `json:"histograms"`
 	}
 	if err := json.Unmarshal(metrics, &snap); err != nil {
 		t.Fatalf("metrics JSON: %v\n%s", err, metrics)
@@ -169,6 +177,11 @@ func TestCLIObservability(t *testing.T) {
 			t.Errorf("counter %s = %d, want > 0 (metrics: %s)", c, counters[c], metrics)
 		}
 	}
+	histCounts := map[string]int64{}
+	for _, h := range snap.Histograms {
+		histCounts[h.Name] = h.Count
+	}
+	checkDerivedTelemetry(t, sout, eventsPath, trace, counters, histCounts)
 
 	for _, p := range []string{cpuPath, memPath} {
 		st, err := os.Stat(p)
@@ -177,6 +190,122 @@ func TestCLIObservability(t *testing.T) {
 		} else if st.Size() == 0 {
 			t.Errorf("profile %s is empty", p)
 		}
+	}
+}
+
+// checkDerivedTelemetry checks a single-layer thistle run's telemetry
+// against the records it is derived from. Each core.* counter must
+// equal its field of the run's Stats, as the search line prints them or
+// as the solve_end events count them; the solver.* counters and the
+// solve_duration histogram must sum the solve_end events; and every
+// solve span must carry the fields of one solve_end event (absent
+// optional fields read as zero; the span's duration stands in for
+// wall_us).
+func checkDerivedTelemetry(t *testing.T, out, eventsPath string, trace *tracefile.Trace, counters, histCounts map[string]int64) {
+	t.Helper()
+	m := regexp.MustCompile(`search: +(\d+) x (\d+) permutation classes, (\d+) GPs solved(?: \(\+(\d+) pruned by bound\))?, (\d+) integer candidates`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no search line in output:\n%s", out)
+	}
+	stat := func(i int) int64 {
+		n, _ := strconv.ParseInt(m[i], 10, 64) // an absent pruned count reads 0
+		return n
+	}
+
+	data, err := os.ReadFile(eventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaults := map[string]any{"objective": 0.0, "gap": 0.0, "phase1": false, "warm_start": false, "phase1_skipped": false}
+	solveEnds := map[string]int{} // canonical fields → count
+	var solves, newton, infeasible, suboptimal, hits, misses int64
+	for _, ln := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var ev struct {
+			Type   string         `json:"type"`
+			Fields map[string]any `json:"fields"`
+		}
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+			t.Fatalf("event line %q: %v", ln, err)
+		}
+		if ev.Type != "solve_end" {
+			continue
+		}
+		f := map[string]any{}
+		for k, v := range defaults {
+			f[k] = v
+		}
+		for k, v := range ev.Fields {
+			f[k] = v
+		}
+		delete(f, "wall_us")
+		key, _ := json.Marshal(f)
+		solveEnds[string(key)]++
+		solves++
+		newton += int64(f["newton"].(float64))
+		switch f["status"] {
+		case "infeasible":
+			infeasible++
+		case "suboptimal":
+			suboptimal++
+		}
+		if f["warm_start"] == true {
+			if f["phase1_skipped"] == true {
+				hits++
+			} else {
+				misses++
+			}
+		}
+	}
+	if solves == 0 {
+		t.Fatal("no solve_end events")
+	}
+
+	for name, want := range map[string]int64{
+		"core.classes_l1":       stat(1),
+		"core.classes_sram":     stat(2),
+		"core.pairs_solved":     stat(3),
+		"core.pairs_pruned":     stat(4),
+		"core.int_candidates":   stat(5),
+		"core.gp_infeasible":    infeasible,
+		"core.gp_suboptimal":    suboptimal,
+		"solver.solves":         solves,
+		"solver.newton_iters":   newton,
+		"solver.infeasible":     infeasible,
+		"solver.warmstart.hit":  hits,
+		"solver.warmstart.miss": misses,
+	} {
+		got, ok := counters[name]
+		if !ok && (strings.HasPrefix(name, "core.") || want != 0) {
+			t.Errorf("counter %s missing, want %d", name, want)
+		} else if got != want {
+			t.Errorf("counter %s = %d, want %d from its record", name, got, want)
+		}
+	}
+	if got := histCounts["solver.solve_duration"]; got != solves {
+		t.Errorf("solver.solve_duration count = %d, want %d solve_end events", got, solves)
+	}
+
+	spans := 0
+	for _, s := range trace.Spans {
+		if s.Name != "solve" {
+			continue
+		}
+		spans++
+		attrs := map[string]any{}
+		for k, v := range s.Args {
+			if k != "span_id" && k != "parent_id" {
+				attrs[k] = v
+			}
+		}
+		key, _ := json.Marshal(attrs)
+		if solveEnds[string(key)] == 0 {
+			t.Errorf("solve span %s matches no solve_end event", key)
+			continue
+		}
+		solveEnds[string(key)]--
+	}
+	if int64(spans) != solves {
+		t.Errorf("%d solve spans, want %d solve_end events", spans, solves)
 	}
 }
 

@@ -123,23 +123,11 @@ func run() error {
 		Arch: &a, NDiv: *nDiv, AreaBudget: *area, Parallel: *parallel,
 		DisableBoundPruning: *noBound, DisableWarmStart: *noWarm,
 	}
-	switch *criterion {
-	case "energy":
-		opts.Criterion = model.MinEnergy
-	case "delay":
-		opts.Criterion = model.MinDelay
-	case "edp":
-		opts.Criterion = model.MinEDP
-	default:
-		return fmt.Errorf("unknown criterion %q", *criterion)
+	if opts.Criterion, err = model.ParseCriterion(*criterion); err != nil {
+		return err
 	}
-	switch *mode {
-	case "fixed":
-		opts.Mode = core.FixedArch
-	case "codesign":
-		opts.Mode = core.CoDesign
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	if opts.Mode, err = core.ParseMode(*mode); err != nil {
+		return err
 	}
 
 	if *pipeline != "" {
@@ -213,16 +201,9 @@ func run() error {
 // per layer plus totals. Layers that share a solve signature (same shape,
 // arch, and options) are solved once and fan out.
 func runPipeline(ctx context.Context, name string, opts core.Options) error {
-	var layers []workloads.Layer
-	switch name {
-	case "resnet18":
-		layers = workloads.ResNet18()
-	case "yolo9000":
-		layers = workloads.Yolo9000()
-	case "all":
-		layers = workloads.All()
-	default:
-		return fmt.Errorf("unknown pipeline %q (resnet18 | yolo9000 | all)", name)
+	layers, err := workloads.Pipeline(name)
+	if err != nil {
+		return err
 	}
 	probs, err := workloads.Problems(layers)
 	if err != nil {

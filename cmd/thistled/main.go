@@ -63,8 +63,6 @@ func run() error {
 	cacheSize := flag.Int("cache-size", 0, "max in-memory cache entries (default 1024)")
 	verbosity := flag.String("v", "info", "log verbosity: off|warn|info|debug|trace")
 	accessLog := flag.String("access-log", "", "write JSON access logs to this file ('-': stderr; default off)")
-	accessSample := flag.Int("access-log-sample", 1, "keep 1 in N fast successful requests in the access log (non-200 and slow requests always log)")
-	accessSlow := flag.Duration("access-log-slow", time.Second, "wall time beyond which a request always logs")
 	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof/ profiling handlers")
 	version := flag.Bool("version", false, "print the tool name and build git revision, then exit")
 	flag.Parse()
@@ -112,8 +110,6 @@ func run() error {
 		Cache:           sc,
 		Obs:             o,
 		AccessLog:       accessW,
-		AccessLogSample: *accessSample,
-		AccessLogSlow:   *accessSlow,
 	})
 	defer srv.Close()
 

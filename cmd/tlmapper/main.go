@@ -134,15 +134,8 @@ func run() error {
 		}
 		opts.Constraints = cons
 	}
-	switch *criterion {
-	case "energy":
-		opts.Criterion = model.MinEnergy
-	case "delay":
-		opts.Criterion = model.MinDelay
-	case "edp":
-		opts.Criterion = model.MinEDP
-	default:
-		return fmt.Errorf("unknown criterion %q", *criterion)
+	if opts.Criterion, err = model.ParseCriterion(*criterion); err != nil {
+		return err
 	}
 
 	// The randomized search is fully determined by (problem, arch,

@@ -51,6 +51,10 @@ const (
 	CoDesign = pipeline.CoDesign
 )
 
+// ParseMode returns the mode of a command-line or request spelling:
+// "fixed" or "codesign".
+func ParseMode(name string) (Mode, error) { return pipeline.ParseMode(name) }
+
 // Options configures an Optimize run. Zero values select defaults.
 type Options = pipeline.Options
 

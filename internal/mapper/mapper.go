@@ -2,10 +2,11 @@
 // Mapper: a multi-threaded randomized search over the mapping space
 // (divisor factorizations of every loop extent across the tiling levels,
 // times loop permutations at the copy levels), evaluating candidates with
-// the analytical model and keeping the best. Threads terminate on either
-// a maximum trial count (timeout) or a victory condition — n consecutive
-// candidates that fail to improve on the incumbent — mirroring the
-// Mapper behaviour described in the paper's Section IV.
+// the analytical model and keeping the best. Each thread keeps its own
+// incumbent and terminates on either a maximum trial count (timeout) or
+// a victory condition — n consecutive candidates that fail to improve
+// on its incumbent — mirroring the Mapper behaviour described in the
+// paper's Section IV; the best of the threads' incumbents wins.
 package mapper
 
 import (
@@ -50,9 +51,9 @@ type Options struct {
 	// Constraints pin parts of the mapping (trip counts, permutations);
 	// the search explores only the remaining freedom.
 	Constraints *Constraints
-	// Obs receives search telemetry: a span per search, per-worker
-	// progress gauges, mappings-evaluated counters, and periodic
-	// Debug-level progress logs for long runs. Nil disables it all.
+	// Obs receives search telemetry: a span per search, the trial,
+	// valid-mapping and improvement counters, and periodic Debug-level
+	// progress logs for long runs. Nil disables it all.
 	Obs *obs.Obs
 	// Span, when tracing, parents the search span. May be nil.
 	Span *obs.Span
@@ -114,89 +115,100 @@ func Search(p *loopnest.Problem, a *arch.Arch, opts Options) (*Result, error) {
 	if span != nil {
 		span.Annotate(obs.String("problem", p.Name), obs.Int("threads", opts.Threads))
 	}
-	trialsC := o.Counter("mapper.trials")
-	validC := o.Counter("mapper.valid")
-	improveC := o.Counter("mapper.improvements")
 
-	var (
-		mu      sync.Mutex
-		best    *model.Mapping
-		bestRep *model.Report
-		trials  int64
-		valid   int64
-	)
-	bestScore := func() float64 {
-		if bestRep == nil {
-			return 0
-		}
-		return Score(opts.Criterion, bestRep)
-	}
-
+	// Each worker searches on its own: its own RNG stream, its own best
+	// and its own victory count, so a fixed seed and thread count give
+	// the same result whatever the interleaving.
+	workers := make([]worker, opts.Threads)
 	var wg sync.WaitGroup
-	for tid := 0; tid < opts.Threads; tid++ {
+	for tid := range workers {
 		wg.Add(1)
-		go func(tid int) {
+		go func(w *worker, tid int) {
 			defer wg.Done()
-			// Per-worker progress gauge; nil (free) when metrics are off.
-			var progress *obs.Gauge
-			if o.MetricsEnabled() {
-				progress = o.Gauge(fmt.Sprintf("mapper.worker%02d.trials", tid))
-			}
-			log := o.Logger()
-			rng := rand.New(rand.NewSource(opts.Seed + int64(tid)*7919))
-			since := 0
-			localTrials := int64(0)
-			localValid := int64(0)
-			for trial := 0; trial < opts.MaxTrials && since < opts.Victory; trial++ {
-				localTrials++
-				trialsC.Inc()
-				progress.Set(localTrials)
-				if localTrials%4096 == 0 && log.Enabled(obs.Debug) {
-					mu.Lock()
-					bs := bestScore()
-					mu.Unlock()
-					log.Debugf("mapper worker %d: %d/%d trials, %d valid, best %.4g",
-						tid, localTrials, opts.MaxTrials, localValid, bs)
-				}
-				m := gen.random(rng)
-				rep, err := ev.Evaluate(a, m)
-				if err != nil || !rep.Valid() {
-					since++
-					continue
-				}
-				localValid++
-				validC.Inc()
-				score := Score(opts.Criterion, rep)
-				mu.Lock()
-				if bestRep == nil || score < bestScore() {
-					best, bestRep = m, rep
-					since = 0
-					improveC.Inc()
-				} else {
-					since++
-				}
-				mu.Unlock()
-			}
-			mu.Lock()
-			trials += localTrials
-			valid += localValid
-			mu.Unlock()
-		}(tid)
+			w.search(tid, gen, ev, a, opts)
+			w.observe(o)
+		}(&workers[tid], tid)
 	}
 	wg.Wait()
+
+	// Merge the workers' bests by (score, worker index).
+	var best *worker
+	var trials, valid int64
+	for i := range workers {
+		w := &workers[i]
+		trials += w.trials
+		valid += w.valid
+		if w.bestRep != nil && (best == nil || w.score(opts.Criterion) < best.score(opts.Criterion)) {
+			best = w
+		}
+	}
 	if span != nil {
 		span.Annotate(obs.Int64("trials", trials), obs.Int64("valid", valid))
 		span.End()
 	}
 	if o.Enabled(obs.Debug) {
 		o.Logf(obs.Debug, "mapper: %s done, %d trials, %d valid, best %.4g",
-			p.Name, trials, valid, bestScore())
+			p.Name, trials, valid, best.score(opts.Criterion))
 	}
-
-	if bestRep == nil {
+	if best == nil {
 		return &Result{Trials: trials}, fmt.Errorf("%w after %d trials", ErrNoMapping, trials)
 	}
-	return &Result{Mapping: best, Report: bestRep, Trials: trials, Valid: valid}, nil
+	return &Result{Mapping: best.best, Report: best.bestRep, Trials: trials, Valid: valid}, nil
+}
+
+// worker is the record of one search thread: its counts and its best
+// mapping.
+type worker struct {
+	trials, valid, improvements int64
+	best                        *model.Mapping
+	bestRep                     *model.Report
+}
+
+// score is the criterion's value of the worker's best, 0 while it has
+// none; a nil worker has none.
+func (w *worker) score(c Criterion) float64 {
+	if w == nil || w.bestRep == nil {
+		return 0
+	}
+	return Score(c, w.bestRep)
+}
+
+// search runs thread tid's trials until its budget or its victory
+// condition, n consecutive candidates that do not improve its own best,
+// ends it.
+func (w *worker) search(tid int, gen *generator, ev *model.Evaluator, a *arch.Arch, opts Options) {
+	log := opts.Obs.Logger()
+	rng := rand.New(rand.NewSource(opts.Seed + int64(tid)*7919))
+	since := 0
+	for trial := 0; trial < opts.MaxTrials && since < opts.Victory; trial++ {
+		w.trials++
+		if w.trials%4096 == 0 && log.Enabled(obs.Debug) {
+			log.Debugf("mapper worker %d: %d/%d trials, %d valid, best %.4g",
+				tid, w.trials, opts.MaxTrials, w.valid, w.score(opts.Criterion))
+		}
+		m := gen.random(rng)
+		rep, err := ev.Evaluate(a, m)
+		if err != nil || !rep.Valid() {
+			since++
+			continue
+		}
+		w.valid++
+		if w.bestRep == nil || Score(opts.Criterion, rep) < w.score(opts.Criterion) {
+			w.best, w.bestRep = m, rep
+			w.improvements++
+			since = 0
+		} else {
+			since++
+		}
+	}
+}
+
+// observe adds the worker's counts to the mapper.trials, mapper.valid
+// and mapper.improvements counters.
+func (w *worker) observe(o *obs.Obs) {
+	o.Counter("mapper.trials").Add(w.trials)
+	o.Counter("mapper.valid").Add(w.valid)
+	o.Counter("mapper.improvements").Add(w.improvements)
 }
 
 // generator produces random valid-shaped mappings for a standard nest.

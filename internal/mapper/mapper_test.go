@@ -1,6 +1,7 @@
 package mapper
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -73,16 +74,21 @@ func TestSearchDelayCriterion(t *testing.T) {
 func TestSearchDeterministicWithSeed(t *testing.T) {
 	p := loopnest.MatMul(32, 32, 32)
 	a := arch.Eyeriss()
-	r1, err := Search(p, &a, Options{Threads: 1, MaxTrials: 500, Victory: 200, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Search(p, &a, Options{Threads: 1, MaxTrials: 500, Victory: 200, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Report.Energy != r2.Report.Energy {
-		t.Fatalf("non-deterministic: %v vs %v", r1.Report.Energy, r2.Report.Energy)
+	for _, threads := range []int{1, 2, 4} {
+		opts := Options{Threads: threads, MaxTrials: 500, Victory: 200, Seed: 5}
+		r1, err := Search(p, &a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := Search(p, &a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Report.Energy != r2.Report.Energy || r1.Trials != r2.Trials || r1.Valid != r2.Valid ||
+			!reflect.DeepEqual(r1.Mapping, r2.Mapping) {
+			t.Fatalf("threads %d: non-deterministic: %v J, %d trials, %d valid vs %v J, %d trials, %d valid",
+				threads, r1.Report.Energy, r1.Trials, r1.Valid, r2.Report.Energy, r2.Trials, r2.Valid)
+		}
 	}
 }
 

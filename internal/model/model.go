@@ -53,6 +53,17 @@ func (c Criterion) String() string {
 	}
 }
 
+// ParseCriterion returns the criterion that String names: "energy",
+// "delay" or "edp".
+func ParseCriterion(name string) (Criterion, error) {
+	for _, c := range []Criterion{MinEnergy, MinDelay, MinEDP} {
+		if name == c.String() {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown criterion %q (energy | delay | edp)", name)
+}
+
 // Score extracts the criterion's objective value from a report.
 func Score(c Criterion, r *Report) float64 {
 	switch c {

@@ -122,6 +122,22 @@ type SolveEnd struct {
 	Phase1Skipped bool    `json:"phase1_skipped,omitempty"`
 }
 
+// Attrs returns the record's fields as span attributes under their
+// JSON names, each one present even when zero. A span's own duration
+// stands in for wall_us.
+func (e *SolveEnd) Attrs() []Attr {
+	return []Attr{
+		String("status", e.Status),
+		Int("newton", e.Newton),
+		Int("centerings", e.Centerings),
+		Float("objective", e.Objective),
+		Float("gap", e.Gap),
+		Bool("phase1", e.Phase1),
+		Bool("warm_start", e.WarmStart),
+		Bool("phase1_skipped", e.Phase1Skipped),
+	}
+}
+
 // Centering is one barrier centering step.
 type Centering struct {
 	Step       int     `json:"step"`

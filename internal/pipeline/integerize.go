@@ -39,7 +39,6 @@ func (integerizeStage) Run(r *Run) error {
 	// reuses it, so a candidate's table is built once per run.
 	ev := model.NewEvaluator(r.nest)
 	r.ev = ev
-	candC := r.obs.Counter("core.int_candidates")
 	seeded := r.opts.Criterion == model.MinDelay
 
 	// integerizePass converts each pair under shrink(x), keeping only
@@ -50,7 +49,7 @@ func (integerizeStage) Run(r *Run) error {
 		var mu sync.Mutex
 		err := r.sched.ForEach(r.ctx, len(pairs), func(i int) error {
 			sp := pairs[i]
-			c, rep, visited := r.integerizeOne(ev, candC, shrink(sp.X), sp, seed)
+			c, rep, visited := r.integerizeOne(ev, shrink(sp.X), sp, seed)
 			mu.Lock()
 			r.stats.Candidates += visited
 			mu.Unlock()
@@ -116,7 +115,7 @@ func (integerizeStage) Run(r *Run) error {
 // integerizeOne converts one relaxed solution to the best integer
 // design scoring strictly below seed, recording an integerize span whose
 // model-eval child covers the streamed candidate evaluation.
-func (r *Run) integerizeOne(ev *model.Evaluator, candC *obs.Counter, x []float64, sp Solved, seed float64) (*candidate, *model.Report, int) {
+func (r *Run) integerizeOne(ev *model.Evaluator, x []float64, sp Solved, seed float64) (*candidate, *model.Report, int) {
 	o := r.obs
 	var ispan *obs.Span
 	if o.TracingEnabled() {
@@ -124,7 +123,6 @@ func (r *Run) integerizeOne(ev *model.Evaluator, candC *obs.Counter, x []float64
 	}
 	evalSpan := o.StartSpan(ispan, "model-eval")
 	c, rep, visited := searchIntegerCandidates(ev, r.nest, sp.Perms, x, r.av, r.opts.NDiv, r.opts.Criterion, seed)
-	candC.Add(int64(visited))
 	if evalSpan != nil {
 		evalSpan.SetAttr("candidates", int64(visited))
 		evalSpan.End()

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/dataflow"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // ErrNoDesign is returned when no feasible design point was found.
@@ -40,6 +42,18 @@ func (m Mode) String() string {
 		return "codesign"
 	}
 	return "fixedarch"
+}
+
+// ParseMode returns the mode of a command-line or request spelling:
+// "fixed" or "codesign".
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "fixed":
+		return FixedArch, nil
+	case "codesign":
+		return CoDesign, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (fixed | codesign)", name)
 }
 
 // The search constants of the integerization (Section IV of the paper:
@@ -196,7 +210,15 @@ type DesignPoint struct {
 // never report a misleading "0 GPs solved" (nor pretend to have solved
 // GPs they reused).
 type Stats struct {
-	ClassesL1, ClassesSRAM int
+	// ClassesL1 and ClassesSRAM count the permutation classes of the
+	// innermost and the outermost copy level, and ClassesMid those of
+	// the copy levels between them, inner to outer (nil when the
+	// architecture has no intermediate buffer). Their product is the
+	// number of class tuples. ClassesMid is held by pointer so that
+	// Stats stays comparable with ==.
+	ClassesL1   int
+	ClassesMid  *[]int `json:",omitempty"`
+	ClassesSRAM int
 	// PairsSolved is the total number of permutation-pair GPs behind
 	// the returned design (deduplicated search effort).
 	PairsSolved int
@@ -218,6 +240,54 @@ type Stats struct {
 	// FromCache marks a result served from a SolveCache. The Best
 	// design point is shared with the cache — treat it as immutable.
 	FromCache bool
+}
+
+// add accumulates the search effort of o into s, the class counts of
+// the middle copy levels element by element.
+func (s *Stats) add(o Stats) {
+	s.ClassesL1 += o.ClassesL1
+	if o.ClassesMid != nil {
+		// A fresh slice: s may share its counts with another record.
+		sum := make([]int, len(*o.ClassesMid))
+		if s.ClassesMid != nil {
+			copy(sum, *s.ClassesMid)
+		}
+		for i, n := range *o.ClassesMid {
+			sum[i] += n
+		}
+		s.ClassesMid = &sum
+	}
+	s.ClassesSRAM += o.ClassesSRAM
+	s.PairsSolved += o.PairsSolved
+	s.Infeasible += o.Infeasible
+	s.Suboptimal += o.Suboptimal
+	s.Candidates += o.Candidates
+	s.NewtonIters += o.NewtonIters
+	s.Pruned += o.Pruned
+}
+
+// observe derives the telemetry of one RS placement from its record:
+// the core.* search-effort counters, and the class and solve counts on
+// the placement's span.
+func (s *Stats) observe(o *obs.Obs, span *obs.Span) {
+	o.Counter("core.classes_l1").Add(int64(s.ClassesL1))
+	o.Counter("core.classes_sram").Add(int64(s.ClassesSRAM))
+	o.Counter("core.pairs_solved").Add(int64(s.PairsSolved))
+	o.Counter("core.gp_infeasible").Add(int64(s.Infeasible))
+	o.Counter("core.gp_suboptimal").Add(int64(s.Suboptimal))
+	o.Counter("core.pairs_pruned").Add(int64(s.Pruned))
+	o.Counter("core.int_candidates").Add(int64(s.Candidates))
+	if span != nil {
+		attrs := []obs.Attr{
+			obs.Int("classes_l1", s.ClassesL1),
+			obs.Int("classes_sram", s.ClassesSRAM),
+			obs.Int("pairs_solved", s.PairsSolved),
+		}
+		if s.ClassesMid != nil {
+			attrs = append(attrs, obs.Attr{Key: "classes_mid", Value: *s.ClassesMid})
+		}
+		span.Annotate(attrs...)
+	}
 }
 
 // Result is the outcome of an Optimize run.

@@ -38,6 +38,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -200,13 +202,6 @@ func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, e
 			defer wg.Done()
 			pctx, pspan := obs.StartSpan(ctx, "rs-placement", obs.String("rs", rs.String()))
 			res, err := executeOne(pctx, p, opts, rs, sched)
-			if res != nil {
-				pspan.Annotate(
-					obs.Int("classes_l1", res.Stats.ClassesL1),
-					obs.Int("classes_sram", res.Stats.ClassesSRAM),
-					obs.Int("pairs_solved", res.Stats.PairsSolved),
-				)
-			}
 			pspan.End()
 			outs[i] = placementOut{res, err}
 		}(i, rs)
@@ -221,14 +216,7 @@ func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, e
 			// Accumulate search effort across placements — including
 			// placements that found no design but still solved GPs —
 			// instead of overwriting with the best placement's counts.
-			combined.ClassesL1 += out.res.Stats.ClassesL1
-			combined.ClassesSRAM += out.res.Stats.ClassesSRAM
-			combined.PairsSolved += out.res.Stats.PairsSolved
-			combined.Candidates += out.res.Stats.Candidates
-			combined.NewtonIters += out.res.Stats.NewtonIters
-			combined.Infeasible += out.res.Stats.Infeasible
-			combined.Suboptimal += out.res.Stats.Suboptimal
-			combined.Pruned += out.res.Stats.Pruned
+			combined.add(out.res.Stats)
 		}
 		if out.err != nil {
 			if o.Enabled(obs.Debug) {
@@ -255,13 +243,17 @@ func Execute(ctx context.Context, p *loopnest.Problem, opts Options) (*Result, e
 	return best, nil
 }
 
-// executeOne runs the staged pipeline for one RS placement.
+// executeOne runs the staged pipeline for one RS placement, under the
+// placement span that ctx carries, and derives the placement's
+// telemetry from its Stats when the stages end, on success or error.
 func executeOne(ctx context.Context, p *loopnest.Problem, opts Options, rs dataflow.RSPlacement, sched *Scheduler) (*Result, error) {
 	r, err := newRun(ctx, p, opts, rs, sched)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.runStages(stages); err != nil {
+	err = r.runStages(stages)
+	r.stats.observe(r.obs, r.parent)
+	if err != nil {
 		if errors.Is(err, ErrNoDesign) {
 			// The search effort behind a no-design outcome still
 			// counts toward the cross-placement totals.
@@ -375,42 +367,38 @@ func (enumerateStage) Name() string { return "enumerate" }
 func (enumerateStage) Run(r *Run) error {
 	o := r.obs
 	enumSpan := o.StartSpan(r.parent, "enumerate-classes")
+	defer enumSpan.End()
 	var syms []dataflow.Involution
 	if !r.opts.DisablePruning {
 		syms = dataflow.SymmetricInvolutions(r.prob)
 	}
 	copyLevels := r.nest.CopyLevels()
 	classes := make([][]dataflow.PermClass, len(copyLevels))
+	counts := make([]int, len(copyLevels))
 	for b, li := range copyLevels {
 		cs, err := enumerate(r.nest, li, syms, r.opts.DisablePruning)
 		if err != nil {
-			enumSpan.End()
 			return err
 		}
-		classes[b] = cs
-	}
-	// The telemetry and Stats name the innermost copy level L1 and the
-	// outermost SRAM, as in the standard nest.
-	inner, outer := len(classes[0]), len(classes[len(classes)-1])
-	if enumSpan != nil {
-		enumSpan.Annotate(obs.Int("classes_l1", inner), obs.Int("classes_sram", outer))
-		enumSpan.End()
-	}
-	if o.MetricsEnabled() {
-		// Per-placement class counts, plus running totals across the run.
-		rs := r.rs.String()
-		o.Gauge("core.classes_l1." + rs).Set(int64(inner))
-		o.Gauge("core.classes_sram." + rs).Set(int64(outer))
-		o.Counter("core.classes_l1").Add(int64(inner))
-		o.Counter("core.classes_sram").Add(int64(outer))
+		classes[b], counts[b] = cs, len(cs)
 	}
 	if o.Enabled(obs.Debug) {
-		o.Logf(obs.Debug, "optimize %s: placement %v: %d x %d permutation classes",
-			r.prob.Name, r.rs, inner, outer)
+		dims := make([]string, len(counts))
+		for b, n := range counts {
+			dims[b] = strconv.Itoa(n)
+		}
+		o.Logf(obs.Debug, "optimize %s: placement %v: %s permutation classes",
+			r.prob.Name, r.rs, strings.Join(dims, " x "))
 	}
 	r.copyLevels, r.classes = copyLevels, classes
-	r.stats.ClassesL1 = inner
-	r.stats.ClassesSRAM = outer
+	// Stats names the innermost copy level L1 and the outermost SRAM,
+	// as in the standard nest.
+	last := len(counts) - 1
+	r.stats.ClassesL1, r.stats.ClassesSRAM = counts[0], counts[last]
+	if last > 1 {
+		mid := counts[1:last]
+		r.stats.ClassesMid = &mid
+	}
 	return nil
 }
 

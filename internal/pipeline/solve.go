@@ -112,12 +112,6 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 		passSpan.Annotate(obs.Int("jobs", r.jobs), obs.Attr{Key: "cap_slack", Value: capSlack})
 	}
 	defer passSpan.End()
-	// Hoisted metric handles: nil no-ops when telemetry is off, so the
-	// job body pays only nil checks.
-	pairsC := o.Counter("core.pairs_solved")
-	infeasC := o.Counter("core.gp_infeasible")
-	subC := o.Counter("core.gp_suboptimal")
-	prunedC := o.Counter("core.pairs_pruned")
 	results := make([]*Solved, r.jobs)
 	// The strict pass holds every footprint to its buffer's capacity.
 	slack := r.vols.slack
@@ -162,7 +156,6 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 		lower := bc.lowerBound(objective)
 		if prunable(lower, threshold, solverTol) {
 			fspan.End()
-			prunedC.Inc()
 			mu.Lock()
 			r.stats.Pruned++
 			mu.Unlock()
@@ -200,7 +193,6 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 			Workspace:  ws,
 			WarmStart:  warmStart,
 		})
-		pairsC.Inc()
 		var sp *Solved
 		mu.Lock()
 		r.stats.PairsSolved++
@@ -208,10 +200,8 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 			switch res.Status {
 			case solver.Infeasible:
 				r.stats.Infeasible++
-				infeasC.Inc()
 			case solver.Suboptimal:
 				r.stats.Suboptimal++
-				subC.Inc()
 				fallthrough
 			case solver.Optimal:
 				r.stats.NewtonIters += res.Newton
@@ -220,16 +210,7 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 			}
 		}
 		mu.Unlock()
-		if pairSpan != nil {
-			if err == nil {
-				pairSpan.Annotate(
-					obs.String("status", res.Status.String()),
-					obs.Int("newton", res.Newton),
-					obs.Float("objective", res.Objective),
-				)
-			}
-			pairSpan.End()
-		}
+		pairSpan.End()
 		return sp, err
 	}
 

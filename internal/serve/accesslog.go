@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,12 +59,15 @@ func newRequestID() string {
 	return "req-" + hex.EncodeToString(b[:])
 }
 
-// accessRecord is one structured access-log line (JSON, one per line).
+// accessRecord is the record of one /v1/optimize request.
+// handleOptimize fills it on every exit path, and Server.finish derives
+// the request's telemetry from it, its access-log line (the exported
+// fields as JSON, one line per request) included.
 type accessRecord struct {
 	Time      string  `json:"ts"`
 	RequestID string  `json:"request_id"`
 	RunID     string  `json:"run_id,omitempty"`
-	TraceID   string  `json:"trace_id,omitempty"`
+	TraceID   string  `json:"trace_id,omitempty"` // set when the response carries a trace
 	Remote    string  `json:"remote,omitempty"`
 	Method    string  `json:"method"`
 	Path      string  `json:"path"`
@@ -73,43 +75,36 @@ type accessRecord struct {
 	Code      string  `json:"code,omitempty"` // API error code on failures
 	Request   string  `json:"request,omitempty"`
 	Layers    int     `json:"layers,omitempty"`
-	WallMS    float64 `json:"wall_ms"`
-	Sampled   bool    `json:"sampled,omitempty"` // true when kept by sampling, not by a force rule
+	WallMS    float64 `json:"wall_ms"` // since handler entry
+
+	start time.Time     // handler entry
+	ran   bool          // admitted and run
+	wall  time.Duration // the run's wall time
 }
 
-// accessLogger writes sampled structured access logs. Sampling keeps
-// high-QPS logs bounded without losing the lines that matter: every
-// non-200 and every slow request is always written; fast successes are
-// kept 1-in-N.
+// fail sends aerr as the request's response.
+func (q *accessRecord) fail(w http.ResponseWriter, aerr *apiError) {
+	q.Status, q.Code = aerr.status, aerr.Code
+	writeError(w, aerr)
+}
+
+// accessLogger writes structured access logs, one line per record.
 type accessLogger struct {
-	mu     sync.Mutex
-	w      io.Writer
-	sample int64 // keep 1 in sample fast successes (≤1: keep all)
-	slow   time.Duration
-	n      atomic.Int64
+	mu sync.Mutex
+	w  io.Writer
 }
 
-func newAccessLogger(w io.Writer, sample int, slow time.Duration) *accessLogger {
+func newAccessLogger(w io.Writer) *accessLogger {
 	if w == nil {
 		return nil
 	}
-	if slow <= 0 {
-		slow = time.Second
-	}
-	return &accessLogger{w: w, sample: int64(sample), slow: slow}
+	return &accessLogger{w: w}
 }
 
-// log writes one record if it passes the keep rules. Nil-safe.
+// log writes one record. Nil-safe.
 func (l *accessLogger) log(rec accessRecord) {
 	if l == nil {
 		return
-	}
-	forced := rec.Status != http.StatusOK || time.Duration(rec.WallMS*float64(time.Millisecond)) >= l.slow
-	if !forced {
-		if l.sample > 1 && l.n.Add(1)%l.sample != 1 {
-			return
-		}
-		rec.Sampled = true
 	}
 	data, err := json.Marshal(rec)
 	if err != nil {
@@ -121,28 +116,9 @@ func (l *accessLogger) log(rec accessRecord) {
 	_, _ = l.w.Write(data) // best effort: logging must not fail requests
 }
 
-// statusRecorder captures the response status for the access line.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
 // requestIDMiddleware assigns (or adopts) the request ID, echoes it on
-// the response before any handler writes, stashes it in the context,
-// and emits the access-log line for optimize requests once the handler
-// returns. Because it wraps the whole mux, rejection paths (405, 429,
+// the response before any handler writes, and stashes it in the
+// context. Because it wraps the whole mux, rejection paths (405, 429,
 // 503, 404) echo the ID too.
 func (s *Server) requestIDMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -151,70 +127,6 @@ func (s *Server) requestIDMiddleware(next http.Handler) http.Handler {
 			id = newRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		ctx := context.WithValue(r.Context(), requestIDKey{}, id)
-
-		// Only the optimize endpoint gets access-log lines; probe
-		// endpoints (/metrics, /statusz, healthz) would drown the log.
-		if s.accessLog == nil || r.URL.Path != "/v1/optimize" {
-			next.ServeHTTP(w, r.WithContext(ctx))
-			return
-		}
-		sr := &statusRecorder{ResponseWriter: w}
-		t0 := time.Now()
-		next.ServeHTTP(sr, r.WithContext(ctx))
-		wall := time.Since(t0)
-		status := sr.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		rec := accessRecord{
-			Time:      t0.UTC().Format(time.RFC3339Nano),
-			RequestID: id,
-			Remote:    r.RemoteAddr,
-			Method:    r.Method,
-			Path:      r.URL.Path,
-			Status:    status,
-			WallMS:    float64(wall) / float64(time.Millisecond),
-		}
-		if d, ok := s.takeDetail(id); ok {
-			rec.RunID = d.runID
-			rec.TraceID = d.traceID
-			rec.Code = d.code
-			rec.Request = d.summary
-			rec.Layers = d.layers
-		}
-		s.accessLog.log(rec)
+		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 	})
-}
-
-// reqDetail carries per-request fields from the handler to the
-// middleware's access line (keyed by request ID, removed on read).
-type reqDetail struct {
-	runID   string
-	traceID string
-	code    string
-	summary string
-	layers  int
-}
-
-func (s *Server) noteDetail(id string, d reqDetail) {
-	if s.accessLog == nil || id == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.details == nil {
-		s.details = map[string]reqDetail{}
-	}
-	s.details[id] = d
-}
-
-func (s *Server) takeDetail(id string) (reqDetail, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.details[id]
-	if ok {
-		delete(s.details, id)
-	}
-	return d, ok
 }

@@ -3,10 +3,11 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestSanitizeRequestID(t *testing.T) {
@@ -72,50 +73,61 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-func TestAccessLoggerSampling(t *testing.T) {
-	var buf syncBuffer
-	l := newAccessLogger(&buf, 3, time.Second)
-
-	// 9 fast successes at 1-in-3 → 3 lines.
-	for i := 0; i < 9; i++ {
-		l.log(accessRecord{Status: 200, WallMS: 5})
-	}
-	if got := len(logLines(t, &buf)); got != 3 {
-		t.Fatalf("sampled %d lines, want 3", got)
-	}
-	for _, rec := range logLines(t, &buf) {
-		if !rec.Sampled {
-			t.Fatalf("kept-by-sampling line not marked sampled: %+v", rec)
-		}
-	}
-
-	// Errors and slow requests always log, unmarked.
-	l.log(accessRecord{Status: 429, WallMS: 1})
-	l.log(accessRecord{Status: 200, WallMS: 5000})
-	lines := logLines(t, &buf)
-	if len(lines) != 5 {
-		t.Fatalf("after forced lines: %d, want 5", len(lines))
-	}
-	if lines[3].Sampled || lines[4].Sampled {
-		t.Fatalf("forced lines marked sampled: %+v", lines[3:])
-	}
-}
-
 func TestAccessLoggerKeepAll(t *testing.T) {
 	var buf syncBuffer
-	l := newAccessLogger(&buf, 1, time.Second)
+	l := newAccessLogger(&buf)
 	for i := 0; i < 4; i++ {
 		l.log(accessRecord{Status: 200, WallMS: 1})
 	}
 	if got := len(logLines(t, &buf)); got != 4 {
-		t.Fatalf("sample=1 kept %d of 4", got)
+		t.Fatalf("kept %d of 4", got)
 	}
 }
 
 func TestAccessLoggerNil(t *testing.T) {
-	if l := newAccessLogger(nil, 1, 0); l != nil {
+	if l := newAccessLogger(nil); l != nil {
 		t.Fatal("nil writer should produce nil logger")
 	}
 	var l *accessLogger
 	l.log(accessRecord{Status: 500}) // must not panic
+}
+
+// TestAccessLogEveryRequest: every /v1/optimize request writes one
+// access-log line, the ones refused before any work included, and the
+// request counters count the POSTs among them.
+func TestAccessLogEveryRequest(t *testing.T) {
+	var buf syncBuffer
+	srv := New(Config{AccessLog: &buf})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Get(ts.URL + "/v1/optimize")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp, _ := postOptimize(t, ts, `{"layer": "nope"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown layer: status %d", resp.StatusCode)
+	}
+	lines := logLines(t, &buf)
+	if len(lines) != 2 {
+		t.Fatalf("%d access-log lines, want 2:\n%s", len(lines), buf.String())
+	}
+	for i, want := range []struct {
+		method, code string
+		status       int
+	}{
+		{"GET", "method_not_allowed", http.StatusMethodNotAllowed},
+		{"POST", "bad_request", http.StatusBadRequest},
+	} {
+		if l := lines[i]; l.Method != want.method || l.Status != want.status || l.Code != want.code || l.RequestID == "" || l.Path != "/v1/optimize" {
+			t.Errorf("line %d = %+v, want %s %d %s", i, l, want.method, want.status, want.code)
+		}
+	}
+	if got := srv.reqTotal.Value(); got != 1 {
+		t.Errorf("serve.requests = %d, want 1 (the POST)", got)
+	}
+	if got := srv.reqErr.Value(); got != 1 {
+		t.Errorf("serve.requests_error = %d, want 1", got)
+	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -181,16 +182,11 @@ func resolve(req *OptimizeRequest) (*work, *apiError) {
 		}
 		w.desc = fmt.Sprintf("layers=%d", len(req.Layers))
 	case req.Pipeline != "":
-		switch req.Pipeline {
-		case "resnet18":
-			w.layers = workloads.ResNet18()
-		case "yolo9000":
-			w.layers = workloads.Yolo9000()
-		case "all":
-			w.layers = workloads.All()
-		default:
-			return nil, badRequest("unknown pipeline %q (resnet18 | yolo9000 | all)", req.Pipeline)
+		layers, err := workloads.Pipeline(req.Pipeline)
+		if err != nil {
+			return nil, badRequest("%v", err)
 		}
+		w.layers = layers
 		w.desc = "pipeline=" + req.Pipeline
 	case req.ProblemYAML != "":
 		node, err := yamlite.Parse(req.ProblemYAML)
@@ -226,23 +222,12 @@ func resolve(req *OptimizeRequest) (*work, *apiError) {
 	a.Tech.EnergyNoCHop = req.NoCPJ
 
 	w.opts = core.Options{Arch: &a, NDiv: req.NDiv, AreaBudget: req.AreaUM2}
-	switch req.Criterion {
-	case "", "energy":
-		w.opts.Criterion = model.MinEnergy
-	case "delay":
-		w.opts.Criterion = model.MinDelay
-	case "edp":
-		w.opts.Criterion = model.MinEDP
-	default:
-		return nil, badRequest("unknown criterion %q (energy | delay | edp)", req.Criterion)
+	var err error
+	if w.opts.Criterion, err = model.ParseCriterion(cmp.Or(req.Criterion, "energy")); err != nil {
+		return nil, badRequest("%v", err)
 	}
-	switch req.Mode {
-	case "", "fixed":
-		w.opts.Mode = core.FixedArch
-	case "codesign":
-		w.opts.Mode = core.CoDesign
-	default:
-		return nil, badRequest("unknown mode %q (fixed | codesign)", req.Mode)
+	if w.opts.Mode, err = core.ParseMode(cmp.Or(req.Mode, "fixed")); err != nil {
+		return nil, badRequest("%v", err)
 	}
 	if req.NDiv < 0 {
 		return nil, badRequest("ndiv must be >= 0")

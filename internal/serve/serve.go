@@ -30,6 +30,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -86,15 +87,9 @@ type Config struct {
 	// backs /metrics and the serve.* gauges and histograms; its Log
 	// receives request logs. Nil allocates a metrics-only bundle.
 	Obs *obs.Obs
-	// AccessLog, when set, receives one JSON line per optimize request
-	// (subject to AccessLogSample; non-200 and slow requests always
-	// log). Nil disables access logging.
+	// AccessLog, when set, receives one JSON line per optimize request.
+	// Nil disables access logging.
 	AccessLog io.Writer
-	// AccessLogSample keeps 1 in N fast successful requests (≤1: all).
-	AccessLogSample int
-	// AccessLogSlow is the wall time beyond which a request always logs
-	// (0: 1s).
-	AccessLogSlow time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -124,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.AccessLogSlow <= 0 {
-		c.AccessLogSlow = time.Second
 	}
 	if c.Obs == nil {
 		c.Obs = &obs.Obs{Metrics: obs.NewRegistry()}
@@ -183,9 +175,8 @@ type Server struct {
 	rejDrain    *obs.Counter
 	deadlines   *obs.Counter
 
-	mu      sync.Mutex
-	recent  []reqStatus          // guarded by mu; newest first, capped
-	details map[string]reqDetail // guarded by mu; request ID → access-log detail, taken on log
+	mu     sync.Mutex
+	recent []reqStatus // guarded by mu; newest first, capped
 }
 
 // New assembles a server from the config. The scheduler and cache it
@@ -212,7 +203,7 @@ func New(cfg Config) *Server {
 		deadlines:   cfg.Obs.Counter("serve.deadline_exceeded"),
 	}
 	s.run = s.runWork
-	s.accessLog = newAccessLogger(cfg.AccessLog, cfg.AccessLogSample, cfg.AccessLogSlow)
+	s.accessLog = newAccessLogger(cfg.AccessLog)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/optimize", s.handleOptimize)
@@ -277,7 +268,6 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // beyond MaxConcurrent+QueueDepth are shed with 429 immediately.
 func (s *Server) admit(ctx context.Context) (func(), *apiError) {
 	if s.draining.Load() {
-		s.rejDrain.Inc()
 		return nil, &apiError{
 			status: http.StatusServiceUnavailable, retryAfter: s.cfg.RetryAfter,
 			Code: "draining", Message: "server is draining; retry against another replica",
@@ -299,7 +289,6 @@ func (s *Server) admit(ctx context.Context) (func(), *apiError) {
 	}
 	if q := s.queued.Add(1); q > int64(s.cfg.QueueDepth) {
 		s.queued.Add(-1)
-		s.rejQueue.Inc()
 		return nil, &apiError{
 			status: http.StatusTooManyRequests, retryAfter: s.cfg.RetryAfter,
 			Code: "queue_full", Message: fmt.Sprintf("request queue is full (%d executing, %d queued)", s.cfg.MaxConcurrent, s.cfg.QueueDepth),
@@ -315,7 +304,6 @@ func (s *Server) admit(ctx context.Context) (func(), *apiError) {
 		return acquired(), nil
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.deadlines.Inc()
 			return nil, &apiError{
 				status: http.StatusGatewayTimeout,
 				Code:   "deadline_exceeded", Message: "deadline expired while queued",
@@ -330,23 +318,24 @@ func (s *Server) admit(ctx context.Context) (func(), *apiError) {
 
 // handleOptimize is POST /v1/optimize: decode, resolve, admit, run.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	q := &accessRecord{RequestID: RequestIDFromContext(r.Context()), Remote: r.RemoteAddr,
+		Method: r.Method, Path: r.URL.Path, start: time.Now()}
+	defer s.finish(q)
 	if r.Method != http.MethodPost {
-		writeError(w, &apiError{status: http.StatusMethodNotAllowed, Code: "method_not_allowed", Message: "use POST"})
+		q.fail(w, &apiError{status: http.StatusMethodNotAllowed, Code: "method_not_allowed", Message: "use POST"})
 		return
 	}
-	s.reqTotal.Inc()
 	req, aerr := decodeRequest(w, r)
 	if aerr != nil {
-		s.reqErr.Inc()
-		writeError(w, aerr)
+		q.fail(w, aerr)
 		return
 	}
 	wk, aerr := resolve(req)
 	if aerr != nil {
-		s.reqErr.Inc()
-		writeError(w, aerr)
+		q.fail(w, aerr)
 		return
 	}
+	q.Request = wk.summary()
 
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
@@ -363,42 +352,64 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	release, aerr := s.admit(ctx)
 	if aerr != nil {
-		s.reqErr.Inc()
-		writeError(w, aerr)
+		q.fail(w, aerr)
 		return
 	}
 	defer release()
 
 	t0 := time.Now()
 	resp, aerr := s.run(ctx, req, wk)
-	wall := time.Since(t0)
-	s.latency.Observe(wall)
-	reqID := RequestIDFromContext(r.Context())
-
+	q.ran, q.wall = true, time.Since(t0)
 	if aerr != nil {
-		s.reqErr.Inc()
-		if aerr.Code == "deadline_exceeded" {
-			s.deadlines.Inc()
-		}
-		s.record(reqStatus{Summary: wk.summary(), Outcome: aerr.Code, Wall: wall})
-		s.noteDetail(reqID, reqDetail{code: aerr.Code, summary: wk.summary()})
-		if s.o.Enabled(obs.Info) {
-			s.o.Logf(obs.Info, "serve: %s -> %s (%s)", wk.summary(), aerr.Code, wall.Round(time.Millisecond))
-		}
-		writeError(w, aerr)
+		q.fail(w, aerr)
 		return
 	}
-	s.reqOK.Inc()
-	s.record(reqStatus{RunID: resp.RunID, Summary: wk.summary(), Outcome: "ok", Layers: len(resp.Results), Wall: wall})
-	detail := reqDetail{runID: resp.RunID, summary: wk.summary(), layers: len(resp.Results)}
+	q.Status, q.RunID, q.Layers = http.StatusOK, resp.RunID, len(resp.Results)
 	if len(resp.Trace) > 0 {
-		detail.traceID = obs.DeriveTraceID(traceSeed(reqID, resp.RunID))
-	}
-	s.noteDetail(reqID, detail)
-	if s.o.Enabled(obs.Info) {
-		s.o.Logf(obs.Info, "serve: %s -> ok run %s, %d layers (%s)", wk.summary(), resp.RunID, len(resp.Results), wall.Round(time.Millisecond))
+		q.TraceID = obs.DeriveTraceID(traceSeed(q.RequestID, resp.RunID))
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// finish derives a request's telemetry from its record q, once the
+// response is written: the serve.requests* and rejection counters, and
+// for a request that ran, the latency histogram, the /statusz row and
+// the Info log line; then the access-log line.
+func (s *Server) finish(q *accessRecord) {
+	if q.Method == http.MethodPost {
+		s.reqTotal.Inc()
+		if q.Code == "" {
+			s.reqOK.Inc()
+		} else {
+			s.reqErr.Inc()
+		}
+		switch q.Code {
+		case "deadline_exceeded":
+			s.deadlines.Inc()
+		case "queue_full":
+			s.rejQueue.Inc()
+		case "draining":
+			s.rejDrain.Inc()
+		}
+	}
+	if q.ran {
+		s.latency.Observe(q.wall)
+		outcome := cmp.Or(q.Code, "ok")
+		s.record(reqStatus{RunID: q.RunID, Summary: q.Request, Outcome: outcome, Layers: q.Layers, Wall: q.wall})
+		if s.o.Enabled(obs.Info) {
+			wall := q.wall.Round(time.Millisecond)
+			if q.Code != "" {
+				s.o.Logf(obs.Info, "serve: %s -> %s (%s)", q.Request, q.Code, wall)
+			} else {
+				s.o.Logf(obs.Info, "serve: %s -> ok run %s, %d layers (%s)", q.Request, q.RunID, q.Layers, wall)
+			}
+		}
+	}
+	if s.accessLog != nil {
+		q.Time = q.start.UTC().Format(time.RFC3339Nano)
+		q.WallMS = float64(time.Since(q.start)) / float64(time.Millisecond)
+		s.accessLog.log(*q)
+	}
 }
 
 // runWork executes one admitted request end to end: per-request run

@@ -22,7 +22,7 @@ import (
 // (with the trace ID derived from it), and the access log.
 func TestRequestIDJoinsAllRecords(t *testing.T) {
 	var logBuf syncBuffer
-	srv := New(Config{AccessLog: &logBuf, AccessLogSample: 1})
+	srv := New(Config{AccessLog: &logBuf})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -133,18 +133,13 @@ func Solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	span := o.StartSpan(opts.Span, "solve")
 	opts.Span = span // parent for the phase spans
 	var t0 time.Time
-	hist := o.Histogram("solver.solve_duration")
-	if hist != nil || o.EventsEnabled() {
-		//tlvet:ignore wallclock -- telemetry: solve duration feeds the solver.solve_duration histogram and solve_end event only
+	if o.MetricsEnabled() || o.EventsEnabled() {
+		//tlvet:ignore wallclock -- telemetry: solve duration feeds the solve_end record only
 		t0 = time.Now()
 	}
 	res, err := solve(p, yHint, opts)
-	if hist != nil {
-		//tlvet:ignore wallclock -- telemetry: solve duration feeds the solver.solve_duration histogram only
-		hist.Observe(time.Since(t0))
-	}
-	if o.EventsEnabled() {
-		o.Emit(&obs.SolveEnd{
+	if o != nil {
+		end := obs.SolveEnd{
 			Status:        res.Status.String(),
 			Newton:        res.Newton,
 			Centerings:    res.Centerings,
@@ -153,33 +148,46 @@ func Solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 			Phase1:        res.PhaseI,
 			WarmStart:     opts.WarmStart,
 			Phase1Skipped: opts.WarmStart && res.Status != Infeasible && !res.PhaseI,
-			//tlvet:ignore wallclock -- telemetry: wall_us on solve_end events; never feeds solve results
-			WallUS: time.Since(t0).Microseconds(),
-		})
-	}
-	o.Counter("solver.solves").Inc()
-	o.Counter("solver.newton_iters").Add(int64(res.Newton))
-	if res.Status == Infeasible {
-		o.Counter("solver.infeasible").Inc()
-	}
-	if opts.WarmStart {
-		if res.Status != Infeasible && !res.PhaseI {
-			o.Counter("solver.warmstart.hit").Inc()
-		} else {
-			o.Counter("solver.warmstart.miss").Inc()
 		}
+		if !t0.IsZero() {
+			//tlvet:ignore wallclock -- telemetry: wall_us of the solve_end record; never feeds solve results
+			end.WallUS = time.Since(t0).Microseconds()
+		}
+		record(o, span, end)
+	}
+	span.End()
+	return res, err
+}
+
+// record derives a solve's telemetry from its one record, end: the
+// solve_end event, the solve span's attributes, the solver.solves,
+// newton_iters, infeasible and warmstart.hit/miss counters, and the
+// solver.solve_duration histogram.
+func record(o *obs.Obs, span *obs.Span, end obs.SolveEnd) {
+	if o.EventsEnabled() {
+		ev := end // only an emitted record escapes to the heap
+		o.Emit(&ev)
 	}
 	if span != nil {
-		span.Annotate(
-			obs.Int("newton", res.Newton),
-			obs.Int("centerings", res.Centerings),
-			obs.String("status", res.Status.String()),
-			obs.Float("gap", res.Gap),
-			obs.Bool("phase1", res.PhaseI),
-		)
-		span.End()
+		span.Annotate(end.Attrs()...)
 	}
-	return res, err
+	if !o.MetricsEnabled() {
+		return
+	}
+	o.Counter("solver.solves").Inc()
+	o.Counter("solver.newton_iters").Add(int64(end.Newton))
+	if end.Status == Infeasible.String() {
+		o.Counter("solver.infeasible").Inc()
+	}
+	if end.WarmStart {
+		// A warm start hits when it made phase I unnecessary.
+		name := "solver.warmstart.miss"
+		if end.Phase1Skipped {
+			name = "solver.warmstart.hit"
+		}
+		o.Counter(name).Inc()
+	}
+	o.Histogram("solver.solve_duration").Observe(time.Duration(end.WallUS) * time.Microsecond)
 }
 
 func solve(p *Problem, yHint []float64, opts Options) (Result, error) {

@@ -131,6 +131,20 @@ func All() []Layer {
 	return append(ResNet18(), Yolo9000()...)
 }
 
+// Pipeline returns the layers of the pipeline named "resnet18",
+// "yolo9000" or "all".
+func Pipeline(name string) ([]Layer, error) {
+	switch name {
+	case "resnet18":
+		return ResNet18(), nil
+	case "yolo9000":
+		return Yolo9000(), nil
+	case "all":
+		return All(), nil
+	}
+	return nil, fmt.Errorf("unknown pipeline %q (resnet18 | yolo9000 | all)", name)
+}
+
 // ByName finds a layer by its Name() identifier.
 func ByName(name string) (Layer, bool) {
 	l, ok := byName()[name]
