@@ -197,18 +197,20 @@ func TestCLIObservability(t *testing.T) {
 // against the records it is derived from. Each core.* counter must
 // equal its field of the run's Stats, as the search line prints them or
 // as the solve_end events count them; the solver.* counters and the
-// solve_duration histogram must sum the solve_end events; and every
+// solve_duration histogram must sum the solve_end events; the search
+// line's cut-off count must equal the solve_end events whose status is
+// cutoff; and every
 // solve span must carry the fields of one solve_end event (absent
 // optional fields read as zero; the span's duration stands in for
 // wall_us).
 func checkDerivedTelemetry(t *testing.T, out, eventsPath string, trace *tracefile.Trace, counters, histCounts map[string]int64) {
 	t.Helper()
-	m := regexp.MustCompile(`search: +(\d+) x (\d+) permutation classes, (\d+) GPs solved(?: \(\+(\d+) pruned by bound\))?, (\d+) integer candidates`).FindStringSubmatch(out)
+	m := regexp.MustCompile(`search: +(\d+) x (\d+) permutation classes, (\d+) GPs solved(?: \((\d+) cut off\))?(?: \(\+(\d+) pruned by bound\))?, (\d+) integer candidates`).FindStringSubmatch(out)
 	if m == nil {
 		t.Fatalf("no search line in output:\n%s", out)
 	}
 	stat := func(i int) int64 {
-		n, _ := strconv.ParseInt(m[i], 10, 64) // an absent pruned count reads 0
+		n, _ := strconv.ParseInt(m[i], 10, 64) // an absent cut-off or pruned count reads 0
 		return n
 	}
 
@@ -218,7 +220,7 @@ func checkDerivedTelemetry(t *testing.T, out, eventsPath string, trace *tracefil
 	}
 	defaults := map[string]any{"objective": 0.0, "gap": 0.0, "phase1": false, "warm_start": false, "phase1_skipped": false}
 	solveEnds := map[string]int{} // canonical fields → count
-	var solves, newton, infeasible, suboptimal, hits, misses int64
+	var solves, newton, infeasible, suboptimal, cutoff, hits, misses int64
 	for _, ln := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		var ev struct {
 			Type   string         `json:"type"`
@@ -247,6 +249,8 @@ func checkDerivedTelemetry(t *testing.T, out, eventsPath string, trace *tracefil
 			infeasible++
 		case "suboptimal":
 			suboptimal++
+		case "cutoff":
+			cutoff++
 		}
 		if f["warm_start"] == true {
 			if f["phase1_skipped"] == true {
@@ -264,8 +268,9 @@ func checkDerivedTelemetry(t *testing.T, out, eventsPath string, trace *tracefil
 		"core.classes_l1":       stat(1),
 		"core.classes_sram":     stat(2),
 		"core.pairs_solved":     stat(3),
-		"core.pairs_pruned":     stat(4),
-		"core.int_candidates":   stat(5),
+		"core.pairs_cutoff":     stat(4),
+		"core.pairs_pruned":     stat(5),
+		"core.int_candidates":   stat(6),
 		"core.gp_infeasible":    infeasible,
 		"core.gp_suboptimal":    suboptimal,
 		"solver.solves":         solves,
@@ -280,6 +285,11 @@ func checkDerivedTelemetry(t *testing.T, out, eventsPath string, trace *tracefil
 		} else if got != want {
 			t.Errorf("counter %s = %d, want %d from its record", name, got, want)
 		}
+	}
+	// The placement record and the solver's statuses count the same
+	// cut-off solves, and resnet18_L12 has some.
+	if stat(4) != cutoff || cutoff == 0 {
+		t.Errorf("search line reports %d solves cut off, %d solve_end events read cutoff; want equal and > 0", stat(4), cutoff)
 	}
 	if got := histCounts["solver.solve_duration"]; got != solves {
 		t.Errorf("solver.solve_duration count = %d, want %d solve_end events", got, solves)

@@ -161,8 +161,11 @@ func run() error {
 		cached = " (served from cache, 0 solved this run)"
 	}
 	pruned := ""
+	if res.Stats.CutOff > 0 {
+		pruned = fmt.Sprintf(" (%d cut off)", res.Stats.CutOff)
+	}
 	if res.Stats.Pruned > 0 {
-		pruned = fmt.Sprintf(" (+%d pruned by bound)", res.Stats.Pruned)
+		pruned += fmt.Sprintf(" (+%d pruned by bound)", res.Stats.Pruned)
 	}
 	fmt.Printf("search:       %d x %d permutation classes, %d GPs solved%s, %d integer candidates%s\n",
 		res.Stats.ClassesL1, res.Stats.ClassesSRAM, res.Stats.PairsSolved, pruned, res.Stats.Candidates, cached)

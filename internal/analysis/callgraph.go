@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file is the flow-aware half of the framework: a module-wide
@@ -80,9 +79,7 @@ func BuildModule(pkgs []*Package) *Module {
 		add(p)
 	}
 	for _, p := range pkgs {
-		deps := append([]*Package(nil), p.Deps...)
-		sort.Slice(deps, func(i, j int) bool { return deps[i].Path < deps[j].Path })
-		for _, d := range deps {
+		for _, d := range p.Deps {
 			add(d)
 		}
 	}

@@ -3,6 +3,7 @@ package checks
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -22,9 +23,10 @@ import (
 //   - calls to a method named Emit or Encode (event emission, JSON
 //     encoders);
 //   - fmt printing functions (Print/Fprint/Sprint families);
-//   - append to a slice declared outside the loop, unless the slice is
-//     later passed to a sort.* or slices.* call in the same function
-//     ("intervening sort" — collect-then-sort is the sanctioned idiom).
+//   - append to a slice declared outside the loop, a variable or a
+//     field of one (s.Names), unless the slice is later passed to a
+//     sort.* or slices.* call in the same function ("intervening sort" —
+//     collect-then-sort is the sanctioned idiom).
 //
 // Commutative uses (summing values, building another map, counting) do
 // not hit a sink and pass untouched.
@@ -115,9 +117,9 @@ func checkMapRange(pass *analysis.Pass, fd *ast.FuncDecl, rng *ast.RangeStmt) {
 	})
 }
 
-// checkMapRangeAppend flags `s = append(s, <tainted>)` where s is
-// declared outside the range loop and never sorted afterwards in the
-// same function.
+// checkMapRangeAppend flags `s = append(s, <tainted>)` where s, a
+// variable or a field of one, is declared outside the range loop and
+// never sorted afterwards in the same function.
 func checkMapRangeAppend(pass *analysis.Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, as *ast.AssignStmt, tainted func(ast.Expr) bool) {
 	info := pass.TypesInfo()
 	for i, rhs := range as.Rhs {
@@ -135,29 +137,52 @@ func checkMapRangeAppend(pass *analysis.Pass, fd *ast.FuncDecl, rng *ast.RangeSt
 		if !tainted(call) {
 			continue
 		}
-		target, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident)
-		if !ok {
-			continue // appending into a map element or field: order still unmaterialized
+		target := objPath(info, as.Lhs[i])
+		if target == nil {
+			continue // appending into a map element: order still unmaterialized
 		}
-		obj := info.Uses[target]
-		if obj == nil {
-			obj = info.Defs[target]
-		}
-		if obj == nil || obj.Pos() >= rng.Pos() {
+		if target[0].Pos() >= rng.Pos() {
 			continue // slice scoped to the loop body: per-key, order-free
 		}
-		if sortedAfter(info, fd, rng, obj) {
+		if sortedAfter(info, fd, rng, target) {
 			continue
 		}
 		pass.Reportf(as.Pos(),
 			"%s appends map-iteration values to %s without a later sort; the slice's order is randomized — sort it (sort.Slice / slices.Sort*) before it escapes",
-			fd.Name.Name, target.Name)
+			fd.Name.Name, types.ExprString(as.Lhs[i]))
 	}
 }
 
-// sortedAfter reports whether obj is passed to a sort.* or slices.*
-// call positioned after the range loop in fd's body.
-func sortedAfter(info *types.Info, fd *ast.FuncDecl, rng *ast.RangeStmt, obj types.Object) bool {
+// objPath names the slice an expression denotes: its variable, then the
+// fields selected from it (s.a.b gives s, a, b). It is nil for any
+// other expression, such as a map or slice element.
+func objPath(info *types.Info, e ast.Expr) []types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := info.Uses[e]
+		if obj == nil {
+			obj = info.Defs[e]
+		}
+		if obj == nil {
+			return nil
+		}
+		return []types.Object{obj}
+	case *ast.SelectorExpr:
+		sel, ok := info.Selections[e]
+		if !ok || sel.Kind() != types.FieldVal {
+			return nil
+		}
+		if base := objPath(info, e.X); base != nil {
+			return append(base, sel.Obj())
+		}
+	}
+	return nil
+}
+
+// sortedAfter reports whether the slice named by target (see objPath)
+// is passed to a sort.* or slices.* call positioned after the range
+// loop in fd's body.
+func sortedAfter(info *types.Info, fd *ast.FuncDecl, rng *ast.RangeStmt, target []types.Object) bool {
 	found := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if found {
@@ -175,7 +200,7 @@ func sortedAfter(info *types.Info, fd *ast.FuncDecl, rng *ast.RangeStmt, obj typ
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, ok := ast.Unparen(arg).(*ast.Ident); ok && info.Uses[id] == obj {
+			if slices.Equal(objPath(info, arg), target) {
 				found = true
 			}
 		}

@@ -53,6 +53,32 @@ func appendThenSort(m map[string]int) []string {
 	return keys
 }
 
+// snapshot holds slices in fields, as a metrics snapshot does.
+type snapshot struct {
+	Names []string
+	inner struct{ Counts []int }
+}
+
+func fieldNoSort(m map[string]int) snapshot {
+	var s snapshot
+	for k, v := range m {
+		s.Names = append(s.Names, k)               // want `fieldNoSort appends map-iteration values to s\.Names without a later sort`
+		s.inner.Counts = append(s.inner.Counts, v) // want `fieldNoSort appends map-iteration values to s\.inner\.Counts without a later sort`
+	}
+	sort.Strings(s.Names[:0]) // a sort of another slice expression does not count
+	return s
+}
+
+// fieldThenSort sorts each field it collected into, through a pointer.
+func fieldThenSort(m map[string]int, s *snapshot) {
+	for k, v := range m {
+		s.Names = append(s.Names, k)
+		s.inner.Counts = append(s.inner.Counts, v)
+	}
+	sort.Slice(s.Names, func(i, j int) bool { return s.Names[i] < s.Names[j] })
+	sort.Ints(s.inner.Counts)
+}
+
 // sumValues is commutative: iteration order cannot show in the result.
 func sumValues(m map[string]int) int {
 	total := 0

@@ -25,10 +25,10 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 	// Deps holds the module-internal packages loaded to satisfy this
-	// package's imports (transitively). LoadModule leaves it empty —
-	// every module package is already a sibling — but LoadDir fills it
-	// so BuildModule can summarize fixture dependencies and
-	// cross-package facts resolve in golden tests.
+	// package's imports (transitively), in path order. LoadModule
+	// leaves it empty — every module package is already a sibling — but
+	// LoadDir fills it so BuildModule can summarize fixture dependencies
+	// and cross-package facts resolve in golden tests.
 	Deps []*Package
 }
 
@@ -268,5 +268,6 @@ func LoadDir(dir, importPath string) (*Package, error) {
 			pkg.Deps = append(pkg.Deps, dep)
 		}
 	}
+	sort.Slice(pkg.Deps, func(i, j int) bool { return pkg.Deps[i].Path < pkg.Deps[j].Path })
 	return pkg, nil
 }

@@ -13,6 +13,12 @@ import (
 // Newton iterate or the integerized pair set must update these values
 // and say why.
 //
+// resnet18_L12 joined when phase B began stopping each solve once the
+// solver certified that its tuple cannot enter the tie band: 16 of its
+// 85 solves end cut off, and its Newton iterations fell 4756 → 4435
+// with the design, GPObjective included, unchanged. The other two
+// designs have no solve cut off, and their values did not move.
+//
 // The values moved last when each barrier solve began its path at the
 // duality gap its objective lower bound certifies instead of at t = 1,
 // and the line search began ending wherever its Armijo decrease falls
@@ -55,6 +61,15 @@ func TestGoldenIterates(t *testing.T) {
 			gpObjective: 0x41b509a72fbc43bc, // 352954159.73540854
 			energy:      0x41b509ec000e17c6, // 27.479193244081635 pJ/MAC
 			cycles:      0x40f8800000000000, // 100352
+		},
+		{
+			layer: "resnet18_L12",
+			opts:  Options{Criterion: model.MinEnergy, Mode: FixedArch, Parallel: 1},
+			stats: Stats{ClassesL1: 17, ClassesSRAM: 10, PairsSolved: 85,
+				Candidates: 4704, NewtonIters: 4435, CutOff: 16, FreshSolves: 85},
+			gpObjective: 0x41e49b0411385b42, // 2765627529.76114
+			energy:      0x41e49ebfdd1b7982, // 2767585000.8585825 pJ
+			cycles:      0x416b900000000000, // 14450688
 		},
 		{
 			layer: "resnet18_L10",

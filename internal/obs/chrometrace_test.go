@@ -395,3 +395,45 @@ func TestChromeTraceConcurrentAttachment(t *testing.T) {
 		t.Fatal("schema tag missing")
 	}
 }
+
+// TestChromeTraceNoClampAcrossMicrosecond: a child nested in its parent
+// whose bounds straddle microsecond boundaries differently from the
+// parent's is not clamped. Truncating the start offset and the duration
+// separately put the child's end 1 µs past its parent's here: the
+// parent, 0.9–2.1 µs, read start 0 and duration 1, and the child,
+// 1.0–2.05 µs, start 1 and duration 1.
+func TestChromeTraceNoClampAcrossMicrosecond(t *testing.T) {
+	tr := NewTracer()
+	epoch := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	now := epoch
+	tr.now = func() time.Time { return now }
+	root := tr.StartSpan(nil, "root")
+	now = epoch.Add(900 * time.Nanosecond)
+	parent := tr.StartSpan(root, "parent")
+	now = epoch.Add(1000 * time.Nanosecond)
+	child := tr.StartSpan(parent, "child")
+	now = epoch.Add(2050 * time.Nanosecond)
+	child.End()
+	now = epoch.Add(2100 * time.Nanosecond)
+	parent.End()
+	now = epoch.Add(5 * time.Microsecond)
+	root.End()
+
+	var buf bytes.Buffer
+	clamped, err := tr.WriteChromeTrace(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clamped != 0 {
+		t.Fatalf("clamped = %d, want 0 for properly nested spans", clamped)
+	}
+	byName := map[string]ChromeEvent{}
+	for _, ev := range spanEvents(decodeChrome(t, buf.Bytes())) {
+		byName[ev.Name] = ev
+	}
+	p, c := byName["parent"], byName["child"]
+	// Offsets truncate: parent [0, 2], child [1, 2] in microseconds.
+	if p.TS != 0 || p.Dur != 2 || c.TS != 1 || c.Dur != 1 {
+		t.Fatalf("parent ts=%d dur=%d, child ts=%d dur=%d; want 0/2 and 1/1", p.TS, p.Dur, c.TS, c.Dur)
+	}
+}

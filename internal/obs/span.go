@@ -221,7 +221,11 @@ func (s *Span) snapshot(epoch time.Time) SpanInfo {
 		DurUS:   -1,
 	}
 	if !end.IsZero() {
-		info.DurUS = end.Sub(s.start).Microseconds()
+		// Both bounds are truncated to microseconds as offsets from the
+		// epoch, so a child that starts and ends within its parent stays
+		// within it; truncating the duration on its own can land the
+		// end a microsecond past the parent's.
+		info.DurUS = end.Sub(epoch).Microseconds() - info.StartUS
 	}
 	if len(attrs) > 0 {
 		info.Attrs = make(map[string]any, len(attrs))

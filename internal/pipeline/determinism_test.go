@@ -106,9 +106,11 @@ func TestExecuteSharedSchedulerMatchesOwn(t *testing.T) {
 // performance switches, not search switches — disabling either (or
 // both) must reproduce the default run's design point and statistics
 // exactly. Only the split of pairs between Stats.Pruned and the
-// per-solve counters may differ. The bound never fires on resnet18_L9
-// and does on resnet18_L1, so the test also fails if pruning silently
-// stops firing.
+// per-solve counters may differ, and with them the count of solves cut
+// off at the prune threshold, which moves with the iterates and is zero
+// without pruning. The bound never fires on resnet18_L9 and does on
+// resnet18_L1, and solves are cut off on both, so the test also fails
+// if pruning or the cutoff silently stops firing.
 func TestExecuteAblationsIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		layer  string
@@ -140,6 +142,9 @@ func TestExecuteAblationsIdentical(t *testing.T) {
 			if got := def.Stats.Pruned > 0; got != tc.prunes {
 				t.Fatalf("default run pruned %d pairs, want pruning to fire: %v", def.Stats.Pruned, tc.prunes)
 			}
+			if def.Stats.CutOff == 0 {
+				t.Fatal("default run cut off no solve")
+			}
 			for name, opts := range map[string]func(Options) Options{
 				"no warm start":    func(o Options) Options { o.DisableWarmStart = true; return o },
 				"no bound pruning": func(o Options) Options { o.DisableBoundPruning = true; return o },
@@ -166,7 +171,12 @@ func TestExecuteAblationsIdentical(t *testing.T) {
 					ds.Suboptimal, rs.Suboptimal = 0, 0
 				}
 				ds.Pruned, rs.Pruned = 0, 0
-				ds.NewtonIters, rs.NewtonIters = 0, 0 // iterate counts legitimately differ
+				if opts(base).DisableBoundPruning && rs.CutOff != 0 {
+					t.Errorf("%s: %d solves cut off without a prune threshold", name, rs.CutOff)
+				}
+				// Iterate counts, and so the solves cut off, legitimately differ.
+				ds.NewtonIters, rs.NewtonIters = 0, 0
+				ds.CutOff, rs.CutOff = 0, 0
 				if ds != rs {
 					t.Errorf("%s: stats differ from default run\ndef: %+v\ngot: %+v", name, ds, rs)
 				}

@@ -233,6 +233,11 @@ type Stats struct {
 	// threshold, so they were never formulated in full or solved. Not
 	// included in PairsSolved.
 	Pruned int
+	// CutOff counts pair GPs whose solve stopped early, once the solver
+	// certified that their optimum cannot enter the tie band of the
+	// running top-k threshold (solver.CutOff). Included in PairsSolved,
+	// and their Newton iterations in NewtonIters.
+	CutOff int
 	// FreshSolves is the number of GPs this invocation solved itself:
 	// equal to PairsSolved on a cache miss (or with caching off), 0
 	// when the result came from the solve cache.
@@ -264,6 +269,7 @@ func (s *Stats) add(o Stats) {
 	s.Candidates += o.Candidates
 	s.NewtonIters += o.NewtonIters
 	s.Pruned += o.Pruned
+	s.CutOff += o.CutOff
 }
 
 // observe derives the telemetry of one RS placement from its record:
@@ -276,6 +282,7 @@ func (s *Stats) observe(o *obs.Obs, span *obs.Span) {
 	o.Counter("core.gp_infeasible").Add(int64(s.Infeasible))
 	o.Counter("core.gp_suboptimal").Add(int64(s.Suboptimal))
 	o.Counter("core.pairs_pruned").Add(int64(s.Pruned))
+	o.Counter("core.pairs_cutoff").Add(int64(s.CutOff))
 	o.Counter("core.int_candidates").Add(int64(s.Candidates))
 	if span != nil {
 		attrs := []obs.Attr{

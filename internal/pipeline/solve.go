@@ -91,19 +91,24 @@ func prunable(lower, threshold, tol float64) bool { return lower > bandLimit(thr
 // first job of every group; the topClasses-th smallest feasible seed
 // objective becomes the global prune threshold. Phase B walks each
 // group sequentially, warm-starting every solve from the group's
-// previous solution and skipping tuples whose objective lower bound
-// (boundCtx) exceeds bandLimit of the threshold.
+// previous solution, skipping tuples whose objective lower bound
+// (boundCtx) exceeds bandLimit of the threshold, and stopping each
+// solve once the solver certifies that its optimum exceeds that limit
+// (solver.Options.Cutoff).
 //
-// Both optimizations preserve the exact result set. Warm starts only
-// move the interior-point starting iterate. Pruning is conservative: a
-// pruned tuple's true optimum exceeds bandLimit(threshold), and at least
-// topClasses deterministically-chosen solves sit at or below the
-// threshold, so the pruned tuple could never have entered the tie band.
-// The threshold tightens per group using only that group's own solves
-// plus the global seeds, keeping every decision independent of
-// scheduler width and completion order. Per-job results land in
-// distinct slots, so only the shared stats need a lock; admission stops
-// at the first error or context cancellation.
+// All three optimizations preserve the exact result set. Warm starts
+// only move the interior-point starting iterate. Pruning and cutoffs
+// are conservative: a pruned or cut-off tuple's true optimum exceeds
+// bandLimit(threshold), and at least topClasses deterministically-chosen
+// solves sit at or below the threshold, so the tuple could never have
+// entered the tie band, nor moved the threshold. A cut-off tuple's
+// point is not its optimum, so it is cut off only when no later tuple
+// reads it as a warm hint (see the look-ahead below). The threshold
+// tightens per group using only that group's own solves plus the
+// global seeds, keeping every decision independent of scheduler width
+// and completion order. Per-job results land in distinct slots, so
+// only the shared stats need a lock; admission stops at the first
+// error or context cancellation.
 func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 	o := r.obs
 	tracing := o.TracingEnabled()
@@ -133,44 +138,64 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 	// pruning is on or off: each solve starts at the same barrier
 	// parameter under either ablation.
 	bc := newBoundCtx(r.nest, r.form)
+	cold := r.form.Hint()
 
-	// solveJob formulates and solves job i on the given workspace.
-	// xHint, when non-nil, warm-starts the solve from a neighboring
-	// solution (positive space). The tuple is pruned, and nil returned,
-	// when its objective's lower bound (the cheap half of formulation)
-	// cannot enter the tie band of threshold; +Inf prunes nothing.
-	solveJob := func(i int, ws *solver.Workspace, xHint []float64, threshold float64) (*Solved, error) {
+	// pairSpan opens the gp-pair span of the tuple of perms when tracing.
+	pairSpan := func(perms [][]int) *obs.Span {
+		if !tracing {
+			return nil
+		}
+		return o.StartSpan(passSpan, "gp-pair",
+			obs.Stringer("perm_l1", perms[inner]), obs.Stringer("perm_sram", perms[outer]))
+	}
+
+	// formulate formulates job i: its objective and the objective's
+	// lower bound (the cheap half), and its program unless the bound
+	// cannot enter the tie band of threshold (+Inf prunes nothing). The
+	// threshold only tightens, so a tuple formulated without a program
+	// stays pruned. When tracing, the tuple's gp-pair span opens here
+	// and ends when the tuple is pruned or solved.
+	formulate := func(i int, threshold float64) (*tuple, error) {
 		perms, traffic := r.job(i)
-		var pairSpan *obs.Span
-		if tracing {
-			pairSpan = o.StartSpan(passSpan, "gp-pair",
-				obs.Stringer("perm_l1", perms[inner]), obs.Stringer("perm_sram", perms[outer]))
-		}
-		fspan := o.StartSpan(pairSpan, "formulate")
+		tp := &tuple{i: i, perms: perms, span: pairSpan(perms)}
+		fspan := o.StartSpan(tp.span, "formulate")
 		objective, err := r.form.Objective(traffic)
-		if err != nil {
-			fspan.End()
-			pairSpan.End()
-			return nil, err
-		}
-		lower := bc.lowerBound(objective)
-		if prunable(lower, threshold, solverTol) {
-			fspan.End()
-			mu.Lock()
-			r.stats.Pruned++
-			mu.Unlock()
-			if pairSpan != nil {
-				pairSpan.Annotate(obs.String("status", "pruned"))
-				pairSpan.End()
+		if err == nil {
+			tp.lower = bc.lowerBound(objective)
+			if !prunable(tp.lower, threshold, solverTol) {
+				tp.prog, err = r.form.Program(objective, traffic, r.vols.footprint, slack)
 			}
-			return nil, nil
 		}
-		prog, err := r.form.Program(objective, traffic, r.vols.footprint, slack)
 		fspan.End()
 		if err != nil {
-			pairSpan.End()
+			tp.span.End()
 			return nil, err
 		}
+		if tp.prog != nil {
+			tp.coldFeasible = coldFeasible(tp, cold)
+		}
+		return tp, nil
+	}
+
+	// pruned records tp as skipped by its bound.
+	pruned := func(tp *tuple) {
+		mu.Lock()
+		r.stats.Pruned++
+		mu.Unlock()
+		if tp.span != nil {
+			tp.span.Annotate(obs.String("status", "pruned"))
+			tp.span.End()
+		}
+	}
+
+	// solve solves the formulated tuple tp on the given workspace.
+	// xHint, when non-nil, warm-starts the solve from a neighboring
+	// solution (positive space). The solve stops once its optimum
+	// provably exceeds cutoff (+Inf runs it to the end). It returns the
+	// tuple's solution, nil when it is infeasible or was cut off, and
+	// whether it was cut off. A rerun of a cut-off tuple counts as the
+	// same solve: it moves the tuple from CutOff back to a finished one.
+	solve := func(tp *tuple, ws *solver.Workspace, xHint []float64, cutoff float64, rerun bool) (*Solved, bool, error) {
 		// A strictly feasible cold hint beats the neighbor's solution:
 		// the analytic hint is well-centered, while a neighboring optimum
 		// hugs its active constraints and costs extra damped Newton steps
@@ -180,38 +205,45 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 		// layers (77,595 against 68,787). The warm hint pays off exactly
 		// when the cold hint would force a phase-I solve that the
 		// neighbor's point can skip.
-		cold := r.form.Hint()
-		warmStart := xHint != nil && !coldHintFeasible(prog, cold)
+		warmStart := xHint != nil && !tp.coldFeasible
 		if !warmStart {
 			xHint = cold
 		}
-		res, err := prog.Solve(xHint, solver.Options{
+		res, err := tp.prog.Solve(xHint, solver.Options{
 			Tol:        solverTol,
-			LowerBound: lower,
+			LowerBound: tp.lower,
+			Cutoff:     cutoff,
 			Obs:        o,
-			Span:       pairSpan,
+			Span:       tp.span,
 			Workspace:  ws,
 			WarmStart:  warmStart,
 		})
 		var sp *Solved
 		mu.Lock()
-		r.stats.PairsSolved++
+		if rerun {
+			r.stats.CutOff--
+		} else {
+			r.stats.PairsSolved++
+		}
 		if err == nil {
 			switch res.Status {
 			case solver.Infeasible:
 				r.stats.Infeasible++
+			case solver.CutOff:
+				r.stats.CutOff++
+				r.stats.NewtonIters += res.Newton
 			case solver.Suboptimal:
 				r.stats.Suboptimal++
 				fallthrough
 			case solver.Optimal:
 				r.stats.NewtonIters += res.Newton
-				sp = &Solved{Perms: perms, X: res.X, Objective: res.Objective}
-				results[i] = sp
+				sp = &Solved{Perms: tp.perms, X: res.X, Objective: res.Objective}
+				results[tp.i] = sp
 			}
 		}
 		mu.Unlock()
-		pairSpan.End()
-		return sp, err
+		tp.span.End()
+		return sp, err == nil && res.Status == solver.CutOff, err
 	}
 
 	// The jobs form nGroups contiguous groups of groupSize, one job per
@@ -225,11 +257,16 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 	prune := !r.opts.DisableBoundPruning
 
 	// Phase A: cold-solve each group's first tuple. Seeds are never
-	// pruned, so the threshold below is derived from a fixed job set.
+	// pruned nor cut off, so the threshold below is derived from a fixed
+	// job set.
 	err := r.sched.ForEach(ctx, nGroups, func(g int) error {
 		ws := r.getWS()
 		defer r.putWS(ws)
-		_, err := solveJob(g*groupSize, ws, nil, math.Inf(1))
+		tp, err := formulate(g*groupSize, math.Inf(1))
+		if err != nil {
+			return err
+		}
+		_, _, err = solve(tp, ws, nil, math.Inf(1), false)
 		return err
 	})
 	if err != nil {
@@ -274,14 +311,81 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 		if seed := results[g*groupSize]; warm && seed != nil {
 			hint = seed.X
 		}
+		// tuples holds the group's tuples formulated ahead of their turn;
+		// owed is the last cut-off tuple when no solve has finished since,
+		// whose optimum the hint would hold had it run to the end.
+		tuples := make([]*tuple, groupSize)
+		// An error ends the group early: end the spans of the tuples
+		// formulated ahead of their turn.
+		defer func() {
+			for _, tp := range tuples {
+				if tp != nil {
+					tp.span.End()
+				}
+			}
+		}()
+		var owed *tuple
+		take := func(idx int) (*tuple, error) {
+			var err error
+			if tuples[idx] == nil {
+				tuples[idx], err = formulate(g*groupSize+idx, threshold)
+			}
+			return tuples[idx], err
+		}
 		for idx := 1; idx < groupSize; idx++ {
-			sp, err := solveJob(g*groupSize+idx, ws, hint, threshold)
+			tp, err := take(idx)
 			if err != nil {
 				return err
+			}
+			tuples[idx] = nil
+			if prunable(tp.lower, threshold, solverTol) {
+				pruned(tp)
+				continue
+			}
+			// Look ahead: a cut-off leaves the threshold as it is, so the
+			// next tuple not pruned under it solves next, and reads this
+			// one's point exactly when its own cold hint is not strictly
+			// feasible. Then this tuple must finish.
+			cutoff := bandLimit(threshold, solverTol)
+			if !cutoffs {
+				cutoff = math.Inf(1)
+			}
+			for k := idx + 1; warm && !math.IsInf(cutoff, 1) && k < groupSize; k++ {
+				next, err := take(k)
+				if err != nil {
+					return err
+				}
+				if !prunable(next.lower, threshold, solverTol) {
+					if !next.coldFeasible {
+						cutoff = math.Inf(1)
+					}
+					break
+				}
+			}
+			// A tuple solved after the cut-off one was infeasible, so
+			// this one reads the cut-off tuple's optimum: finish it first.
+			if owed != nil && warm && !tp.coldFeasible {
+				owed.span = pairSpan(owed.perms)
+				sp, _, err := solve(owed, ws, hint, math.Inf(1), true)
+				if err != nil {
+					return err
+				}
+				if sp != nil {
+					hint = sp.X
+				}
+				owed = nil
+			}
+			sp, cut, err := solve(tp, ws, hint, cutoff, false)
+			if err != nil {
+				return err
+			}
+			if cut {
+				owed = tp
 			}
 			if sp == nil {
 				continue
 			}
+			owed = nil
 			if warm {
 				hint = sp.X
 			}
@@ -309,6 +413,29 @@ func (r *Run) solvePass(capSlack bool) ([]Solved, error) {
 	}
 	return solved, nil
 }
+
+// tuple is job i formulated for solving: its permutations (see
+// Run.job), its objective's lower bound, its program (nil while it is
+// pruned) and whether the cold hint is strictly feasible for it, and its
+// gp-pair span when tracing.
+type tuple struct {
+	i            int
+	perms        [][]int
+	lower        float64
+	prog         *gp.Program
+	coldFeasible bool
+	span         *obs.Span
+}
+
+// cutoffs turns phase B's solver cutoff on. Tests turn it off for a
+// reference run in which every solve runs to the end.
+var cutoffs = true
+
+// coldFeasible reports whether the cold hint x is strictly feasible
+// for the formulated tuple tp, which routes tp's solve and the cutoff
+// of the tuple before it. Tests substitute it to drive phase B down
+// paths the Table II layers do not take.
+var coldFeasible = func(tp *tuple, x []float64) bool { return coldHintFeasible(tp.prog, x) }
 
 // coldHintFeasible reports whether the cold hint x lies strictly inside
 // every inequality constraint of prog (in the original positive

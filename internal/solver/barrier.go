@@ -22,6 +22,10 @@ const (
 	Suboptimal
 	// Infeasible means phase I could not find a strictly feasible point.
 	Infeasible
+	// CutOff means phase II stopped early: a lower bound on the optimum,
+	// certified at the point reached, exceeds log Options.Cutoff. The
+	// returned point is strictly feasible but not optimal.
+	CutOff
 )
 
 func (s Status) String() string {
@@ -32,6 +36,8 @@ func (s Status) String() string {
 		return "suboptimal"
 	case Infeasible:
 		return "infeasible"
+	case CutOff:
+		return "cutoff"
 	default:
 		return fmt.Sprintf("status(%d)", int(s))
 	}
@@ -69,6 +75,11 @@ const (
 	// constraints: generous for log-space trip counts, and it keeps
 	// phase I bounded when the feasible set is unbounded.
 	boxBound = 60
+	// cutoffMargin is subtracted from the certified lower bound, scaled
+	// by the magnitudes it is summed from, before it is compared with
+	// log Options.Cutoff: seven orders of magnitude above the rounding of
+	// those sums.
+	cutoffMargin = 1e-9
 )
 
 // Options tunes the interior-point method. Zero values select defaults.
@@ -82,6 +93,13 @@ type Options struct {
 	// startT says. Zero means no bound and starts at t0 = 1, as does a
 	// bound that is negative, NaN, +Inf or above f0(z).
 	LowerBound float64
+	// Cutoff, when positive and finite, is a value of exp(f0) that only
+	// matters to the caller if the optimum can lie below it. Phase II
+	// then stops with status CutOff as soon as a lower bound on the
+	// optimum, valid at the point it reached (see dualBound), exceeds
+	// log Cutoff. The check only reads the iterate, so a solve it never
+	// stops is bit for bit the solve without it. Zero means none.
+	Cutoff float64
 	// Obs receives solver telemetry: phase spans, Newton-iteration and
 	// line-search-backtrack counters, and Trace-level stall diagnostics.
 	// Nil disables all of it at the cost of a few nil checks.
@@ -204,27 +222,12 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	if p.Aeq != nil && p.Aeq.Rows > 0 && (p.Aeq.Cols != p.N || len(p.Beq) != p.Aeq.Rows) {
 		return Result{}, fmt.Errorf("%w: equality dimensions", ErrBadProblem)
 	}
-	yPart, zBasis, box, elimErr := ws.eliminate(p)
+	yPart, zBasis, elimErr := ws.lower(p)
 	if elimErr != nil {
 		return Result{Status: Infeasible}, nil
 	}
 	nz := zBasis.Cols
-
-	// Compose all functions with the affine map, into the sparse form
-	// the Newton loop evaluates: the objective is function 0 and the
-	// constraints follow. Box constraints on the original coordinates
-	// keep every subproblem (notably phase I) bounded; their composed
-	// forms come from the elimination cache.
 	fs := &ws.fns
-	fs.reset(nz)
-	row := growF(&ws.row, nz)
-	fs.compose(&p.Obj, yPart, zBasis, row)
-	for i := range p.Ineq {
-		fs.compose(&p.Ineq[i], yPart, zBasis, row)
-	}
-	for f := 0; f < box.count(); f++ {
-		fs.appendFn(box, f, -1)
-	}
 
 	recover := func(z []float64) []float64 {
 		y := append([]float64(nil), yPart...)
@@ -277,6 +280,10 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 	ph2Newton := totalNewton
 	m := float64(fs.count() - 1)
 	t := startT(m, fs.value(0, z), opts)
+	logCut := math.Inf(1)
+	if opts.Cutoff > 0 {
+		logCut = math.Log(opts.Cutoff)
+	}
 	centerings := 0
 	status := Optimal
 	finalGap := 0.0
@@ -303,9 +310,14 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 		if gap < opts.Tol {
 			break
 		}
+		// Only a converged centering leaves ws.g the gradient at z.
+		if converged && ws.dualBound(fs, z, t, yPart, zBasis) > logCut {
+			status = CutOff
+			break
+		}
 		t *= mu
 	}
-	if m/t >= opts.Tol {
+	if status != CutOff && m/t >= opts.Tol {
 		status = Suboptimal
 	}
 	if ph2 != nil {
@@ -323,6 +335,32 @@ func solve(p *Problem, yHint []float64, opts Options) (Result, error) {
 		Gap:        finalGap,
 		PhaseI:     usedPhaseI,
 	}, nil
+}
+
+// lower eliminates p's equality constraints, y = yPart + Z·z (cached
+// across solves that share the same equality system and box bound), and
+// composes every function with that affine map into ws.fns, the sparse
+// form the Newton loop evaluates: the objective is function 0 and the
+// constraints follow. Box constraints on the original coordinates keep
+// every subproblem (notably phase I) bounded; their composed forms come
+// from the elimination cache.
+func (ws *Workspace) lower(p *Problem) (yPart []float64, zBasis *linalg.Dense, err error) {
+	yPart, zBasis, box, err := ws.eliminate(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	nz := zBasis.Cols
+	fs := &ws.fns
+	fs.reset(nz)
+	row := growF(&ws.row, nz)
+	fs.compose(&p.Obj, yPart, zBasis, row)
+	for i := range p.Ineq {
+		fs.compose(&p.Ineq[i], yPart, zBasis, row)
+	}
+	for f := 0; f < box.count(); f++ {
+		fs.appendFn(box, f, -1)
+	}
+	return yPart, zBasis, nil
 }
 
 // startT returns phase II's initial barrier parameter: m over the
@@ -350,6 +388,37 @@ func startT(m, f0 float64, opts Options) float64 {
 	return max(1, min(m/gap, m/(math.Sqrt(mu)*opts.Tol)))
 }
 
+// dualBound returns a lower bound on the optimum of function 0 of fs
+// subject to the others, which include the box |y| ≤ boxBound, at any
+// strictly feasible z where ws.g holds the barrier gradient
+// g = t·∇f0 − Σ ∇fi/fi of newtonMinimize, as after a converged
+// centering. It needs no exact centrality, unlike f0 − m/t (Boyd &
+// Vandenberghe §11.2.2).
+//
+// With λi = −1/(t·fi(z)) > 0 the Lagrangian L = f0 + Σ λi·fi is convex,
+// equals f0(z) − m/t at z and has gradient g/t there. A feasible z' has
+// every fi(z') ≤ 0, so f0(z') ≥ L(z') ≥ L(z) + gᵀ(z'−z)/t. Its point
+// y' = yPart + Z·z' lies in the box, and with c = Z(ZᵀZ)⁻¹g,
+// gᵀ(z'−z) = cᵀ(y'−y) ≥ −Σ |ci|·(boxBound + |yi|). The bound is
+// lowered by cutoffMargin of the magnitudes it sums, for rounding.
+func (ws *Workspace) dualBound(fs *sparseLSEs, z []float64, t float64, yPart []float64, zb *linalg.Dense) float64 {
+	w := growF(&ws.cutW, zb.Cols)
+	if ws.Lin.SolveSPDTo(w, ws.gram(zb), ws.g) != nil {
+		return math.Inf(-1)
+	}
+	c := growF(&ws.cutC, zb.Rows)
+	zb.MulVec(w, c)
+	y := growF(&ws.recTmp, zb.Rows)
+	zb.MulVec(z, y)
+	slack := 0.0
+	for i, ci := range c {
+		slack += math.Abs(ci) * (boxBound + math.Abs(yPart[i]+y[i]))
+	}
+	f0 := fs.value(0, z)
+	gap := float64(fs.count()-1) / t
+	return f0 - gap - slack/t - cutoffMargin*(1+math.Abs(f0)+gap+slack/t)
+}
+
 // boxConstraints returns the 2n constraints |y_i| ≤ boxBound.
 func boxConstraints(n int) []LSE {
 	out := make([]LSE, 0, 2*n)
@@ -375,6 +444,16 @@ func (ws *Workspace) projectHint(yHint, yPart []float64, zb *linalg.Dense, z []f
 	}
 	rhs := growF(&ws.hintRhs, nz)
 	zb.MulTransVec(d, rhs)
+	sol := growF(&ws.hintSol, nz)
+	if err := ws.Lin.SolveSPDTo(sol, ws.gram(zb), rhs); err == nil {
+		copy(z, sol)
+	}
+}
+
+// gram returns ZᵀZ for the nullspace basis zb. It depends only on the
+// basis, so it is cached with the equality elimination.
+func (ws *Workspace) gram(zb *linalg.Dense) *linalg.Dense {
+	n, nz := zb.Rows, zb.Cols
 	if !ws.ztzValid || ws.ztz == nil || ws.ztz.Rows != nz {
 		ztz := growDense(&ws.ztz, nz, nz)
 		for i := 0; i < nz; i++ {
@@ -388,10 +467,7 @@ func (ws *Workspace) projectHint(yHint, yPart []float64, zb *linalg.Dense, z []f
 		}
 		ws.ztzValid = true
 	}
-	sol := growF(&ws.hintSol, nz)
-	if err := ws.Lin.SolveSPDTo(sol, ws.ztz, rhs); err == nil {
-		copy(z, sol)
-	}
+	return ws.ztz
 }
 
 // phaseI finds a strictly feasible point by minimizing s subject to
@@ -469,12 +545,16 @@ func newtonMinimize(ws *Workspace, fs *sparseLSEs, t float64, z []float64, opts 
 
 	eval := func(z []float64, needDeriv bool) (float64, bool) {
 		if !needDeriv {
-			val := t * fs.value(0, z)
+			// Every constraint is tested before the first log: a trial
+			// outside the domain costs no barrier terms.
+			fis := growF(&ws.fi, fs.count())
 			for f := 1; f < fs.count(); f++ {
-				fi := fs.value(f, z)
-				if fi >= 0 {
+				if fis[f] = fs.value(f, z); fis[f] >= 0 {
 					return math.Inf(1), false
 				}
+			}
+			val := t * fs.value(0, z)
+			for _, fi := range fis[1:] {
 				val -= math.Log(-fi)
 			}
 			return val, true

@@ -46,8 +46,10 @@ type Workspace struct {
 	g, gTmp, negG, dir, zTrial []float64
 	h, hTmp                    *linalg.Dense
 
-	// Hint-projection and recovery scratch.
+	// Hint-projection and recovery scratch, a line-search trial's
+	// constraint values, and the cutoff bound's scratch.
 	hintD, hintRhs, hintSol, recTmp []float64
+	fi, cutW, cutC                  []float64
 }
 
 // NewWorkspace returns an empty workspace (equivalent to new(Workspace)).

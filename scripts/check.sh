@@ -102,9 +102,11 @@ echo "== e2e trace gate (tlreport trace on the captured Chrome trace)"
 "$tmp/tlreport" diff -wall-tol 1e9 "$tmp/run.manifest.json" "$tmp/notrace.manifest.json"
 
 echo "== pruning/warm-start determinism gate (whole network, on vs off, parallel 1 vs 4)"
-# Warm starts and bound pruning move solver iterates, never results:
-# the whole-network manifests must agree to 1e-12 across scheduler
-# widths and with both optimizations disabled.
+# Warm starts, bound pruning and solver cutoffs move solver iterates,
+# never results: the whole-network manifests must agree to 1e-12 across
+# scheduler widths and with the optimizations disabled. Without warm
+# starts no later solve reads a cut-off tuple's point, so every solve
+# the cutoff certifies is cut off: the strictest leg for the cutoff.
 "$tmp/thistle" -pipeline resnet18 -specs=false -parallel 1 \
     -manifest "$tmp/net.on.p1.manifest.json" >/dev/null
 "$tmp/thistle" -pipeline resnet18 -specs=false -parallel 4 \
@@ -112,10 +114,14 @@ echo "== pruning/warm-start determinism gate (whole network, on vs off, parallel
 "$tmp/thistle" -pipeline resnet18 -specs=false -parallel 4 \
     -no-bound-pruning -no-warm-start \
     -manifest "$tmp/net.off.p4.manifest.json" >/dev/null
+"$tmp/thistle" -pipeline resnet18 -specs=false -parallel 4 -no-warm-start \
+    -manifest "$tmp/net.nowarm.p4.manifest.json" >/dev/null
 "$tmp/tlreport" diff -edp-tol 1e-12 -energy-tol 1e-12 -delay-tol 1e-12 -wall-tol 1e9 \
     "$tmp/net.on.p1.manifest.json" "$tmp/net.on.p4.manifest.json"
 "$tmp/tlreport" diff -edp-tol 1e-12 -energy-tol 1e-12 -delay-tol 1e-12 -wall-tol 1e9 \
     "$tmp/net.on.p1.manifest.json" "$tmp/net.off.p4.manifest.json"
+"$tmp/tlreport" diff -edp-tol 1e-12 -energy-tol 1e-12 -delay-tol 1e-12 -wall-tol 1e9 \
+    "$tmp/net.on.p1.manifest.json" "$tmp/net.nowarm.p4.manifest.json"
 
 echo "== cross-process disk-cache gate (a second process reads the first one's record)"
 # Solve signatures name the on-disk records, so records written by an
